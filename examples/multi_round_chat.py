@@ -14,7 +14,7 @@ Run:  python examples/multi_round_chat.py
 from __future__ import annotations
 
 from repro.api import ServingConfig
-from repro.cluster import LeastTokensRouter, simulate_cluster
+from repro.cluster import FleetConfig, LeastTokensRouter, simulate_fleet
 from repro.experiments.common import mistral_deployment
 from repro.types import SchedulerKind
 from repro.workload.conversation import ConversationSpec, simulate_conversations
@@ -52,11 +52,11 @@ def main() -> None:
     print("== same load on a 2-replica fleet (least-outstanding-tokens) ==")
     trace = generate_requests(SHAREGPT4, num_requests=150, qps=4.0, seed=11)
     for replicas in (1, 2):
-        _, metrics = simulate_cluster(
+        _, metrics = simulate_fleet(
             deployment,
             ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=512),
             trace,
-            num_replicas=replicas,
+            FleetConfig(num_replicas=replicas),
             router=LeastTokensRouter(replicas),
         )
         print(

@@ -6,9 +6,10 @@ implemented end to end on a discrete-event GPU-roofline simulator:
 * ``repro.models`` / ``repro.hardware`` / ``repro.parallel`` — the
   model, device and parallelism catalogs (Table 1);
 * ``repro.perf`` — the analytical execution-time model (§3.1);
-* ``repro.memory`` — paged and reservation KV-cache allocators;
-* ``repro.scheduling`` + ``repro.core`` — the four schedulers
-  (Algorithms 1-3) and the Table 4 ablations;
+* ``repro.memory`` — KV-cache capacity planning and prefix sharing;
+* ``repro.scheduling`` — the four schedulers (Algorithms 1-3), the
+  Table 4 ablations, their paged and reservation KV allocators, and
+  the plug-in policy protocol;
 * ``repro.engine`` — the event-driven replica/pipeline engine;
 * ``repro.workload`` — Table 2 workload synthesis;
 * ``repro.metrics`` — TTFT/TBT/SLO/capacity machinery (§2.4, §5.1);
@@ -33,8 +34,6 @@ from repro.api import (
     Deployment,
     ServingConfig,
     build_engine,
-    build_memory,
-    build_scheduler,
     clone_requests,
     simulate,
 )
@@ -74,8 +73,6 @@ __all__ = [
     "LeastOutstandingTokensRouter",
     "SloAwareRouter",
     "build_engine",
-    "build_scheduler",
-    "build_memory",
     "clone_requests",
     "Request",
     "RequestPhase",

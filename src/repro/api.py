@@ -13,16 +13,11 @@ import os
 from dataclasses import dataclass, field, replace
 
 from repro.engine.arrays import RequestArrays
-from repro.engine.replica import ReplicaEngine, SimulationResult
+from repro.engine.replica import SimulationResult
 from repro.engine.vectorized import VectorizedReplicaEngine
 from repro.hardware.gpu import GPUSpec
-from repro.memory.block_manager import (
-    DEFAULT_BLOCK_SIZE,
-    MemoryManager,
-    PagedBlockManager,
-    ReservationManager,
-)
 from repro.memory.capacity import (
+    DEFAULT_BLOCK_SIZE,
     PAGED_ACTIVATION_RESERVE_BYTES,
     RESERVATION_ACTIVATION_RESERVE_BYTES,
     kv_token_capacity,
@@ -34,15 +29,9 @@ from repro.parallel.config import ParallelConfig
 from repro.perf.cache import DEFAULT_MAX_ENTRIES, CachedExecutionModel
 from repro.perf.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.perf.iteration import ExecutionModel
-from repro.scheduling.base import DEFAULT_MAX_BATCH_SIZE, Scheduler
-from repro.scheduling.registry import (
-    SchedulerBuildContext,
-    VecSchedulerBuildContext,
-    resolve,
-    scheduler_name,
-    vectorized_names,
-)
+from repro.scheduling.registry import SchedulerBuildContext, resolve
 from repro.scheduling.vectorized import (
+    DEFAULT_MAX_BATCH_SIZE,
     VecPagedMemory,
     VecReservationMemory,
     VecScheduler,
@@ -112,14 +101,6 @@ class ServingConfig:
     # analytical model or to bisect a suspected cache bug.
     perf_cache: bool = True
     perf_cache_max_entries: int = DEFAULT_MAX_ENTRIES
-    # Which event-loop implementation runs the simulation: "object"
-    # (the golden reference) or "vectorized" (array-backed, pp=1 only,
-    # bit-identical by contract — see DESIGN.md §10).  The default can
-    # be flipped process-wide with the REPRO_ENGINE environment
-    # variable; the CLI exposes it as --engine.
-    engine: str = field(
-        default_factory=lambda: os.environ.get("REPRO_ENGINE", "object")
-    )
     # KV prefix caching (paged schedulers only): requests tagged with a
     # prefix_id reuse ref-counted shared blocks published by earlier
     # requests in the same lineage, prefilling only their novel suffix
@@ -164,10 +145,6 @@ class ServingConfig:
                 "perf_cache_max_entries must be positive, "
                 f"got {self.perf_cache_max_entries}"
             )
-        if self.engine not in ("object", "vectorized"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose 'object' or 'vectorized'"
-            )
         # Normalize to the enum (raises a naming error on typos); plain
         # strings keep working thanks to PreemptionMode's str mixin.
         object.__setattr__(
@@ -191,23 +168,6 @@ class ServingConfig:
         return replace(self, token_budget=token_budget)
 
 
-def build_memory(deployment: Deployment, config: ServingConfig) -> MemoryManager:
-    """Construct the memory manager matching the scheduler's declared family."""
-    spec = resolve(config.scheduler)
-    if spec.memory_family == "reservation":
-        capacity = deployment.kv_capacity_tokens(reservation_style=True)
-        return ReservationManager(capacity, reserve_len=config.reserve_len)
-    capacity = deployment.kv_capacity_tokens(reservation_style=False)
-    store = (
-        SharedPrefixStore(block_size=config.block_size)
-        if config.prefix_cache
-        else None
-    )
-    return PagedBlockManager(
-        capacity, block_size=config.block_size, prefix_store=store
-    )
-
-
 def execution_model_for(
     deployment: Deployment, config: ServingConfig
 ) -> ExecutionModel:
@@ -225,53 +185,21 @@ def execution_model_for(
     return exec_model
 
 
-def build_scheduler(
-    deployment: Deployment,
-    config: ServingConfig,
-    exec_model: ExecutionModel | None = None,
-) -> Scheduler:
-    """Construct a fresh scheduler (and its memory manager).
-
-    ``exec_model`` lets dynamic (SLO-driven) schedulers price candidate
-    iterations on the same — possibly cached — model the engine runs
-    on, instead of building their own.  Dispatch goes through the
-    scheduler registry (:mod:`repro.scheduling.registry`): any
-    registered name — or the :class:`~repro.types.SchedulerKind` shim —
-    builds here; unknown names fail with nearest-name suggestions.
-    """
-    spec = resolve(config.scheduler)
-    context = SchedulerBuildContext(
-        deployment=deployment,
-        config=config,
-        memory=build_memory(deployment, config),
-        kv_bytes_per_token=deployment.model.kv_bytes_per_token,
-        _exec_model=exec_model,
-        _exec_model_factory=lambda: execution_model_for(deployment, config),
-    )
-    return spec.build(context)
-
-
 def build_vectorized_scheduler(
     deployment: Deployment,
     config: ServingConfig,
     exec_model: ExecutionModel | None = None,
 ) -> VecScheduler:
-    """Construct the array-backed scheduler core (and its memory).
+    """Construct a fresh scheduler (and its memory manager) over rows.
 
-    Vectorized support is a registry capability: specs without a
-    vectorized factory (plug-in policies) fail loudly here with the
-    spec's stated reason plus the schedulers that do support it.
-    ``exec_model`` serves SLO-driven cores (``sarathi_dynamic``) that
-    price candidate iterations, sharing the engine's warm cache.
+    Dispatch goes through the scheduler registry
+    (:mod:`repro.scheduling.registry`): any registered name — or the
+    :class:`~repro.types.SchedulerKind` shim — builds here; unknown
+    names fail with nearest-name suggestions.  ``exec_model`` serves
+    SLO-driven schedulers (``sarathi_dynamic``) that price candidate
+    iterations, sharing the engine's warm cache.
     """
     spec = resolve(config.scheduler)
-    if spec.build_vectorized is None:
-        raise ValueError(
-            f"the vectorized engine does not support scheduler "
-            f"{scheduler_name(config.scheduler)!r} "
-            f"({spec.vectorized_unsupported_reason}); use engine='object' "
-            f"or a vectorized-capable scheduler: {', '.join(vectorized_names())}"
-        )
     arrays = RequestArrays()
     if spec.memory_family == "reservation":
         capacity = deployment.kv_capacity_tokens(reservation_style=True)
@@ -288,7 +216,7 @@ def build_vectorized_scheduler(
         memory = VecPagedMemory(
             arrays, capacity, block_size=config.block_size, prefix_store=store
         )
-    context = VecSchedulerBuildContext(
+    context = SchedulerBuildContext(
         deployment=deployment,
         config=config,
         arrays=arrays,
@@ -297,33 +225,24 @@ def build_vectorized_scheduler(
         _exec_model=exec_model,
         _exec_model_factory=lambda: execution_model_for(deployment, config),
     )
-    return spec.build_vectorized(context)
+    return spec.build(context)
 
 
 def build_engine(
     deployment: Deployment,
     config: ServingConfig,
     exec_model: ExecutionModel | None = None,
-) -> ReplicaEngine | VectorizedReplicaEngine:
+) -> VectorizedReplicaEngine:
     """A fresh engine ready to ``run`` a request trace.
 
     Passing ``exec_model`` overrides ``config.perf_cache`` — the caller
     owns the model (typically to share one warm cache across engines).
-    ``config.engine`` selects the implementation; both produce
-    bit-identical results on every configuration the vectorized engine
-    supports (including pipeline parallelism and ``sarathi_dynamic``).
     """
     if exec_model is None:
         exec_model = execution_model_for(deployment, config)
-    if config.engine == "vectorized":
-        return VectorizedReplicaEngine(
-            exec_model,
-            build_vectorized_scheduler(deployment, config, exec_model=exec_model),
-            max_inflight_batches=config.max_inflight_batches,
-        )
-    return ReplicaEngine(
+    return VectorizedReplicaEngine(
         exec_model,
-        build_scheduler(deployment, config, exec_model=exec_model),
+        build_vectorized_scheduler(deployment, config, exec_model=exec_model),
         max_inflight_batches=config.max_inflight_batches,
     )
 
@@ -345,7 +264,7 @@ def simulate(
     This is the 1-replica special case of the fleet simulator
     (:func:`repro.cluster.fleet.simulate_fleet`): one replica, no
     faults, unbounded admission — which reduces, event for event, to
-    ``ReplicaEngine.run`` on a fresh engine.  The input requests are
+    ``run`` on a fresh engine.  The input requests are
     cloned first, so the same trace can be replayed across schedulers
     and loads.  ``exec_model`` (see ``execution_model_for``) shares
     one — typically cached — model across calls.

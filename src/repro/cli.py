@@ -47,24 +47,6 @@ def _add_deployment_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=["object", "vectorized"],
-        default=None,
-        help="simulation core (default object, or REPRO_ENGINE); the "
-        "vectorized core is bit-identical and much faster at scale",
-    )
-
-
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """Only override ServingConfig.engine when --engine was given, so
-    the REPRO_ENGINE environment default keeps working."""
-    if getattr(args, "engine", None) is None:
-        return {}
-    return {"engine": args.engine}
-
-
 def _add_scheduler_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scheduler",
@@ -216,9 +198,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_schedulers(args: argparse.Namespace) -> int:
     print("registered schedulers (repro.scheduling.registry):")
     for spec in list_specs():
-        engines = "object+vectorized" if spec.supports_vectorized else "object"
         aliases = f" (aliases: {', '.join(spec.aliases)})" if spec.aliases else ""
-        print(f"  {spec.name:22s} {engines:18s} {spec.memory_family:12s} "
+        print(f"  {spec.name:22s} {spec.memory_family:12s} "
               f"{spec.description}{aliases}")
     return 0
 
@@ -230,7 +211,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scheduler=scheduler,
         token_budget=args.token_budget,
         perf_cache=_perf_cache_from(args),
-        **_engine_kwargs(args),
         **_prefix_cache_kwargs(args),
     )
     if args.workload == "conversation":
@@ -316,7 +296,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         scheduler=scheduler,
         token_budget=args.token_budget,
         perf_cache=_perf_cache_from(args),
-        **_engine_kwargs(args),
     )
     slo = derived_slo(deployment.execution_model(), strict=False)
     horizon = max(r.arrival_time for r in trace) + 30.0
@@ -554,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "schedulers",
-        help="list registered schedulers: engines, memory family, description",
+        help="list registered schedulers: memory family, description",
     ).set_defaults(func=_cmd_schedulers)
 
     sim = sub.add_parser("simulate", help="run one trace and print latency metrics")
@@ -569,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--requests", type=int, default=128)
     sim.add_argument("--token-budget", type=int, default=512)
     sim.add_argument("--seed", type=int, default=0)
-    _add_engine_arg(sim)
     _add_perf_cache_arg(sim)
     _add_prefix_cache_arg(sim)
     sim.set_defaults(func=_cmd_simulate)
@@ -622,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="what happens when the routed replica's queue is full")
     fleet.add_argument("--sweep", action="store_true",
                        help="run the replicas × faults × load sweep instead")
-    _add_engine_arg(fleet)
     _add_sweep_args(fleet)
     _add_perf_cache_arg(fleet)
     fleet.set_defaults(func=_cmd_fleet)

@@ -1,6 +1,5 @@
 """Multi-replica serving: routers and fleet simulation."""
 
-from repro.cluster.cluster import ClusterResult, simulate_cluster
 from repro.cluster.degradation import (
     BrownoutConfig,
     BrownoutController,
@@ -40,8 +39,6 @@ __all__ = [
     "LeastOutstandingTokensRouter",
     "SloAwareRouter",
     "as_fleet_router",
-    "ClusterResult",
-    "simulate_cluster",
     "ReplicaFault",
     "FaultKind",
     "FaultSchedule",

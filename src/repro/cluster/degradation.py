@@ -20,7 +20,7 @@ so the fleet cannot oscillate across the boundary (classic hysteresis).
 
 Like the health monitor, the controller is a pure decision function
 over replica slots — the fleet simulator drives it from control ticks
-and applies its outputs, keeping both engines bit-identical.
+and applies its outputs, so its decisions are deterministic.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ Determinism: the event loop is driven by (time, insertion-order)
 min-heaps and contains no randomness of its own; fault schedules carry
 their own seed.  With zero faults and unbounded admission the fleet
 path reproduces the old static-partition results bit for bit, and a
-1-replica fleet run is exactly ``ReplicaEngine.run`` (the single-replica
+1-replica fleet run is exactly the replica engine's ``run`` (the single-replica
 ``repro.api.simulate`` is implemented as this special case).
 """
 
@@ -45,7 +45,8 @@ from repro.cluster.router import (
     as_fleet_router,
 )
 from repro.engine.simulator import EventQueue
-from repro.engine.replica import EngineStats, ReplicaEngine, SimulationResult
+from repro.engine.replica import EngineStats, SimulationResult
+from repro.engine.vectorized import VectorizedReplicaEngine
 from repro.metrics.stats import percentile
 from repro.metrics.summary import RunMetrics, summarize
 from repro.memory.prefix import PrefixCacheStats
@@ -590,7 +591,7 @@ class _ReplicaSlot:
         self._exec_model = exec_model
         self._tbt_window = tbt_window
         self.alive = True
-        self.engine: ReplicaEngine | None = None
+        self.engine: VectorizedReplicaEngine | None = None
         self.num_stages = 0
         self.num_incarnations = 0
         # Carried across incarnations: completed iteration records,
@@ -672,9 +673,8 @@ class _ReplicaSlot:
                 recent_p99_tbt=None,
                 draining=False,
             )
-        # The engines expose these as gauges (the object engine scans,
-        # the vectorized engine keeps counters — same integers) so a
-        # router snapshot never forces a full state synchronization.
+        # The engine keeps these as O(1) counters, so a router snapshot
+        # never forces a full state synchronization.
         scheduler = self.engine.scheduler
         return ReplicaSnapshot(
             index=self.index,
@@ -783,7 +783,7 @@ class _ReplicaSlot:
         batches = self._past_batches
         wall_s = self._past_wall_s
         prefix_stats = self._past_prefix
-        kind = self._config.engine
+        kind = VectorizedReplicaEngine.kind
         if self.engine is not None:
             records.extend(self.engine.records)
             preemptions += self.engine.scheduler.num_preemptions
@@ -1291,8 +1291,7 @@ def simulate_fleet(
     """Run a trace through an online fleet and summarize it.
 
     The unified entry point: ``repro.api.simulate`` is the 1-replica
-    special case and ``simulate_cluster`` the no-fault compatibility
-    shim.  The input trace is cloned, so it can be replayed across
+    special case.  The input trace is cloned, so it can be replayed across
     fleet sizes, routers and fault schedules.  ``exec_model`` (see
     ``repro.api.execution_model_for``) shares one — typically cached —
     execution model across the whole fleet and across calls.

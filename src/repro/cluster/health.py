@@ -11,9 +11,7 @@ finish) and then *restarted* once idle, clearing its stale window.
 The monitor is a pure decision function over the fleet's replica
 slots; the :class:`~repro.cluster.fleet.FleetSimulator` drives it from
 the control-tick event stream and owns the drain flags and restarts,
-so both engines observe identical decisions at identical instants —
-the TBT windows they are derived from are bit-identical under the
-differential contract.
+so a replayed run sees identical decisions at identical instants.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ class HealthMonitor:
         """Replicas to drain now, as ``(index, inflation_ratio)`` pairs.
 
         Deterministic: slots are scanned in index order and the fleet
-        median is taken over the same windows both engines maintain.
+        median is taken over the replicas' TBT windows.
         Flagging respects ``min_healthy`` — when several replicas
         inflate at once, lower indices are drained first and the rest
         wait for capacity to return.

@@ -1,14 +1,12 @@
-"""The paper's primary contribution: chunked-prefills + stall-free batching."""
+"""Chunked-prefill arithmetic (§4.3).
+
+The Sarathi-Serve scheduler itself — stall-free batching, Algorithm 3 —
+is :class:`repro.scheduling.vectorized.VecSarathiScheduler`.
+"""
 
 from repro.core.chunking import get_next_chunk_size, num_chunks
-from repro.core.dynamic import DynamicSarathiScheduler
-from repro.core.fairness import FairSarathiScheduler
-from repro.core.sarathi import SarathiScheduler
 
 __all__ = [
-    "SarathiScheduler",
-    "DynamicSarathiScheduler",
-    "FairSarathiScheduler",
     "get_next_chunk_size",
     "num_chunks",
 ]

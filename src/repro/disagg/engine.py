@@ -9,7 +9,7 @@ interconnect and (b) prefill replicas whose HBM stores no decode KV.
 The paper leaves a quantitative comparison to future work; this module
 provides it.
 
-The engine is event-driven like :class:`~repro.engine.replica.ReplicaEngine`:
+The engine is event-driven like the replica engine:
 
 * prefill replicas pull whole prompts FCFS, one iteration per prompt
   (maximum prefill efficiency — the disaggregation argument);
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.engine.simulator import EventQueue
 from repro.hardware.interconnect import LinkSpec
-from repro.memory.block_manager import PagedBlockManager
+from repro.memory.capacity import DEFAULT_BLOCK_SIZE
 from repro.metrics.timeline import IterationRecord
 from repro.perf.iteration import ExecutionModel
 from repro.types import Request, RequestPhase, TokenWork
@@ -57,12 +57,60 @@ class DisaggregatedResult:
         return [r for r in self.requests if r.is_finished]
 
 
+class _DecodeKV:
+    """Paged KV accounting for one decode-pool member: whole blocks, a
+    1% admission watermark, and growth one block at a time."""
+
+    def __init__(
+        self, capacity_tokens: int, block_size: int, watermark: float = 0.01
+    ) -> None:
+        self.block_size = block_size
+        num_blocks = capacity_tokens // block_size
+        self._watermark_blocks = int(num_blocks * watermark)
+        self.free_blocks = num_blocks
+        self._held: dict[int, int] = {}  # request_id -> blocks
+
+    @property
+    def free_token_slots(self) -> int:
+        return self.free_blocks * self.block_size
+
+    def _initial_blocks(self, request: Request) -> int:
+        tokens = max(request.prefill_target, request.context_len)
+        return (tokens + self.block_size - 1) // self.block_size
+
+    def _needs_new_block(self, request: Request) -> bool:
+        held_tokens = self._held[request.request_id] * self.block_size
+        return request.context_len + 1 > held_tokens
+
+    def can_admit(self, request: Request) -> bool:
+        needed = self._initial_blocks(request)
+        return self.free_blocks - needed >= self._watermark_blocks
+
+    def admit(self, request: Request) -> None:
+        needed = self._initial_blocks(request)
+        self.free_blocks -= needed
+        self._held[request.request_id] = needed
+
+    def can_append_token(self, request: Request) -> bool:
+        return not self._needs_new_block(request) or self.free_blocks >= 1
+
+    def append_token(self, request: Request) -> None:
+        if self._needs_new_block(request):
+            self.free_blocks -= 1
+            self._held[request.request_id] += 1
+
+    def free(self, request: Request) -> None:
+        self.free_blocks += self._held.pop(request.request_id, 0)
+
+
 class _DecodeReplica:
     """One decode-pool member: resident requests plus paged memory."""
 
-    def __init__(self, index: int, capacity_tokens: int, block_size: int = 16) -> None:
+    def __init__(
+        self, index: int, capacity_tokens: int, block_size: int = DEFAULT_BLOCK_SIZE
+    ) -> None:
         self.index = index
-        self.memory = PagedBlockManager(capacity_tokens, block_size=block_size)
+        self.memory = _DecodeKV(capacity_tokens, block_size)
         self.resident: list[Request] = []
         self.busy = False
 

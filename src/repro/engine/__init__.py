@@ -1,14 +1,13 @@
 """Discrete-event serving engine."""
 
 from repro.engine.arrays import RequestArrays
-from repro.engine.replica import EngineStats, ReplicaEngine, SimulationResult
+from repro.engine.replica import EngineStats, SimulationResult
 from repro.engine.simulator import EventQueue
 from repro.engine.vectorized import VectorizedReplicaEngine
 
 __all__ = [
     "EngineStats",
     "EventQueue",
-    "ReplicaEngine",
     "RequestArrays",
     "SimulationResult",
     "VectorizedReplicaEngine",

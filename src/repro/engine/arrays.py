@@ -1,12 +1,12 @@
 """Struct-of-arrays mirror of per-request serving state.
 
-The vectorized engine keeps every mutable :class:`repro.types.Request`
+The replica engine keeps every mutable :class:`repro.types.Request`
 field in flat numpy arrays, indexed by a dense per-engine *row* id.
 The original ``Request`` objects are retained untouched during the hot
 loop and synchronized back (``sync_out``) only at observation points —
-end of run, fleet snapshots of pending work, crash failover — so the
-engine presents exactly the same object-level results as the golden
-object engine while iterating over arrays.
+end of run, fleet snapshots of pending work, crash failover, a
+plug-in policy's pool view — so callers see ordinary ``Request``
+objects while the engine iterates over arrays.
 
 Token emission timestamps are not appended per token; the engine logs
 ``(time, rows)`` pairs per iteration and :meth:`materialize_token_times`
@@ -64,9 +64,8 @@ _FLOAT_FIELDS = (
     "first_scheduled_at",
     "first_token_at",
     "finished_at",
-    # Timestamps of the last two token emissions — what the object
-    # engine reads back from ``token_times[-1]``/``[-2]`` for the
-    # per-token observer callback.
+    # Timestamps of the last two token emissions (``token_times[-1]``
+    # and ``[-2]``), read by the per-token observer callback.
     "last_emit",
     "prev_emit",
 )
@@ -186,6 +185,25 @@ class RequestArrays:
         return first
 
     # -- sync back to objects ------------------------------------------
+    def sync_row(self, row: int) -> Request:
+        """Write one row's scalar state back to its Request.
+
+        ``token_times`` is left alone: the engine owns the emission log
+        and rebuilds it separately.
+        """
+        request = self.requests[row]
+        state = request.__dict__
+        state["prefill_target"] = int(self.prefill_target[row])
+        state["prefill_done"] = int(self.prefill_done[row])
+        state["decode_steps"] = int(self.decode_steps[row])
+        state["num_emitted"] = int(self.num_emitted[row])
+        state["num_restarts"] = int(self.num_restarts[row])
+        state["phase"] = _CODE_TO_PHASE[int(self.phase[row])]
+        state["first_scheduled_at"] = _nan_to_none(float(self.first_scheduled_at[row]))
+        state["first_token_at"] = _nan_to_none(float(self.first_token_at[row]))
+        state["finished_at"] = _nan_to_none(float(self.finished_at[row]))
+        return request
+
     def materialize_token_times(
         self, emit_log: list[tuple[float, np.ndarray]]
     ) -> list[list[float]]:

@@ -1,38 +1,38 @@
-"""Array-backed replica engine: batched events, bit-identical results.
+"""The replica serving engine: scheduler + execution model + pipeline.
 
-``VectorizedReplicaEngine`` replays exactly the discrete-event
-semantics of :class:`repro.engine.replica.ReplicaEngine` — including
-multi-stage pipeline parallelism — but holds per-request state in
-numpy struct-of-arrays (:mod:`repro.engine.arrays`) and commits a
-whole iteration's token progress with a handful of vector operations
-instead of per-request object traffic.
+``VectorizedReplicaEngine`` simulates one model replica end to end.
+The first pipeline stage doubles as the scheduling point: whenever it
+is free (and the in-flight micro-batch cap allows), the scheduler
+forms the next batch, which then flows through the stages, paying
+per-stage execution time plus inter-stage activation transfers.  Token
+progress is committed when a batch leaves the *last* stage, exactly
+like a real iteration-level serving system (§2.5, §3.3).
 
-The object engine stays the golden reference; this engine must match
-it float for float.  Three observations make that possible without a
-per-token event heap:
+Per-request state lives in numpy struct-of-arrays
+(:mod:`repro.engine.arrays`), and a whole iteration's token progress
+commits with a handful of vector operations.  Three observations keep
+this cheap without a per-token event heap:
 
 * With one pipeline stage at most one batch is ever in flight, so the
   event structure collapses to three sources — the sorted initial
   arrival array (a cursor), a tiny heap of follow-up arrivals, and the
-  single pending batch-completion.  Replaying the object queue's
-  ``(time, insertion seq)`` tie-break over those three reproduces its
-  pop order exactly.  Multi-stage pipelines add a fourth source, a
-  small heap of stage-done/stage-enqueue events whose seqs are
-  allocated in exactly the order the object engine pushes them, so
-  pipeline bubbles (stage idle waiting on its upstream send) fall out
-  of the same event replay rather than a separate bubble model.
+  single pending batch-completion — merged by ``(time, insertion
+  seq)``, arrivals first on ties.  Multi-stage pipelines add a fourth
+  source, a small heap of stage-done/stage-enqueue events, so pipeline
+  bubbles (stage idle waiting on its upstream send) fall out of the
+  same event order rather than a separate bubble model.
 * Iteration pricing decomposes into per-component memo tables (linear
   by token counts, decode attention by context length, prefill
   attention by chunk shape, token-count terms) that are reassembled in
   the same order :meth:`ExecutionModel.stage_iteration_time` uses, so
-  every float operation matches.
+  every float operation matches the unmemoized model.
 * Token emission timestamps need not be appended per request in the
   hot loop: the engine logs ``(time, rows)`` per iteration and
   rebuilds each ``token_times`` list with one stable sort at
   synchronization points (end of run, fleet snapshot/crash).
 
-Divergence between the two engines is a release blocker; the
-differential suite under ``tests/differential`` enforces it.
+The frozen digests under ``tests/differential`` pin its outputs bit
+for bit.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ import time
 
 import numpy as np
 
-from repro.engine.arrays import _CODE_TO_PHASE, PH_FINISHED, RequestArrays
+from repro.engine.arrays import PH_FINISHED, RequestArrays
 from repro.engine.replica import (
     EngineStats,
     FollowupFn,
-    ReplicaEngine,
     SimulationResult,
     TokenObserver,
 )
@@ -63,15 +62,14 @@ __all__ = ["VectorizedReplicaEngine"]
 class VectorizedReplicaEngine:
     """Discrete-event simulation of one replica over flat arrays.
 
-    Drop-in for :class:`ReplicaEngine` on both single-stage and
-    pipeline-parallel deployments: same ``run``/stepped interface,
-    same ``SimulationResult``, same floats.  Construction is normally
-    via :func:`repro.api.build_engine` with ``ServingConfig.engine``
-    set to ``"vectorized"``.
+    Serves single-stage and pipeline-parallel deployments.
+    Construction is normally via :func:`repro.api.build_engine`.
     """
 
     kind = "vectorized"
-    DEFAULT_SWAP_BANDWIDTH = ReplicaEngine.DEFAULT_SWAP_BANDWIDTH
+    # Effective host<->device copy bandwidth for KV swap traffic
+    # (PCIe-4.0 x16 class, overlap-corrected).
+    DEFAULT_SWAP_BANDWIDTH = 20e9
 
     def __init__(
         self,
@@ -98,12 +96,10 @@ class VectorizedReplicaEngine:
         self._followup_fn: FollowupFn | None = None
 
         # Event state: at most one batch in flight plus follow-up
-        # arrivals; ``_seq`` continues the object queue's insertion
-        # counter so (time, seq) ordering replays its tie-breaks.
-        # Pipelines (num_stages > 1) leave ``_busy`` unused and track
-        # per-stage execution through ``_pipe_heap`` instead, whose
-        # entries carry the same insertion seqs the object engine's
-        # EventQueue would allocate.
+        # arrivals; ``_seq`` is the insertion counter that breaks
+        # (time, seq) ties.  Pipelines (num_stages > 1) leave ``_busy``
+        # unused and track per-stage execution through ``_pipe_heap``
+        # instead.
         self._busy: tuple[float, int, VecBatch] | None = None
         self._followup_heap: list[tuple[float, int, int]] = []
         self._pipe_heap: list[tuple[float, int, int, int, VecBatch]] = []
@@ -120,8 +116,7 @@ class VectorizedReplicaEngine:
         # Applied after pricing so the memo caches stay unscaled.
         self.perf_scale = 1.0
         # Pipelined batches keep requests claimed across several stage
-        # iterations; the scheduler must exclude them from re-batching
-        # exactly like the object scheduler's in-flight set.
+        # iterations; the scheduler must exclude them from re-batching.
         scheduler.track_in_flight = self.num_stages > 1
 
         # Emission log: (timestamp, rows emitted this iteration).
@@ -174,9 +169,8 @@ class VectorizedReplicaEngine:
         core.note_ingested_bulk(first)
         n = A.n - first
 
-        # Initial arrivals sorted by time, stably — the object queue
-        # pushes them in input order with seqs 0..n-1, so input
-        # position doubles as the tie-break seq.
+        # Initial arrivals sorted by time, stably: input position
+        # doubles as the tie-break seq (seqs 0..n-1).
         order = np.argsort(A.arrival_time[first : A.n], kind="stable")
         arr_rows = (order + first).tolist()
         arr_times = A.arrival_time[order + first].tolist()
@@ -506,8 +500,7 @@ class VectorizedReplicaEngine:
         if self.token_observer is not None and len(decode_rows):
             # Prefill-completion emissions are always a request's first
             # token (no predecessor), so only decode rows with ≥ 2
-            # emitted tokens produce TBT samples — in batch order, like
-            # the object engine's walk over batch.items.
+            # emitted tokens produce TBT samples, in batch item order.
             sampled = decode_rows[A.num_emitted[decode_rows] >= 2]
             if len(sampled):
                 observer = self.token_observer
@@ -533,7 +526,7 @@ class VectorizedReplicaEngine:
                     self._seq += 1
 
     # ------------------------------------------------------------------
-    # Pricing (memoized components, object-identical assembly)
+    # Pricing (memoized components, assembled like the model)
     # ------------------------------------------------------------------
     def _price(
         self, batch: VecBatch, is_first: bool = True, is_last: bool = True
@@ -558,9 +551,9 @@ class VectorizedReplicaEngine:
                 )
                 prefill_attn[work_key] = value
             values.append(value)
-        # Builtin sum over the batch-ordered list replays the object
+        # Builtin sum over the batch-ordered list is the execution
         # model's left-to-right float accumulation exactly.
-        attention = sum(values)
+        attention = sum(batch.in_order(values))
         token_terms = self._token_cache.get(num_tokens)
         if token_terms is None:
             model = self.exec_model
@@ -596,7 +589,7 @@ class VectorizedReplicaEngine:
         return values.tolist()
 
     # ------------------------------------------------------------------
-    # Object synchronization
+    # Request synchronization
     # ------------------------------------------------------------------
     def _sync_all(self) -> None:
         self.arrays.sync_out(self._emit_log)
@@ -604,25 +597,11 @@ class VectorizedReplicaEngine:
     def _sync_row(self, row: int) -> None:
         """Write one row back to its Request (followup_fn handoff)."""
         A = self.arrays
-        state = A.requests[row].__dict__
-        state["prefill_target"] = int(A.prefill_target[row])
-        state["prefill_done"] = int(A.prefill_done[row])
-        state["decode_steps"] = int(A.decode_steps[row])
-        state["num_emitted"] = int(A.num_emitted[row])
-        state["num_restarts"] = int(A.num_restarts[row])
-        state["phase"] = _CODE_TO_PHASE[int(A.phase[row])]
-        state["first_scheduled_at"] = _scalar(A.first_scheduled_at[row])
-        state["first_token_at"] = _scalar(A.first_token_at[row])
-        state["finished_at"] = _scalar(A.finished_at[row])
+        request = A.sync_row(row)
         base = A.token_base.get(row)
         new_times = (
             list(self._eager_times.get(row, ()))
             if self._eager_times is not None
             else []
         )
-        state["token_times"] = (base + new_times) if base else new_times
-
-
-def _scalar(value: float) -> float | None:
-    value = float(value)
-    return None if math.isnan(value) else value
+        request.token_times = (base + new_times) if base else new_times

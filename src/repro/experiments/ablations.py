@@ -15,13 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api import Deployment, ServingConfig, build_engine, clone_requests
-from repro.core.sarathi import SarathiScheduler
-from repro.engine.replica import ReplicaEngine
+from repro.engine.arrays import RequestArrays
+from repro.engine.vectorized import VectorizedReplicaEngine
 from repro.experiments.common import DEFAULT, Scale, mistral_deployment, yi_deployment
-from repro.memory.block_manager import PagedBlockManager, ReservationManager
+from repro.memory.capacity import DEFAULT_BLOCK_SIZE
 from repro.metrics.summary import summarize
 from repro.perf.calibration import Calibration
 from repro.perf.iteration import ExecutionModel
+from repro.scheduling.vectorized import (
+    DEFAULT_MAX_BATCH_SIZE,
+    VecPagedMemory,
+    VecReservationMemory,
+    VecSarathiScheduler,
+)
 from repro.types import SchedulerKind, TokenWork
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
@@ -146,13 +152,21 @@ def run_allocator_comparison(
     paged_capacity = deployment.kv_capacity_tokens(reservation_style=False)
     reserved_capacity = deployment.kv_capacity_tokens(reservation_style=True)
     allocators = {
-        "paged": PagedBlockManager(paged_capacity),
-        "reservation": ReservationManager(reserved_capacity, reserve_len=reserve_len),
+        "paged": lambda arrays: VecPagedMemory(
+            arrays, paged_capacity, block_size=DEFAULT_BLOCK_SIZE
+        ),
+        "reservation": lambda arrays: VecReservationMemory(
+            arrays, reserved_capacity, reserve_len=reserve_len
+        ),
     }
     points = []
-    for name, memory in allocators.items():
-        scheduler = SarathiScheduler(memory, token_budget=token_budget)
-        engine = ReplicaEngine(deployment.execution_model(), scheduler)
+    for name, make_memory in allocators.items():
+        arrays = RequestArrays()
+        scheduler = VecSarathiScheduler(
+            arrays, make_memory(arrays), token_budget=token_budget,
+            max_batch_size=DEFAULT_MAX_BATCH_SIZE,
+        )
+        engine = VectorizedReplicaEngine(deployment.execution_model(), scheduler)
         result = engine.run(clone_requests(trace))
         metrics = summarize(result)
         points.append(

@@ -70,15 +70,19 @@ def run_schedule_traces(
         compositions: list[str] = []
         original_schedule = engine.scheduler.schedule
 
-        def recording_schedule(now, _orig=original_schedule, _names=names):
+        def recording_schedule(now, _orig=original_schedule, _names=names,
+                               _requests=engine.arrays.requests):
             batch = _orig(now)
             if batch is not None:
-                parts = []
-                for item in batch.items:
-                    label = _names.get(item.request.request_id, "?")
-                    kind_char = "p" if item.work.is_prefill else "d"
-                    parts.append(f"{label}{kind_char}{item.work.num_tokens}")
-                compositions.append("+".join(parts))
+                def label(row: int) -> str:
+                    return _names.get(_requests[row].request_id, "?")
+
+                parts = [f"{label(row)}d1" for row in batch.decode_rows.tolist()]
+                parts.extend(
+                    f"{label(row)}p{chunk}"
+                    for row, chunk in zip(batch.p_rows, batch.p_chunk)
+                )
+                compositions.append("+".join(batch.in_order(parts)))
             return batch
 
         engine.scheduler.schedule = recording_schedule  # type: ignore[method-assign]

@@ -9,8 +9,7 @@ oracle lengths minimizes mean flow time on a single server, so it
 should head the table; the gap each practical policy leaves to it is
 the price of not knowing (or mispredicting) output lengths.
 
-Three workloads per scheduler, all through the object engine (the
-golden reference every policy supports):
+Three workloads per scheduler:
 
 * ``static`` — the ShareGPT4 open-loop trace at a saturating arrival
   rate, through the 1-replica fleet path (`fleet_goodput` accounting);
@@ -32,7 +31,7 @@ importable module to leaderboard it at higher job counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.api import Deployment, ServingConfig
 from repro.experiments.capacity_runner import (
@@ -209,15 +208,8 @@ def run_leaderboard_cell(spec: LeaderboardCellSpec) -> LeaderboardCell:
 def leaderboard_config(
     deployment: Deployment, scheduler: str
 ) -> ServingConfig:
-    """The level playing field: strict-regime knobs, object engine.
-
-    The object engine is forced (overriding ``REPRO_ENGINE``) because
-    it is the golden reference every registered policy supports —
-    plug-in policies have no vectorized core, and mixing engines would
-    compare implementations, not policies.
-    """
-    config = serving_config_for(deployment, scheduler, strict=True)
-    return replace(config, engine="object")
+    """The level playing field: strict-regime knobs for every policy."""
+    return serving_config_for(deployment, scheduler, strict=True)
 
 
 def build_specs(

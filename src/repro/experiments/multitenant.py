@@ -14,11 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api import Deployment, clone_requests
-from repro.core.fairness import FairSarathiScheduler
-from repro.core.sarathi import SarathiScheduler
-from repro.engine.replica import ReplicaEngine
+from repro.engine.arrays import RequestArrays
+from repro.engine.vectorized import VectorizedReplicaEngine
 from repro.experiments.common import DEFAULT, Scale, mistral_deployment
-from repro.memory.block_manager import PagedBlockManager
+from repro.memory.capacity import DEFAULT_BLOCK_SIZE
+from repro.scheduling.vectorized import (
+    DEFAULT_MAX_BATCH_SIZE,
+    VecFairSarathiScheduler,
+    VecPagedMemory,
+    VecSarathiScheduler,
+)
 from repro.types import Request
 
 HEAVY_CLIENT = 1
@@ -83,17 +88,16 @@ def run_fairness_comparison(
     trace = make_multitenant_trace(num_heavy, num_light, seed=scale.seed)
 
     capacity = deployment.kv_capacity_tokens()
-    policies = {
-        "fcfs": lambda: SarathiScheduler(
-            PagedBlockManager(capacity), token_budget=token_budget
-        ),
-        "fair": lambda: FairSarathiScheduler(
-            PagedBlockManager(capacity), token_budget=token_budget
-        ),
-    }
+    policies = {"fcfs": VecSarathiScheduler, "fair": VecFairSarathiScheduler}
     rows = []
-    for policy, make_scheduler in policies.items():
-        engine = ReplicaEngine(deployment.execution_model(), make_scheduler())
+    for policy, scheduler_cls in policies.items():
+        arrays = RequestArrays()
+        memory = VecPagedMemory(arrays, capacity, block_size=DEFAULT_BLOCK_SIZE)
+        scheduler = scheduler_cls(
+            arrays, memory, token_budget=token_budget,
+            max_batch_size=DEFAULT_MAX_BATCH_SIZE,
+        )
+        engine = VectorizedReplicaEngine(deployment.execution_model(), scheduler)
         result = engine.run(clone_requests(trace))
         for client_id, label in ((HEAVY_CLIENT, "heavy"), (LIGHT_CLIENT, "light")):
             mine = [r for r in result.requests if r.client_id == client_id]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from repro.api import Deployment, ServingConfig, build_engine, clone_requests
 from repro.experiments.common import DEFAULT, Scale, mistral_deployment, yi_deployment
-from repro.memory.block_manager import PagedBlockManager
 from repro.metrics.summary import summarize
+from repro.scheduling.vectorized import VecPagedMemory
 from repro.types import SchedulerKind
 from repro.workload.arrival import GammaArrivals
 from repro.workload.datasets import SHAREGPT4, generate_requests
@@ -100,8 +100,8 @@ def run_preemption_policy_comparison(
     for policy in ("recompute", "swap"):
         config = ServingConfig(scheduler=SchedulerKind.VLLM, preemption_mode=policy)
         engine = build_engine(deployment, config)
-        engine.scheduler.memory = PagedBlockManager(
-            kv_capacity_tokens, block_size=16
+        engine.scheduler.memory = VecPagedMemory(
+            engine.arrays, kv_capacity_tokens, block_size=16
         )
         result = engine.run(clone_requests(trace))
         metrics = summarize(result)

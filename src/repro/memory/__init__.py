@@ -1,12 +1,12 @@
-"""KV-cache memory management: paged and reservation allocators."""
+"""KV-cache memory: capacity planning and the shared prefix store.
 
-from repro.memory.block_manager import (
-    DEFAULT_BLOCK_SIZE,
-    MemoryManager,
-    PagedBlockManager,
-    ReservationManager,
-)
+The allocators themselves operate on request rows and live with the
+schedulers in :mod:`repro.scheduling.vectorized`
+(``VecPagedMemory``, ``VecReservationMemory``).
+"""
+
 from repro.memory.capacity import (
+    DEFAULT_BLOCK_SIZE,
     DEFAULT_GPU_MEMORY_UTILIZATION,
     PAGED_ACTIVATION_RESERVE_BYTES,
     RESERVATION_ACTIVATION_RESERVE_BYTES,
@@ -15,9 +15,6 @@ from repro.memory.capacity import (
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "MemoryManager",
-    "PagedBlockManager",
-    "ReservationManager",
     "DEFAULT_GPU_MEMORY_UTILIZATION",
     "PAGED_ACTIVATION_RESERVE_BYTES",
     "RESERVATION_ACTIVATION_RESERVE_BYTES",

@@ -11,6 +11,9 @@ from repro.hardware.gpu import GPUSpec
 from repro.models.config import ModelConfig
 from repro.parallel.config import ParallelConfig
 
+# Tokens per KV block of the paged allocator (vLLM's default).
+DEFAULT_BLOCK_SIZE = 16
+
 # Fraction of HBM the serving system lets itself use (vLLM's
 # ``gpu_memory_utilization`` default).
 DEFAULT_GPU_MEMORY_UTILIZATION = 0.90

@@ -14,9 +14,8 @@ Design constraints, in order:
   invariant ``free + exclusive + shared == total`` holds at every step
   (property-tested in ``tests/test_prefix_properties.py``).
 * **Deterministic.**  Eviction is strict LRU over a monotone logical
-  clock bumped only by claims and registrations.  Both engines drive
-  the store through bit-identical schedules, so their stores evolve
-  identically — the differential suite enforces this.
+  clock bumped only by claims and registrations, so a replayed run
+  evolves its store identically.
 * **Block-aligned sharing with copy-on-write.**  Only whole blocks are
   shared.  A request whose ``prefix_len`` diverges mid-block shares
   the last fully-matching block boundary and writes the divergent
@@ -76,9 +75,9 @@ class _Entry:
 class SharedPrefixStore:
     """Ref-counted prefix entries living inside one paged allocator.
 
-    The owning :class:`~repro.memory.block_manager.PagedBlockManager`
-    (or its vectorized port) is responsible for moving blocks between
-    its free pool and the store; the store only does the bookkeeping.
+    The owning :class:`~repro.scheduling.vectorized.VecPagedMemory` is
+    responsible for moving blocks between its free pool and the store;
+    the store only does the bookkeeping.
     Entries with ``refcount == 0`` are *retained* — they keep serving
     hits until the allocator needs their blocks back and evicts them
     LRU-first via :meth:`evict_for`.

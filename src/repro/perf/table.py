@@ -5,8 +5,7 @@ it profiles a grid of batch shapes once and interpolates at runtime.
 ``ProfiledIterationTable`` reproduces that workflow against this
 repo's execution model: build once over a (decode batch size × decode
 context × prefill-chunk tokens) grid, then answer ``works → seconds``
-queries by trilinear interpolation.  ``as_cost_fn()`` plugs straight
-into :class:`repro.core.dynamic.DynamicSarathiScheduler`.
+queries by trilinear interpolation.
 """
 
 from __future__ import annotations
@@ -97,10 +96,6 @@ class ProfiledIterationTable:
         )
         prefill_tokens = sum(w.num_tokens for w in works if w.is_prefill)
         return self._interpolate(num_decodes, mean_context, prefill_tokens)
-
-    def as_cost_fn(self):
-        """A ``works -> seconds`` oracle for the dynamic scheduler."""
-        return self.predict
 
     # ------------------------------------------------------------------
     def _interpolate(self, bs: float, ctx: float, chunk: float) -> float:

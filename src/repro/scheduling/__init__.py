@@ -1,20 +1,15 @@
-"""Scheduling policies: the paper's baselines, ablations, and plug-ins.
+"""Scheduling: the paper's policies, ablations, and plug-ins.
 
-The Sarathi-Serve scheduler itself — the paper's core contribution —
-lives in :mod:`repro.core`.  Third-party policies enter through the
-plug-in protocol (:mod:`repro.scheduling.policy`) and the registry
+Every built-in scheduler — Sarathi-Serve (Algorithm 3), its dynamic
+and fair variants, vLLM, Orca, FasterTransformer and the Table 4
+ablations — lives in :mod:`repro.scheduling.vectorized`.  Third-party
+policies enter through the plug-in protocol
+(:mod:`repro.scheduling.policy`) and the registry
 (:mod:`repro.scheduling.registry`); the theory-grounded baselines
 (SRPT oracle/predicted, priority+aging) live in
 :mod:`repro.scheduling.theory`.
 """
 
-from repro.scheduling.ablations import (
-    ChunkedPrefillsOnlyScheduler,
-    hybrid_batching_only_scheduler,
-)
-from repro.scheduling.base import DEFAULT_MAX_BATCH_SIZE, Scheduler
-from repro.scheduling.faster_transformer import FasterTransformerScheduler
-from repro.scheduling.orca import OrcaScheduler
 from repro.scheduling.policy import (
     BatchDirective,
     MemoryView,
@@ -25,7 +20,6 @@ from repro.scheduling.policy import (
 from repro.scheduling.registry import (
     SchedulerBuildContext,
     SchedulerSpec,
-    VecSchedulerBuildContext,
     list_specs,
     register,
     register_policy,
@@ -39,17 +33,16 @@ from repro.scheduling.theory import (
     SRPTOraclePolicy,
     SRPTPredictedPolicy,
 )
-from repro.scheduling.vllm import DEFAULT_MAX_BATCHED_TOKENS, VLLMScheduler
+from repro.scheduling.vectorized import (
+    DEFAULT_MAX_BATCH_SIZE,
+    DEFAULT_MAX_BATCHED_TOKENS,
+    VecScheduler,
+)
 
 __all__ = [
-    "Scheduler",
+    "VecScheduler",
     "DEFAULT_MAX_BATCH_SIZE",
     "DEFAULT_MAX_BATCHED_TOKENS",
-    "FasterTransformerScheduler",
-    "OrcaScheduler",
-    "VLLMScheduler",
-    "ChunkedPrefillsOnlyScheduler",
-    "hybrid_batching_only_scheduler",
     # plug-in protocol
     "SchedulingPolicy",
     "PolicyScheduler",
@@ -59,7 +52,6 @@ __all__ = [
     # registry
     "SchedulerSpec",
     "SchedulerBuildContext",
-    "VecSchedulerBuildContext",
     "register",
     "register_policy",
     "registered_names",

@@ -9,7 +9,10 @@ nothing else — no memory manager, no batch objects, no engine state:
   :class:`PolicyScheduler` adapter enforces the engine's invariants
   (budget, batch-size cap, KV admission, preemption), so a policy may
   freely over-emit: directives that no longer fit are truncated or
-  skipped.
+  skipped.  The batch keeps directive order — decodes and prefill
+  chunks may interleave — and the engine prices attention, reports
+  TBT samples and hands finished requests to follow-up hooks in that
+  order.
 
 * **Admission** (optional): ``admit(snapshot, request, now)`` is
   consulted by the fleet router with a live
@@ -34,10 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.batch import ScheduledWork
-from repro.memory.block_manager import MemoryManager
-from repro.scheduling.base import DEFAULT_MAX_BATCH_SIZE, Scheduler
-from repro.types import Request, TokenWork
+import numpy as np
+
+from repro.engine.arrays import RequestArrays
+from repro.scheduling.vectorized import (
+    DEFAULT_MAX_BATCH_SIZE,
+    VecBatch,
+    VecPagedMemory,
+    VecReservationMemory,
+    VecScheduler,
+)
+from repro.types import Request
 
 if TYPE_CHECKING:
     from repro.cluster.router import ReplicaSnapshot
@@ -64,8 +74,9 @@ class PoolView:
     token each this iteration if scheduled); ``prefills`` are running
     requests mid-prefill; ``waiting`` are arrived-but-unadmitted
     requests in FCFS order.  Requests already inside an in-flight
-    pipeline micro-batch are excluded.  All three are read-only views:
-    mutating request state from a policy is a contract violation.
+    pipeline micro-batch are excluded.  All three are read-only views
+    whose serving state is synced for this round: mutating request
+    state from a policy is a contract violation.
     """
 
     now: float
@@ -118,10 +129,10 @@ class SchedulingPolicy:
         raise NotImplementedError
 
 
-class PolicyScheduler(Scheduler):
+class PolicyScheduler(VecScheduler):
     """Adapter running a :class:`SchedulingPolicy` inside the engine.
 
-    Translates directives into scheduled work while enforcing every
+    Translates directives into scheduled rows while enforcing every
     engine invariant the policy is shielded from: the token budget
     (decodes cost one token, Sarathi accounting), the batch-size cap,
     KV reservation with preemption for decodes, and block admission
@@ -136,13 +147,15 @@ class PolicyScheduler(Scheduler):
     def __init__(
         self,
         policy: SchedulingPolicy,
-        memory: MemoryManager,
+        arrays: RequestArrays,
+        memory: VecPagedMemory | VecReservationMemory,
         token_budget: int,
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         preemption_mode: str = "recompute",
         kv_bytes_per_token: int = 0,
     ) -> None:
         super().__init__(
+            arrays,
             memory,
             max_batch_size,
             preemption_mode=preemption_mode,
@@ -155,104 +168,130 @@ class PolicyScheduler(Scheduler):
         self.token_budget = token_budget
         hook = getattr(policy, "admit", None)
         self.admission_hook = hook if callable(hook) else None
+        self._row_of: dict[int, int] = {}
+
+    def add_row(self, row: int, now: float) -> None:
+        super().add_row(row, now)
+        self._row_of[self.A.requests[row].request_id] = row
 
     # ------------------------------------------------------------------
     def _pool_view(self, now: float) -> PoolView:
+        A = self.A
         decodes: list[Request] = []
         prefills: list[Request] = []
-        for request in self._schedulable_running():
+        for row in self._schedulable_rows():
+            request = A.sync_row(row)
             if request.is_prefill_complete:
                 decodes.append(request)
             else:
                 prefills.append(request)
+        row_of = self._row_of
         return PoolView(
             now=now,
             decodes=tuple(decodes),
             prefills=tuple(prefills),
-            waiting=tuple(self.waiting),
+            waiting=tuple(A.sync_row(row) for row in self.waiting),
             token_budget=self.token_budget,
             max_batch_size=self.max_batch_size,
             memory=MemoryView(
                 occupancy=self.memory.occupancy,
-                can_admit=self.memory.can_admit,
+                can_admit=lambda request: self.memory.can_admit(
+                    row_of[request.request_id]
+                ),
             ),
         )
 
-    def _build_batch(self, now: float) -> list[ScheduledWork]:
+    def _build_batch(self, now: float) -> VecBatch | None:
+        A = self.A
         pool = self._pool_view(now)
         directives = self.policy.compose_batch(pool)
 
-        items: list[ScheduledWork] = []
+        decode_rows: list[int] = []
+        decode_ctx: list[int] = []
+        p_rows: list[int] = []
+        p_chunk: list[int] = []
+        p_past: list[int] = []
+        p_is_last: list[bool] = []
+        # Per item in directive order: (is_prefill, index in its block).
+        sequence: list[tuple[bool, int]] = []
         tokens_used = 0
         seen: set[int] = set()
         offered = {r.request_id for r in pool.runnable}
         for directive in directives:
-            if len(items) >= self.max_batch_size or tokens_used >= self.token_budget:
+            if len(sequence) >= self.max_batch_size or tokens_used >= self.token_budget:
                 break
-            request = directive.request
-            if request.request_id not in offered:
+            request_id = directive.request.request_id
+            if request_id not in offered:
                 raise ValueError(
                     f"policy {self.policy.name!r} directed request "
-                    f"{request.request_id}, which is not in its pool view"
+                    f"{request_id}, which is not in its pool view"
                 )
-            if request.request_id in seen:
+            if request_id in seen:
                 raise ValueError(
                     f"policy {self.policy.name!r} directed request "
-                    f"{request.request_id} twice in one batch"
+                    f"{request_id} twice in one batch"
                 )
-            seen.add(request.request_id)
+            seen.add(request_id)
+            row = self._row_of[request_id]
+            prefill_complete = A.prefill_done[row] >= A.prefill_target[row]
 
             if directive.chunk is None:
-                if not request.is_prefill_complete:
+                if not prefill_complete:
                     raise ValueError(
                         f"policy {self.policy.name!r} decoded request "
-                        f"{request.request_id} before its prefill completed "
+                        f"{request_id} before its prefill completed "
                         "(pass chunk= for prefill work)"
                     )
-                if request not in self.running:
+                if row not in self._running_set:
                     continue  # evicted by an earlier directive's preemption
-                if not self._prepare_decode(request):
+                if not self._prepare_decode(row):
                     continue  # no KV room this iteration
-                items.append(ScheduledWork(
-                    request=request, work=TokenWork.decode(request.context_len)
-                ))
+                sequence.append((False, len(decode_rows)))
+                decode_rows.append(row)
+                decode_ctx.append(int(A.prefill_done[row] + A.decode_steps[row]))
                 tokens_used += 1
                 continue
 
-            if request.is_prefill_complete:
+            if prefill_complete:
                 raise ValueError(
                     f"policy {self.policy.name!r} scheduled a prefill chunk "
-                    f"for request {request.request_id}, which is already "
+                    f"for request {request_id}, which is already "
                     "decoding (omit chunk= for decode work)"
                 )
-            if request not in self.running:
-                if request not in self.waiting:
+            if row not in self._running_set:
+                if row not in self.waiting:
                     continue  # evicted and re-queued state shifted; skip
-                if not self.memory.can_admit(request):
+                if not self._try_admit(row):
                     continue  # KV full; policy may retry next round
-                self.waiting.remove(request)
-                self.memory.admit(request)
-                self.running.append(request)
+                self.waiting.remove(row)
+                self._run_add(row)
             # Admission may have claimed a cached prefix, shrinking the
             # remaining prefill — clamp after admission, like Sarathi.
-            chunk = min(
-                directive.chunk,
-                self.token_budget - tokens_used,
-                request.remaining_prefill,
-            )
+            remaining = int(A.prefill_target[row] - A.prefill_done[row])
+            chunk = min(directive.chunk, self.token_budget - tokens_used, remaining)
             if chunk <= 0:
                 continue
-            self._claimed.add(request.request_id)
-            items.append(ScheduledWork(
-                request=request,
-                work=TokenWork.prefill_chunk(
-                    chunk,
-                    past_len=request.prefill_done,
-                    is_last=chunk >= request.remaining_prefill,
-                ),
-            ))
+            self._claimed.add(row)
+            sequence.append((True, len(p_rows)))
+            p_rows.append(row)
+            p_chunk.append(chunk)
+            p_past.append(int(A.prefill_done[row]))
+            p_is_last.append(chunk >= remaining)
             tokens_used += chunk
-        return items
+
+        if not sequence:
+            return None
+        num_decodes = len(decode_rows)
+        order = [num_decodes + i if is_prefill else i for is_prefill, i in sequence]
+        return VecBatch(
+            np.array(decode_rows, dtype=np.int64),
+            np.array(decode_ctx, dtype=np.int64),
+            p_rows,
+            p_chunk,
+            p_past,
+            p_is_last,
+            order=None if order == sorted(order) else order,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

@@ -1,14 +1,11 @@
 """Scheduler registry: string names → scheduler factories.
 
 The construction surface for every scheduler in the library.  A
-:class:`SchedulerSpec` bundles a canonical name with an object-engine
-factory, an *optional* vectorized-engine factory (a capability flag:
-specs without one fail loudly when the vectorized engine is requested,
-naming the schedulers that *are* vectorized-capable), and the memory
-family the policy needs.  ``repro.api.build_scheduler`` / ``build_vectorized_scheduler``
-dispatch through :func:`resolve`; the legacy :class:`~repro.types.SchedulerKind`
-enum survives as a thin compatibility shim whose values are registry
-names.
+:class:`SchedulerSpec` bundles a canonical name with a factory and the
+memory family the policy needs.  ``repro.api.build_vectorized_scheduler``
+dispatches through :func:`resolve`; the legacy
+:class:`~repro.types.SchedulerKind` enum survives as a thin
+compatibility shim whose values are registry names.
 
 Third-party policies register themselves without touching engine
 internals::
@@ -39,7 +36,7 @@ to in-process runs and ``--jobs 1`` sweeps, but not to spawned workers
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.types import SchedulerKind
@@ -47,56 +44,27 @@ from repro.types import SchedulerKind
 if TYPE_CHECKING:  # imported lazily at runtime: repro.api imports us
     from repro.api import Deployment, ServingConfig
     from repro.engine.arrays import RequestArrays
-    from repro.memory.block_manager import MemoryManager
     from repro.perf.iteration import ExecutionModel
-    from repro.scheduling.base import Scheduler
     from repro.scheduling.policy import SchedulingPolicy
     from repro.scheduling.vectorized import VecScheduler
 
-# Memory families a spec can request (see repro.api.build_memory):
-# "paged" gets a PagedBlockManager (block-granular, preemptible,
-# prefix-cache capable); "reservation" gets a ReservationManager
-# (worst-case contiguous slots, Orca/FasterTransformer style).
+# Memory families a spec can request: "paged" gets a VecPagedMemory
+# (block-granular, preemptible, prefix-cache capable); "reservation"
+# gets a VecReservationMemory (worst-case contiguous slots,
+# Orca/FasterTransformer style).
 MEMORY_FAMILIES = ("paged", "reservation")
 
 
 @dataclass
 class SchedulerBuildContext:
-    """Everything an object-engine scheduler factory may draw on.
-
-    The memory manager is pre-built to the spec's declared family.
-    ``execution_model()`` is lazy — only SLO-driven schedulers that
-    price candidate iterations (e.g. ``sarathi_dynamic``) should call
-    it, so plain policies never pay for model construction.
-    """
-
-    deployment: "Deployment"
-    config: "ServingConfig"
-    memory: "MemoryManager"
-    kv_bytes_per_token: int
-    _exec_model: "ExecutionModel | None" = None
-    _exec_model_factory: Callable[[], "ExecutionModel"] | None = None
-
-    def execution_model(self) -> "ExecutionModel":
-        """The deployment's (possibly cached) execution model, memoized."""
-        if self._exec_model is None:
-            if self._exec_model_factory is None:
-                raise RuntimeError(
-                    "no execution model available in this build context"
-                )
-            self._exec_model = self._exec_model_factory()
-        return self._exec_model
-
-
-@dataclass
-class VecSchedulerBuildContext:
-    """Everything a vectorized scheduler factory may draw on.
+    """Everything a scheduler factory may draw on.
 
     ``arrays`` is the struct-of-arrays request store shared by the
     scheduler and its row-indexed memory manager (pre-built to the
-    spec's declared family).  ``execution_model()`` is lazy, exactly
-    like the object context's: only SLO-driven cores that price
-    candidate iterations (``sarathi_dynamic``) should call it.
+    spec's declared family).  ``execution_model()`` is lazy — only
+    SLO-driven schedulers that price candidate iterations (e.g.
+    ``sarathi_dynamic``) should call it, so plain policies never pay
+    for model construction.
     """
 
     deployment: "Deployment"
@@ -120,22 +88,12 @@ class VecSchedulerBuildContext:
 
 @dataclass(frozen=True)
 class SchedulerSpec:
-    """One registered scheduler: a name, factories, and capabilities.
-
-    ``build`` constructs the object-engine scheduler and is mandatory —
-    the object engine is the golden reference every policy must run on.
-    ``build_vectorized`` is the capability flag for the vectorized
-    engine: ``None`` means unsupported, and requesting
-    ``engine='vectorized'`` fails loudly with
-    ``vectorized_unsupported_reason``.
-    """
+    """One registered scheduler: a name, a factory, a memory family."""
 
     name: str
-    build: Callable[[SchedulerBuildContext], "Scheduler"]
+    build: Callable[[SchedulerBuildContext], "VecScheduler"]
     description: str = ""
     memory_family: str = "paged"
-    build_vectorized: Callable[[VecSchedulerBuildContext], "VecScheduler"] | None = None
-    vectorized_unsupported_reason: str = "no vectorized implementation registered"
     aliases: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -146,10 +104,6 @@ class SchedulerSpec:
                 f"unknown memory family {self.memory_family!r}; "
                 f"choose one of {', '.join(MEMORY_FAMILIES)}"
             )
-
-    @property
-    def supports_vectorized(self) -> bool:
-        return self.build_vectorized is not None
 
 
 _REGISTRY: dict[str, SchedulerSpec] = {}
@@ -208,11 +162,6 @@ def registered_names() -> list[str]:
     return list(_REGISTRY)
 
 
-def vectorized_names() -> list[str]:
-    """Names of schedulers with a vectorized factory, registration order."""
-    return [name for name, spec in _REGISTRY.items() if spec.supports_vectorized]
-
-
 def list_specs() -> list[SchedulerSpec]:
     """All registered specs, in registration order."""
     return list(_REGISTRY.values())
@@ -234,11 +183,12 @@ def register_policy(
     the config's token budget, batch-size cap and preemption mode.
     """
 
-    def build(ctx: SchedulerBuildContext) -> "Scheduler":
+    def build(ctx: SchedulerBuildContext) -> "VecScheduler":
         from repro.scheduling.policy import PolicyScheduler
 
         return PolicyScheduler(
             policy_factory(ctx),
+            ctx.arrays,
             ctx.memory,
             token_budget=ctx.config.token_budget,
             max_batch_size=ctx.config.max_batch_size,
@@ -252,9 +202,6 @@ def register_policy(
             build=build,
             description=description,
             memory_family=memory_family,
-            vectorized_unsupported_reason=(
-                "policy-protocol schedulers run on the object engine"
-            ),
             aliases=aliases,
         ),
         replace=replace,
@@ -267,12 +214,6 @@ def register_policy(
 # drags in numpy or the perf model.
 # ----------------------------------------------------------------------
 def _build_faster_transformer(ctx: SchedulerBuildContext):
-    from repro.scheduling.faster_transformer import FasterTransformerScheduler
-
-    return FasterTransformerScheduler(ctx.memory, ctx.config.max_batch_size)
-
-
-def _build_vec_faster_transformer(ctx: VecSchedulerBuildContext):
     from repro.scheduling.vectorized import VecFasterTransformerScheduler
 
     return VecFasterTransformerScheduler(
@@ -281,29 +222,12 @@ def _build_vec_faster_transformer(ctx: VecSchedulerBuildContext):
 
 
 def _build_orca(ctx: SchedulerBuildContext):
-    from repro.scheduling.orca import OrcaScheduler
-
-    return OrcaScheduler(ctx.memory, ctx.config.max_batch_size)
-
-
-def _build_vec_orca(ctx: VecSchedulerBuildContext):
     from repro.scheduling.vectorized import VecOrcaScheduler
 
     return VecOrcaScheduler(ctx.arrays, ctx.memory, ctx.config.max_batch_size)
 
 
 def _build_vllm(ctx: SchedulerBuildContext):
-    from repro.scheduling.vllm import VLLMScheduler
-
-    return VLLMScheduler(
-        ctx.memory,
-        ctx.config.max_batch_size,
-        preemption_mode=ctx.config.preemption_mode,
-        kv_bytes_per_token=ctx.kv_bytes_per_token,
-    )
-
-
-def _build_vec_vllm(ctx: VecSchedulerBuildContext):
     from repro.scheduling.vectorized import VecVLLMScheduler
 
     return VecVLLMScheduler(
@@ -316,18 +240,6 @@ def _build_vec_vllm(ctx: VecSchedulerBuildContext):
 
 
 def _build_sarathi(ctx: SchedulerBuildContext):
-    from repro.core.sarathi import SarathiScheduler
-
-    return SarathiScheduler(
-        ctx.memory,
-        token_budget=ctx.config.token_budget,
-        max_batch_size=ctx.config.max_batch_size,
-        preemption_mode=ctx.config.preemption_mode,
-        kv_bytes_per_token=ctx.kv_bytes_per_token,
-    )
-
-
-def _build_vec_sarathi(ctx: VecSchedulerBuildContext):
     from repro.scheduling.vectorized import VecSarathiScheduler
 
     return VecSarathiScheduler(
@@ -341,30 +253,6 @@ def _build_vec_sarathi(ctx: VecSchedulerBuildContext):
 
 
 def _build_sarathi_dynamic(ctx: SchedulerBuildContext):
-    from repro.core.dynamic import DynamicSarathiScheduler
-    from repro.perf.profiler import derive_slo
-
-    exec_model = ctx.execution_model()
-    slo = ctx.config.tbt_slo
-    if slo is None:
-        slo = derive_slo(exec_model, strict=True)
-
-    def iteration_cost(works, _exec_model=exec_model):
-        stage = _exec_model.iteration_time(works).total
-        pp = _exec_model.parallel.pipeline_parallel
-        if pp == 1:
-            return stage
-        return pp * stage + (pp - 1) * _exec_model.pipeline_send_time(works)
-
-    return DynamicSarathiScheduler(
-        ctx.memory,
-        tbt_slo=slo,
-        iteration_cost=iteration_cost,
-        max_batch_size=ctx.config.max_batch_size,
-    )
-
-
-def _build_vec_sarathi_dynamic(ctx: VecSchedulerBuildContext):
     from repro.perf.profiler import derive_slo
     from repro.scheduling.vectorized import VecDynamicSarathiScheduler
 
@@ -382,16 +270,6 @@ def _build_vec_sarathi_dynamic(ctx: VecSchedulerBuildContext):
 
 
 def _build_chunked_only(ctx: SchedulerBuildContext):
-    from repro.scheduling.ablations import ChunkedPrefillsOnlyScheduler
-
-    return ChunkedPrefillsOnlyScheduler(
-        ctx.memory,
-        token_budget=ctx.config.token_budget,
-        max_batch_size=ctx.config.max_batch_size,
-    )
-
-
-def _build_vec_chunked_only(ctx: VecSchedulerBuildContext):
     from repro.scheduling.vectorized import VecChunkedPrefillsOnlyScheduler
 
     return VecChunkedPrefillsOnlyScheduler(
@@ -403,16 +281,6 @@ def _build_vec_chunked_only(ctx: VecSchedulerBuildContext):
 
 
 def _build_hybrid_only(ctx: SchedulerBuildContext):
-    from repro.scheduling.ablations import hybrid_batching_only_scheduler
-
-    return hybrid_batching_only_scheduler(
-        ctx.memory,
-        token_budget=ctx.config.token_budget,
-        max_batch_size=ctx.config.max_batch_size,
-    )
-
-
-def _build_vec_hybrid_only(ctx: VecSchedulerBuildContext):
     from repro.scheduling.vectorized import VecSarathiScheduler
 
     core = VecSarathiScheduler(
@@ -432,7 +300,6 @@ def _register_builtins() -> None:
     register(SchedulerSpec(
         name=SchedulerKind.FASTER_TRANSFORMER.value,
         build=_build_faster_transformer,
-        build_vectorized=_build_vec_faster_transformer,
         memory_family="reservation",
         description="Request-level batching (Algorithm 1): a batch runs "
         "to full completion before the next forms.",
@@ -440,7 +307,6 @@ def _register_builtins() -> None:
     register(SchedulerSpec(
         name=SchedulerKind.ORCA.value,
         build=_build_orca,
-        build_vectorized=_build_vec_orca,
         memory_family="reservation",
         description="Iteration-level batching with eager full prefills "
         "and reservation-style memory (Orca, §2.5).",
@@ -448,28 +314,24 @@ def _register_builtins() -> None:
     register(SchedulerSpec(
         name=SchedulerKind.VLLM.value,
         build=_build_vllm,
-        build_vectorized=_build_vec_vllm,
         description="Prefill-prioritizing segregated batches over paged "
         "KV memory (Algorithm 2).",
     ))
     register(SchedulerSpec(
         name=SchedulerKind.SARATHI.value,
         build=_build_sarathi,
-        build_vectorized=_build_vec_sarathi,
         description="Stall-free batching with chunked prefills under a "
         "fixed token budget (Algorithm 3, the paper's contribution).",
     ))
     register(SchedulerSpec(
         name=SchedulerKind.SARATHI_DYNAMIC.value,
         build=_build_sarathi_dynamic,
-        build_vectorized=_build_vec_sarathi_dynamic,
         description="Sarathi with an SLO-driven per-iteration token "
         "budget priced on the execution model (§5.1).",
     ))
     register(SchedulerSpec(
         name=SchedulerKind.CHUNKED_ONLY.value,
         build=_build_chunked_only,
-        build_vectorized=_build_vec_chunked_only,
         description="Ablation: chunked prefills without hybrid batching "
         "— decode-only and prefill-only iterations stay segregated "
         "(Table 4).",
@@ -477,7 +339,6 @@ def _register_builtins() -> None:
     register(SchedulerSpec(
         name=SchedulerKind.HYBRID_ONLY.value,
         build=_build_hybrid_only,
-        build_vectorized=_build_vec_hybrid_only,
         description="Ablation: hybrid (mixed) batches without chunking "
         "— whole prompts ride along with decodes (Table 4).",
     ))

@@ -1,30 +1,33 @@
-"""Array-backed scheduler cores for the vectorized engine.
+"""Scheduler cores and KV allocators over request rows.
 
-Each core is a faithful port of its object-scheduler counterpart
-(``repro.scheduling.*`` / ``repro.core.sarathi``) operating on row
-indices into a :class:`repro.engine.arrays.RequestArrays` instead of
-``Request`` objects.  Faithful means *operation for operation*: pool
-ordering, FCFS tie-breaks, preemption victim choice, chunking
-arithmetic and memory-watermark checks all replicate the object code
-path exactly, so the two engines produce bit-identical schedules.  The
-differential suite (``tests/differential``) is the enforcement
-mechanism; the object engine remains the golden reference.
+Every scheduler — the paper's four policies, the Table 4 ablations,
+the SLO-driven dynamic budget and the fair-admission variant — and
+both KV allocators (paged and reservation) operate on row indices into
+a :class:`repro.engine.arrays.RequestArrays` instead of ``Request``
+objects.  A scheduler owns three pools of rows: ``waiting`` (arrived,
+holding no KV memory), ``running`` (admitted, progressing through
+prefill and decode) and, with pipeline parallelism, the in-flight
+subset claimed by a scheduled-but-uncommitted micro-batch.  The engine
+calls ``schedule`` when the first pipeline stage is free and
+``on_batch_complete`` when a batch leaves the last stage; progress is
+committed at completion time (§2.5).
 
 The speed comes from the composition fast path: the dominant iteration
 shape — a block of decodes with no memory pressure — is assembled with
-a handful of numpy operations instead of per-request object traffic.
-Any iteration that could preempt, swap or otherwise interleave falls
-back to an exact scalar port of the object control flow.
+a handful of numpy operations.  Any iteration that could preempt, swap
+or otherwise interleave falls back to a scalar walk with the same
+semantics.  The frozen digests under ``tests/differential`` pin every
+schedule bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 
 import numpy as np
 
-from repro.batch import _batch_ids
 from repro.engine.arrays import (
     PH_DECODE,
     PH_FINISHED,
@@ -35,7 +38,6 @@ from repro.engine.arrays import (
 )
 from repro.memory.prefix import PrefixCacheStats, SharedPrefixStore
 from repro.parallel.comm import pp_send_time, tp_comm_time
-from repro.scheduling.base import Scheduler as _ObjectScheduler
 from repro.types import IterationTime, PreemptionMode, TokenWork
 
 __all__ = [
@@ -48,22 +50,32 @@ __all__ = [
     "VecOrcaScheduler",
     "VecFasterTransformerScheduler",
     "VecChunkedPrefillsOnlyScheduler",
+    "VecFairSarathiScheduler",
+    "DEFAULT_MAX_BATCH_SIZE",
+    "DEFAULT_MAX_BATCHED_TOKENS",
 ]
 
+DEFAULT_MAX_BATCH_SIZE = 128
+# vLLM's cap on prompt tokens per prefill-only batch.
+DEFAULT_MAX_BATCHED_TOKENS = 16384
+
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
+_batch_ids = itertools.count()
 
 
 class VecBatch:
     """One iteration's work as row arrays plus per-item prefill lists.
 
-    Batch item order is always the decode block (row order set by the
-    policy) followed by the prefill items — every pp=1 policy composes
-    batches in that shape, and pricing/commit preserve it so attention
-    summation order matches the object engine's float-for-float.
+    Built-in schedulers compose the decode block (row order set by the
+    policy) followed by the prefill items.  Plug-in policies may
+    interleave the two; ``order`` then lists, per item in directive
+    order, its index into ``decode items + prefill items``, and pricing
+    (attention summation) and commit (finish order) follow it.
     """
 
     __slots__ = (
         "batch_id",
+        "order",
         "swap_bytes",
         "decode_rows",
         "decode_ctx",
@@ -88,8 +100,10 @@ class VecBatch:
         p_chunk: list[int],
         p_past: list[int],
         p_is_last: list[bool],
+        order: list[int] | None = None,
     ) -> None:
         self.batch_id = next(_batch_ids)
+        self.order = order
         self.swap_bytes = 0
         self.decode_rows = decode_rows
         self.decode_ctx = decode_ctx
@@ -115,20 +129,30 @@ class VecBatch:
     def size(self) -> int:
         return len(self.decode_rows) + len(self.p_rows)
 
+    def in_order(self, items: list) -> list:
+        """Per-item values (decodes then prefills) in batch item order."""
+        if self.order is None:
+            return items
+        return [items[i] for i in self.order]
+
 
 # ----------------------------------------------------------------------
 # Memory managers over rows
 # ----------------------------------------------------------------------
 class VecPagedMemory:
-    """Row-indexed port of :class:`repro.memory.block_manager.PagedBlockManager`.
+    """vLLM-style paged KV allocator over rows.
 
-    The prefix-cache extension mirrors the object allocator operation
-    for operation: lookups fire only for fresh rows, claimed shared
-    blocks shift ``prefill_done`` past the cached span, and retained
-    refcount-0 entries are evicted LRU-first when admissions or decode
-    appends need their blocks.  Both engines drive the same
-    deterministic :class:`SharedPrefixStore` logic, so stores evolve
-    bit-identically under the differential contract.
+    Requests are admitted when blocks for their prompt are free (plus
+    a watermark that prevents immediate thrashing) and grow one block
+    at a time during decode; any free block serves any request.
+
+    With a :class:`SharedPrefixStore` attached, lookups fire only for
+    fresh rows (``prefill_done == decode_steps == 0``; a swap-in
+    restores its KV from host memory), claimed shared blocks shift
+    ``prefill_done`` past the cached span while attention cost and
+    occupancy still cover the full context, and retained refcount-0
+    entries are evicted LRU-first when admissions or decode appends
+    need their blocks.
     """
 
     def __init__(
@@ -273,6 +297,8 @@ class VecPagedMemory:
         return True
 
     def admit(self, row: int) -> None:
+        if self._held_arr()[row]:
+            raise ValueError(f"row {row} already admitted")
         self._claim_and_reserve(row, needed_gate=False)
 
     def try_admit(self, row: int) -> bool:
@@ -333,13 +359,12 @@ class VecPagedMemory:
     def try_bulk_decode(self, rows: np.ndarray, ctx: np.ndarray) -> bool:
         """Reserve one decode slot for every row, or change nothing.
 
-        Succeeds exactly when the object engine's per-row
-        ``append_token`` sequence would have succeeded without
-        preemption: each row needs at most one fresh block, so the
-        sequential drains succeed iff free + evictable blocks cover the
-        count.  Evicting the shortfall up front reclaims the same LRU
-        entries the object engine's one-block-at-a-time appends would
-        have, in the same order — no running row references a
+        Succeeds exactly when a per-row ``append_token`` sequence would
+        have succeeded without preemption: each row needs at most one
+        fresh block, so the sequential drains succeed iff free +
+        evictable blocks cover the count.  Evicting the shortfall up
+        front reclaims the same LRU entries one-block-at-a-time appends
+        would have, in the same order — no running row references a
         refcount-0 entry, so candidates cannot differ.
         """
         held = self._held_arr()[rows]
@@ -375,9 +400,9 @@ class VecPagedMemory:
 
     # -- capacity faults ----------------------------------------------
     def shed_capacity(self, fraction: float) -> int:
-        # Same integer arithmetic as the object allocator — free may go
-        # negative; admissions fail and the normal eviction/preemption
-        # machinery works the deficit off identically in both engines.
+        # Free may go negative: already-admitted work is never seized;
+        # admissions fail and the normal eviction/preemption machinery
+        # works the deficit off.
         if not 0.0 < fraction < 1.0:
             raise ValueError(f"fraction must be in (0, 1), got {fraction}")
         lost = int(self.num_blocks * fraction)
@@ -393,7 +418,10 @@ class VecPagedMemory:
 
 
 class VecReservationMemory:
-    """Row-indexed port of :class:`repro.memory.block_manager.ReservationManager`."""
+    """Orca/FasterTransformer-style allocator over rows: each admission
+    reserves a worst-case contiguous slot (``max(reserve_len, prompt +
+    remaining output)``), so growth never fails but admission caps the
+    batch far below paged memory (§5.1)."""
 
     def __init__(
         self, arrays: RequestArrays, capacity_tokens: int, reserve_len: int
@@ -495,23 +523,69 @@ class VecReservationMemory:
 # Scheduler core base
 # ----------------------------------------------------------------------
 class VecScheduler:
-    """Shared pools, counters and preemption machinery (rows edition).
+    """Shared pools, counters and preemption machinery.
 
-    Mirrors :class:`repro.scheduling.base.Scheduler`.  On single-stage
-    (pp=1) engines at most one batch is ever in flight, so the
-    in-flight set is empty whenever ``_build_batch`` runs and tracking
-    it would be pure overhead; the engine flips ``track_in_flight`` on
-    for pipelined deployments, where requests stay claimed across
-    several stage iterations and must be excluded from re-batching
-    exactly like the object scheduler's ``_in_flight`` set.
+    On single-stage (pp=1) engines at most one batch is ever in
+    flight, so the in-flight set is empty whenever ``_build_batch``
+    runs and tracking it would be pure overhead; the engine flips
+    ``track_in_flight`` on for pipelined deployments, where requests
+    stay claimed across several stage iterations and must be excluded
+    from re-batching.
+
+    ``preemption_mode`` selects what happens to an evicted request:
+    ``"recompute"`` re-queues it to re-prefill from scratch (vLLM's
+    default), ``"swap"`` parks its KV cache in host memory and swaps it
+    back when space frees up — the engine charges the transfer volume
+    (``kv_bytes_per_token`` × context) to the surrounding iterations.
+    A request that must evict *itself* always recomputes.
     """
 
     name = "abstract"
 
+    # Optional fleet-level admission hook (the plug-in protocol's second
+    # hook, see repro.scheduling.policy): a callable
+    # ``(snapshot: ReplicaSnapshot, request, now) -> bool`` consulted by
+    # the fleet router before delivering a request to this scheduler's
+    # replica; False defers the request into the router's backoff-retry
+    # loop.  None (the default for all built-in schedulers) admits
+    # unconditionally.
+    admission_hook = None
+
+    # Baseline budgets stashed by the first override_token_budget call:
+    # (token_budget, min_budget, max_budget) with None for absent attrs.
     _base_budgets = None
-    # Brownout budget-clamp hook — byte-for-byte the object base's
-    # logic, so both engines apply identical clamps at identical times.
-    override_token_budget = _ObjectScheduler.override_token_budget
+
+    def override_token_budget(self, budget: int | None) -> None:
+        """Clamp the per-iteration token budget (brownout hook).
+
+        ``None`` restores the configured baseline.  Schedulers without
+        a token budget (e.g. FasterTransformer) ignore the call.
+        Dynamic-budget schedulers clamp their search *range* instead —
+        their ``token_budget`` is recomputed every batch.
+        """
+        if not hasattr(self, "token_budget"):
+            return
+        if budget is not None and budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
+        if self._base_budgets is None:
+            self._base_budgets = (
+                self.token_budget,
+                getattr(self, "min_budget", None),
+                getattr(self, "max_budget", None),
+            )
+        base_budget, base_min, base_max = self._base_budgets
+        if budget is None:
+            self.token_budget = base_budget
+            if base_min is not None:
+                self.min_budget = base_min
+            if base_max is not None:
+                self.max_budget = base_max
+            return
+        if base_max is not None:
+            self.max_budget = min(base_max, budget)
+            self.min_budget = min(base_min, self.max_budget)
+        else:
+            self.token_budget = min(base_budget, budget)
 
     def __init__(
         self,
@@ -620,7 +694,9 @@ class VecScheduler:
 
         Returns ``(finished, prefill_emits)``: rows that finished, in
         batch item order, and prefill rows whose completed chunk
-        emitted the request's first token this iteration.
+        emitted the request's first token this iteration.  Finished
+        rows free their memory in that order too (prefix-store
+        publication order is observable through LRU eviction).
         """
         A = self.A
         if self._in_flight:
@@ -641,17 +717,14 @@ class VecScheduler:
                 fin_rows = rows[fin_mask]
                 A.phase[fin_rows] = PH_FINISHED
                 A.finished_at[fin_rows] = now
-                for row in fin_rows.tolist():
-                    self.memory.free(row)
-                    self._run_remove(row)
-                    finished.append(row)
+                finished.extend(fin_rows.tolist())
                 self.num_pending -= len(fin_rows)
         prows = batch.p_rows_arr
         if len(prows):
             # Per-item prefill commits have no cross-item interaction
             # (memory is only freed for finished rows), so committing
-            # them as masked vector writes preserves the object
-            # engine's sequential semantics and its item ordering.
+            # them as masked vector writes preserves sequential
+            # per-item semantics.
             chunks = np.array(batch.p_chunk, dtype=np.int64)
             done = A.prefill_done[prows] + chunks
             A.prefill_done[prows] = done
@@ -677,14 +750,20 @@ class VecScheduler:
                     fin_rows = comp[fin]
                     A.phase[fin_rows] = PH_FINISHED
                     A.finished_at[fin_rows] = now
-                    for row in fin_rows.tolist():
-                        self.memory.free(row)
-                        self._run_remove(row)
-                        finished.append(row)
+                    finished.extend(fin_rows.tolist())
                     self.num_pending -= len(fin_rows)
+        if finished:
+            if batch.order is not None and len(finished) > 1:
+                items = [*rows.tolist(), *batch.p_rows]
+                position = {row: pos for pos, row in enumerate(batch.in_order(items))}
+                finished.sort(key=position.__getitem__)
+            for row in finished:
+                self.memory.free(row)
+                self._run_remove(row)
         return finished, prefill_emits
 
     def _build_batch(self, now: float) -> VecBatch | None:  # pragma: no cover
+        """Select rows and their token work for the next iteration."""
         raise NotImplementedError
 
     # -- pool maintenance ----------------------------------------------
@@ -702,34 +781,42 @@ class VecScheduler:
     def _schedulable_rows(self) -> list[int]:
         """Running rows not claimed by an in-flight batch, running order.
 
-        Port of ``Scheduler._schedulable_running``; with tracking off
-        (pp=1) the in-flight set is empty and this is just ``running``.
+        With tracking off (pp=1) the in-flight set is empty and this is
+        just ``running``.
         """
         in_flight = self._in_flight
         if not in_flight:
             return self.running
         return [r for r in self.running if r not in in_flight]
 
-    # -- shared policy helpers (exact ports) ---------------------------
+    # -- shared policy helpers ------------------------------------------
     def _admit_waiting_head(self) -> int | None:
+        """Admit the FCFS head of the waiting queue if memory allows."""
         if not self.waiting:
             return None
         head = self.waiting[0]
-        # A prefix-cache hit advances prefill_done inside try_admit;
-        # the skipped tokens leave the outstanding-work gauge (the
-        # object engine recomputes the gauge by scanning, so this
-        # adjustment keeps the counters bit-identical).
-        done_before = int(self.A.prefill_done[head])
-        if not self.memory.try_admit(head):
+        if not self._try_admit(head):
             return None
-        cached = int(self.A.prefill_done[head]) - done_before
-        if cached:
-            self.outstanding_tokens -= cached
         self.waiting.popleft()
         self._run_add(head)
         return head
 
+    def _try_admit(self, row: int) -> bool:
+        # A prefix-cache hit advances prefill_done inside try_admit;
+        # the skipped tokens leave the outstanding-work gauge.
+        done_before = int(self.A.prefill_done[row])
+        if not self.memory.try_admit(row):
+            return False
+        cached = int(self.A.prefill_done[row]) - done_before
+        if cached:
+            self.outstanding_tokens -= cached
+        return True
+
     def _prepare_decode(self, row: int) -> bool:
+        """Reserve the KV slot for ``row``'s next token, preempting
+        lower-priority rows if needed.  Returns False when the row
+        cannot decode this iteration (including when it preempted
+        *itself*)."""
         if not self._preempt_for_decode(row):
             return False
         self.memory.append_token(row)
@@ -737,6 +824,11 @@ class VecScheduler:
         return True
 
     def _preempt_for_decode(self, row: int) -> bool:
+        """vLLM's policy: evict the most recently arrived running row
+        and re-queue it at the front of the waiting queue; when ``row``
+        is itself the lowest priority left, it self-preempts (and must
+        recompute even in swap mode — swapping itself out and straight
+        back in could never make progress)."""
         A = self.A
         while not self.memory.can_append_token(row):
             victim = self._pick_preemption_victim(row)
@@ -747,10 +839,9 @@ class VecScheduler:
         return True
 
     def _pick_preemption_victim(self, protect: int) -> int | None:
-        # max() over candidates in running order: the *first* row with
-        # the strictly greatest arrival time wins, like the object code.
-        # In-flight rows are never victims (their KV is in use by a
-        # pipelined batch); the set is empty at pp=1.
+        # The *first* row (running order) with the strictly greatest
+        # arrival time wins.  In-flight rows are never victims (their
+        # KV is in use by a pipelined batch); the set is empty at pp=1.
         arrival = self.A.arrival_time
         claimed = self._claimed
         in_flight = self._in_flight
@@ -840,9 +931,8 @@ class _ArrivalSortedMixin(VecScheduler):
     """Caches the running set partitioned and arrival-sorted.
 
     ``sorted(decodes, key=arrival_time)`` with a stable sort over the
-    running-order partition reproduces the object schedulers' decode
-    ordering; the cache makes the steady decode loop O(1) per
-    iteration instead of O(B log B).
+    running-order partition is the FCFS decode ordering; the cache makes
+    the steady decode loop O(1) per iteration instead of O(B log B).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -881,7 +971,7 @@ class _ArrivalSortedMixin(VecScheduler):
         prefill-incomplete rows inside the candidate walk; sarathi
         pre-partitions instead so it passes False.  Filtering before
         the max-batch-size slice is exact: skipped rows don't count
-        toward the object loop's size either, and nothing turns a
+        toward the batch size, and nothing turns a
         running row incomplete without also removing it from running.
         """
         A = self.A
@@ -894,8 +984,8 @@ class _ArrivalSortedMixin(VecScheduler):
             ctx = A.prefill_done[cand] + A.decode_steps[cand]
             if self.memory.try_bulk_decode(cand, ctx):
                 return cand, ctx
-        # Memory pressure: replay the object engine's per-row loop with
-        # preemption exactly (evictions may drop later candidates).
+        # Memory pressure: walk the rows one by one with preemption
+        # (evictions may drop later candidates).
         rows: list[int] = []
         ctxs: list[int] = []
         running_set = self._running_set
@@ -920,7 +1010,13 @@ class _ArrivalSortedMixin(VecScheduler):
 # Policies
 # ----------------------------------------------------------------------
 class VecSarathiScheduler(_ArrivalSortedMixin):
-    """Port of :class:`repro.core.sarathi.SarathiScheduler` (Algorithm 3)."""
+    """Stall-free batching with chunked prefills (Algorithm 3).
+
+    Every running decode joins the batch first; partially completed
+    prefills continue next, and new requests are admitted FCFS into
+    whatever token budget is left, chunked to fit.  ``chunk_prefills=False``
+    is the hybrid-batching-only ablation: whole prompts ride along.
+    """
 
     name = "sarathi"
 
@@ -1019,22 +1115,19 @@ class VecSarathiScheduler(_ArrivalSortedMixin):
 
 
 class VecDynamicSarathiScheduler(VecSarathiScheduler):
-    """Port of :class:`repro.core.dynamic.DynamicSarathiScheduler`.
+    """Sarathi with an SLO-driven per-iteration token budget (§5.1).
 
     Re-runs the §4.3 budget decision every iteration against the live
-    decode pool, exactly like the object scheduler: bisection over the
-    step grid for the largest budget whose predicted hybrid-iteration
-    latency meets the TBT SLO.  Instead of an opaque ``works -> cost``
-    oracle it prices candidates from per-component memo tables (the
-    same tables the vectorized engine uses), assembled in
-    ``stage_iteration_time``'s operation order so every probe produces
-    the same float the object's ``iteration_cost`` closure would — the
-    budget choices, and hence the schedules, stay bit-identical.
+    decode pool: bisection over the step grid for the largest budget
+    whose predicted hybrid-iteration latency (``pp`` stages plus
+    ``pp - 1`` sends) meets the TBT SLO.  Candidates are priced from
+    per-component memo tables (the same tables the engine uses),
+    assembled in ``stage_iteration_time``'s operation order so every
+    probe produces the float ``ExecutionModel.iteration_time`` would.
 
     The decode pool's attention sum is folded left-to-right once per
-    ``_pick_budget`` and shared across probes; that matches the
-    object's per-probe ``sum(...)`` because float addition is
-    deterministic and every probe folds the same prefix.
+    ``_pick_budget`` and shared across probes; every probe folds the
+    same prefix, so the shared sum equals a per-probe ``sum(...)``.
     """
 
     name = "sarathi-dynamic"
@@ -1135,7 +1228,7 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
             attention = attention + value
             num_tokens += prefill_tokens
         elif num_decodes == 0:
-            return True  # empty candidate — mirrors the object guard
+            return True  # empty candidate
         lin_key = (num_tokens, num_decodes)
         linear = self._dyn_linear.get(lin_key)
         if linear is None:
@@ -1168,7 +1261,8 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
 
 
 class VecVLLMScheduler(_ArrivalSortedMixin):
-    """Port of :class:`repro.scheduling.vllm.VLLMScheduler` (Algorithm 2)."""
+    """vLLM (Algorithm 2): eager prefill-only batches whenever requests
+    wait and memory allows, otherwise a decode-only batch."""
 
     name = "vllm"
 
@@ -1177,7 +1271,7 @@ class VecVLLMScheduler(_ArrivalSortedMixin):
         arrays: RequestArrays,
         memory: VecPagedMemory,
         max_batch_size: int,
-        max_batched_tokens: int = 16384,
+        max_batched_tokens: int = DEFAULT_MAX_BATCHED_TOKENS,
         preemption_mode: str = "recompute",
         kv_bytes_per_token: int = 0,
     ) -> None:
@@ -1237,15 +1331,16 @@ class VecVLLMScheduler(_ArrivalSortedMixin):
         sorted_decodes, partials = self._partition()
         if not len(partials):
             return sorted_decodes
-        # Rare (swap re-admission): merge back to the object engine's
-        # ordering — the schedulable pool, stably sorted by arrival.
+        # Rare (swap re-admission): the schedulable pool, stably
+        # sorted by arrival.
         run_arr = np.array(self._schedulable_rows(), dtype=np.int64)
         order = np.argsort(self.A.arrival_time[run_arr], kind="stable")
         return run_arr[order]
 
 
 class VecOrcaScheduler(VecScheduler):
-    """Port of :class:`repro.scheduling.orca.OrcaScheduler`."""
+    """Orca: iteration-level batching with eager full prefills riding
+    along with every running decode, over reservation memory."""
 
     name = "orca"
 
@@ -1275,8 +1370,7 @@ class VecOrcaScheduler(VecScheduler):
         ):
             # A running request's full prefill always commits with the
             # batch that admitted it (in-flight rows are excluded), so
-            # a partial schedulable runner would mean the port diverged
-            # from the object engine.
+            # a partial schedulable runner is a scheduler bug.
             raise RuntimeError(
                 "vectorized orca core saw a partially prefilled running request"
             )
@@ -1307,7 +1401,8 @@ class VecOrcaScheduler(VecScheduler):
 
 
 class VecFasterTransformerScheduler(VecScheduler):
-    """Port of :class:`repro.scheduling.faster_transformer.FasterTransformerScheduler`."""
+    """FasterTransformer (Algorithm 1): request-level batching — a
+    batch runs to full completion before the next one forms."""
 
     name = "faster-transformer"
 
@@ -1357,7 +1452,8 @@ class VecFasterTransformerScheduler(VecScheduler):
 
 
 class VecChunkedPrefillsOnlyScheduler(_ArrivalSortedMixin):
-    """Port of :class:`repro.scheduling.ablations.ChunkedPrefillsOnlyScheduler`."""
+    """Table 4 ablation: chunked prefills without hybrid batching —
+    prefill-only and decode-only iterations alternate."""
 
     name = "chunked-prefills-only"
 
@@ -1449,3 +1545,77 @@ class VecChunkedPrefillsOnlyScheduler(_ArrivalSortedMixin):
             return 0
         chunk = min(remaining, leftover)
         return chunk if chunk > 0 else 0
+
+
+class VecFairSarathiScheduler(VecSarathiScheduler):
+    """Stall-free batching with virtual-token-counter fair admission.
+
+    The paper cites Sheng et al.'s fairness work as complementary to
+    Sarathi-Serve (§6).  This is that combination: Algorithm 3's
+    stall-free, budget-bounded batching, but admission picks the
+    waiting request whose client has been served the fewest
+    weight-normalized tokens (prefill tokens + decodes), so a tenant
+    flooding the queue only competes against its own backlog.  Decode
+    scheduling stays stall-free; fairness is enforced where the
+    contention is — admission of new prefill work into the budget.
+    """
+
+    name = "sarathi-fair"
+
+    def __init__(
+        self,
+        arrays: RequestArrays,
+        memory: VecPagedMemory,
+        token_budget: int,
+        max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
+        client_weights: dict[int, float] | None = None,
+        **kwargs,
+    ) -> None:
+        """``client_weights`` scales each client's fair share (weight 2
+        = entitled to twice the tokens); unknown clients get weight 1."""
+        super().__init__(
+            arrays, memory, token_budget=token_budget,
+            max_batch_size=max_batch_size, **kwargs,
+        )
+        self.client_weights = dict(client_weights or {})
+        for client, weight in self.client_weights.items():
+            if weight <= 0:
+                raise ValueError(f"client {client} has non-positive weight {weight}")
+        self.service_counters: dict[int, float] = defaultdict(float)
+
+    def _weight(self, client_id: int) -> float:
+        return self.client_weights.get(client_id, 1.0)
+
+    def _virtual_service(self, client_id: int) -> float:
+        """Weight-normalized tokens served — the fairness currency."""
+        return self.service_counters[client_id] / self._weight(client_id)
+
+    def _build_batch(self, now: float) -> VecBatch | None:
+        # Reorder the waiting queue so the least-served client's oldest
+        # request sits at the head; Sarathi then admits head-first.
+        requests = self.A.requests
+        if len(self.waiting) > 1:
+            arrival = self.A.arrival_time
+            ordered = sorted(
+                self.waiting,
+                key=lambda row: (
+                    self._virtual_service(requests[row].client_id),
+                    float(arrival[row]),
+                ),
+            )
+            self.waiting.clear()
+            self.waiting.extend(ordered)
+        batch = super()._build_batch(now)
+        if batch is not None:
+            counters = self.service_counters
+            for row in batch.decode_rows.tolist():
+                counters[requests[row].client_id] += 1
+            for row, chunk in zip(batch.p_rows, batch.p_chunk):
+                counters[requests[row].client_id] += chunk
+        return batch
+
+    def fairness_report(self) -> dict[int, float]:
+        """Weight-normalized service per client (equal values = fair)."""
+        return {
+            client: self._virtual_service(client) for client in self.service_counters
+        }

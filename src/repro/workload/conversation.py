@@ -15,8 +15,8 @@ its novel suffix.  Conversation identities come from a workload-local
 counter — deterministic for a given seed, independent of the global
 request-id counter, and therefore identical across engine runs.
 
-Drive it through :meth:`repro.engine.replica.ReplicaEngine.run`'s
-``followup_fn`` hook — see :func:`simulate_conversations`.
+Drive it through the replica engine's ``run(..., followup_fn=...)``
+hook — see :func:`simulate_conversations`.
 """
 
 from __future__ import annotations

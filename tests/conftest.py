@@ -11,7 +11,6 @@ import pytest
 
 from repro.api import Deployment
 from repro.hardware.catalog import A100_80G, ETHERNET_100G
-from repro.memory.block_manager import PagedBlockManager, ReservationManager
 from repro.models.catalog import TINY_1B
 from repro.parallel.config import ParallelConfig
 from repro.types import Request
@@ -35,14 +34,13 @@ def pytest_collection_modifyitems(config, items) -> None:
             item.add_marker(skip_slow)
 
 
-@pytest.fixture(params=["object", "vectorized"])
-def engine(request) -> str:
-    """The engine kind under test.
+@pytest.fixture(scope="session", params=["vectorized"])
+def core(request) -> str:
+    """The replica engine under test: ``repro.engine.vectorized``.
 
-    Any suite that takes this fixture runs twice — once against the
-    object (golden-reference) core and once against the vectorized
-    core — and must pass bit-identically on both.  Pass the value as
-    ``ServingConfig(engine=engine)``.
+    Whole-engine suites take this fixture so each test id names the core
+    it ran on (``test_x[vectorized]``).  Session-scoped, so hypothesis
+    tests may take it too.
     """
     return request.param
 
@@ -63,47 +61,92 @@ def tiny_pp_deployment() -> Deployment:
     )
 
 
-@pytest.fixture
-def paged_memory() -> PagedBlockManager:
-    return PagedBlockManager(capacity_tokens=4096, block_size=16)
-
-
-@pytest.fixture
-def reservation_memory() -> ReservationManager:
-    return ReservationManager(capacity_tokens=8192, reserve_len=1024)
-
-
 def shrink_kv_memory(
     built, capacity_tokens: int = 4096, block_size: int = 16,
     prefix_cache: bool = False,
 ) -> None:
     """Swap a drastically smaller KV pool into a freshly built engine.
 
-    The dual pattern the determinism and differential suites use to
-    force preemption pressure: the object scheduler gets a small
-    ``PagedBlockManager``, the vectorized one the row-indexed
-    ``VecPagedMemory`` of identical shape.  Call before ``run``.
-    ``prefix_cache`` attaches a fresh shared-prefix store, so cache
-    behavior under memory pressure can be exercised too.
+    How the determinism and differential suites force preemption
+    pressure.  Call before ``run``.  ``prefix_cache`` attaches a fresh
+    shared-prefix store, so cache behavior under memory pressure can be
+    exercised too.
     """
     from repro.memory.prefix import SharedPrefixStore
+    from repro.scheduling.vectorized import VecPagedMemory
 
     store = SharedPrefixStore(block_size=block_size) if prefix_cache else None
-    if built.kind == "vectorized":
-        from repro.scheduling.vectorized import VecPagedMemory
+    built.scheduler.memory = VecPagedMemory(
+        built.arrays,
+        capacity_tokens=capacity_tokens,
+        block_size=block_size,
+        watermark=0.0,
+        prefix_store=store,
+    )
 
-        built.scheduler.memory = VecPagedMemory(
-            built.scheduler.A,
-            capacity_tokens=capacity_tokens,
-            block_size=block_size,
-            watermark=0.0,
-            prefix_store=store,
-        )
+
+class Harness:
+    """Drive a row scheduler by hand: add requests, schedule, commit.
+
+    The unit-test counterpart of the engine loop — no pricing, no event
+    queue, caller-chosen timestamps.
+    """
+
+    def __init__(self, scheduler) -> None:
+        self.scheduler = scheduler
+        self.A = scheduler.A
+
+    def add(self, request: Request, now: float | None = None) -> int:
+        row = self.A.ingest(request)
+        self.scheduler.note_ingested(row)
+        self.scheduler.add_row(row, request.arrival_time if now is None else now)
+        return row
+
+    def schedule(self, now: float):
+        return self.scheduler.schedule(now)
+
+    def complete(self, batch, now: float) -> list[int]:
+        finished, _ = self.scheduler.on_batch_complete(batch, now)
+        return finished
+
+    def request(self, row: int) -> Request:
+        """The row's Request with its serving state synced back."""
+        return self.A.sync_row(row)
+
+    def drain(self, step: float = 0.1, max_iters: int = 10_000) -> list:
+        """Schedule/complete rounds until the scheduler has no work."""
+        now = 0.0
+        batches = []
+        for _ in range(max_iters):
+            batch = self.schedule(now)
+            if batch is None:
+                if not self.scheduler.has_work:
+                    break
+                now += step
+                continue
+            batches.append(batch)
+            now += step
+            self.complete(batch, now)
+        return batches
+
+    def finished(self, row: int) -> bool:
+        return self.request(row).is_finished
+
+
+def harness(scheduler_cls, capacity_tokens: int = 4096, *, memory: str = "paged",
+            block_size: int = 16, watermark: float = 0.0, reserve_len: int = 512,
+            **kwargs) -> Harness:
+    """A fresh scheduler over a fresh row store and allocator."""
+    from repro.engine.arrays import RequestArrays
+    from repro.scheduling.vectorized import VecPagedMemory, VecReservationMemory
+
+    arrays = RequestArrays()
+    if memory == "paged":
+        mem = VecPagedMemory(arrays, capacity_tokens, block_size=block_size,
+                             watermark=watermark)
     else:
-        built.scheduler.memory = PagedBlockManager(
-            capacity_tokens=capacity_tokens, block_size=block_size, watermark=0.0,
-            prefix_store=store,
-        )
+        mem = VecReservationMemory(arrays, capacity_tokens, reserve_len=reserve_len)
+    return Harness(scheduler_cls(arrays, mem, **kwargs))
 
 
 def make_request(

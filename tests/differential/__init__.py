@@ -1,7 +1,7 @@
-"""Differential golden-reference suite: object engine vs vectorized.
+"""Golden-reference suite: the engine against frozen digests.
 
-The object engine (``repro.engine.replica.ReplicaEngine``) is the
-ground truth; the vectorized core must reproduce it bit-for-bit on
-every supported configuration.  Any divergence found here is a release
-blocker, never something to paper over with tolerances.
+``golden_digests.json`` holds sha256 digests of canonicalised outputs,
+recorded from the object engine that served as ground truth before
+the vectorized engine became the only one.  Any divergence found here
+is a release blocker, never something to paper over with tolerances.
 """

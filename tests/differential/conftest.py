@@ -1,96 +1,15 @@
-"""Canonicalization helpers shared by the differential tests.
-
-Comparisons are exact — full ``IterationRecord`` fields (including the
-float time breakdown) and full per-request timelines.  Two things are
-deliberately excluded:
-
-* ``batch_id`` absolute values: they come from a process-global
-  counter, so both traces are relabelled in insertion order and the
-  *pattern* of ids is compared instead.
-* ``cache_stats`` / ``engine_stats``: they describe the machinery that
-  produced the result (cache hit counts, wall time), not the simulated
-  system, and legitimately differ between the two engines.
-"""
+"""Workload shapes shared by the golden digests."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
-from repro.api import build_engine, clone_requests
 from repro.types import Request
 from repro.workload.datasets import (
     ARXIV_SUMMARIZATION,
     SHAREGPT4,
     generate_requests,
 )
-
-from tests.conftest import shrink_kv_memory
-
-
-def golden_trace(result) -> list[dict]:
-    """Iteration records as comparable rows, batch ids relabelled."""
-    records = sorted(result.records, key=lambda r: (r.start, r.stage))
-    id_order: dict[int, int] = {}
-    rows = []
-    for record in records:
-        row = dataclasses.asdict(record)
-        row["batch_id"] = id_order.setdefault(record.batch_id, len(id_order))
-        rows.append(row)
-    return rows
-
-
-def request_timelines(result) -> list[tuple]:
-    """Every externally visible per-request timestamp, by request id."""
-    return [
-        (
-            r.request_id,
-            r.arrival_time,
-            r.prompt_len,
-            r.output_len,
-            r.first_scheduled_at,
-            r.first_token_at,
-            r.finished_at,
-            tuple(r.token_times),
-            r.num_emitted,
-            r.num_restarts,
-            r.is_finished,
-        )
-        for r in sorted(result.requests, key=lambda r: r.request_id)
-    ]
-
-
-def assert_results_identical(golden, candidate) -> None:
-    """Bit-exact equivalence of two ``SimulationResult``s."""
-    assert request_timelines(golden) == request_timelines(candidate)
-    assert golden_trace(golden) == golden_trace(candidate)
-    assert golden.makespan == candidate.makespan
-    assert golden.num_preemptions == candidate.num_preemptions
-    assert sorted(r.request_id for r in golden.unfinished) == sorted(
-        r.request_id for r in candidate.unfinished
-    )
-
-
-def run_engine_pair(
-    deployment,
-    config,
-    trace,
-    *,
-    shrink_memory: bool = False,
-    max_time: float | None = None,
-):
-    """Run one trace through both engines; returns (object, vectorized).
-
-    Each engine gets its own clone of the trace so the mutation of
-    ``Request`` state by one run cannot leak into the other.
-    """
-    results = {}
-    for kind in ("object", "vectorized"):
-        built = build_engine(deployment, dataclasses.replace(config, engine=kind))
-        if shrink_memory:
-            shrink_kv_memory(built)
-        results[kind] = built.run(clone_requests(trace), max_time=max_time)
-    return results["object"], results["vectorized"]
 
 
 def _decode_heavy(num_requests: int, seed: int) -> list[Request]:

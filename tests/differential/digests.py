@@ -22,16 +22,17 @@ only:
 
 Regenerate the fixture after an *intended* behaviour change with::
 
-    PYTHONPATH=src python -m tests.differential.digests
+    PYTHONPATH=src python -m tests.differential.digests [CELL ...]
 
-and review the cells whose digests moved (``--check`` lists them
-without writing).
+(all cells, or only the named ones) and review the cells whose digests
+moved — ``--check`` lists them without writing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import re
@@ -42,11 +43,19 @@ import numpy as np
 
 from repro.api import Deployment, ServingConfig, build_engine, clone_requests
 from repro.cluster.fleet import FaultSchedule, FleetConfig, simulate_fleet
+from repro.engine.arrays import RequestArrays
+from repro.engine.vectorized import VectorizedReplicaEngine
 from repro.hardware.catalog import A100_80G, ETHERNET_100G, NVLINK
 from repro.models.catalog import TINY_1B
 from repro.parallel.config import ParallelConfig
 from repro.scheduling.policy import BatchDirective, PoolView, SchedulingPolicy
 from repro.scheduling.registry import register_policy, unregister
+from repro.scheduling.vectorized import (
+    VecFairSarathiScheduler,
+    VecPagedMemory,
+    VecReservationMemory,
+    VecSarathiScheduler,
+)
 from repro.types import Request
 from repro.workload.conversation import ConversationSpec, ConversationWorkload
 from repro.workload.distributions import FixedLengths
@@ -307,17 +316,18 @@ def run_defer_once_fleet() -> dict:
         unregister("digest_defer_once")
 
 
+def _engine(scheduler) -> VectorizedReplicaEngine:
+    return VectorizedReplicaEngine(TINY.execution_model(), scheduler)
+
+
 def run_fair(trace_scale: int = 24) -> dict:
-    from repro.core.fairness import FairSarathiScheduler
-    from repro.engine.replica import ReplicaEngine
     from repro.experiments.multitenant import make_multitenant_trace
-    from repro.memory.block_manager import PagedBlockManager
 
     trace = make_multitenant_trace(trace_scale, max(4, trace_scale // 8), seed=0)
-    scheduler = FairSarathiScheduler(
-        PagedBlockManager(TINY.kv_capacity_tokens()), token_budget=256
-    )
-    engine = ReplicaEngine(TINY.execution_model(), scheduler)
+    arrays = RequestArrays()
+    memory = VecPagedMemory(arrays, TINY.kv_capacity_tokens(), block_size=16)
+    scheduler = VecFairSarathiScheduler(arrays, memory, token_budget=256)
+    engine = _engine(scheduler)
     result = engine.run(clone_requests(trace))
     return {
         "result": result_canon(result),
@@ -326,14 +336,11 @@ def run_fair(trace_scale: int = 24) -> dict:
 
 
 def run_sarathi_reservation() -> dict:
-    from repro.core.sarathi import SarathiScheduler
-    from repro.engine.replica import ReplicaEngine
-    from repro.memory.block_manager import ReservationManager
-
     trace = WORKLOADS["sharegpt"](24, 0)
-    memory = ReservationManager(16384, reserve_len=2048)
-    engine = ReplicaEngine(
-        TINY.execution_model(), SarathiScheduler(memory, token_budget=256)
+    arrays = RequestArrays()
+    memory = VecReservationMemory(arrays, 16384, reserve_len=2048)
+    engine = _engine(
+        VecSarathiScheduler(arrays, memory, token_budget=256, max_batch_size=128)
     )
     return result_canon(engine.run(clone_requests(trace)))
 
@@ -565,12 +572,26 @@ def cells() -> dict[str, tuple[bool, object]]:
     return out
 
 
-def compute(name: str) -> str:
-    return digest(cells()[name][1]())
-
-
 def load_fixture() -> dict[str, str]:
     return json.loads(FIXTURE.read_text())
+
+
+@functools.cache
+def catalogue() -> dict[str, tuple[bool, object]]:
+    return cells()
+
+
+@functools.cache
+def frozen() -> dict[str, str]:
+    return load_fixture()
+
+
+def check(name: str):
+    """Recompute one cell, assert it matches its frozen digest, and
+    return its canonical output for further assertions."""
+    structure = catalogue()[name][1]()
+    assert digest(structure) == frozen()[name], f"cell {name} diverged from its digest"
+    return structure
 
 
 def main(argv: list[str]) -> int:

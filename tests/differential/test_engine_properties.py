@@ -1,4 +1,4 @@
-"""Engine-invariant property tests, run against both cores.
+"""Engine-invariant property tests.
 
 Three invariants no engine may break, whatever the workload:
 
@@ -11,15 +11,13 @@ Three invariants no engine may break, whatever the workload:
 * **KV-occupancy bounds** — at every engine step the KV pool stays
   inside [0, capacity], even under eviction pressure.
 
-The ``engine`` fixture runs each property against the object core and
-the vectorized core; the golden matrix separately pins them to each
-other bit-for-bit.
+The golden digests separately pin the engine's outputs bit for bit.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Deployment, ServingConfig, build_engine
 from repro.hardware.catalog import A100_80G
@@ -28,7 +26,7 @@ from repro.types import Request, SchedulerKind
 
 from tests.conftest import shrink_kv_memory
 
-pytestmark = pytest.mark.tier1
+pytestmark = [pytest.mark.tier1, pytest.mark.usefixtures("core")]
 
 _DEPLOYMENT = Deployment(model=TINY_1B, gpu=A100_80G)
 _SCHEDULERS = [
@@ -37,13 +35,7 @@ _SCHEDULERS = [
     SchedulerKind.FASTER_TRANSFORMER,
 ]
 
-# The `engine` fixture is an immutable engine-kind string, constant for
-# every example of one test run — safe to reuse across examples.
-_SETTINGS = settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+_SETTINGS = settings(max_examples=20, deadline=None)
 
 
 @st.composite
@@ -64,8 +56,8 @@ def traces(draw):
 
 @_SETTINGS
 @given(trace=traces(), kind=st.sampled_from(_SCHEDULERS))
-def test_request_conservation(engine, trace, kind):
-    config = ServingConfig(scheduler=kind, token_budget=256, engine=engine)
+def test_request_conservation(trace, kind):
+    config = ServingConfig(scheduler=kind, token_budget=256)
     built = build_engine(_DEPLOYMENT, config)
     result = built.run(trace)
 
@@ -90,8 +82,8 @@ def test_request_conservation(engine, trace, kind):
 
 @_SETTINGS
 @given(trace=traces(), kind=st.sampled_from(_SCHEDULERS))
-def test_monotone_completion_times(engine, trace, kind):
-    config = ServingConfig(scheduler=kind, token_budget=256, engine=engine)
+def test_monotone_completion_times(trace, kind):
+    config = ServingConfig(scheduler=kind, token_budget=256)
     built = build_engine(_DEPLOYMENT, config)
     built.run(trace)
 
@@ -109,10 +101,10 @@ def test_monotone_completion_times(engine, trace, kind):
     num_requests=st.integers(min_value=2, max_value=8),
     output_len=st.integers(min_value=50, max_value=200),
 )
-def test_kv_occupancy_bounded_under_pressure(engine, kind, num_requests, output_len):
+def test_kv_occupancy_bounded_under_pressure(kind, num_requests, output_len):
     """Stepped run on a shrunken KV pool: occupancy stays in [0, 1]."""
     config = ServingConfig(
-        scheduler=kind, token_budget=256, preemption_mode="recompute", engine=engine
+        scheduler=kind, token_budget=256, preemption_mode="recompute"
     )
     built = build_engine(_DEPLOYMENT, config)
     shrink_kv_memory(built)

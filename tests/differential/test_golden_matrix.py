@@ -1,35 +1,24 @@
-"""The golden matrix: vectorized engine vs the object ground truth.
+"""The golden matrix: the engine against its frozen digests.
 
-Every cell runs one fixed workload through both engines and asserts
-bit-identical results (full iteration records, full request
-timelines).  A small slice of the matrix gates every PR; the full
-schedulers × workloads × fault/no-fault × seeds matrix runs under
-``--runslow`` (nightly in CI).
+Every cell runs one fixed workload and must hash to the digest frozen
+in ``golden_digests.json`` (full iteration records, full request
+timelines; see ``digests.py``).  A small slice of the matrix gates
+every change; the full schedulers × workloads × fault/no-fault × seeds
+matrix runs under ``--runslow`` (nightly in CI).
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.api import ServingConfig, build_engine, clone_requests
-from repro.cluster.fleet import FaultSchedule, FleetConfig, simulate_fleet
 from repro.types import SchedulerKind
 
-from tests.conftest import make_request
-from tests.differential.conftest import (
-    WORKLOADS,
-    assert_results_identical,
-    request_timelines,
-    run_engine_pair,
-)
+from tests.differential.conftest import WORKLOADS
+from tests.differential.digests import FLEET_FAULTS, check
 
 pytestmark = pytest.mark.tier1
 
-# The vectorized core supports every built-in scheduler, including the
-# dynamic-budget Sarathi variant; only policy-protocol plug-ins stay
-# object-only.
 PR_SCHEDULERS = [
     SchedulerKind.SARATHI,
     SchedulerKind.SARATHI_DYNAMIC,
@@ -44,213 +33,100 @@ ALL_SCHEDULERS = PR_SCHEDULERS + [
 SEEDS = [0, 1, 2]
 
 
-def _config(kind: SchedulerKind, **extra) -> ServingConfig:
-    return ServingConfig(scheduler=kind, token_budget=256, **extra)
-
-
 # ----------------------------------------------------------------------
 # Single replica
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("kind", PR_SCHEDULERS)
-def test_single_replica_small(tiny_deployment, kind, workload):
-    """The every-PR slice: 3 schedulers × 3 workloads at small N."""
-    trace = WORKLOADS[workload](14, 0)
-    obj, vec = run_engine_pair(tiny_deployment, _config(kind), trace)
-    assert_results_identical(obj, vec)
+def test_single_replica_small(kind, workload):
+    """The every-change slice: 4 schedulers × 3 workloads at small N."""
+    check(f"single/{kind.value}/{workload}/n14/s0")
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("kind", ALL_SCHEDULERS)
-def test_single_replica_full_matrix(tiny_deployment, kind, workload, seed):
-    trace = WORKLOADS[workload](20, seed)
-    obj, vec = run_engine_pair(tiny_deployment, _config(kind), trace)
-    assert_results_identical(obj, vec)
+def test_single_replica_full_matrix(kind, workload, seed):
+    check(f"single/{kind.value}/{workload}/n20/s{seed}")
 
 
 @pytest.mark.parametrize("mode", ["recompute", "swap"])
 @pytest.mark.parametrize("kind", [SchedulerKind.VLLM, SchedulerKind.SARATHI])
-def test_preemption_and_swap_pressure(tiny_deployment, kind, mode):
-    """Eviction, restart and swap paths must also match bit-for-bit."""
-    trace = [
-        make_request(prompt_len=256, output_len=300, arrival_time=0.005 * i)
-        for i in range(10)
-    ]
-    config = _config(kind, preemption_mode=mode)
-    obj, vec = run_engine_pair(
-        tiny_deployment, config, trace, shrink_memory=True
-    )
+def test_preemption_and_swap_pressure(kind, mode):
+    """Eviction, restart and swap paths are pinned too."""
+    out = dict(check(f"pressure/{kind.value}/{mode}"))
     # The cell must actually exercise the pressure path, not pass
     # vacuously on an unpressured run.
-    assert obj.num_preemptions > 0
-    assert_results_identical(obj, vec)
+    assert out["num_preemptions"] > 0
 
 
-def test_max_time_cutoff_matches(tiny_deployment):
-    """A capped run stops both engines at the same event horizon."""
-    trace = WORKLOADS["decode_heavy"](30, 1)
-    obj, vec = run_engine_pair(
-        tiny_deployment, _config(SchedulerKind.SARATHI), trace, max_time=2.0
-    )
-    assert obj.unfinished  # the cap bit, or the test proves nothing
-    assert_results_identical(obj, vec)
+def test_max_time_cutoff_matches():
+    """A capped run stops at the frozen event horizon."""
+    out = dict(check("single/sarathi/decode_heavy/n30/s1/max_time2"))
+    assert out["unfinished"]  # the cap bit, or the test proves nothing
 
 
 def test_engine_stats_agree_on_work_done(tiny_deployment):
-    """Event and batch counts describe the same simulation."""
-    trace = WORKLOADS["sharegpt"](14, 0)
-    obj, vec = run_engine_pair(tiny_deployment, _config(SchedulerKind.SARATHI), trace)
-    assert obj.engine_stats is not None and vec.engine_stats is not None
-    assert obj.engine_stats.kind == "object"
-    assert vec.engine_stats.kind == "vectorized"
-    assert obj.engine_stats.num_events == vec.engine_stats.num_events
-    assert obj.engine_stats.num_batches == vec.engine_stats.num_batches
+    """Event and batch counts describe the simulation that ran."""
+    config = ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=256)
+    engine = build_engine(tiny_deployment, config)
+    result = engine.run(clone_requests(WORKLOADS["sharegpt"](14, 0)))
+    stats = result.engine_stats
+    assert stats is not None and stats.kind == "vectorized"
+    # One stage: every batch leaves exactly one iteration record.
+    assert stats.num_batches == len(result.records)
+    assert stats.num_events >= stats.num_batches
 
 
 # ----------------------------------------------------------------------
 # Pipeline parallelism
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", PR_SCHEDULERS)
-def test_pipeline_small(tiny_pp_deployment, kind):
-    """Every-PR pipeline slice: pp=2 stage overlap matches bit-for-bit."""
-    trace = WORKLOADS["sharegpt"](14, 0)
-    obj, vec = run_engine_pair(tiny_pp_deployment, _config(kind), trace)
-    assert_results_identical(obj, vec)
+def test_pipeline_small(kind):
+    """Every-change pipeline slice: pp=2 stage overlap."""
+    check(f"pp2/{kind.value}/sharegpt/n14/s0")
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("kind", ALL_SCHEDULERS)
-def test_pipeline_full_matrix(tiny_pp_deployment, kind, workload, seed):
-    trace = WORKLOADS[workload](20, seed)
-    obj, vec = run_engine_pair(tiny_pp_deployment, _config(kind), trace)
-    assert_results_identical(obj, vec)
+def test_pipeline_full_matrix(kind, workload, seed):
+    check(f"pp2/{kind.value}/{workload}/n20/s{seed}")
 
 
 @pytest.mark.parametrize(
     "kind", [SchedulerKind.SARATHI, SchedulerKind.SARATHI_DYNAMIC]
 )
-def test_pipeline_preemption_pressure(tiny_pp_deployment, kind):
-    """In-flight rows must be exempt from eviction in both engines."""
-    trace = [
-        make_request(prompt_len=256, output_len=300, arrival_time=0.005 * i)
-        for i in range(10)
-    ]
-    config = _config(kind, preemption_mode="recompute")
-    obj, vec = run_engine_pair(
-        tiny_pp_deployment, config, trace, shrink_memory=True
-    )
-    assert obj.num_preemptions > 0
-    assert_results_identical(obj, vec)
-
-
-def test_policy_scheduler_rejected_by_vectorized_names_capable(tiny_deployment):
-    """Object-only schedulers fail loudly and name the vectorized ones."""
-    from repro.scheduling import registry as sched_registry
-    from repro.scheduling.theory import SRPTOraclePolicy
-
-    sched_registry.register_policy(
-        "test_object_only", lambda ctx: SRPTOraclePolicy()
-    )
-    try:
-        config = ServingConfig(scheduler="test_object_only", engine="vectorized")
-        with pytest.raises(ValueError) as err:
-            build_engine(tiny_deployment, config)
-        for name in sched_registry.vectorized_names():
-            assert name in str(err.value)
-        assert "sarathi_dynamic" in str(err.value)
-    finally:
-        sched_registry.unregister("test_object_only")
+def test_pipeline_preemption_pressure(kind):
+    """In-flight rows must be exempt from eviction."""
+    out = dict(check(f"pp2/pressure/{kind.value}"))
+    assert out["num_preemptions"] > 0
 
 
 # ----------------------------------------------------------------------
 # Fleet: fault / no-fault
 # ----------------------------------------------------------------------
-def _fleet_events(result) -> list[dict]:
-    return [dataclasses.asdict(event) for event in result.events]
-
-
-FLEET_FAULTS = {
-    "no_fault": FaultSchedule(),
-    "crash": FaultSchedule.single(1, down_at=2.0, up_at=4.0),
-    "slowdown": FaultSchedule.single(
-        1, down_at=1.0, up_at=4.0, kind="slowdown", severity=3.0
-    ),
-    "capacity_loss": FaultSchedule.single(
-        1, down_at=1.0, up_at=4.0, kind="capacity_loss", severity=0.6
-    ),
-}
-
-
-def _run_fleet_pair(deployment, kind, trace, fault_mode: str):
-    fleet_config = FleetConfig(
-        num_replicas=3,
-        faults=FLEET_FAULTS[fault_mode],
-    )
-    out = {}
-    for engine in ("object", "vectorized"):
-        config = _config(kind, engine=engine)
-        out[engine] = simulate_fleet(
-            deployment, config, clone_requests(trace), fleet_config
-        )
-    return out["object"], out["vectorized"]
+def _fleet_preemptions(out) -> int:
+    return sum(num_preemptions for _, num_preemptions, _ in out["replicas"])
 
 
 @pytest.mark.parametrize("fault_mode", sorted(FLEET_FAULTS))
 @pytest.mark.parametrize("kind", PR_SCHEDULERS)
-def test_fleet_small(tiny_deployment, kind, fault_mode):
-    """Every-PR fleet slice: routing, failover, restarts and the
-    degraded-mode fault kinds (slowdown, capacity_loss) all match."""
-    trace = WORKLOADS["sharegpt"](16, 0)
-    (obj_result, obj_metrics), (vec_result, vec_metrics) = _run_fleet_pair(
-        tiny_deployment, kind, trace, fault_mode
-    )
-    assert request_timelines(obj_result.merged()) == request_timelines(
-        vec_result.merged()
-    )
-    assert _fleet_events(obj_result) == _fleet_events(vec_result)
-    assert obj_result.assignments == vec_result.assignments
-    assert [r.request_id for r in obj_result.shed] == [
-        r.request_id for r in vec_result.shed
-    ]
-    assert obj_metrics == vec_metrics
+def test_fleet_small(kind, fault_mode):
+    """Every-change fleet slice: routing, failover, restarts and the
+    degraded-mode fault kinds (slowdown, capacity_loss)."""
+    check(f"fleet/{kind.value}/sharegpt/{fault_mode}/n16/s0")
 
 
 @pytest.mark.parametrize("kind", [SchedulerKind.SARATHI, SchedulerKind.VLLM])
-def test_fleet_capacity_pressure(tiny_deployment, kind):
+def test_fleet_capacity_pressure(kind):
     """A near-total mid-run KV shrink must force preemptions on the
-    degraded replica and still match bit-for-bit — the free pool goes
-    negative and both engines work the deficit off identically."""
-    trace = [
-        make_request(prompt_len=256, output_len=300, arrival_time=0.005 * i)
-        for i in range(12)
-    ]
-    fleet_config = FleetConfig(
-        num_replicas=2,
-        faults=FaultSchedule.single(
-            0, down_at=0.05, up_at=5.0, kind="capacity_loss", severity=0.999
-        ),
-    )
-    out = {}
-    for engine in ("object", "vectorized"):
-        config = _config(kind, engine=engine)
-        out[engine] = simulate_fleet(
-            tiny_deployment, config, clone_requests(trace), fleet_config
-        )
-    (obj_result, obj_metrics), (vec_result, vec_metrics) = (
-        out["object"],
-        out["vectorized"],
-    )
-    # The cell must actually exercise the pressure path.
-    assert obj_result.merged().num_preemptions > 0
-    assert request_timelines(obj_result.merged()) == request_timelines(
-        vec_result.merged()
-    )
-    assert _fleet_events(obj_result) == _fleet_events(vec_result)
-    assert obj_metrics == vec_metrics
+    degraded replica — the free pool goes negative and the engine
+    works the deficit off."""
+    out = dict(check(f"fleet/capacity_pressure/{kind.value}"))
+    assert _fleet_preemptions(out) > 0
 
 
 @pytest.mark.slow
@@ -258,15 +134,7 @@ def test_fleet_capacity_pressure(tiny_deployment, kind):
 @pytest.mark.parametrize("fault_mode", sorted(FLEET_FAULTS))
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("kind", PR_SCHEDULERS)
-def test_fleet_full_matrix(tiny_deployment, kind, workload, fault_mode, seed):
-    """The acceptance matrix: ≥3 schedulers × 3 workloads ×
-    4 fault modes × 3 seeds, all bit-identical."""
-    trace = WORKLOADS[workload](16, seed)
-    (obj_result, obj_metrics), (vec_result, vec_metrics) = _run_fleet_pair(
-        tiny_deployment, kind, trace, fault_mode
-    )
-    assert request_timelines(obj_result.merged()) == request_timelines(
-        vec_result.merged()
-    )
-    assert _fleet_events(obj_result) == _fleet_events(vec_result)
-    assert obj_metrics == vec_metrics
+def test_fleet_full_matrix(kind, workload, fault_mode, seed):
+    """The acceptance matrix: 4 schedulers × 3 workloads ×
+    4 fault modes × 3 seeds."""
+    check(f"fleet/{kind.value}/{workload}/{fault_mode}/n16/s{seed}")

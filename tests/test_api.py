@@ -7,20 +7,22 @@ import pytest
 from repro.api import (
     Deployment,
     ServingConfig,
-    build_memory,
-    build_scheduler,
+    build_vectorized_scheduler,
     clone_requests,
     simulate,
 )
-from repro.core.sarathi import SarathiScheduler
 from repro.hardware.catalog import A100_80G
-from repro.memory.block_manager import PagedBlockManager, ReservationManager
 from repro.models.catalog import TINY_1B, YI_34B
 from repro.parallel.config import ParallelConfig
-from repro.scheduling.ablations import ChunkedPrefillsOnlyScheduler
-from repro.scheduling.faster_transformer import FasterTransformerScheduler
-from repro.scheduling.orca import OrcaScheduler
-from repro.scheduling.vllm import VLLMScheduler
+from repro.scheduling.vectorized import (
+    VecChunkedPrefillsOnlyScheduler,
+    VecFasterTransformerScheduler,
+    VecOrcaScheduler,
+    VecPagedMemory,
+    VecReservationMemory,
+    VecSarathiScheduler,
+    VecVLLMScheduler,
+)
 from repro.types import SchedulerKind
 
 from tests.conftest import make_request
@@ -48,30 +50,32 @@ class TestBuildScheduler:
     @pytest.mark.parametrize(
         "kind,cls",
         [
-            (SchedulerKind.FASTER_TRANSFORMER, FasterTransformerScheduler),
-            (SchedulerKind.ORCA, OrcaScheduler),
-            (SchedulerKind.VLLM, VLLMScheduler),
-            (SchedulerKind.SARATHI, SarathiScheduler),
-            (SchedulerKind.CHUNKED_ONLY, ChunkedPrefillsOnlyScheduler),
-            (SchedulerKind.HYBRID_ONLY, SarathiScheduler),
+            (SchedulerKind.FASTER_TRANSFORMER, VecFasterTransformerScheduler),
+            (SchedulerKind.ORCA, VecOrcaScheduler),
+            (SchedulerKind.VLLM, VecVLLMScheduler),
+            (SchedulerKind.SARATHI, VecSarathiScheduler),
+            (SchedulerKind.CHUNKED_ONLY, VecChunkedPrefillsOnlyScheduler),
+            (SchedulerKind.HYBRID_ONLY, VecSarathiScheduler),
         ],
     )
     def test_all_kinds_buildable(self, tiny_deployment, kind, cls):
-        scheduler = build_scheduler(tiny_deployment, ServingConfig(scheduler=kind))
+        scheduler = build_vectorized_scheduler(
+            tiny_deployment, ServingConfig(scheduler=kind)
+        )
         assert isinstance(scheduler, cls)
 
     def test_memory_family_matches_scheduler(self, tiny_deployment):
-        orca_mem = build_memory(
+        orca = build_vectorized_scheduler(
             tiny_deployment, ServingConfig(scheduler=SchedulerKind.ORCA)
         )
-        vllm_mem = build_memory(
+        vllm = build_vectorized_scheduler(
             tiny_deployment, ServingConfig(scheduler=SchedulerKind.VLLM)
         )
-        assert isinstance(orca_mem, ReservationManager)
-        assert isinstance(vllm_mem, PagedBlockManager)
+        assert isinstance(orca.memory, VecReservationMemory)
+        assert isinstance(vllm.memory, VecPagedMemory)
 
     def test_hybrid_only_has_chunking_disabled(self, tiny_deployment):
-        s = build_scheduler(
+        s = build_vectorized_scheduler(
             tiny_deployment, ServingConfig(scheduler=SchedulerKind.HYBRID_ONLY)
         )
         assert not s.chunk_prefills

@@ -4,40 +4,26 @@ from __future__ import annotations
 
 import pytest
 
-from repro.memory.block_manager import PagedBlockManager, ReservationManager
-from repro.scheduling.faster_transformer import FasterTransformerScheduler
-from repro.scheduling.orca import OrcaScheduler
-from repro.scheduling.vllm import VLLMScheduler
+from repro.scheduling.vectorized import (
+    VecFasterTransformerScheduler,
+    VecOrcaScheduler,
+    VecVLLMScheduler,
+)
 
-from tests.conftest import make_request
-
-
-def drain(scheduler, step=0.1, max_iters=10_000):
-    """Run schedule/complete rounds until the scheduler has no work."""
-    now = 0.0
-    batches = []
-    for _ in range(max_iters):
-        batch = scheduler.schedule(now)
-        if batch is None:
-            if not scheduler.has_work:
-                break
-            now += step
-            continue
-        batches.append(batch)
-        now += step
-        scheduler.on_batch_complete(batch, now)
-    return batches
+from tests.conftest import harness, make_request
 
 
 class TestFasterTransformer:
     def _scheduler(self, max_batch_size=4):
-        memory = ReservationManager(capacity_tokens=16384, reserve_len=512)
-        return FasterTransformerScheduler(memory, max_batch_size=max_batch_size)
+        return harness(
+            VecFasterTransformerScheduler, 16384, memory="reservation",
+            reserve_len=512, max_batch_size=max_batch_size,
+        )
 
     def test_prefills_whole_batch_first(self):
         s = self._scheduler()
         for _ in range(3):
-            s.add_request(make_request(prompt_len=64, output_len=4), now=0.0)
+            s.add(make_request(prompt_len=64, output_len=4), now=0.0)
         batch = s.schedule(now=0.0)
         assert batch.num_prefill_seqs == 3
         assert batch.num_decode_seqs == 0
@@ -45,22 +31,21 @@ class TestFasterTransformer:
     def test_no_admission_while_decodes_remain(self):
         """Line 3 of Algorithm 1: new requests wait for a full drain."""
         s = self._scheduler(max_batch_size=2)
-        s.add_request(make_request(prompt_len=32, output_len=3), now=0.0)
-        s.add_request(make_request(prompt_len=32, output_len=3), now=0.0)
+        s.add(make_request(prompt_len=32, output_len=3), now=0.0)
+        s.add(make_request(prompt_len=32, output_len=3), now=0.0)
         first = s.schedule(now=0.0)
-        s.on_batch_complete(first, now=0.1)
+        s.complete(first, now=0.1)
         # A new request arrives mid-decode.
-        late = make_request(prompt_len=32, output_len=2, arrival_time=0.1)
-        s.add_request(late, now=0.1)
+        late = s.add(make_request(prompt_len=32, output_len=2, arrival_time=0.1), now=0.1)
         batch = s.schedule(now=0.2)
-        assert all(not item.work.is_prefill for item in batch.items)
-        assert late.request_id not in {i.request.request_id for i in batch.items}
+        assert batch.num_prefill_seqs == 0
+        assert late not in batch.decode_rows.tolist()
 
     def test_batch_shrinks_as_requests_finish(self):
         s = self._scheduler()
-        s.add_request(make_request(prompt_len=32, output_len=2), now=0.0)
-        s.add_request(make_request(prompt_len=32, output_len=6), now=0.0)
-        batches = drain(s)
+        s.add(make_request(prompt_len=32, output_len=2), now=0.0)
+        s.add(make_request(prompt_len=32, output_len=6), now=0.0)
+        batches = s.drain()
         sizes = [b.size for b in batches]
         # After the short request drains, batch size drops to 1.
         assert sizes[-1] == 1
@@ -68,43 +53,40 @@ class TestFasterTransformer:
 
     def test_all_requests_complete(self):
         s = self._scheduler()
-        requests = [make_request(prompt_len=32, output_len=3) for _ in range(6)]
-        for r in requests:
-            s.add_request(r, now=0.0)
-        drain(s)
-        assert all(r.is_finished for r in requests)
+        rows = [s.add(make_request(prompt_len=32, output_len=3), now=0.0) for _ in range(6)]
+        s.drain()
+        assert all(s.finished(r) for r in rows)
 
 
 class TestOrca:
     def _scheduler(self, max_batch_size=8, reserve_len=512):
-        memory = ReservationManager(capacity_tokens=16384, reserve_len=reserve_len)
-        return OrcaScheduler(memory, max_batch_size=max_batch_size)
+        return harness(
+            VecOrcaScheduler, 16384, memory="reservation",
+            reserve_len=reserve_len, max_batch_size=max_batch_size,
+        )
 
     def test_eager_admission_into_hybrid_batch(self):
         s = self._scheduler()
-        running = make_request(prompt_len=32, output_len=10)
-        s.add_request(running, now=0.0)
+        s.add(make_request(prompt_len=32, output_len=10), now=0.0)
         first = s.schedule(now=0.0)
-        s.on_batch_complete(first, now=0.1)
+        s.complete(first, now=0.1)
         # New arrival joins the SAME iteration as the ongoing decode.
-        new = make_request(prompt_len=256, output_len=4, arrival_time=0.1)
-        s.add_request(new, now=0.1)
+        s.add(make_request(prompt_len=256, output_len=4, arrival_time=0.1), now=0.1)
         batch = s.schedule(now=0.2)
-        assert batch.is_hybrid
+        assert batch.num_prefill_seqs and batch.num_decode_seqs  # hybrid
         assert batch.num_prefill_tokens == 256  # full prompt, no chunking
         assert batch.num_decode_seqs == 1
 
     def test_full_prompt_in_single_iteration(self):
         s = self._scheduler()
-        r = make_request(prompt_len=4096, output_len=2)
-        s.add_request(r, now=0.0)
+        s.add(make_request(prompt_len=4096, output_len=2), now=0.0)
         batch = s.schedule(now=0.0)
         assert batch.num_prefill_tokens == 4096
 
     def test_memory_caps_admission(self):
         s = self._scheduler(reserve_len=4096)
         for _ in range(8):
-            s.add_request(make_request(prompt_len=64, output_len=2), now=0.0)
+            s.add(make_request(prompt_len=64, output_len=2), now=0.0)
         batch = s.schedule(now=0.0)
         # 16384 / 4096 = 4 reservations fit.
         assert batch.size == 4
@@ -112,24 +94,22 @@ class TestOrca:
     def test_batch_size_cap(self):
         s = self._scheduler(max_batch_size=3, reserve_len=128)
         for _ in range(10):
-            s.add_request(make_request(prompt_len=32, output_len=2), now=0.0)
+            s.add(make_request(prompt_len=32, output_len=2), now=0.0)
         batch = s.schedule(now=0.0)
         assert batch.size == 3
 
     def test_all_requests_complete(self):
         s = self._scheduler()
-        requests = [make_request(prompt_len=64, output_len=4) for _ in range(10)]
-        for r in requests:
-            s.add_request(r, now=0.0)
-        drain(s)
-        assert all(r.is_finished for r in requests)
+        rows = [s.add(make_request(prompt_len=64, output_len=4), now=0.0) for _ in range(10)]
+        s.drain()
+        assert all(s.finished(r) for r in rows)
 
 
 class TestVLLM:
     def _scheduler(self, capacity=65536, max_batch_size=8, max_batched_tokens=4096):
-        memory = PagedBlockManager(capacity, block_size=16, watermark=0.0)
-        return VLLMScheduler(
-            memory, max_batch_size=max_batch_size, max_batched_tokens=max_batched_tokens
+        return harness(
+            VecVLLMScheduler, capacity,
+            max_batch_size=max_batch_size, max_batched_tokens=max_batched_tokens,
         )
 
     def test_invalid_token_cap_rejected(self):
@@ -139,11 +119,11 @@ class TestVLLM:
     def test_prefill_only_batches(self):
         """Algorithm 2: prefills never mix with decodes."""
         s = self._scheduler()
-        s.add_request(make_request(prompt_len=128, output_len=8), now=0.0)
+        s.add(make_request(prompt_len=128, output_len=8), now=0.0)
         first = s.schedule(now=0.0)
         assert first.num_decode_seqs == 0
-        s.on_batch_complete(first, now=0.1)
-        s.add_request(make_request(prompt_len=256, output_len=4), now=0.1)
+        s.complete(first, now=0.1)
+        s.add(make_request(prompt_len=256, output_len=4), now=0.1)
         second = s.schedule(now=0.1)
         # New prefill takes priority over the running decode...
         assert second.num_prefill_seqs == 1
@@ -152,28 +132,27 @@ class TestVLLM:
     def test_generation_stall_structure(self):
         """Eagerly scheduled prefills delay ongoing decodes."""
         s = self._scheduler()
-        running = make_request(prompt_len=64, output_len=10)
-        s.add_request(running, now=0.0)
-        s.on_batch_complete(s.schedule(now=0.0), now=0.1)
+        s.add(make_request(prompt_len=64, output_len=10), now=0.0)
+        s.complete(s.schedule(now=0.0), now=0.1)
         # Two new requests arrive; both prefills run before any decode.
         for _ in range(2):
-            s.add_request(make_request(prompt_len=512, output_len=4), now=0.1)
+            s.add(make_request(prompt_len=512, output_len=4), now=0.1)
         batch = s.schedule(now=0.1)
         assert batch.num_prefill_seqs == 2
-        s.on_batch_complete(batch, now=0.5)
+        s.complete(batch, now=0.5)
         decode_batch = s.schedule(now=0.5)
         assert decode_batch.num_decode_seqs == 3  # now everyone decodes
 
     def test_max_batched_tokens_caps_prefill_batch(self):
         s = self._scheduler(max_batched_tokens=1000)
         for _ in range(4):
-            s.add_request(make_request(prompt_len=600, output_len=2), now=0.0)
+            s.add(make_request(prompt_len=600, output_len=2), now=0.0)
         batch = s.schedule(now=0.0)
         assert batch.num_prefill_seqs == 1  # 600 + 600 > 1000
 
     def test_single_oversized_prompt_still_admitted(self):
         s = self._scheduler(max_batched_tokens=1000)
-        s.add_request(make_request(prompt_len=5000, output_len=2), now=0.0)
+        s.add(make_request(prompt_len=5000, output_len=2), now=0.0)
         batch = s.schedule(now=0.0)
         assert batch is not None
         assert batch.num_prefill_tokens == 5000
@@ -181,12 +160,10 @@ class TestVLLM:
     def test_preemption_recompute_roundtrip(self):
         # Tight memory: two decoding requests, growth forces eviction.
         s = self._scheduler(capacity=160, max_batched_tokens=4096)
-        early = make_request(prompt_len=64, output_len=40, arrival_time=0.0)
-        late = make_request(prompt_len=80, output_len=40, arrival_time=0.1)
-        s.add_request(early, now=0.0)
-        s.on_batch_complete(s.schedule(now=0.0), now=0.1)
-        s.add_request(late, now=0.1)
-        s.on_batch_complete(s.schedule(now=0.1), now=0.2)
+        s.add(make_request(prompt_len=64, output_len=40, arrival_time=0.0), now=0.0)
+        s.complete(s.schedule(now=0.0), now=0.1)
+        late = s.add(make_request(prompt_len=80, output_len=40, arrival_time=0.1), now=0.1)
+        s.complete(s.schedule(now=0.1), now=0.2)
         # Decode until memory pressure triggers a preemption.
         now = 0.2
         for _ in range(200):
@@ -194,19 +171,17 @@ class TestVLLM:
             if batch is None:
                 break
             now += 0.1
-            s.on_batch_complete(batch, now)
-            if s.num_preemptions:
+            s.complete(batch, now)
+            if s.scheduler.num_preemptions:
                 break
-        assert s.num_preemptions >= 1
-        assert late.num_restarts >= 1
+        assert s.scheduler.num_preemptions >= 1
+        assert s.request(late).num_restarts >= 1
 
     def test_all_requests_complete_under_pressure(self):
         s = self._scheduler(capacity=320)
-        requests = [
-            make_request(prompt_len=64, output_len=30, arrival_time=0.0)
+        rows = [
+            s.add(make_request(prompt_len=64, output_len=30, arrival_time=0.0), now=0.0)
             for _ in range(4)
         ]
-        for r in requests:
-            s.add_request(r, now=0.0)
-        drain(s)
-        assert all(r.is_finished for r in requests)
+        s.drain()
+        assert all(s.finished(r) for r in rows)

@@ -2,39 +2,28 @@
 
 from __future__ import annotations
 
-import pytest
+import numpy as np
 
-from repro.batch import Batch, ScheduledWork
-from repro.types import TokenWork
-
-from tests.conftest import make_request
+from repro.scheduling.vectorized import VecBatch
 
 
-def _prefill_item(chunk=64, past=0):
-    return ScheduledWork(
-        request=make_request(prompt_len=chunk + past),
-        work=TokenWork.prefill_chunk(chunk, past_len=past),
+def _batch(num_decodes: int = 0, chunks: tuple[int, ...] = (), last=None, order=None):
+    decode_rows = np.arange(num_decodes, dtype=np.int64)
+    p_rows = list(range(num_decodes, num_decodes + len(chunks)))
+    return VecBatch(
+        decode_rows,
+        np.full(num_decodes, 100, dtype=np.int64),
+        p_rows,
+        list(chunks),
+        [0] * len(chunks),
+        list(last) if last is not None else [True] * len(chunks),
+        order=order,
     )
 
 
-def _decode_item(context=100):
-    r = make_request(prompt_len=context, output_len=8)
-    r.record_prefill(context, now=0.0)
-    return ScheduledWork(request=r, work=TokenWork.decode(context))
-
-
 class TestBatch:
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            Batch(items=[])
-
-    def test_duplicate_request_rejected(self):
-        item = _decode_item()
-        with pytest.raises(ValueError, match="twice"):
-            Batch(items=[item, item])
-
     def test_token_accounting(self):
-        batch = Batch(items=[_prefill_item(chunk=128), _decode_item(), _decode_item()])
+        batch = _batch(num_decodes=2, chunks=(128,))
         assert batch.num_tokens == 130
         assert batch.num_prefill_tokens == 128
         assert batch.num_decode_tokens == 2
@@ -42,23 +31,17 @@ class TestBatch:
         assert batch.num_decode_seqs == 2
         assert batch.size == 3
 
-    def test_hybrid_detection(self):
-        assert Batch(items=[_prefill_item(), _decode_item()]).is_hybrid
-        assert not Batch(items=[_decode_item(), _decode_item()]).is_hybrid
-        assert not Batch(items=[_prefill_item()]).is_hybrid
+    def test_logit_tokens_count_final_chunks_only(self):
+        batch = _batch(num_decodes=2, chunks=(64, 64), last=(False, True))
+        assert batch.num_logit_tokens == 3
 
     def test_unique_batch_ids(self):
-        a = Batch(items=[_decode_item()])
-        b = Batch(items=[_decode_item()])
-        assert a.batch_id != b.batch_id
+        assert _batch(num_decodes=1).batch_id != _batch(num_decodes=1).batch_id
 
-    def test_works_and_requests_align(self):
-        items = [_prefill_item(), _decode_item()]
-        batch = Batch(items=items)
-        assert batch.works == [i.work for i in items]
-        assert batch.requests == [i.request for i in items]
+    def test_default_order_is_decodes_then_prefills(self):
+        batch = _batch(num_decodes=2, chunks=(8,))
+        assert batch.in_order(["d0", "d1", "p0"]) == ["d0", "d1", "p0"]
 
-    def test_describe_mentions_composition(self):
-        batch = Batch(items=[_prefill_item(chunk=128), _decode_item()])
-        text = batch.describe()
-        assert "1p" in text and "1d" in text and "129tok" in text
+    def test_interleaved_order(self):
+        batch = _batch(num_decodes=2, chunks=(8,), order=[2, 0, 1])
+        assert batch.in_order(["d0", "d1", "p0"]) == ["p0", "d0", "d1"]

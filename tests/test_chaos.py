@@ -15,7 +15,8 @@ from repro.api import Deployment
 from repro.experiments.capacity_runner import CapacityCellSpec, run_capacity_cells
 from repro.experiments.common import Scale
 from repro.hardware.catalog import A100_80G
-from repro.models.catalog import TINY_1B
+from repro.models.catalog import YI_34B
+from repro.parallel.config import ParallelConfig
 from repro.runtime import (
     CHAOS_ENV,
     ChaosConfig,
@@ -139,7 +140,10 @@ class TestRecoveryDrills:
 
     def test_chaos_capacity_grid_bit_identical_to_serial(self):
         """The acceptance drill: kills mid-grid, zero lost cells."""
-        deployment = Deployment(model=TINY_1B, gpu=A100_80G)
+        # Yi-34B/TP2 keeps capacities near 1 QPS: cheap probes.
+        deployment = Deployment(
+            model=YI_34B, gpu=A100_80G, parallel=ParallelConfig(tensor_parallel=2)
+        )
         specs = [
             CapacityCellSpec(
                 deployment=deployment,

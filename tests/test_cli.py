@@ -58,7 +58,6 @@ class TestCommands:
         assert main(["schedulers"]) == 0
         out = capsys.readouterr().out
         assert "srpt_oracle" in out
-        assert "object+vectorized" in out  # engine-support column
         assert "reservation" in out        # memory-family column
 
     def test_budget(self, capsys):

@@ -5,34 +5,31 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ServingConfig
-from repro.cluster.cluster import simulate_cluster
+from repro.cluster.fleet import FleetConfig, simulate_fleet
 from repro.cluster.router import LeastTokensRouter, RoundRobinRouter, Router
 
 from tests.conftest import make_request
 
-# simulate_cluster is a deprecated shim over simulate_fleet; these
-# tests pin the shim's behavior, so silence the warning suite-wide and
-# assert it fires exactly once below.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:simulate_cluster is deprecated:DeprecationWarning"
-)
+
+def _fleet(deployment, trace, num_replicas, router=None):
+    return simulate_fleet(
+        deployment,
+        ServingConfig(),
+        trace,
+        FleetConfig(num_replicas=num_replicas),
+        router=router or LeastTokensRouter(num_replicas),
+    )
 
 
 class TestDeprecation:
-    def test_simulate_cluster_warns(self, tiny_deployment):
-        trace = [make_request(prompt_len=64, output_len=4)]
-        with pytest.warns(DeprecationWarning, match="simulate_cluster is deprecated"):
-            simulate_cluster(tiny_deployment, ServingConfig(), trace, num_replicas=1)
-
     def test_not_reexported_from_top_level(self):
         import repro
+        import repro.cluster
 
+        # The static-partition shim is gone; simulate_fleet replaces it.
         assert not hasattr(repro, "simulate_cluster")
-        assert "simulate_cluster" not in repro.__all__
-        # ...but still importable from the subpackage for old callers.
-        from repro.cluster import simulate_cluster as shim
-
-        assert shim is simulate_cluster
+        assert not hasattr(repro.cluster, "simulate_cluster")
+        assert "simulate_fleet" in repro.cluster.__all__
 
 
 class TestRouters:
@@ -65,6 +62,8 @@ class TestRouters:
 
 
 class TestSimulateCluster:
+    """Multi-replica scaling, balance and input validation."""
+
     def _trace(self, n=30, qps_gap=0.05):
         return [
             make_request(prompt_len=128, output_len=6, arrival_time=qps_gap * i)
@@ -72,9 +71,7 @@ class TestSimulateCluster:
         ]
 
     def test_all_requests_finish(self, tiny_deployment):
-        result, metrics = simulate_cluster(
-            tiny_deployment, ServingConfig(), self._trace(), num_replicas=3
-        )
+        result, metrics = _fleet(tiny_deployment, self._trace(), 3)
         assert metrics.num_requests == 30
         merged = result.merged()
         assert not merged.unfinished
@@ -84,9 +81,7 @@ class TestSimulateCluster:
 
         trace = self._trace()
         _, solo = simulate(tiny_deployment, ServingConfig(), trace)
-        _, fleet = simulate_cluster(
-            tiny_deployment, ServingConfig(), trace, num_replicas=1
-        )
+        _, fleet = _fleet(tiny_deployment, trace, 1)
         assert fleet.p99_tbt == pytest.approx(solo.p99_tbt)
         assert fleet.median_ttft == pytest.approx(solo.median_ttft)
 
@@ -95,24 +90,18 @@ class TestSimulateCluster:
             make_request(prompt_len=1500, output_len=20, arrival_time=0.02 * i)
             for i in range(40)
         ]
-        _, one = simulate_cluster(tiny_deployment, ServingConfig(), trace, 1)
-        _, four = simulate_cluster(tiny_deployment, ServingConfig(), trace, 4)
+        _, one = _fleet(tiny_deployment, trace, 1)
+        _, four = _fleet(tiny_deployment, trace, 4)
         assert four.median_ttft < one.median_ttft
 
     def test_input_not_mutated(self, tiny_deployment):
         trace = self._trace()
-        simulate_cluster(tiny_deployment, ServingConfig(), trace, num_replicas=2)
+        _fleet(tiny_deployment, trace, 2)
         assert all(r.prefill_done == 0 for r in trace)
 
     def test_router_replica_mismatch_rejected(self, tiny_deployment):
         with pytest.raises(ValueError, match="router is configured"):
-            simulate_cluster(
-                tiny_deployment,
-                ServingConfig(),
-                self._trace(),
-                num_replicas=3,
-                router=RoundRobinRouter(2),
-            )
+            _fleet(tiny_deployment, self._trace(), 3, router=RoundRobinRouter(2))
 
     def test_bad_router_output_rejected(self, tiny_deployment):
         class BadRouter(Router):
@@ -120,22 +109,14 @@ class TestSimulateCluster:
                 return 99
 
         with pytest.raises(ValueError, match="invalid replica"):
-            simulate_cluster(
-                tiny_deployment,
-                ServingConfig(),
-                self._trace(),
-                num_replicas=2,
-                router=BadRouter(2),
-            )
+            _fleet(tiny_deployment, self._trace(), 2, router=BadRouter(2))
 
     def test_empty_trace_rejected(self, tiny_deployment):
         with pytest.raises(ValueError):
-            simulate_cluster(tiny_deployment, ServingConfig(), [], num_replicas=2)
+            _fleet(tiny_deployment, [], 2)
 
     def test_assignments_cover_all_requests(self, tiny_deployment):
         trace = self._trace(n=20)
-        result, _ = simulate_cluster(
-            tiny_deployment, ServingConfig(), trace, num_replicas=4
-        )
+        result, _ = _fleet(tiny_deployment, trace, 4)
         assert len(result.assignments) == 20
-        assert all(0 <= a < 4 for a in result.assignments)
+        assert all(0 <= a < 4 for a in result.assignments.values())

@@ -63,6 +63,7 @@ def _request_timelines(result):
     ]
 
 
+@pytest.mark.usefixtures("core")
 @pytest.mark.parametrize(
     "kind",
     [
@@ -73,13 +74,9 @@ def _request_timelines(result):
     ],
 )
 @pytest.mark.parametrize("perf_cache", [True, False], ids=["cached", "uncached"])
-def test_golden_trace_single_stage(tiny_deployment, kind, perf_cache, engine):
-    if kind is SchedulerKind.SARATHI_DYNAMIC and engine == "vectorized":
-        pytest.skip("dynamic budget control is object-engine only")
+def test_golden_trace_single_stage(tiny_deployment, kind, perf_cache):
     trace = generate_requests(SHAREGPT4, num_requests=20, qps=1.5, seed=11)
-    config = ServingConfig(
-        scheduler=kind, token_budget=256, perf_cache=perf_cache, engine=engine
-    )
+    config = ServingConfig(scheduler=kind, token_budget=256, perf_cache=perf_cache)
 
     def run():
         built = build_engine(tiny_deployment, config)
@@ -104,7 +101,8 @@ def test_golden_trace_pipeline(tiny_pp_deployment):
     assert _request_timelines(first) == _request_timelines(second)
 
 
-def test_golden_trace_under_preemption_pressure(tiny_deployment, engine):
+@pytest.mark.usefixtures("core")
+def test_golden_trace_under_preemption_pressure(tiny_deployment):
     """Replays stay identical even when preemptions/restarts kick in."""
     # Short prompts but long generations: admission lets many requests
     # in, then decode growth overflows the shrunken KV pool.
@@ -112,9 +110,7 @@ def test_golden_trace_under_preemption_pressure(tiny_deployment, engine):
         make_request(prompt_len=256, output_len=300, arrival_time=0.005 * i)
         for i in range(10)
     ]
-    config = ServingConfig(
-        scheduler=SchedulerKind.VLLM, preemption_mode="recompute", engine=engine
-    )
+    config = ServingConfig(scheduler=SchedulerKind.VLLM, preemption_mode="recompute")
 
     def run():
         built = build_engine(tiny_deployment, config)

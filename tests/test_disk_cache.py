@@ -24,6 +24,7 @@ from repro.perf.cache import (
     execution_fingerprint,
 )
 from repro.perf.disk_cache import FILE_MAGIC, PersistentPerfCache
+from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 FP = "a" * 20
@@ -47,8 +48,9 @@ def snapshots(fingerprint: str = FP):
 
 
 def warmed_model(deployment: Deployment) -> CachedExecutionModel:
-    """A cached model populated by an actual simulation."""
-    config = ServingConfig(token_budget=256)
+    """A cached model populated by an actual simulation (the dynamic
+    scheduler prices candidate budgets through it)."""
+    config = ServingConfig(scheduler=SchedulerKind.SARATHI_DYNAMIC, token_budget=256)
     model = execution_model_for(deployment, config)
     trace = generate_requests(SHAREGPT4, num_requests=8, qps=1.0, seed=3)
     simulate(deployment, config, trace, exec_model=model)

@@ -4,102 +4,95 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Deployment, ServingConfig, build_scheduler, simulate
-from repro.core.dynamic import DynamicSarathiScheduler
-from repro.memory.block_manager import PagedBlockManager
-from repro.perf.profiler import derive_slo, hybrid_iteration_time
-from repro.types import SchedulerKind
+from repro.api import Deployment, ServingConfig, build_vectorized_scheduler, simulate
+from repro.hardware.catalog import A100_80G
+from repro.models.catalog import TINY_1B
+from repro.perf.profiler import derive_slo
+from repro.scheduling.vectorized import VecDynamicSarathiScheduler
+from repro.types import SchedulerKind, TokenWork
 
-from tests.conftest import make_request
+from tests.conftest import harness, make_request
 
-
-def constant_cost(value: float):
-    return lambda works: value
-
-
-def token_proportional_cost(per_token: float):
-    return lambda works: per_token * sum(w.num_tokens for w in works)
+EXEC_MODEL = Deployment(model=TINY_1B, gpu=A100_80G).execution_model()
 
 
-def dynamic(cost_fn, tbt_slo=1.0, **kwargs):
-    memory = PagedBlockManager(65536, block_size=16, watermark=0.0)
-    return DynamicSarathiScheduler(
-        memory, tbt_slo=tbt_slo, iteration_cost=cost_fn, **kwargs
+def prefill_cost(budget: int) -> float:
+    """Predicted latency of a decode-free candidate iteration."""
+    work = TokenWork.prefill_chunk(budget, past_len=budget, is_last=False)
+    return EXEC_MODEL.iteration_time([work]).total
+
+
+def dynamic(tbt_slo=1.0, **kwargs):
+    return harness(
+        VecDynamicSarathiScheduler, 65536,
+        exec_model=EXEC_MODEL, tbt_slo=tbt_slo, **kwargs,
     )
 
 
 class TestConstruction:
     def test_invalid_slo_rejected(self):
         with pytest.raises(ValueError):
-            dynamic(constant_cost(0.1), tbt_slo=0.0)
+            dynamic(tbt_slo=0.0)
 
     def test_invalid_budget_range_rejected(self):
         with pytest.raises(ValueError):
-            dynamic(constant_cost(0.1), min_budget=512, max_budget=128)
+            dynamic(min_budget=512, max_budget=128)
         with pytest.raises(ValueError):
-            dynamic(constant_cost(0.1), budget_step=0)
+            dynamic(budget_step=0)
 
 
 class TestBudgetSelection:
     def test_max_budget_when_everything_fits(self):
-        s = dynamic(constant_cost(0.01), tbt_slo=1.0, max_budget=4096)
-        s.add_request(make_request(prompt_len=10_000, output_len=2), now=0.0)
+        s = dynamic(tbt_slo=1e6, max_budget=4096)
+        s.add(make_request(prompt_len=10_000, output_len=2), now=0.0)
         batch = s.schedule(now=0.0)
-        assert s.budget_history[-1] == 4096
+        assert s.scheduler.budget_history[-1] == 4096
         assert batch.num_tokens <= 4096
 
     def test_min_budget_when_nothing_fits(self):
-        s = dynamic(constant_cost(10.0), tbt_slo=1.0, min_budget=128)
-        s.add_request(make_request(prompt_len=10_000, output_len=2), now=0.0)
+        s = dynamic(tbt_slo=1e-9, min_budget=128)
+        s.add(make_request(prompt_len=10_000, output_len=2), now=0.0)
         s.schedule(now=0.0)
-        assert s.budget_history[-1] == 128
+        assert s.scheduler.budget_history[-1] == 128
 
     def test_budget_tracks_cost_threshold(self):
-        # Cost = 1ms per token, SLO 0.5s -> 500 tokens -> grid lands at
-        # the largest 128-step value that fits.
-        s = dynamic(
-            token_proportional_cost(1e-3),
-            tbt_slo=0.5,
-            min_budget=128,
-            max_budget=4096,
-            budget_step=128,
-        )
-        s.add_request(make_request(prompt_len=10_000, output_len=2), now=0.0)
+        # An SLO between the 512- and 640-token iteration costs: the
+        # bisection lands on the largest 128-step budget that fits.
+        slo = (prefill_cost(512) + prefill_cost(640)) / 2
+        s = dynamic(tbt_slo=slo, min_budget=128, max_budget=4096, budget_step=128)
+        s.add(make_request(prompt_len=10_000, output_len=2), now=0.0)
         s.schedule(now=0.0)
-        chosen = s.budget_history[-1]
-        assert 256 <= chosen <= 512
+        assert s.scheduler.budget_history[-1] == 512
 
     def test_budget_shrinks_as_decode_pool_grows(self):
         """With live decodes consuming SLO headroom, less prefill fits."""
-        costs = token_proportional_cost(1e-3)
-        s = dynamic(costs, tbt_slo=0.5, max_budget=4096)
-        s.add_request(make_request(prompt_len=400, output_len=50), now=0.0)
-        s.on_batch_complete(s.schedule(now=0.0), now=0.1)
-        first_budget = s.budget_history[-1]
+        s = dynamic(tbt_slo=prefill_cost(1024), max_budget=4096)
+        s.add(make_request(prompt_len=400, output_len=50), now=0.0)
+        s.complete(s.schedule(now=0.0), now=0.1)
+        first_budget = s.scheduler.budget_history[-1]
         # Grow the decode pool substantially.
         for _ in range(30):
-            r = make_request(prompt_len=400, output_len=50)
-            s.add_request(r, now=0.1)
+            s.add(make_request(prompt_len=400, output_len=50), now=0.1)
         now = 0.1
         for _ in range(20):
             batch = s.schedule(now)
             if batch is None:
                 break
             now += 0.1
-            s.on_batch_complete(batch, now)
-        assert min(s.budget_history[2:]) <= first_budget
+            s.complete(batch, now)
+        assert min(s.scheduler.budget_history[2:]) <= first_budget
 
     def test_budget_history_recorded_per_iteration(self):
-        s = dynamic(constant_cost(0.01))
-        s.add_request(make_request(prompt_len=1000, output_len=3), now=0.0)
+        s = dynamic(tbt_slo=1e6)
+        s.add(make_request(prompt_len=1000, output_len=3), now=0.0)
         now = 0.0
-        while s.has_work:
+        while s.scheduler.has_work:
             batch = s.schedule(now)
             if batch is None:
                 break
             now += 0.1
-            s.on_batch_complete(batch, now)
-        assert len(s.budget_history) == s.num_scheduled_batches
+            s.complete(batch, now)
+        assert len(s.scheduler.budget_history) == s.scheduler.num_scheduled_batches
 
 
 class TestEndToEnd:
@@ -115,22 +108,19 @@ class TestEndToEnd:
         assert metrics.p99_tbt <= slo * 1.05
 
     def test_build_scheduler_wires_oracle(self, tiny_deployment):
-        scheduler = build_scheduler(
+        scheduler = build_vectorized_scheduler(
             tiny_deployment, ServingConfig(scheduler=SchedulerKind.SARATHI_DYNAMIC)
         )
-        assert isinstance(scheduler, DynamicSarathiScheduler)
-        # The oracle prices more tokens as more time.
-        from repro.types import TokenWork
-
-        small = scheduler.iteration_cost([TokenWork.prefill_chunk(64)])
-        large = scheduler.iteration_cost([TokenWork.prefill_chunk(2048)])
-        assert large > small
+        assert isinstance(scheduler, VecDynamicSarathiScheduler)
+        # The pricing oracle charges more tokens more time.
+        assert scheduler._fits(64, 0, 0.0) or not scheduler._fits(2048, 0, 0.0)
+        assert not scheduler._fits(8192, 0, 0.0)
 
     def test_explicit_slo_respected(self, tiny_deployment):
         config = ServingConfig(
             scheduler=SchedulerKind.SARATHI_DYNAMIC, tbt_slo=0.25
         )
-        scheduler = build_scheduler(tiny_deployment, config)
+        scheduler = build_vectorized_scheduler(tiny_deployment, config)
         assert scheduler.tbt_slo == 0.25
 
     def test_dynamic_improves_ttft_over_static(self, tiny_deployment):

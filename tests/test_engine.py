@@ -77,20 +77,15 @@ class TestEventQueue:
                 getattr(q, probe)()
 
 
+@pytest.mark.usefixtures("core")
 class TestReplicaEngineSingleStage:
-    """Runs twice via the ``engine`` fixture: object and vectorized."""
-
-    @pytest.fixture(autouse=True)
-    def _select_engine(self, engine):
-        self.engine = engine
-
     def _run(self, deployment, requests, scheduler=SchedulerKind.SARATHI, **cfg):
-        config = ServingConfig(scheduler=scheduler, engine=self.engine, **cfg)
+        config = ServingConfig(scheduler=scheduler, **cfg)
         engine = build_engine(deployment, config)
         return engine.run(requests)
 
     def test_empty_trace_rejected(self, tiny_deployment):
-        engine = build_engine(tiny_deployment, ServingConfig(engine=self.engine))
+        engine = build_engine(tiny_deployment, ServingConfig())
         with pytest.raises(ValueError):
             engine.run([])
 
@@ -138,7 +133,7 @@ class TestReplicaEngineSingleStage:
 
     def test_max_time_cutoff_leaves_unfinished(self, tiny_deployment):
         requests = [make_request(prompt_len=2000, output_len=200) for _ in range(4)]
-        config = ServingConfig(scheduler=SchedulerKind.SARATHI, engine=self.engine)
+        config = ServingConfig(scheduler=SchedulerKind.SARATHI)
         engine = build_engine(tiny_deployment, config)
         result = engine.run(requests, max_time=0.05)
         assert result.unfinished
@@ -159,7 +154,7 @@ class TestReplicaEngineSingleStage:
             make_request(prompt_len=100, output_len=5, arrival_time=0.02 * i)
             for i in range(10)
         ]
-        config = ServingConfig(engine=self.engine)
+        config = ServingConfig()
         _, m1 = simulate(tiny_deployment, config, trace)
         _, m2 = simulate(tiny_deployment, config, trace)
         assert m1 == m2
@@ -181,20 +176,6 @@ class TestReplicaEngineSingleStage:
 
 
 class TestReplicaEnginePipeline:
-    def test_vectorized_runs_pipeline_parallel(self, tiny_pp_deployment):
-        # The vectorized core models multi-stage pipelines since §13;
-        # a pp deployment must build and drain like the object engine.
-        requests = [
-            make_request(prompt_len=128, output_len=6, arrival_time=0.01 * i)
-            for i in range(12)
-        ]
-        engine = build_engine(
-            tiny_pp_deployment, ServingConfig(engine="vectorized")
-        )
-        result = engine.run(requests)
-        assert all(r.is_finished for r in result.requests)
-        assert result.num_stages == 2
-
     def test_pipeline_runs_all_requests(self, tiny_pp_deployment):
         requests = [
             make_request(prompt_len=128, output_len=6, arrival_time=0.01 * i)
@@ -268,8 +249,9 @@ class TestReplicaEnginePipeline:
         def schedule(now):
             batch = original_schedule(now)
             if batch is not None:
-                for item in batch.items:
-                    rid = item.request.request_id
+                requests_by_row = engine.scheduler.A.requests
+                for row in [*batch.decode_rows.tolist(), *batch.p_rows]:
+                    rid = requests_by_row[row].request_id
                     for members in live.values():
                         if rid in members:
                             violations.append(rid)
@@ -288,12 +270,12 @@ class TestReplicaEnginePipeline:
 
 class TestEngineConfigValidation:
     def test_invalid_swap_bandwidth_rejected(self, tiny_deployment):
-        from repro.engine.replica import ReplicaEngine
-        from repro.api import build_scheduler, ServingConfig
+        from repro.api import ServingConfig, build_vectorized_scheduler
+        from repro.engine.vectorized import VectorizedReplicaEngine
 
-        scheduler = build_scheduler(tiny_deployment, ServingConfig())
+        scheduler = build_vectorized_scheduler(tiny_deployment, ServingConfig())
         with pytest.raises(ValueError, match="swap_bandwidth"):
-            ReplicaEngine(
+            VectorizedReplicaEngine(
                 tiny_deployment.execution_model(), scheduler, swap_bandwidth=0
             )
 
@@ -302,6 +284,6 @@ class TestEngineConfigValidation:
         from repro.types import SchedulerKind
 
         # Validation moved to construction time: the typo fails where
-        # it was written, not inside build_scheduler.
+        # it was written, not inside the scheduler factory.
         with pytest.raises(ValueError, match="preemption_mode"):
             ServingConfig(scheduler=SchedulerKind.VLLM, preemption_mode="teleport")

@@ -4,36 +4,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.fairness import FairSarathiScheduler
-from repro.engine.replica import ReplicaEngine
-from repro.memory.block_manager import PagedBlockManager
+from repro.engine.vectorized import VectorizedReplicaEngine
+from repro.scheduling.vectorized import VecFairSarathiScheduler
 from repro.types import Request
 
+from tests.conftest import Harness, harness
 
-def fair_scheduler(token_budget=256, weights=None, capacity=65536):
-    memory = PagedBlockManager(capacity, block_size=16, watermark=0.0)
-    return FairSarathiScheduler(
-        memory, token_budget=token_budget, client_weights=weights, max_batch_size=16
+
+def fair_harness(token_budget=256, weights=None, capacity=65536) -> Harness:
+    return harness(
+        VecFairSarathiScheduler, capacity,
+        token_budget=token_budget, client_weights=weights, max_batch_size=16,
     )
+
+
+def fair_scheduler(**kwargs) -> VecFairSarathiScheduler:
+    return fair_harness(**kwargs).scheduler
 
 
 def client_request(client, prompt=300, output=4, arrival=0.0):
     return Request(
         prompt_len=prompt, output_len=output, arrival_time=arrival, client_id=client
     )
-
-
-def drain(scheduler, max_iters=50_000):
-    now = 0.0
-    for _ in range(max_iters):
-        batch = scheduler.schedule(now)
-        if batch is None:
-            if not scheduler.has_work:
-                return
-            now += 0.01
-            continue
-        now += 0.01
-        scheduler.on_batch_complete(batch, now)
 
 
 class TestConstruction:
@@ -51,44 +43,43 @@ class TestFairAdmission:
     def test_light_client_not_starved_by_flood(self):
         """Client 1 floods 20 requests before client 2's single request
         arrives; fairness admits client 2 long before FCFS would."""
-        s = fair_scheduler(token_budget=128)
+        h = fair_harness(token_budget=128)
         for i in range(20):
-            s.add_request(client_request(1, arrival=0.0), now=0.0)
-        light = client_request(2, arrival=0.1)
+            h.add(client_request(1, arrival=0.0), now=0.0)
 
         # Burn a couple of iterations so client 1 accrues service.
         now = 0.0
         for _ in range(4):
-            batch = s.schedule(now)
+            batch = h.schedule(now)
             now += 0.05
-            s.on_batch_complete(batch, now)
-        s.add_request(light, now=now)
-        batch = s.schedule(now)
+            h.complete(batch, now)
+        light = h.add(client_request(2, arrival=0.1), now=now)
+        batch = h.schedule(now)
         # The light client's request is admitted into the very next
         # iteration despite 19 queued requests ahead of it in FCFS terms.
-        assert any(item.request is light for item in batch.items)
+        assert light in batch.p_rows
 
     def test_service_counters_track_tokens(self):
-        s = fair_scheduler(token_budget=128)
-        s.add_request(client_request(3, prompt=300), now=0.0)
-        batch = s.schedule(now=0.0)
-        assert s.service_counters[3] == batch.num_tokens
+        h = fair_harness(token_budget=128)
+        h.add(client_request(3, prompt=300), now=0.0)
+        batch = h.schedule(now=0.0)
+        assert h.scheduler.service_counters[3] == batch.num_tokens
 
     def test_weighted_share(self):
         """A weight-2 client should receive ~2x the admitted tokens of a
         weight-1 client under symmetric backlog."""
-        s = fair_scheduler(token_budget=256, weights={1: 2.0, 2: 1.0})
+        h = fair_harness(token_budget=256, weights={1: 2.0, 2: 1.0})
         for _ in range(40):
-            s.add_request(client_request(1, prompt=400, output=2), now=0.0)
-            s.add_request(client_request(2, prompt=400, output=2), now=0.0)
+            h.add(client_request(1, prompt=400, output=2), now=0.0)
+            h.add(client_request(2, prompt=400, output=2), now=0.0)
         now = 0.0
         for _ in range(40):  # long enough to leave the startup transient
-            batch = s.schedule(now)
+            batch = h.schedule(now)
             if batch is None:
                 break
             now += 0.05
-            s.on_batch_complete(batch, now)
-        served = s.service_counters
+            h.complete(batch, now)
+        served = h.scheduler.service_counters
         assert served[1] > 1.5 * served[2]
 
     def test_fairness_report_normalizes_by_weight(self):
@@ -103,7 +94,7 @@ class TestFairAdmission:
 class TestEndToEnd:
     def test_all_clients_complete(self, tiny_deployment):
         scheduler = fair_scheduler(token_budget=256)
-        engine = ReplicaEngine(tiny_deployment.execution_model(), scheduler)
+        engine = VectorizedReplicaEngine(tiny_deployment.execution_model(), scheduler)
         requests = [
             client_request(i % 3, prompt=200, output=6, arrival=0.02 * i)
             for i in range(18)
@@ -115,7 +106,7 @@ class TestEndToEnd:
     def test_stall_free_property_preserved(self, tiny_deployment):
         """Fair admission must not reintroduce decode stalls."""
         scheduler = fair_scheduler(token_budget=256)
-        engine = ReplicaEngine(tiny_deployment.execution_model(), scheduler)
+        engine = VectorizedReplicaEngine(tiny_deployment.execution_model(), scheduler)
         decoder = client_request(1, prompt=64, output=40, arrival=0.0)
         flood = [
             client_request(2, prompt=2000, output=2, arrival=0.05)
@@ -129,7 +120,7 @@ class TestEndToEnd:
         """The heavy tenant's backlog should not inflate the light
         tenant's TTFT much beyond its own service time."""
         scheduler = fair_scheduler(token_budget=256)
-        engine = ReplicaEngine(tiny_deployment.execution_model(), scheduler)
+        engine = VectorizedReplicaEngine(tiny_deployment.execution_model(), scheduler)
         heavy = [
             client_request(1, prompt=1500, output=4, arrival=0.0) for _ in range(10)
         ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ServingConfig, build_engine, clone_requests, simulate
-from repro.cluster.cluster import ClusterResult, simulate_cluster
 from repro.cluster.fleet import (
     AdmissionPolicy,
     FaultSchedule,
@@ -16,7 +15,6 @@ from repro.cluster.fleet import (
 )
 from repro.cluster.router import (
     LeastOutstandingTokensRouter,
-    LeastTokensRouter,
     ReplicaSnapshot,
     RoundRobinRouter,
     SloAwareRouter,
@@ -27,14 +25,6 @@ from repro.telemetry.fleet import fleet_rows, replica_utilization_rows
 from repro.types import PreemptionMode, SchedulerKind
 
 from tests.conftest import make_request
-
-# The static-partition golden tests exercise the deprecated
-# simulate_cluster shim on purpose; the warning itself is pinned in
-# tests/test_cluster.py.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:simulate_cluster is deprecated:DeprecationWarning"
-)
-
 
 def _trace(n=24, gap=0.02, prompt_len=1500, output_len=20):
     return [
@@ -125,40 +115,6 @@ class TestStaticPartitionGolden:
             for ref_req, our_req in zip(ref.requests, ours.requests):
                 assert our_req.token_times == ref_req.token_times
                 assert our_req.finished_at == ref_req.finished_at
-
-    def test_cluster_shim_still_matches_old_semantics(self, tiny_deployment):
-        trace = _trace()
-        reference = self._reference(
-            tiny_deployment, ServingConfig(), trace, 3, LeastTokensRouter(3)
-        )
-        result, metrics = simulate_cluster(
-            tiny_deployment, ServingConfig(), trace, num_replicas=3
-        )
-        merged = result.merged()
-        ref_requests = [r for res in reference for r in res.requests]
-        assert sorted(r.finished_at for r in merged.requests) == sorted(
-            r.finished_at for r in ref_requests
-        )
-        assert merged.makespan == max(r.makespan for r in reference)
-        assert metrics.num_requests == len(trace)
-
-    def test_cluster_shim_accepts_max_time_and_exec_model(self, tiny_deployment):
-        from repro.api import execution_model_for
-
-        config = ServingConfig()
-        exec_model = execution_model_for(tiny_deployment, config)
-        trace = _trace()
-        result, _ = simulate_cluster(
-            tiny_deployment,
-            config,
-            trace,
-            num_replicas=2,
-            max_time=0.2,
-            exec_model=exec_model,
-        )
-        merged = result.merged()
-        assert merged.makespan <= 0.2 + 1e-9 or merged.unfinished
-        assert exec_model.cache_stats.misses > 0  # the shared model was used
 
 
 class TestFaultInjection:
@@ -516,7 +472,10 @@ class TestFleetTelemetryAndMetrics:
         assert report.shed_fraction == result.num_shed / len(trace)
 
     def test_merged_empty_cluster_result(self):
-        merged = ClusterResult(replica_results=[], assignments=[]).merged()
+        merged = FleetResult(
+            requests=[], shed=[], replica_results=[], events=[], assignments={},
+            makespan=0.0, num_replicas=0, num_rejections=0, num_failovers=0,
+        ).merged()
         assert merged.requests == [] and merged.records == []
         assert merged.makespan == 0.0 and merged.num_stages == 0
 

@@ -9,7 +9,7 @@ double-finished, and never finished with the wrong number of tokens.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Deployment, ServingConfig
 from repro.cluster.degradation import BrownoutConfig, DegradationLevel
@@ -84,15 +84,10 @@ def fleet_scenarios(draw):
     )
 
 
-@settings(
-    max_examples=25,
-    deadline=None,
-    # The `engine` fixture is an immutable engine-kind string, constant
-    # for every example of one test run — safe to reuse across examples.
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@pytest.mark.usefixtures("core")
+@settings(max_examples=25, deadline=None)
 @given(scenario=fleet_scenarios())
-def test_no_request_lost_or_double_finished(engine, scenario):
+def test_no_request_lost_or_double_finished(scenario):
     fleet_config, round_robin, num_requests, gap = scenario
     trace = [
         make_request(prompt_len=600, output_len=5, arrival_time=gap * i)
@@ -103,7 +98,7 @@ def test_no_request_lost_or_double_finished(engine, scenario):
         if round_robin
         else LeastOutstandingTokensRouter(fleet_config.num_replicas)
     )
-    config = ServingConfig(engine=engine)
+    config = ServingConfig()
     simulator = FleetSimulator(_DEPLOYMENT, config, fleet_config, router=router)
     result = simulator.run(trace)
 
@@ -136,11 +131,8 @@ def test_no_request_lost_or_double_finished(engine, scenario):
     assert len(finished_ids) == len(set(finished_ids))
 
 
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@pytest.mark.usefixtures("core")
+@settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**10),
     rate=st.floats(min_value=0.1, max_value=1.5),
@@ -150,7 +142,7 @@ def test_no_request_lost_or_double_finished(engine, scenario):
     num_requests=st.integers(min_value=1, max_value=8),
 )
 def test_conservation_under_correlated_faults_and_degradation(
-    engine, seed, rate, kind, num_replicas, brownout, num_requests
+    seed, rate, kind, num_replicas, brownout, num_requests
 ):
     """Satellite invariant: correlated domain faults of every kind, with
     the health monitor draining/restarting replicas and the brownout
@@ -192,7 +184,7 @@ def test_conservation_under_correlated_faults_and_degradation(
     ]
     for i, request in enumerate(trace):
         request.client_id = i % 3
-    config = ServingConfig(engine=engine)
+    config = ServingConfig()
     simulator = FleetSimulator(_DEPLOYMENT, config, fleet_config)
     result = simulator.run(trace)
 

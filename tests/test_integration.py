@@ -138,14 +138,13 @@ class TestMemoryPressure:
     def test_vllm_preempts_and_recovers_under_tight_memory(self):
         """Recompute preemption end-to-end through the engine."""
         from repro.api import build_engine, clone_requests
+        from tests.conftest import shrink_kv_memory
 
         deployment = Deployment(model=MISTRAL_7B, gpu=A100_80G)
         config = ServingConfig(scheduler=SchedulerKind.VLLM)
         engine = build_engine(deployment, config)
         # Shrink memory drastically to force preemption.
-        engine.scheduler.memory = type(engine.scheduler.memory)(
-            capacity_tokens=8192, block_size=16, watermark=0.0
-        )
+        shrink_kv_memory(engine, capacity_tokens=8192)
         trace = clone_requests(
             generate_requests(SHAREGPT4, num_requests=12, qps=5.0, seed=3)
         )

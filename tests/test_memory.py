@@ -2,217 +2,248 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.engine.arrays import RequestArrays
 from repro.hardware.catalog import A40_48G, A100_80G
-from repro.memory.block_manager import PagedBlockManager, ReservationManager
 from repro.memory.capacity import kv_token_capacity
 from repro.models.catalog import FALCON_180B, MISTRAL_7B, YI_34B
 from repro.parallel.config import ParallelConfig
-from repro.types import Request
+from repro.scheduling.vectorized import VecPagedMemory, VecReservationMemory
 
 from tests.conftest import make_request
 
 
-class TestPagedBlockManager:
+def _row(arrays: RequestArrays, **kwargs) -> int:
+    return arrays.ingest(make_request(**kwargs))
+
+
+def paged(capacity_tokens: int, **kwargs) -> tuple[RequestArrays, VecPagedMemory]:
+    arrays = RequestArrays()
+    kwargs.setdefault("block_size", 16)
+    return arrays, VecPagedMemory(arrays, capacity_tokens, **kwargs)
+
+
+def reservation(capacity_tokens: int, reserve_len: int):
+    arrays = RequestArrays()
+    return arrays, VecReservationMemory(arrays, capacity_tokens, reserve_len)
+
+
+class TestPagedMemory:
     def test_construction_validates(self):
+        arrays = RequestArrays()
         with pytest.raises(ValueError):
-            PagedBlockManager(capacity_tokens=0)
+            VecPagedMemory(arrays, capacity_tokens=0, block_size=16)
         with pytest.raises(ValueError):
-            PagedBlockManager(capacity_tokens=100, block_size=0)
+            VecPagedMemory(arrays, capacity_tokens=100, block_size=0)
         with pytest.raises(ValueError):
-            PagedBlockManager(capacity_tokens=100, watermark=1.0)
+            VecPagedMemory(arrays, capacity_tokens=100, block_size=16, watermark=1.0)
 
     def test_blocks_for_rounds_up(self):
-        mgr = PagedBlockManager(capacity_tokens=1024, block_size=16)
+        _, mgr = paged(1024)
         assert mgr.blocks_for(1) == 1
         assert mgr.blocks_for(16) == 1
         assert mgr.blocks_for(17) == 2
 
     def test_admit_claims_prompt_blocks(self):
-        mgr = PagedBlockManager(capacity_tokens=1024, block_size=16, watermark=0.0)
-        r = make_request(prompt_len=100)
+        arrays, mgr = paged(1024, watermark=0.0)
+        r = _row(arrays, prompt_len=100)
         assert mgr.can_admit(r)
         mgr.admit(r)
-        assert mgr.holds(r)
         assert mgr.free_blocks == 64 - 7  # ceil(100/16) = 7
 
     def test_double_admit_rejected(self):
-        mgr = PagedBlockManager(capacity_tokens=1024)
-        r = make_request()
+        arrays, mgr = paged(1024)
+        r = _row(arrays)
         mgr.admit(r)
         with pytest.raises(ValueError):
             mgr.admit(r)
 
     def test_admission_respects_watermark(self):
-        mgr = PagedBlockManager(capacity_tokens=1600, block_size=16, watermark=0.10)
+        arrays, mgr = paged(1600, watermark=0.10)
         # 100 blocks, 10 reserved as watermark.
-        big = make_request(prompt_len=16 * 91)
-        assert not mgr.can_admit(big)
-        ok = make_request(prompt_len=16 * 90)
-        assert mgr.can_admit(ok)
+        assert not mgr.can_admit(_row(arrays, prompt_len=16 * 91))
+        assert mgr.can_admit(_row(arrays, prompt_len=16 * 90))
+
+    def test_try_admit_is_can_admit_plus_admit(self):
+        arrays, mgr = paged(1600, watermark=0.10)
+        assert not mgr.try_admit(_row(arrays, prompt_len=16 * 91))
+        assert mgr.free_blocks == 100
+        assert mgr.try_admit(_row(arrays, prompt_len=16 * 90))
+        assert mgr.free_blocks == 10
 
     def test_admit_beyond_capacity_raises(self):
-        mgr = PagedBlockManager(capacity_tokens=64, block_size=16)
+        arrays, mgr = paged(64)
         with pytest.raises(MemoryError):
-            mgr.admit(make_request(prompt_len=1000))
+            mgr.admit(_row(arrays, prompt_len=1000))
 
     def test_decode_growth_within_block_is_free(self):
-        mgr = PagedBlockManager(capacity_tokens=1024, block_size=16, watermark=0.0)
-        r = make_request(prompt_len=10, output_len=4)
+        arrays, mgr = paged(1024, watermark=0.0)
+        r = _row(arrays, prompt_len=10, output_len=4)
         mgr.admit(r)
-        r.record_prefill(10, now=0.0)
+        arrays.prefill_done[r] = 10
         free_before = mgr.free_blocks
         assert mgr.can_append_token(r)
         mgr.append_token(r)  # token 11 fits in the first block
         assert mgr.free_blocks == free_before
 
     def test_decode_growth_allocates_new_block_on_boundary(self):
-        mgr = PagedBlockManager(capacity_tokens=1024, block_size=16, watermark=0.0)
-        r = make_request(prompt_len=16, output_len=4)
+        arrays, mgr = paged(1024, watermark=0.0)
+        r = _row(arrays, prompt_len=16, output_len=4)
         mgr.admit(r)
-        r.record_prefill(16, now=0.0)
+        arrays.prefill_done[r] = 16
         free_before = mgr.free_blocks
         mgr.append_token(r)  # token 17 needs block #2
         assert mgr.free_blocks == free_before - 1
 
     def test_cannot_append_when_exhausted(self):
-        mgr = PagedBlockManager(capacity_tokens=32, block_size=16, watermark=0.0)
-        r = make_request(prompt_len=32, output_len=4)
+        arrays, mgr = paged(32, watermark=0.0)
+        r = _row(arrays, prompt_len=32, output_len=4)
         mgr.admit(r)
-        r.record_prefill(32, now=0.0)
+        arrays.prefill_done[r] = 32
         assert not mgr.can_append_token(r)
         with pytest.raises(MemoryError):
             mgr.append_token(r)
 
     def test_append_without_allocation_rejected(self):
-        mgr = PagedBlockManager(capacity_tokens=1024)
+        arrays, mgr = paged(1024)
         with pytest.raises(ValueError):
-            mgr.append_token(make_request())
+            mgr.append_token(_row(arrays))
 
     def test_can_append_without_allocation_rejected(self):
-        """``can_append_token`` must flag never-admitted requests loudly
+        """``can_append_token`` must flag never-admitted rows loudly
         (scheduler bug), matching ``append_token`` — not return True."""
-        mgr = PagedBlockManager(capacity_tokens=1024)
+        arrays, mgr = paged(1024)
         with pytest.raises(ValueError, match="holds no allocation"):
-            mgr.can_append_token(make_request())
+            mgr.can_append_token(_row(arrays))
 
     def test_free_of_unknown_request_is_noop(self):
-        """``free`` of a request that was never admitted (or already
-        freed) is an explicit no-op: nothing changes, nothing raises."""
-        mgr = PagedBlockManager(capacity_tokens=1024, block_size=16, watermark=0.0)
+        """``free`` of a row that was never admitted (or already freed)
+        is an explicit no-op: nothing changes, nothing raises."""
+        arrays, mgr = paged(1024, watermark=0.0)
         free_before = mgr.free_blocks
-        mgr.free(make_request())
+        mgr.free(_row(arrays))
         assert mgr.free_blocks == free_before
 
     def test_free_returns_blocks(self):
-        mgr = PagedBlockManager(capacity_tokens=1024, block_size=16, watermark=0.0)
-        r = make_request(prompt_len=160)
+        arrays, mgr = paged(1024, watermark=0.0)
+        r = _row(arrays, prompt_len=160)
         mgr.admit(r)
         mgr.free(r)
         assert mgr.free_blocks == 64
-        assert not mgr.holds(r)
+        mgr.admit(r)  # nothing held any more: re-admission is legal
 
     def test_free_is_idempotent(self):
-        mgr = PagedBlockManager(capacity_tokens=1024)
-        r = make_request()
+        arrays, mgr = paged(1024)
+        r = _row(arrays)
         mgr.admit(r)
         mgr.free(r)
         mgr.free(r)
         assert mgr.free_token_slots == 1024 // 16 * 16
 
     def test_admission_uses_prefill_target_after_preemption(self):
-        mgr = PagedBlockManager(capacity_tokens=1024, block_size=16, watermark=0.0)
-        r = make_request(prompt_len=100, output_len=50)
+        arrays, mgr = paged(1024, watermark=0.0)
+        r = _row(arrays, prompt_len=100, output_len=50)
         mgr.admit(r)
-        r.record_prefill(100, now=0.0)
-        for t in range(30):
+        arrays.prefill_done[r] = 100
+        for _ in range(30):
             mgr.append_token(r)
-            r.record_decode(now=float(t))
+            arrays.decode_steps[r] += 1
         mgr.free(r)
-        r.restart_after_preemption()
-        # Re-admission must reserve prompt + regenerated tokens.
-        assert r.prefill_target == 131
+        # A recompute restart re-prefills prompt + emitted tokens (the
+        # first token came from the prefill, 30 more from decode).
+        arrays.prefill_target[r] = 100 + 31
+        arrays.prefill_done[r] = 0
+        arrays.decode_steps[r] = 0
         mgr.admit(r)
         assert mgr.free_blocks == 64 - mgr.blocks_for(131)
 
     def test_no_fragmentation_across_requests(self):
-        mgr = PagedBlockManager(capacity_tokens=160, block_size=16, watermark=0.0)
-        requests = [make_request(prompt_len=16) for _ in range(10)]
-        for r in requests:
+        arrays, mgr = paged(160, watermark=0.0)
+        rows = [_row(arrays, prompt_len=16) for _ in range(10)]
+        for r in rows:
             mgr.admit(r)
         assert mgr.free_blocks == 0
-        mgr.free(requests[3])
-        mgr.free(requests[7])
+        mgr.free(rows[3])
+        mgr.free(rows[7])
         # Any new 2-block request fits in the scattered free blocks.
-        assert mgr.can_admit(make_request(prompt_len=32))
+        assert mgr.can_admit(_row(arrays, prompt_len=32))
+
+    def test_bulk_decode_all_or_nothing(self):
+        arrays, mgr = paged(64, watermark=0.0)
+        rows = [_row(arrays, prompt_len=16) for _ in range(3)]
+        for r in rows:
+            mgr.admit(r)
+            arrays.prefill_done[r] = 16
+        rows_arr = np.array(rows, dtype=np.int64)
+        ctx = arrays.prefill_done[rows_arr] + arrays.decode_steps[rows_arr]
+        # Three rows each cross a block boundary; only one block is free.
+        assert not mgr.try_bulk_decode(rows_arr, ctx)
+        assert mgr.free_blocks == 1
+        assert mgr.try_bulk_decode(rows_arr[:1], ctx[:1])
+        assert mgr.free_blocks == 0
 
 
-class TestReservationManager:
+class TestReservationMemory:
     def test_construction_validates(self):
+        arrays = RequestArrays()
         with pytest.raises(ValueError):
-            ReservationManager(capacity_tokens=0, reserve_len=10)
+            VecReservationMemory(arrays, capacity_tokens=0, reserve_len=10)
         with pytest.raises(ValueError):
-            ReservationManager(capacity_tokens=10, reserve_len=0)
+            VecReservationMemory(arrays, capacity_tokens=10, reserve_len=0)
 
     def test_reserves_worst_case_slot(self):
-        mgr = ReservationManager(capacity_tokens=4096, reserve_len=1024)
-        r = make_request(prompt_len=100, output_len=10)
-        mgr.admit(r)
+        arrays, mgr = reservation(4096, 1024)
+        mgr.admit(_row(arrays, prompt_len=100, output_len=10))
         assert mgr.free_token_slots == 4096 - 1024
 
     def test_long_prompt_reserves_its_own_length(self):
-        mgr = ReservationManager(capacity_tokens=4096, reserve_len=1024)
-        r = make_request(prompt_len=2000, output_len=100)
-        mgr.admit(r)
+        arrays, mgr = reservation(4096, 1024)
+        mgr.admit(_row(arrays, prompt_len=2000, output_len=100))
         assert mgr.free_token_slots == 4096 - 2100
 
     def test_fewer_requests_fit_than_paged(self):
         """The §5.1 effect: reservation caps effective batch size."""
         capacity = 8192
-        paged = PagedBlockManager(capacity, block_size=16, watermark=0.0)
-        reserved = ReservationManager(capacity, reserve_len=2048)
-        paged_admits = reserved_admits = 0
-        for _ in range(100):
-            r = make_request(prompt_len=128, output_len=32)
-            if paged.can_admit(r):
-                paged.admit(r)
-                paged_admits += 1
-        for _ in range(100):
-            r = make_request(prompt_len=128, output_len=32)
-            if reserved.can_admit(r):
-                reserved.admit(r)
-                reserved_admits += 1
+        p_arrays, paged_mem = paged(capacity, watermark=0.0)
+        r_arrays, reserved = reservation(capacity, 2048)
+        paged_admits = sum(
+            paged_mem.try_admit(_row(p_arrays, prompt_len=128, output_len=32))
+            for _ in range(100)
+        )
+        reserved_admits = sum(
+            reserved.try_admit(_row(r_arrays, prompt_len=128, output_len=32))
+            for _ in range(100)
+        )
         assert reserved_admits < paged_admits / 4
 
     def test_decode_growth_prepaid(self):
-        mgr = ReservationManager(capacity_tokens=2048, reserve_len=1024)
-        r = make_request(prompt_len=100, output_len=500)
+        arrays, mgr = reservation(2048, 1024)
+        r = _row(arrays, prompt_len=100, output_len=500)
         mgr.admit(r)
-        r.record_prefill(100, now=0.0)
+        arrays.prefill_done[r] = 100
         for _ in range(400):
             assert mgr.can_append_token(r)
             mgr.append_token(r)
+        assert mgr.free_token_slots == 2048 - 1024
 
     def test_append_without_admission_rejected(self):
-        mgr = ReservationManager(capacity_tokens=2048, reserve_len=1024)
-        r = make_request()
-        assert not mgr.can_append_token(r)
-        with pytest.raises(ValueError):
-            mgr.append_token(r)
+        arrays, mgr = reservation(2048, 1024)
+        assert not mgr.can_append_token(_row(arrays))
 
     def test_free_returns_full_reservation(self):
-        mgr = ReservationManager(capacity_tokens=2048, reserve_len=1024)
-        r = make_request()
+        arrays, mgr = reservation(2048, 1024)
+        r = _row(arrays)
         mgr.admit(r)
         mgr.free(r)
         assert mgr.free_token_slots == 2048
 
     def test_admit_over_capacity_raises(self):
-        mgr = ReservationManager(capacity_tokens=1000, reserve_len=600)
-        mgr.admit(make_request())
+        arrays, mgr = reservation(1000, 600)
+        mgr.admit(_row(arrays))
         with pytest.raises(MemoryError):
-            mgr.admit(make_request())
+            mgr.admit(_row(arrays))
 
 
 class TestKVTokenCapacity:

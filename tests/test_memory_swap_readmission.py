@@ -2,45 +2,53 @@
 
 from __future__ import annotations
 
-from repro.memory.block_manager import PagedBlockManager
+from repro.engine.arrays import RequestArrays
+from repro.scheduling.vectorized import VecPagedMemory
 
 from tests.conftest import make_request
 
 
+def _setup(capacity_tokens: int, prompt_len: int, output_len: int):
+    arrays = RequestArrays()
+    mgr = VecPagedMemory(arrays, capacity_tokens, block_size=16, watermark=0.0)
+    row = arrays.ingest(make_request(prompt_len=prompt_len, output_len=output_len))
+    return arrays, mgr, row
+
+
+def _decode(arrays: RequestArrays, mgr: VecPagedMemory, row: int, steps: int) -> None:
+    """Grow the row's KV by ``steps`` decode tokens."""
+    for _ in range(steps):
+        mgr.append_token(row)
+        arrays.decode_steps[row] += 1
+
+
 class TestInitialBlocksSizing:
     def test_fresh_request_uses_prefill_target(self):
-        mgr = PagedBlockManager(1024, block_size=16, watermark=0.0)
-        r = make_request(prompt_len=100, output_len=50)
+        _, mgr, r = _setup(1024, 100, 50)
         mgr.admit(r)
-        assert mgr._allocated[r.request_id] == mgr.blocks_for(100)
+        assert mgr._held[r] == mgr.blocks_for(100)
 
     def test_swapped_request_readmits_full_context(self):
         """A request swapped out mid-decode owns prompt + decoded KV;
         re-admission must claim blocks for the whole context."""
-        mgr = PagedBlockManager(1024, block_size=16, watermark=0.0)
-        r = make_request(prompt_len=100, output_len=50)
+        arrays, mgr, r = _setup(1024, 100, 50)
         mgr.admit(r)
-        r.record_prefill(100, now=0.0)
-        for i in range(30):
-            mgr.append_token(r)
-            r.record_decode(now=float(i))
-        context = r.context_len
+        arrays.prefill_done[r] = 100
+        _decode(arrays, mgr, r, 30)
+        context = int(arrays.prefill_done[r] + arrays.decode_steps[r])
         assert context == 130
-        blocks_held = mgr._allocated[r.request_id]
+        blocks_held = mgr._held[r]
         # Swap out (state preserved) and back in.
         mgr.free(r)
         mgr.admit(r)
-        assert mgr._allocated[r.request_id] == mgr.blocks_for(context)
-        assert mgr._allocated[r.request_id] == blocks_held
+        assert mgr._held[r] == mgr.blocks_for(context)
+        assert mgr._held[r] == blocks_held
 
     def test_can_admit_accounts_for_context(self):
-        mgr = PagedBlockManager(160, block_size=16, watermark=0.0)
-        r = make_request(prompt_len=100, output_len=80)
+        arrays, mgr, r = _setup(160, 100, 80)
         mgr.admit(r)
-        r.record_prefill(100, now=0.0)
-        for i in range(58):
-            mgr.append_token(r)
-            r.record_decode(now=float(i))
+        arrays.prefill_done[r] = 100
+        _decode(arrays, mgr, r, 58)
         mgr.free(r)
         # Context is now 158 tokens -> 10 blocks -> exactly fits.
         assert mgr.can_admit(r)
@@ -48,18 +56,14 @@ class TestInitialBlocksSizing:
         assert mgr.free_blocks == 0
 
     def test_decode_growth_continues_after_readmission(self):
-        mgr = PagedBlockManager(1024, block_size=16, watermark=0.0)
-        r = make_request(prompt_len=100, output_len=40)
+        arrays, mgr, r = _setup(1024, 100, 40)
         mgr.admit(r)
-        r.record_prefill(100, now=0.0)
-        for i in range(10):
-            mgr.append_token(r)
-            r.record_decode(now=float(i))
+        arrays.prefill_done[r] = 100
+        _decode(arrays, mgr, r, 10)
         mgr.free(r)
         mgr.admit(r)  # swap back in
         # Growth resumes against the context-sized allocation.
-        for i in range(10, 39):
+        for _ in range(10, 39):
             assert mgr.can_append_token(r)
-            mgr.append_token(r)
-            r.record_decode(now=float(i))
-        assert r.is_finished
+            _decode(arrays, mgr, r, 1)
+        assert arrays.decode_steps[r] == 39

@@ -235,7 +235,12 @@ class TestThreading:
         assert model.max_entries == 17
 
     def test_shared_model_accumulates_across_runs(self, tiny_deployment):
-        config = ServingConfig(token_budget=256)
+        # The engine prices from its own per-run memo tables; the shared
+        # model serves what is built per run — here the dynamic
+        # scheduler's SLO derivation.
+        config = ServingConfig(
+            scheduler=SchedulerKind.SARATHI_DYNAMIC, token_budget=256
+        )
         model = execution_model_for(tiny_deployment, config)
         trace = generate_requests(SHAREGPT4, num_requests=8, qps=1.0, seed=2)
         simulate(tiny_deployment, config, trace, exec_model=model)
@@ -276,6 +281,4 @@ class TestThreading:
         engine = build_engine(
             tiny_deployment, ServingConfig(scheduler=SchedulerKind.SARATHI_DYNAMIC)
         )
-        works = [TokenWork.decode(128)]
-        engine.scheduler.iteration_cost(works)
-        assert engine.exec_model.cache_stats.misses > 0
+        assert engine.scheduler.exec_model is engine.exec_model

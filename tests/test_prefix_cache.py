@@ -4,7 +4,7 @@ Three layers:
 
 * ``SharedPrefixStore`` in isolation — claim/release/register/evict
   bookkeeping, block alignment, COW accounting, LRU eviction order.
-* ``PagedBlockManager`` with a store attached — admission skips cached
+* ``VecPagedMemory`` with a store attached — admission skips cached
   blocks but charges full occupancy, finished requests publish their
   history, retained entries are evicted under pressure.
 * Whole-engine runs — conversation workloads prefill less with the
@@ -16,9 +16,10 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ServingConfig
-from repro.memory.block_manager import PagedBlockManager
+from repro.engine.arrays import PH_FINISHED, RequestArrays
 from repro.memory.prefix import SharedPrefixStore
-from repro.types import Request, RequestPhase
+from repro.scheduling.vectorized import VecPagedMemory
+from repro.types import Request
 from repro.workload.conversation import ConversationSpec, simulate_conversations
 from repro.workload.distributions import FixedLengths
 from repro.workload.production import ProductionSpec, generate_production_trace
@@ -46,12 +47,11 @@ def tagged_request(
     )
 
 
-def finish(request: Request) -> None:
-    """Drive a request's own state machine to FINISHED."""
-    request.record_prefill(request.remaining_prefill, now=1.0)
-    while not request.is_finished:
-        request.record_decode(now=2.0)
-    assert request.phase is RequestPhase.FINISHED
+def finish(arrays: RequestArrays, row: int) -> None:
+    """Move a row to FINISHED: whole prompt prefilled, every token out."""
+    arrays.prefill_done[row] = arrays.prefill_target[row]
+    arrays.decode_steps[row] = arrays.output_len[row] - 1
+    arrays.phase[row] = PH_FINISHED
 
 
 # ----------------------------------------------------------------------
@@ -158,125 +158,136 @@ class TestSharedPrefixStore:
 # ----------------------------------------------------------------------
 def paged_with_store(capacity_tokens: int = 4096):
     store = SharedPrefixStore(block_size=BS)
-    manager = PagedBlockManager(
-        capacity_tokens, block_size=BS, watermark=0.0, prefix_store=store
+    arrays = RequestArrays()
+    manager = VecPagedMemory(
+        arrays, capacity_tokens, block_size=BS, watermark=0.0, prefix_store=store
     )
-    return manager, store
+    return arrays, manager, store
 
 
-class TestPagedBlockManagerPrefix:
+class TestPagedMemoryPrefix:
     def test_finished_request_publishes_history(self):
-        manager, store = paged_with_store()
-        request = tagged_request(prompt_len=64, output_len=4)
-        manager.admit(request)
-        request.record_prefill(64, now=1.0)
-        while not request.is_finished:
-            manager.append_token(request)
-            request.record_decode(now=2.0)
-        held = manager._allocated[request.request_id]
+        arrays, manager, store = paged_with_store()
+        row = arrays.ingest(tagged_request(prompt_len=64, output_len=4))
+        manager.admit(row)
+        arrays.prefill_done[row] = 64
+        for _ in range(3):
+            manager.append_token(row)
+            arrays.decode_steps[row] += 1
+        arrays.phase[row] = PH_FINISHED
+        held = int(manager._held[row])
         free_before = manager.free_blocks
-        manager.free(request)
-        # context 68 -> 4 whole blocks published, the tail block freed.
+        manager.free(row)
+        # context 67 -> 4 whole blocks published, the tail block freed.
         assert store.entry_tokens(0) == 64
         assert manager.free_blocks == free_before + held - 4
         conserved = manager.free_blocks + store.shared_blocks
         assert conserved == manager.num_blocks
 
     def test_hit_admits_against_novel_suffix_only(self):
-        manager, store = paged_with_store()
-        first = tagged_request(prompt_len=64, output_len=4)
+        arrays, manager, store = paged_with_store()
+        first = arrays.ingest(tagged_request(prompt_len=64, output_len=4))
         manager.admit(first)
-        finish(first)
+        finish(arrays, first)
         manager.free(first)
 
-        follow = tagged_request(prompt_len=128, output_len=4, prefix_len=68)
+        follow = arrays.ingest(
+            tagged_request(prompt_len=128, output_len=4, prefix_len=68)
+        )
         before = manager.free_blocks
         manager.admit(follow)
         # Full prompt needs 8 blocks; 4 come shared from the store.
         assert before - manager.free_blocks == 4
         # Chunked prefill resumes at the first novel token...
-        assert follow.prefill_done == 64
-        assert follow.remaining_prefill == 64
+        assert arrays.prefill_done[follow] == 64
+        assert arrays.prefill_target[follow] - arrays.prefill_done[follow] == 64
         # ...while occupancy covers the full history.
         assert manager._needs_new_block(follow) is False
         assert store.entry_refcount(0) == 1
         assert store.stats.hits == 1
 
     def test_publish_len_caps_registration(self):
-        manager, store = paged_with_store()
-        request = tagged_request(
-            prompt_len=64, output_len=8, prefix_len=64, prefix_publish_len=32
+        arrays, manager, store = paged_with_store()
+        row = arrays.ingest(
+            tagged_request(
+                prompt_len=64, output_len=8, prefix_len=64, prefix_publish_len=32
+            )
         )
-        manager.admit(request)
-        finish(request)
-        manager.free(request)
+        manager.admit(row)
+        finish(arrays, row)
+        manager.free(row)
         assert store.entry_tokens(0) == 32
 
     def test_swap_in_skips_lookup(self):
-        manager, store = paged_with_store()
-        seeded = tagged_request(prompt_len=64, output_len=4)
+        arrays, manager, store = paged_with_store()
+        seeded = arrays.ingest(tagged_request(prompt_len=64, output_len=4))
         manager.admit(seeded)
-        finish(seeded)
+        finish(arrays, seeded)
         manager.free(seeded)
         lookups = store.stats.lookups
 
         # A swapped-in request carries restored KV progress: it must
         # re-claim everything exclusively, not share.
-        swapped = tagged_request(prompt_len=64, output_len=8, prefix_len=64)
-        swapped.record_prefill(64, now=1.0)
-        swapped.record_decode(now=2.0)
+        swapped = arrays.ingest(
+            tagged_request(prompt_len=64, output_len=8, prefix_len=64)
+        )
+        arrays.prefill_done[swapped] = 64
+        arrays.decode_steps[swapped] = 1
         before = manager.free_blocks
         manager.admit(swapped)
         assert store.stats.lookups == lookups
-        assert before - manager.free_blocks == manager.blocks_for(
-            swapped.context_len
-        )
+        assert before - manager.free_blocks == manager.blocks_for(65)
 
     def test_admission_evicts_retained_entries_under_pressure(self):
-        manager, store = paged_with_store(capacity_tokens=8 * BS)
-        seeded = tagged_request(prompt_len=4 * BS, output_len=1, prefix_id=1)
+        arrays, manager, store = paged_with_store(capacity_tokens=8 * BS)
+        seeded = arrays.ingest(
+            tagged_request(prompt_len=4 * BS, output_len=1, prefix_id=1)
+        )
         manager.admit(seeded)
-        finish(seeded)
+        finish(arrays, seeded)
         manager.free(seeded)
         assert store.shared_blocks == 4
 
         # An unrelated request needing more than the raw free pool
         # triggers LRU eviction of the retained entry.
-        big = Request(prompt_len=7 * BS, output_len=1)
+        big = arrays.ingest(Request(prompt_len=7 * BS, output_len=1))
         assert manager.can_admit(big)
         manager.admit(big)
         assert store.num_entries == 0
         assert store.stats.evictions == 1
 
     def test_decode_append_evicts_under_pressure(self):
-        manager, store = paged_with_store(capacity_tokens=8 * BS)
-        seeded = tagged_request(prompt_len=4 * BS, output_len=1, prefix_id=1)
+        arrays, manager, store = paged_with_store(capacity_tokens=8 * BS)
+        seeded = arrays.ingest(
+            tagged_request(prompt_len=4 * BS, output_len=1, prefix_id=1)
+        )
         manager.admit(seeded)
-        finish(seeded)
+        finish(arrays, seeded)
         manager.free(seeded)
 
-        grower = Request(prompt_len=4 * BS, output_len=2 * BS)
+        grower = arrays.ingest(Request(prompt_len=4 * BS, output_len=2 * BS))
         manager.admit(grower)
-        grower.record_prefill(grower.prompt_len, now=1.0)
+        arrays.prefill_done[grower] = 4 * BS
         assert manager.free_blocks == 0
-        for _ in range(BS):
-            grower.record_decode(now=2.0)
+        arrays.decode_steps[grower] = BS
         # The next token needs a new block; only the retained entry has one.
         assert manager.can_append_token(grower)
         manager.append_token(grower)
         assert store.num_entries == 0
 
     def test_failed_admit_releases_claim(self):
-        manager, store = paged_with_store(capacity_tokens=8 * BS)
-        seeded = tagged_request(prompt_len=4 * BS, output_len=1)
+        arrays, manager, store = paged_with_store(capacity_tokens=8 * BS)
+        seeded = arrays.ingest(tagged_request(prompt_len=4 * BS, output_len=1))
         manager.admit(seeded)
-        finish(seeded)
+        finish(arrays, seeded)
         manager.free(seeded)
 
-        hog = Request(prompt_len=4 * BS, output_len=1)
+        hog = arrays.ingest(Request(prompt_len=4 * BS, output_len=1))
         manager.admit(hog)
         # A follow-up hits the entry but cannot fit its novel suffix.
-        follow = tagged_request(prompt_len=8 * BS, output_len=1, prefix_len=4 * BS)
+        follow = arrays.ingest(
+            tagged_request(prompt_len=8 * BS, output_len=1, prefix_len=4 * BS)
+        )
         assert not manager.can_admit(follow)
         with pytest.raises(MemoryError):
             manager.admit(follow)
@@ -304,16 +315,16 @@ class TestEngineLevel:
     def _prefill_tokens(self, result) -> int:
         return sum(r.num_prefill_tokens for r in result.records if r.stage == 0)
 
-    @pytest.mark.parametrize("engine_kind", ["object", "vectorized"])
-    def test_cache_cuts_prefill_work(self, tiny_deployment, engine_kind):
+    @pytest.mark.usefixtures("core")
+    def test_cache_cuts_prefill_work(self, tiny_deployment):
         spec = tiny_spec("conversation")
-        config = ServingConfig(token_budget=256, engine=engine_kind)
+        config = ServingConfig(token_budget=256)
         off, _ = simulate_conversations(
             tiny_deployment, config, spec, seed=3
         )
         on, _ = simulate_conversations(
             tiny_deployment,
-            ServingConfig(token_budget=256, engine=engine_kind, prefix_cache=True),
+            ServingConfig(token_budget=256, prefix_cache=True),
             spec,
             seed=3,
         )
@@ -323,16 +334,14 @@ class TestEngineLevel:
         assert len(on.requests) == len(off.requests)
         assert all(r.is_finished for r in on.requests)
 
-    @pytest.mark.parametrize("engine_kind", ["object", "vectorized"])
-    def test_all_miss_workload_matches_cache_off(self, tiny_deployment, engine_kind):
+    @pytest.mark.usefixtures("core")
+    def test_all_miss_workload_matches_cache_off(self, tiny_deployment):
         """With unique prefix ids every lookup misses: the run must be
         bit-identical to the cache-off run (per-request timelines)."""
         spec = tiny_spec("unique")
         runs = {}
         for cache_on in (False, True):
-            config = ServingConfig(
-                token_budget=256, engine=engine_kind, prefix_cache=cache_on
-            )
+            config = ServingConfig(token_budget=256, prefix_cache=cache_on)
             result, _ = simulate_conversations(tiny_deployment, config, spec, seed=5)
             runs[cache_on] = result
         assert runs[True].prefix_stats is not None

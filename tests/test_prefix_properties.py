@@ -15,71 +15,89 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.block_manager import PagedBlockManager
+from repro.engine.arrays import PH_FINISHED, RequestArrays
 from repro.memory.prefix import SharedPrefixStore
+from repro.scheduling.vectorized import VecPagedMemory
 from repro.types import Request
 
 BS = 16
 NUM_BLOCKS = 24  # tight pool so eviction pressure actually happens
 
 
-def _conserved(manager: PagedBlockManager, store: SharedPrefixStore) -> bool:
-    exclusive = sum(manager._allocated.values())
+def _conserved(manager: VecPagedMemory, store: SharedPrefixStore) -> bool:
+    exclusive = int(manager._held_arr().sum())
     return (
         manager.free_blocks + exclusive + store.shared_blocks
         == manager.num_blocks
     )
 
 
-class _Driver:
-    """Applies one random op; keeps live requests for follow-up ops."""
+class _Pool:
+    """Applies one random op; keeps live rows for follow-up ops."""
 
     def __init__(self) -> None:
         self.store = SharedPrefixStore(block_size=BS)
-        self.manager = PagedBlockManager(
-            NUM_BLOCKS * BS, block_size=BS, watermark=0.0, prefix_store=self.store
+        self.arrays = RequestArrays()
+        self.manager = VecPagedMemory(
+            self.arrays, NUM_BLOCKS * BS, block_size=BS, watermark=0.0,
+            prefix_store=self.store,
         )
-        self.live: list[Request] = []
+        self.live: list[int] = []
+
+    def _finished(self, row: int) -> bool:
+        A = self.arrays
+        return A.decode_steps[row] + 1 >= A.output_len[row]
+
+    def _decode_one(self, row: int) -> None:
+        A = self.arrays
+        A.decode_steps[row] += 1
+        if self._finished(row):
+            A.phase[row] = PH_FINISHED
 
     def admit(self, prefix_id: int, prompt_blocks: int, output_len: int) -> None:
         prompt_len = prompt_blocks * BS + (prefix_id % BS)
-        request = Request(
-            prompt_len=prompt_len,
-            output_len=output_len,
-            prefix_id=prefix_id,
-            prefix_len=prompt_len,
+        row = self.arrays.ingest(
+            Request(
+                prompt_len=prompt_len,
+                output_len=output_len,
+                prefix_id=prefix_id,
+                prefix_len=prompt_len,
+            )
         )
-        if not self.manager.can_admit(request):
+        if not self.manager.can_admit(row):
             return
-        self.manager.admit(request)
-        request.record_prefill(request.remaining_prefill, now=1.0)
-        self.live.append(request)
+        self.manager.admit(row)
+        A = self.arrays
+        A.prefill_done[row] = A.prefill_target[row]
+        if self._finished(row):
+            A.phase[row] = PH_FINISHED
+        self.live.append(row)
 
     def decode(self, index: int) -> None:
         if not self.live:
             return
-        request = self.live[index % len(self.live)]
-        if request.is_finished:
+        row = self.live[index % len(self.live)]
+        if self._finished(row):
             return
-        if not self.manager.can_append_token(request):
+        if not self.manager.can_append_token(row):
             return
-        self.manager.append_token(request)
-        request.record_decode(now=2.0)
+        self.manager.append_token(row)
+        self._decode_one(row)
 
     def free(self, index: int, finish_first: bool) -> None:
         if not self.live:
             return
-        request = self.live.pop(index % len(self.live))
+        row = self.live.pop(index % len(self.live))
         if finish_first:
-            while not request.is_finished:
-                if self.manager.can_append_token(request):
-                    self.manager.append_token(request)
-                request.record_decode(now=3.0)
-        self.manager.free(request)
+            while not self._finished(row):
+                if self.manager.can_append_token(row):
+                    self.manager.append_token(row)
+                self._decode_one(row)
+        self.manager.free(row)
 
     def evict(self, blocks: int) -> None:
         reclaimed = self.store.evict_for(blocks)
-        self.manager._free_blocks += reclaimed
+        self.manager.free_blocks += reclaimed
 
 
 op_strategy = st.one_of(
@@ -100,35 +118,35 @@ op_strategy = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(op_strategy, min_size=1, max_size=60))
 def test_conservation_and_reference_safety(ops):
-    driver = _Driver()
+    state = _Pool()
     for op in ops:
         referenced_before = {
-            pid: driver.store.entry_tokens(pid)
+            pid: state.store.entry_tokens(pid)
             for pid in range(6)
-            if driver.store.entry_refcount(pid) > 0
+            if state.store.entry_refcount(pid) > 0
         }
         if op[0] == "admit":
-            driver.admit(op[1], op[2], op[3])
+            state.admit(op[1], op[2], op[3])
         elif op[0] == "decode":
-            driver.decode(op[1])
+            state.decode(op[1])
         elif op[0] == "free":
-            driver.free(op[1], op[2])
+            state.free(op[1], op[2])
         else:
-            driver.evict(op[1])
+            state.evict(op[1])
         # Conservation holds after every single operation.
-        assert _conserved(driver.manager, driver.store)
+        assert _conserved(state.manager, state.store)
         # Entries that were referenced before the op still cover at
         # least what their claimants saw (eviction never touched them;
         # registration may have extended them).
         for pid, tokens in referenced_before.items():
             if op[0] != "free":  # free may drop the last reference
-                assert driver.store.entry_tokens(pid) >= tokens
+                assert state.store.entry_tokens(pid) >= tokens
         # The store's owner sets exactly mirror the manager's claims.
         claims_by_entry: dict[int, list[int]] = {}
-        for rid, (pid, _blocks) in driver.manager._claims.items():
-            claims_by_entry.setdefault(pid, []).append(rid)
+        for row, pid in state.manager._claim_prefix.items():
+            claims_by_entry.setdefault(pid, []).append(row)
         for pid in range(6):
-            owners = sorted(driver.store.entry_owners(pid))
+            owners = sorted(state.store.entry_owners(pid))
             assert owners == sorted(claims_by_entry.get(pid, []))
 
 

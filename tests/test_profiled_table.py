@@ -5,12 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicSarathiScheduler
-from repro.memory.block_manager import PagedBlockManager
 from repro.perf.table import ProfiledIterationTable
 from repro.types import TokenWork
-
-from tests.conftest import make_request
 
 
 @pytest.fixture(scope="module")
@@ -76,24 +72,3 @@ class TestPrediction:
         small = table.predict([TokenWork.prefill_chunk(256)])
         large = table.predict([TokenWork.prefill_chunk(4096)])
         assert large > small
-
-
-class TestAsDynamicOracle:
-    def test_drives_dynamic_scheduler(self, table_and_model):
-        table, exec_model = table_and_model
-        memory = PagedBlockManager(65536, block_size=16, watermark=0.0)
-        scheduler = DynamicSarathiScheduler(
-            memory,
-            tbt_slo=0.05,
-            iteration_cost=table.as_cost_fn(),
-            max_budget=8192,
-        )
-        scheduler.add_request(make_request(prompt_len=20_000, output_len=2), now=0.0)
-        batch = scheduler.schedule(now=0.0)
-        assert batch is not None
-        chosen = scheduler.budget_history[-1]
-        # The chosen budget's predicted iteration honors the SLO.
-        works = [
-            TokenWork.prefill_chunk(chosen, past_len=chosen, is_last=False)
-        ]
-        assert table.predict(works) <= 0.05 * 1.05

@@ -11,13 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.chunking import get_next_chunk_size, num_chunks
-from repro.core.sarathi import SarathiScheduler
 from repro.hardware.catalog import A100_80G
-from repro.memory.block_manager import PagedBlockManager, ReservationManager
+from repro.engine.arrays import RequestArrays
 from repro.models.catalog import TINY_1B
 from repro.perf.iteration import ExecutionModel
 from repro.perf.roofline import tile_quantized
+from repro.scheduling.vectorized import (
+    VecPagedMemory,
+    VecReservationMemory,
+    VecSarathiScheduler,
+)
 from repro.types import Request, TokenWork
+
+from tests.conftest import harness
 
 lengths = st.integers(min_value=1, max_value=8192)
 small_lengths = st.integers(min_value=1, max_value=512)
@@ -81,13 +87,14 @@ def test_tile_quantized_properties(n, tile):
 @settings(max_examples=50)
 def test_paged_blocks_conserved(prompts, data):
     """free + held == total, across arbitrary admit/grow/free sequences."""
-    mgr = PagedBlockManager(capacity_tokens=4096, block_size=16, watermark=0.0)
-    held: list[Request] = []
+    arrays = RequestArrays()
+    mgr = VecPagedMemory(arrays, capacity_tokens=4096, block_size=16, watermark=0.0)
+    held: list[int] = []
     for prompt in prompts:
-        r = Request(prompt_len=prompt, output_len=50)
+        r = arrays.ingest(Request(prompt_len=prompt, output_len=50))
         if mgr.can_admit(r):
             mgr.admit(r)
-            r.record_prefill(prompt, now=0.0)
+            arrays.prefill_done[r] = prompt
             held.append(r)
         elif held and data.draw(st.booleans()):
             victim = held.pop(data.draw(st.integers(0, len(held) - 1)))
@@ -97,29 +104,30 @@ def test_paged_blocks_conserved(prompts, data):
         for _ in range(data.draw(st.integers(min_value=0, max_value=20))):
             if mgr.can_append_token(r):
                 mgr.append_token(r)
-                r.record_decode(now=1.0)
+                arrays.decode_steps[r] += 1
             else:
                 break
-    total_held = sum(mgr._allocated.values())
+    total_held = int(mgr._held_arr().sum())
     assert mgr.free_blocks + total_held == mgr.num_blocks
     # Every held request has enough blocks for its context.
     for r in held:
-        if mgr.holds(r):
-            assert mgr._allocated[r.request_id] * 16 >= r.context_len
+        context = arrays.prefill_done[r] + arrays.decode_steps[r]
+        assert mgr._held[r] * 16 >= context
 
 
 @given(
     prompts=st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_size=20)
 )
 def test_reservation_tokens_conserved(prompts):
-    mgr = ReservationManager(capacity_tokens=16384, reserve_len=1024)
+    arrays = RequestArrays()
+    mgr = VecReservationMemory(arrays, capacity_tokens=16384, reserve_len=1024)
     admitted = []
     for prompt in prompts:
-        r = Request(prompt_len=prompt, output_len=10)
+        r = arrays.ingest(Request(prompt_len=prompt, output_len=10))
         if mgr.can_admit(r):
             mgr.admit(r)
             admitted.append(r)
-    held = sum(mgr._allocated.values())
+    held = int(mgr._reserved_arr().sum())
     assert mgr.free_token_slots + held == 16384
     for r in admitted:
         mgr.free(r)
@@ -213,23 +221,14 @@ def test_decode_time_monotone_in_batch_and_context(bs, ctx):
 )
 @settings(max_examples=40, deadline=None)
 def test_sarathi_budget_and_completion_invariants(specs, budget):
-    memory = PagedBlockManager(capacity_tokens=65536, block_size=16, watermark=0.0)
-    scheduler = SarathiScheduler(memory, token_budget=budget, max_batch_size=16)
-    requests = [Request(prompt_len=p, output_len=o) for p, o in specs]
-    for r in requests:
-        scheduler.add_request(r, now=0.0)
-    now = 0.0
-    for _ in range(20_000):
-        batch = scheduler.schedule(now)
-        if batch is None:
-            if not scheduler.has_work:
-                break
-            now += 0.01
-            continue
+    h = harness(
+        VecSarathiScheduler, 65536, token_budget=budget, max_batch_size=16
+    )
+    rows = [h.add(Request(prompt_len=p, output_len=o), now=0.0) for p, o in specs]
+    for batch in h.drain(step=0.01, max_iters=20_000):
         assert batch.num_tokens <= budget
         assert batch.size <= 16
-        now += 0.01
-        scheduler.on_batch_complete(batch, now)
-    assert all(r.is_finished for r in requests)
+    assert all(h.finished(r) for r in rows)
     # All memory returned.
+    memory = h.scheduler.memory
     assert memory.free_blocks == memory.num_blocks

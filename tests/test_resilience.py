@@ -76,11 +76,12 @@ class TestFaultKinds:
         with pytest.raises(ValueError):
             ReplicaFault(0, down_at=1.0, up_at=2.0, kind="power_surge")
 
-    def test_slowdown_changes_timelines_and_restores(self, engine):
+    @pytest.mark.usefixtures("core")
+    def test_slowdown_changes_timelines_and_restores(self):
         """A slowdown window shifts finish times while it is open and
         leaves the replica at full speed after it closes."""
         trace = _decode_trace()
-        config = ServingConfig(engine=engine, token_budget=256)
+        config = ServingConfig(token_budget=256)
 
         def finishes(faults):
             result, _ = simulate_fleet(
@@ -174,9 +175,10 @@ class TestFailureDomains:
 # Memory shed/restore (capacity_loss plumbing)
 # ----------------------------------------------------------------------
 class TestCapacityShed:
-    def test_shed_and_restore_round_trip(self, engine):
+    @pytest.mark.usefixtures("core")
+    def test_shed_and_restore_round_trip(self):
         memory = build_engine(
-            _DEPLOYMENT, ServingConfig(engine=engine, token_budget=256)
+            _DEPLOYMENT, ServingConfig(token_budget=256)
         ).scheduler.memory
         total = memory.num_blocks
         free_before = memory.free_blocks
@@ -188,9 +190,10 @@ class TestCapacityShed:
         assert memory.num_blocks == total
         assert memory.free_blocks == free_before
 
-    def test_shed_fraction_validated(self, engine):
+    @pytest.mark.usefixtures("core")
+    def test_shed_fraction_validated(self):
         memory = build_engine(
-            _DEPLOYMENT, ServingConfig(engine=engine, token_budget=256)
+            _DEPLOYMENT, ServingConfig(token_budget=256)
         ).scheduler.memory
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
@@ -198,13 +201,14 @@ class TestCapacityShed:
         with pytest.raises(ValueError):
             memory.restore_capacity(-1)
 
-    def test_capacity_loss_forces_preemptions_and_restores(self, engine):
+    @pytest.mark.usefixtures("core")
+    def test_capacity_loss_forces_preemptions_and_restores(self):
         """A deep capacity cut mid-run must cause evictions (preempted
         work) yet still finish every request after the pool returns."""
         trace = _decode_trace(n=8, prompt=512, output=80)
         result, metrics = simulate_fleet(
             _DEPLOYMENT,
-            ServingConfig(engine=engine, token_budget=256),
+            ServingConfig(token_budget=256),
             clone_requests(trace),
             FleetConfig(
                 num_replicas=1,
@@ -266,11 +270,12 @@ class TestHealthMonitor:
         flagged = monitor.flag_stragglers(slots)
         assert [index for index, _ in flagged] == [2]
 
-    def test_fleet_drains_and_restarts_straggler(self, engine):
+    @pytest.mark.usefixtures("core")
+    def test_fleet_drains_and_restarts_straggler(self):
         """Integration: a slowed replica is drained and later restarted,
         and the run still conserves every request."""
         trace = _decode_trace(n=18, output=200)
-        config = ServingConfig(engine=engine, token_budget=256)
+        config = ServingConfig(token_budget=256)
         # Three replicas: with only two, the fleet median is the mean of
         # the healthy and slowed medians and a 5x straggler only shows a
         # 1.67x inflation — an outlier needs a majority to stand against.
@@ -365,15 +370,16 @@ class TestBrownoutController:
 
 
 # ----------------------------------------------------------------------
-# Token-budget override hook (both scheduler stacks)
+# Token-budget override hook
 # ----------------------------------------------------------------------
 class TestBudgetOverride:
+    @pytest.mark.usefixtures("core")
     @pytest.mark.parametrize(
         "kind", [SchedulerKind.SARATHI, SchedulerKind.SARATHI_DYNAMIC]
     )
-    def test_override_clamps_and_restores(self, engine, kind):
+    def test_override_clamps_and_restores(self, kind):
         built = build_engine(
-            _DEPLOYMENT, ServingConfig(engine=engine, scheduler=kind, token_budget=512)
+            _DEPLOYMENT, ServingConfig(scheduler=kind, token_budget=512)
         )
         scheduler = built.scheduler
         base = scheduler.token_budget

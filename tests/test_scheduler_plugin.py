@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ServingConfig, build_scheduler, simulate
+from repro.api import ServingConfig, build_vectorized_scheduler, simulate
 from repro.scheduling import (
     BatchDirective,
     PoolView,
@@ -22,7 +22,7 @@ from repro.scheduling import (
     resolve,
     unregister,
 )
-from tests.conftest import make_request
+from tests.conftest import Harness, make_request
 
 
 class ToyShortestPromptPolicy(SchedulingPolicy):
@@ -81,7 +81,7 @@ class TestToyPolicySimulate:
     def test_registers_and_resolves(self, toy_registered):
         assert toy_registered in registered_names()
         spec = resolve(toy_registered)
-        assert not spec.supports_vectorized
+        assert spec.memory_family == "paged"
 
     def test_runs_through_simulate(self, tiny_deployment, toy_registered):
         trace = [
@@ -95,23 +95,18 @@ class TestToyPolicySimulate:
         assert metrics.p99_tbt > 0
 
     def test_policy_orders_prefills_shortest_first(self, tiny_deployment, toy_registered):
-        scheduler = build_scheduler(
+        scheduler = build_vectorized_scheduler(
             tiny_deployment, ServingConfig(scheduler=toy_registered, token_budget=64)
         )
         assert scheduler.name == "toy-shortest-prompt"
-        long = make_request(prompt_len=512, output_len=4)
-        short = make_request(prompt_len=32, output_len=4)
-        scheduler.add_request(long, now=0.0)
-        scheduler.add_request(short, now=0.0)
-        batch = scheduler.schedule(now=0.0)
+        harness = Harness(scheduler)
+        long = harness.add(make_request(prompt_len=512, output_len=4), now=0.0)
+        short = harness.add(make_request(prompt_len=32, output_len=4), now=0.0)
+        batch = harness.schedule(now=0.0)
         # 64-token budget: the short prompt (32 tokens) schedules first
         # and whole; the long one only gets the leftover 32-token chunk.
-        assert [item.request.request_id for item in batch.items] == [
-            short.request_id,
-            long.request_id,
-        ]
-        assert batch.items[0].work.num_tokens == 32
-        assert batch.items[1].work.num_tokens == 32
+        assert batch.p_rows == [short, long]
+        assert batch.p_chunk == [32, 32]
         assert batch.num_tokens == 64
 
     def test_unregister_restores_unknown_error(self, tiny_deployment):
@@ -122,7 +117,7 @@ class TestToyPolicySimulate:
         )
         unregister("toy_transient")
         with pytest.raises(ValueError, match="unknown scheduler"):
-            build_scheduler(
+            build_vectorized_scheduler(
                 tiny_deployment, ServingConfig(scheduler="toy_transient")
             )
 
@@ -148,12 +143,3 @@ class TestToyPolicyFleet:
         assert result.num_rejections == len(trace)
         assert result.num_shed == 0
         assert not result.merged().unfinished
-
-    def test_vectorized_engine_fails_loudly(self, tiny_deployment, toy_registered):
-        from repro.api import build_vectorized_scheduler
-
-        with pytest.raises(ValueError, match="vectorized engine does not support"):
-            build_vectorized_scheduler(
-                tiny_deployment,
-                ServingConfig(scheduler=toy_registered, engine="vectorized"),
-            )

@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fairness import FairSarathiScheduler
-from repro.memory.block_manager import PagedBlockManager, ReservationManager
-from repro.scheduling.faster_transformer import FasterTransformerScheduler
-from repro.scheduling.orca import OrcaScheduler
 from repro.scheduling.registry import registered_names
-from repro.scheduling.vllm import VLLMScheduler
+from repro.scheduling.vectorized import (
+    VecFairSarathiScheduler,
+    VecFasterTransformerScheduler,
+    VecOrcaScheduler,
+    VecVLLMScheduler,
+)
 from repro.types import Request
+
+from tests.conftest import Harness, harness
 
 request_specs = st.lists(
     st.tuples(
@@ -30,89 +33,80 @@ request_specs = st.lists(
 )
 
 
-def drive(scheduler, requests, max_iters=30_000):
-    """Run schedule/complete rounds to completion; return batches."""
-    for r in requests:
-        scheduler.add_request(r, now=0.0)
-    now = 0.0
-    batches = []
-    for _ in range(max_iters):
-        batch = scheduler.schedule(now)
-        if batch is None:
-            if not scheduler.has_work:
-                return batches
-            now += 0.01
-            continue
-        batches.append(batch)
-        now += 0.01
-        scheduler.on_batch_complete(batch, now)
-    raise AssertionError("scheduler did not converge")
+def drive(h: Harness, specs, max_iters=30_000):
+    """Add one request per spec, run schedule/complete rounds to
+    completion; return (rows, batches)."""
+    rows = [
+        h.add(Request(prompt_len=p, output_len=o, client_id=c), now=0.0)
+        for p, o, c in specs
+    ]
+    batches = h.drain(step=0.01, max_iters=max_iters)
+    if h.scheduler.has_work:
+        raise AssertionError("scheduler did not converge")
+    return rows, batches
 
 
-def check_conservation(requests):
-    for r in requests:
+def check_conservation(h: Harness, rows):
+    for row in rows:
+        r = h.request(row)
         assert r.is_finished
         assert r.num_emitted == r.output_len
-        assert len(r.token_times) == r.output_len
-        assert r.token_times == sorted(r.token_times)
+
+
+def is_hybrid(batch) -> bool:
+    return len(batch.decode_rows) > 0 and len(batch.p_rows) > 0
 
 
 @given(specs=request_specs)
 @settings(max_examples=30, deadline=None)
 def test_vllm_random_workloads_complete(specs):
-    scheduler = VLLMScheduler(PagedBlockManager(65536, watermark=0.0))
-    requests = [Request(prompt_len=p, output_len=o) for p, o, _ in specs]
-    batches = drive(scheduler, requests)
-    check_conservation(requests)
+    h = harness(VecVLLMScheduler, 65536, max_batch_size=128)
+    rows, batches = drive(h, specs)
+    check_conservation(h, rows)
     # Algorithm 2 invariant: batches are never hybrid.
-    assert not any(b.is_hybrid for b in batches)
+    assert not any(is_hybrid(b) for b in batches)
     # All memory returned.
-    assert scheduler.memory.free_blocks == scheduler.memory.num_blocks
+    assert h.scheduler.memory.free_blocks == h.scheduler.memory.num_blocks
 
 
 @given(specs=request_specs)
 @settings(max_examples=30, deadline=None)
 def test_orca_random_workloads_complete(specs):
-    scheduler = OrcaScheduler(ReservationManager(65536, reserve_len=1024))
-    requests = [Request(prompt_len=p, output_len=o) for p, o, _ in specs]
-    batches = drive(scheduler, requests)
-    check_conservation(requests)
+    h = harness(
+        VecOrcaScheduler, 65536, memory="reservation", reserve_len=1024,
+        max_batch_size=128,
+    )
+    rows, batches = drive(h, specs)
+    check_conservation(h, rows)
     # Orca never chunks: every prefill work covers a whole prompt.
     for batch in batches:
-        for item in batch.items:
-            if item.work.is_prefill:
-                assert item.work.emits_token
-    assert scheduler.memory.free_token_slots == 65536
+        assert all(batch.p_is_last)
+    assert h.scheduler.memory.free_token_slots == 65536
 
 
 @given(specs=request_specs)
 @settings(max_examples=30, deadline=None)
 def test_faster_transformer_random_workloads_complete(specs):
-    scheduler = FasterTransformerScheduler(
-        ReservationManager(65536, reserve_len=1024), max_batch_size=4
+    h = harness(
+        VecFasterTransformerScheduler, 65536, memory="reservation",
+        reserve_len=1024, max_batch_size=4,
     )
-    requests = [Request(prompt_len=p, output_len=o) for p, o, _ in specs]
-    batches = drive(scheduler, requests)
-    check_conservation(requests)
+    rows, batches = drive(h, specs)
+    check_conservation(h, rows)
     # Request-level batching: no batch mixes prefills and decodes.
-    assert not any(b.is_hybrid for b in batches)
+    assert not any(is_hybrid(b) for b in batches)
 
 
 @given(specs=request_specs, budget=st.sampled_from([64, 256]))
 @settings(max_examples=30, deadline=None)
 def test_fair_sarathi_random_workloads_complete(specs, budget):
-    scheduler = FairSarathiScheduler(
-        PagedBlockManager(65536, watermark=0.0), token_budget=budget
-    )
-    requests = [
-        Request(prompt_len=p, output_len=o, client_id=c) for p, o, c in specs
-    ]
-    batches = drive(scheduler, requests)
-    check_conservation(requests)
+    h = harness(VecFairSarathiScheduler, 65536, token_budget=budget)
+    rows, batches = drive(h, specs)
+    check_conservation(h, rows)
     for batch in batches:
         assert batch.num_tokens <= budget
     # Service counters account for every token scheduled.
-    assert sum(scheduler.service_counters.values()) == sum(
+    assert sum(h.scheduler.service_counters.values()) == sum(
         b.num_tokens for b in batches
     )
 
@@ -120,14 +114,13 @@ def test_fair_sarathi_random_workloads_complete(specs, budget):
 @given(specs=request_specs)
 @settings(max_examples=20, deadline=None)
 def test_vllm_swap_mode_random_workloads_complete(specs):
-    scheduler = VLLMScheduler(
-        PagedBlockManager(4096, watermark=0.0),
-        preemption_mode="swap",
-        kv_bytes_per_token=256,
+    h = harness(
+        VecVLLMScheduler, 4096, max_batch_size=128,
+        preemption_mode="swap", kv_bytes_per_token=256,
     )
-    requests = [Request(prompt_len=p, output_len=o) for p, o, _ in specs]
-    drive(scheduler, requests)
-    check_conservation(requests)
+    rows, _ = drive(h, specs)
+    check_conservation(h, rows)
+    scheduler = h.scheduler
     # Swap bookkeeping balances: everything parked came back.
     assert not scheduler.swapped
     assert scheduler.num_swap_ins == scheduler.num_swap_outs
@@ -140,29 +133,29 @@ def test_vllm_swap_mode_random_workloads_complete(specs):
 def test_every_registered_scheduler_conserves_tokens(name, specs):
     """The conservation laws hold for *whatever* the registry holds.
 
-    Built through the real ``build_scheduler`` path (registry factory,
-    declared memory family, config plumbing), so plug-in policies are
-    held to the same contract as the paper's baselines.
+    Built through the real ``build_vectorized_scheduler`` path
+    (registry factory, declared memory family, config plumbing), so
+    plug-in policies are held to the same contract as the paper's
+    baselines.
     """
-    from repro.api import Deployment, ServingConfig, build_scheduler
+    from repro.api import Deployment, ServingConfig, build_vectorized_scheduler
     from repro.hardware.catalog import A100_80G
     from repro.models.catalog import TINY_1B
 
     deployment = Deployment(model=TINY_1B, gpu=A100_80G)
-    scheduler = build_scheduler(
-        deployment,
-        ServingConfig(scheduler=name, token_budget=256, reserve_len=1024),
+    h = Harness(
+        build_vectorized_scheduler(
+            deployment,
+            ServingConfig(scheduler=name, token_budget=256, reserve_len=1024),
+        )
     )
-    requests = [
-        Request(prompt_len=p, output_len=o, client_id=c) for p, o, c in specs
-    ]
-    batches = drive(scheduler, requests)
-    check_conservation(requests)
+    rows, batches = drive(h, specs)
+    check_conservation(h, rows)
     # Total scheduled tokens account for every prompt and output token
     # exactly once (recompute-free traces: no preemption inflation).
-    if scheduler.num_preemptions == 0:
+    if h.scheduler.num_preemptions == 0:
         total = sum(b.num_tokens for b in batches)
-        assert total == sum(r.prompt_len + r.output_len - 1 for r in requests)
+        assert total == sum(p + o - 1 for p, o, _ in specs)
 
 
 @given(specs=request_specs)
@@ -183,7 +176,11 @@ def test_disaggregated_engine_random_workloads_complete(specs):
     )
     requests = [Request(prompt_len=p, output_len=o) for p, o, _ in specs]
     result = engine.run(requests)
-    check_conservation(requests)
+    for r in requests:
+        assert r.is_finished
+        assert r.num_emitted == r.output_len
+        assert len(r.token_times) == r.output_len
+        assert r.token_times == sorted(r.token_times)
     # One migration per request that decodes at least once.
     expected = sum(1 for r in requests if r.output_len > 1)
     assert engine.num_migrations == expected

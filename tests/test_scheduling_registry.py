@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ServingConfig, build_scheduler, simulate
+from repro.api import ServingConfig, build_vectorized_scheduler, simulate
 from repro.scheduling.registry import (
     SchedulerSpec,
     list_specs,
@@ -130,6 +130,8 @@ class TestEnumShimDifferential:
 
     def test_same_class_from_both_paths(self, tiny_deployment):
         for kind in SchedulerKind:
-            a = build_scheduler(tiny_deployment, ServingConfig(scheduler=kind))
-            b = build_scheduler(tiny_deployment, ServingConfig(scheduler=kind.value))
+            a = build_vectorized_scheduler(tiny_deployment, ServingConfig(scheduler=kind))
+            b = build_vectorized_scheduler(
+                tiny_deployment, ServingConfig(scheduler=kind.value)
+            )
             assert type(a) is type(b)

@@ -6,7 +6,7 @@ any ``qps_hint``, however wrong — may change how many probes
 every probe lands on the same global QPS ladder and the winning rung
 is always verified by full simulation.  The property tests drive that
 with synthetic monotone oracles under hypothesis; the engine tests
-check it end-to-end on real simulations, object and vectorized.
+check it end-to-end on real simulations.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ class TestSurrogateStore:
 
 
 # ----------------------------------------------------------------------
-# End to end on real simulations, both engines
+# End to end on real simulations
 # ----------------------------------------------------------------------
 _SCALE = Scale(num_requests=16, capacity_rel_tol=0.3, capacity_max_probes=30, seed=3)
 
@@ -193,14 +193,13 @@ def _small_deployment() -> Deployment:
     )
 
 
-@pytest.mark.parametrize("engine", ["object", "vectorized"])
 @pytest.mark.parametrize(
     "scheduler", [SchedulerKind.SARATHI, SchedulerKind.SARATHI_DYNAMIC]
 )
-def test_capacity_is_hint_independent_on_both_engines(engine, scheduler):
+def test_capacity_is_hint_independent(scheduler):
     deployment = _small_deployment()
     slo = derived_slo(deployment.execution_model(), strict=True)
-    config = ServingConfig(scheduler=scheduler, token_budget=256, engine=engine)
+    config = ServingConfig(scheduler=scheduler, token_budget=256)
     dataset = get_dataset("openchat_sharegpt4")
 
     def search(hint):
@@ -221,27 +220,6 @@ def test_capacity_is_hint_independent_on_both_engines(engine, scheduler):
     for wrong_hint in (0.01, 40.0):
         seeded = search(wrong_hint)
         assert seeded.capacity_qps == baseline.capacity_qps
-
-
-def test_engines_agree_on_capacity():
-    deployment = _small_deployment()
-    slo = derived_slo(deployment.execution_model(), strict=True)
-    dataset = get_dataset("openchat_sharegpt4")
-    results = {}
-    for engine in ("object", "vectorized"):
-        config = ServingConfig(
-            scheduler=SchedulerKind.SARATHI_DYNAMIC, engine=engine
-        )
-        results[engine] = measure_capacity(
-            deployment,
-            SchedulerKind.SARATHI_DYNAMIC,
-            dataset,
-            slo,
-            _SCALE,
-            config=config,
-            min_load_duration=1.0,
-        )
-    assert results["object"].capacity_qps == results["vectorized"].capacity_qps
 
 
 @pytest.mark.slow

@@ -5,72 +5,68 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ServingConfig, build_engine
-from repro.memory.block_manager import PagedBlockManager
-from repro.scheduling.vllm import VLLMScheduler
+from repro.scheduling.vectorized import VecVLLMScheduler
 from repro.types import RequestPhase, SchedulerKind
 
-from tests.conftest import make_request
+from tests.conftest import harness, make_request, shrink_kv_memory
 
 KV_BYTES = 1024  # per token, arbitrary but nonzero
 
 
 def swap_scheduler(capacity=160):
-    memory = PagedBlockManager(capacity, block_size=16, watermark=0.0)
-    return VLLMScheduler(
-        memory,
-        max_batch_size=8,
-        preemption_mode="swap",
-        kv_bytes_per_token=KV_BYTES,
+    return harness(
+        VecVLLMScheduler, capacity,
+        max_batch_size=8, preemption_mode="swap", kv_bytes_per_token=KV_BYTES,
     )
 
 
 class TestConstruction:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="preemption_mode"):
-            VLLMScheduler(PagedBlockManager(1024), preemption_mode="magic")
+            harness(VecVLLMScheduler, 1024, max_batch_size=8, preemption_mode="magic")
 
     def test_swap_requires_kv_bytes(self):
         with pytest.raises(ValueError, match="kv_bytes_per_token"):
-            VLLMScheduler(PagedBlockManager(1024), preemption_mode="swap")
+            harness(VecVLLMScheduler, 1024, max_batch_size=8, preemption_mode="swap")
 
 
 class TestSwapLifecycle:
-    def _two_decoders(self, scheduler):
+    def _two_decoders(self, h):
         # Block geometry chosen so the EARLY request eventually needs a
         # block while the LATE one is running (early evicting late is
         # the swap path; a request evicting itself recomputes).
-        early = make_request(prompt_len=60, output_len=40, arrival_time=0.0)
-        late = make_request(prompt_len=80, output_len=40, arrival_time=0.1)
-        scheduler.add_request(early, now=0.0)
-        scheduler.on_batch_complete(scheduler.schedule(now=0.0), now=0.1)
-        scheduler.add_request(late, now=0.1)
-        scheduler.on_batch_complete(scheduler.schedule(now=0.1), now=0.2)
+        early = h.add(make_request(prompt_len=60, output_len=40, arrival_time=0.0), now=0.0)
+        h.complete(h.schedule(now=0.0), now=0.1)
+        late = h.add(make_request(prompt_len=80, output_len=40, arrival_time=0.1), now=0.1)
+        h.complete(h.schedule(now=0.1), now=0.2)
         return early, late
 
     def test_victim_is_swapped_not_restarted(self):
-        scheduler = swap_scheduler()
-        early, late = self._two_decoders(scheduler)
+        h = swap_scheduler()
+        scheduler = h.scheduler
+        early, late = self._two_decoders(h)
         now = 0.2
         while not scheduler.num_swap_outs and now < 50:
-            batch = scheduler.schedule(now)
+            batch = h.schedule(now)
             if batch is None:
                 break
             now += 0.1
-            scheduler.on_batch_complete(batch, now)
+            h.complete(batch, now)
         assert scheduler.num_swap_outs >= 1
-        assert late in scheduler.swapped or late.num_restarts == 0
+        assert late in scheduler.swapped or h.request(late).num_restarts == 0
         # Swapped request keeps its computed state.
         if late in scheduler.swapped:
-            assert late.phase is RequestPhase.PREEMPTED
-            assert late.prefill_done == late.prefill_target
+            assert h.request(late).phase is RequestPhase.PREEMPTED
+            assert h.request(late).prefill_done == h.request(late).prefill_target
 
     def test_swap_bytes_charged_to_batches(self):
-        scheduler = swap_scheduler()
-        self._two_decoders(scheduler)
+        h = swap_scheduler()
+        scheduler = h.scheduler
+        self._two_decoders(h)
         now = 0.2
         swap_bytes_seen = 0
         for _ in range(300):
-            batch = scheduler.schedule(now)
+            batch = h.schedule(now)
             if batch is None:
                 if not scheduler.has_work:
                     break
@@ -78,41 +74,29 @@ class TestSwapLifecycle:
                 continue
             swap_bytes_seen += batch.swap_bytes
             now += 0.1
-            scheduler.on_batch_complete(batch, now)
+            h.complete(batch, now)
         assert scheduler.num_swap_outs >= 1
         assert scheduler.num_swap_ins >= 1
         # Out + in volumes both charged.
         assert swap_bytes_seen >= 2 * KV_BYTES * 64
 
     def test_all_requests_complete_under_swap(self):
-        scheduler = swap_scheduler(capacity=320)
-        requests = [
-            make_request(prompt_len=64, output_len=30, arrival_time=0.0)
+        h = swap_scheduler(capacity=320)
+        rows = [
+            h.add(make_request(prompt_len=64, output_len=30, arrival_time=0.0), now=0.0)
             for _ in range(4)
         ]
-        for r in requests:
-            scheduler.add_request(r, now=0.0)
-        now = 0.0
-        for _ in range(5000):
-            batch = scheduler.schedule(now)
-            if batch is None:
-                if not scheduler.has_work:
-                    break
-                now += 0.1
-                continue
-            now += 0.1
-            scheduler.on_batch_complete(batch, now)
-        assert all(r.is_finished for r in requests)
+        h.drain(max_iters=5000)
+        assert all(h.finished(r) for r in rows)
 
     def test_self_preemption_falls_back_to_recompute(self):
-        scheduler = swap_scheduler(capacity=48)
-        only = make_request(prompt_len=48, output_len=10)
-        scheduler.add_request(only, now=0.0)
-        scheduler.on_batch_complete(scheduler.schedule(now=0.0), now=0.1)
-        assert not scheduler._preempt_for_decode(only)
+        h = swap_scheduler(capacity=48)
+        only = h.add(make_request(prompt_len=48, output_len=10), now=0.0)
+        h.complete(h.schedule(now=0.0), now=0.1)
+        assert not h.scheduler._preempt_for_decode(only)
         # Recompute path: restarted and re-queued, not parked in swap.
-        assert only.num_restarts == 1
-        assert only not in scheduler.swapped
+        assert h.request(only).num_restarts == 1
+        assert only not in h.scheduler.swapped
 
 
 class TestEngineChargesSwapTime:
@@ -122,9 +106,7 @@ class TestEngineChargesSwapTime:
         )
         engine = build_engine(tiny_deployment, config)
         # Shrink memory to force swapping.
-        engine.scheduler.memory = PagedBlockManager(
-            4096, block_size=16, watermark=0.0
-        )
+        shrink_kv_memory(engine)
         trace = [
             make_request(prompt_len=600, output_len=120, arrival_time=0.0)
             for _ in range(8)
@@ -141,9 +123,7 @@ class TestEngineChargesSwapTime:
         prefill targets (which only self-preemption recomputes grow)."""
         config = ServingConfig(scheduler=SchedulerKind.VLLM, preemption_mode="swap")
         engine = build_engine(tiny_deployment, config)
-        engine.scheduler.memory = PagedBlockManager(
-            4096, block_size=16, watermark=0.0
-        )
+        shrink_kv_memory(engine)
         trace = [
             make_request(prompt_len=600, output_len=120, arrival_time=0.0)
             for _ in range(8)
