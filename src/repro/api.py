@@ -248,8 +248,15 @@ def build_engine(
 
 
 def clone_requests(requests: list[Request]) -> list[Request]:
-    """Deep-copy a trace so runs never share mutable request state."""
-    return [copy.deepcopy(r) for r in requests]
+    """Copy a trace so runs never share mutable request state.
+
+    ``token_times`` is a ``Request``'s only mutable field; the others
+    are immutable scalars, enums or ``None``.
+    """
+    clones = [copy.copy(r) for r in requests]
+    for clone in clones:
+        clone.token_times = list(clone.token_times)
+    return clones
 
 
 def simulate(

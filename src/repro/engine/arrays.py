@@ -9,9 +9,12 @@ plug-in policy's pool view — so callers see ordinary ``Request``
 objects while the engine iterates over arrays.
 
 Token emission timestamps are not appended per token; the engine logs
-``(time, rows)`` pairs per iteration and :meth:`materialize_token_times`
-reconstructs every per-request ``token_times`` list in one stable sort
-at sync time.
+``(time, rows)`` pairs per iteration and :meth:`RequestArrays.sync_out`
+folds only the entries logged since the previous sync into each
+``Request.token_times``, in chunks of at most ``_SYNC_CHUNK`` entries
+(each stable-sorted by row), then clears the log.  Every timestamp
+becomes a Python float once, and the transient arrays of a sync are
+bounded by one chunk, however long the log.
 """
 
 from __future__ import annotations
@@ -74,16 +77,14 @@ _FLOAT_FIELDS = (
 class RequestArrays:
     """Flat per-request state; rows are assigned in delivery order."""
 
-    _INITIAL_CAPACITY = 1024
+    _INITIAL_CAPACITY = 64
+    # Token entries of the emission log folded per sort in ``sync_out``.
+    _SYNC_CHUNK = 1 << 16
 
     def __init__(self) -> None:
         self.n = 0
         self._capacity = 0
         self.requests: list[Request] = []
-        # Rows whose Request arrived with a non-empty token_times list
-        # (fleet failover re-delivery): the pre-existing timestamps are
-        # re-used verbatim when token_times is rebuilt at sync time.
-        self.token_base: dict[int, list[float]] = {}
         for name in _INT_FIELDS + _FLOAT_FIELDS:
             setattr(self, name, np.empty(0))
         self._grow(self._INITIAL_CAPACITY)
@@ -130,9 +131,10 @@ class RequestArrays:
         self.first_scheduled_at[row] = _none_to_nan(request.first_scheduled_at)
         self.first_token_at[row] = _none_to_nan(request.first_token_at)
         self.finished_at[row] = _none_to_nan(request.finished_at)
+        # A failed-over request arrives with its earlier emissions; new
+        # ones are appended to the same list at sync time.
         times = request.token_times
         if times:
-            self.token_base[row] = list(times)
             self.last_emit[row] = times[-1]
             if len(times) >= 2:
                 self.prev_emit[row] = times[-2]
@@ -178,7 +180,6 @@ class RequestArrays:
             times = request.token_times
             if times:
                 row = first + offset
-                self.token_base[row] = list(times)
                 self.last_emit[row] = times[-1]
                 if len(times) >= 2:
                     self.prev_emit[row] = times[-2]
@@ -188,8 +189,8 @@ class RequestArrays:
     def sync_row(self, row: int) -> Request:
         """Write one row's scalar state back to its Request.
 
-        ``token_times`` is left alone: the engine owns the emission log
-        and rebuilds it separately.
+        ``token_times`` is left alone: emissions reach it through
+        :meth:`sync_out` (or directly from the engine).
         """
         request = self.requests[row]
         state = request.__dict__
@@ -204,45 +205,17 @@ class RequestArrays:
         state["finished_at"] = _nan_to_none(float(self.finished_at[row]))
         return request
 
-    def materialize_token_times(
-        self, emit_log: list[tuple[float, np.ndarray]]
-    ) -> list[list[float]]:
-        """Rebuild per-row emission timestamp lists from the batch log.
-
-        Log entries arrive in chronological order, so a stable sort by
-        row keeps each row's timestamps chronological too.
-        """
-        per_row: list[list[float]] = [[] for _ in range(self.n)]
-        if not emit_log:
-            return per_row
-        rows_all = np.concatenate([rows for _, rows in emit_log])
-        counts = [len(rows) for _, rows in emit_log]
-        times_all = np.repeat(np.array([t for t, _ in emit_log]), counts)
-        order = np.argsort(rows_all, kind="stable")
-        rows_sorted = rows_all[order]
-        times_sorted = times_all[order]
-        bounds = np.searchsorted(rows_sorted, np.arange(self.n + 1))
-        starts = bounds[:-1].tolist()
-        ends = bounds[1:].tolist()
-        for row, (a, b) in enumerate(zip(starts, ends)):
-            if a != b:
-                per_row[row] = times_sorted[a:b].tolist()
-        return per_row
-
     def sync_out(self, emit_log: list[tuple[float, np.ndarray]]) -> None:
         """Write array state back into every mirrored Request object.
 
-        Idempotent: ``token_times`` is rebuilt from the delivery-time
-        base plus the materialized emission log each call.
+        Emissions logged since the previous call are appended to each
+        request's ``token_times`` and the log is emptied, so repeated
+        calls are idempotent.
         """
+        self._fold_emissions(emit_log)
         n = self.n
-        if n == 0:
-            return
-        per_row_times = self.materialize_token_times(emit_log)
-        token_base = self.token_base
         iterator = zip(
             self.requests,
-            per_row_times,
             self.prefill_target[:n].tolist(),
             self.prefill_done[:n].tolist(),
             self.decode_steps[:n].tolist(),
@@ -253,9 +226,8 @@ class RequestArrays:
             self.first_token_at[:n].tolist(),
             self.finished_at[:n].tolist(),
         )
-        for row, (
+        for (
             request,
-            new_times,
             prefill_target,
             prefill_done,
             decode_steps,
@@ -265,7 +237,7 @@ class RequestArrays:
             first_scheduled_at,
             first_token_at,
             finished_at,
-        ) in enumerate(iterator):
+        ) in iterator:
             state = request.__dict__
             state["prefill_target"] = prefill_target
             state["prefill_done"] = prefill_done
@@ -276,8 +248,50 @@ class RequestArrays:
             state["first_scheduled_at"] = _nan_to_none(first_scheduled_at)
             state["first_token_at"] = _nan_to_none(first_token_at)
             state["finished_at"] = _nan_to_none(finished_at)
-            base = token_base.get(row)
-            state["token_times"] = (base + new_times) if base else new_times
+
+    def _fold_emissions(self, emit_log: list[tuple[float, np.ndarray]]) -> None:
+        """Append the logged emissions to ``token_times``; empty the log.
+
+        The log is chronological and is consumed in consecutive chunks
+        of ``_SYNC_CHUNK`` token entries, so a stable sort by row within
+        each chunk keeps every row's timestamps chronological.  Consumed
+        entries are released chunk by chunk.
+        """
+        if not emit_log:
+            return
+        cap = self._SYNC_CHUNK
+        parts: list[np.ndarray | None] = [rows for _, rows in emit_log]
+        stamps = np.array([now for now, _ in emit_log])
+        emit_log.clear()
+        counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        for lo in range(0, total, cap):
+            size = min(cap, total - lo)
+            # Entries holding the chunk's first and last token.
+            first, last = np.searchsorted(ends, [lo, lo + size - 1], side="right")
+            offset = lo - int(ends[first] - counts[first])
+            rows = np.concatenate(parts[first : last + 1])
+            times = np.repeat(stamps[first : last + 1], counts[first : last + 1])
+            self._fold_chunk(
+                rows[offset : offset + size], times[offset : offset + size]
+            )
+            parts[first:last] = [None] * (last - first)
+
+    def _fold_chunk(self, rows: np.ndarray, times: np.ndarray) -> None:
+        # Sort on the low 16 bits: NumPy's stable sort is then a radix
+        # sort, several times faster than on int64.  Rows sharing those
+        # bits stay in log order, so every run of one row is still
+        # chronological and is appended in turn.
+        order = np.argsort(rows.astype(np.uint16), kind="stable")
+        rows_sorted = rows[order]
+        times_sorted = times[order].tolist()
+        bounds = (np.flatnonzero(rows_sorted[1:] != rows_sorted[:-1]) + 1).tolist()
+        starts = [0] + bounds
+        ends = bounds + [len(times_sorted)]
+        requests = self.requests
+        for row, a, b in zip(rows_sorted[starts].tolist(), starts, ends):
+            requests[row].token_times.extend(times_sorted[a:b])
 
 
 def _none_to_nan(value: float | None) -> float:

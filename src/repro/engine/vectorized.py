@@ -27,9 +27,12 @@ this cheap without a per-token event heap:
   the same order :meth:`ExecutionModel.stage_iteration_time` uses, so
   every float operation matches the unmemoized model.
 * Token emission timestamps need not be appended per request in the
-  hot loop: the engine logs ``(time, rows)`` per iteration and
-  rebuilds each ``token_times`` list with one stable sort at
-  synchronization points (end of run, fleet snapshot/crash).
+  hot loop: the engine logs ``(time, rows)`` per iteration, and each
+  synchronization point (end of run, fleet crash or drain) folds only
+  the entries logged since the previous one into the ``token_times``
+  lists, in bounded stable-sorted chunks, and then clears the log.  A
+  run with a ``followup_fn`` hands finished requests off mid-run, so it
+  appends to ``token_times`` directly instead.
 
 The frozen digests under ``tests/differential`` pin its outputs bit
 for bit.
@@ -119,11 +122,8 @@ class VectorizedReplicaEngine:
         # iterations; the scheduler must exclude them from re-batching.
         scheduler.track_in_flight = self.num_stages > 1
 
-        # Emission log: (timestamp, rows emitted this iteration).
+        # Emission log since the last sync: (timestamp, rows emitted).
         self._emit_log: list[tuple[float, np.ndarray]] = []
-        # Per-row timestamp lists maintained eagerly only when a
-        # followup_fn needs fully synced Request objects mid-run.
-        self._eager_times: dict[int, list[float]] | None = None
 
         # Iteration records as parallel columns, materialized lazily.
         self._rec_stage: list[int] = []
@@ -161,8 +161,6 @@ class VectorizedReplicaEngine:
             raise ValueError("run() needs at least one request")
         wall_start = time.perf_counter()
         self._followup_fn = followup_fn
-        if followup_fn is not None and self._eager_times is None:
-            self._eager_times = {}
         A = self.arrays
         core = self.scheduler
         first = A.ingest_many(requests)
@@ -393,24 +391,7 @@ class VectorizedReplicaEngine:
             batch = self.scheduler.schedule(now)
             if batch is None:
                 return
-            breakdown = self._price(batch)
-            if batch.swap_bytes:
-                swap_time = batch.swap_bytes / self.swap_bandwidth
-                breakdown = breakdown + IterationTime(
-                    0.0, 0.0, 0.0, swap_time, 0.0
-                )
-            if self.perf_scale != 1.0:
-                breakdown = breakdown.scaled(self.perf_scale)
-            end = now + breakdown.total
-            self._rec_stage.append(0)
-            self._rec_start.append(now)
-            self._rec_end.append(end)
-            self._rec_batch_id.append(batch.batch_id)
-            self._rec_np_tok.append(batch.num_prefill_tokens)
-            self._rec_nd_tok.append(batch.num_decode_tokens)
-            self._rec_np_seq.append(batch.num_prefill_seqs)
-            self._rec_nd_seq.append(batch.num_decode_seqs)
-            self._rec_breakdown.append(breakdown)
+            end = self._run_iteration(0, batch, now)
             seq = self._seq
             self._seq = seq + 1
             self._busy = (end, seq, batch)
@@ -422,11 +403,8 @@ class VectorizedReplicaEngine:
             self._inflight += 1
             self._start_stage(0, batch, now)
 
-    # ------------------------------------------------------------------
-    # Pipeline stage machinery (num_stages > 1 only)
-    # ------------------------------------------------------------------
-    def _start_stage(self, stage_idx: int, batch: VecBatch, now: float) -> None:
-        self._stage_busy[stage_idx] = True
+    def _run_iteration(self, stage_idx: int, batch: VecBatch, now: float) -> float:
+        """Price ``batch`` on one stage from ``now``, record it, return its end."""
         breakdown = self._price(
             batch, stage_idx == 0, stage_idx == self.num_stages - 1
         )
@@ -445,6 +423,14 @@ class VectorizedReplicaEngine:
         self._rec_np_seq.append(batch.num_prefill_seqs)
         self._rec_nd_seq.append(batch.num_decode_seqs)
         self._rec_breakdown.append(breakdown)
+        return end
+
+    # ------------------------------------------------------------------
+    # Pipeline stage machinery (num_stages > 1 only)
+    # ------------------------------------------------------------------
+    def _start_stage(self, stage_idx: int, batch: VecBatch, now: float) -> None:
+        self._stage_busy[stage_idx] = True
+        end = self._run_iteration(stage_idx, batch, now)
         heapq.heappush(self._pipe_heap, (end, self._seq, 0, stage_idx, batch))
         self._seq += 1
 
@@ -487,16 +473,15 @@ class VectorizedReplicaEngine:
         core = self.scheduler
         finished, prefill_emits = core.on_batch_complete(batch, now)
         decode_rows = batch.decode_rows
-        if len(decode_rows):
-            self._emit_log.append((now, decode_rows))
-        if prefill_emits:
-            self._emit_log.append((now, np.array(prefill_emits, dtype=np.int64)))
-        if self._eager_times is not None:
-            eager = self._eager_times
-            for row in decode_rows.tolist():
-                eager.setdefault(row, []).append(now)
-            for row in prefill_emits:
-                eager.setdefault(row, []).append(now)
+        if self._followup_fn is not None:
+            # Finished requests are handed off below, fully synced.
+            for row in decode_rows.tolist() + prefill_emits:
+                A.requests[row].token_times.append(now)
+        else:
+            if len(decode_rows):
+                self._emit_log.append((now, decode_rows))
+            if prefill_emits:
+                self._emit_log.append((now, np.array(prefill_emits, dtype=np.int64)))
         if self.token_observer is not None and len(decode_rows):
             # Prefill-completion emissions are always a request's first
             # token (no predecessor), so only decode rows with ≥ 2
@@ -510,7 +495,7 @@ class VectorizedReplicaEngine:
                     observer(requests[row], now - prev, now)
         if self._followup_fn is not None:
             for row in finished:
-                self._sync_row(row)
+                A.sync_row(row)
                 for followup in self._followup_fn(A.requests[row], now):
                     if followup.arrival_time < now - 1e-9:
                         raise ValueError(
@@ -593,15 +578,3 @@ class VectorizedReplicaEngine:
     # ------------------------------------------------------------------
     def _sync_all(self) -> None:
         self.arrays.sync_out(self._emit_log)
-
-    def _sync_row(self, row: int) -> None:
-        """Write one row back to its Request (followup_fn handoff)."""
-        A = self.arrays
-        request = A.sync_row(row)
-        base = A.token_base.get(row)
-        new_times = (
-            list(self._eager_times.get(row, ()))
-            if self._eager_times is not None
-            else []
-        )
-        request.token_times = (base + new_times) if base else new_times

@@ -188,14 +188,14 @@ class VecPagedMemory:
 
     def _held_arr(self) -> np.ndarray:
         if self._held.size < self.A.n:
-            grown = np.zeros(max(self.A.n, self._held.size * 2, 1024), dtype=np.int64)
+            grown = np.zeros(max(self.A.n, self._held.size * 2), dtype=np.int64)
             grown[: self._held.size] = self._held
             self._held = grown
         return self._held
 
     def _shared_arr(self) -> np.ndarray:
         if self._shared.size < self.A.n:
-            grown = np.zeros(max(self.A.n, self._shared.size * 2, 1024), dtype=np.int64)
+            grown = np.zeros(max(self.A.n, self._shared.size * 2), dtype=np.int64)
             grown[: self._shared.size] = self._shared
             self._shared = grown
         return self._shared
@@ -438,9 +438,7 @@ class VecReservationMemory:
 
     def _reserved_arr(self) -> np.ndarray:
         if self._reserved.size < self.A.n:
-            grown = np.zeros(
-                max(self.A.n, self._reserved.size * 2, 1024), dtype=np.int64
-            )
+            grown = np.zeros(max(self.A.n, self._reserved.size * 2), dtype=np.int64)
             grown[: self._reserved.size] = self._reserved
             self._reserved = grown
         return self._reserved

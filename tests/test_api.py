@@ -23,7 +23,7 @@ from repro.scheduling.vectorized import (
     VecSarathiScheduler,
     VecVLLMScheduler,
 )
-from repro.types import SchedulerKind
+from repro.types import Request, SchedulerKind
 
 from tests.conftest import make_request
 
@@ -100,6 +100,21 @@ class TestCloneRequests:
         assert clone.prompt_len == 50
         assert clone.arrival_time == 2.0
         assert clone.request_id == original[0].request_id
+
+    def test_clone_equal_field_for_field_with_fresh_token_times(self):
+        original = [
+            make_request(prompt_len=50, output_len=3, arrival_time=2.0),
+            Request(prompt_len=40, output_len=5, prefix_id=3, prefix_len=8),
+        ]
+        original[1].record_prefill(40, now=1.0)
+        original[1].record_decode(now=1.5)
+        clones = clone_requests(original)
+        for clone, request in zip(clones, original):
+            assert clone is not request
+            assert vars(clone) == vars(request)
+            assert clone.token_times is not request.token_times
+        clones[1].record_decode(now=2.0)
+        assert original[1].token_times == [1.0, 1.5]
 
 
 class TestSimulate:
