@@ -17,16 +17,14 @@ implemented end to end on a discrete-event GPU-roofline simulator:
 
 Quickstart::
 
-    from repro import Deployment, ServingConfig, SchedulerKind, simulate
+    from repro import Deployment, ServingConfig, simulate
     from repro.models import MISTRAL_7B
     from repro.hardware import A100_80G
     from repro.workload import SHAREGPT4, generate_requests
 
     deployment = Deployment(model=MISTRAL_7B, gpu=A100_80G)
     trace = generate_requests(SHAREGPT4, num_requests=100, qps=1.0, seed=0)
-    result, metrics = simulate(
-        deployment, ServingConfig(scheduler=SchedulerKind.SARATHI), trace
-    )
+    result, metrics = simulate(deployment, ServingConfig(scheduler="sarathi"), trace)
     print(metrics.p99_tbt, metrics.median_ttft)
 """
 

@@ -19,19 +19,21 @@ and *down* when it falls below ``tbt_slo * (1 + exit_margin)``, with
 so the fleet cannot oscillate across the boundary (classic hysteresis).
 
 Like the health monitor, the controller is a pure decision function
-over replica slots — the fleet simulator drives it from control ticks
-and applies its outputs, so its decisions are deterministic.
+over the fleet's replica state table and TBT windows — the fleet
+simulator drives it from control ticks and applies its outputs, so its
+decisions are deterministic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.metrics.stats import percentile
+import numpy as np
 
 if TYPE_CHECKING:
-    from repro.cluster.fleet import _ReplicaSlot
+    from repro.cluster.router import ReplicaTable, TbtWindow
     from repro.core.request import Request
 
 
@@ -153,25 +155,28 @@ class BrownoutController:
         return None
 
     def evaluate(
-        self, now: float, slots: "list[_ReplicaSlot]"
+        self, now: float, table: "ReplicaTable", windows: "Sequence[TbtWindow]"
     ) -> BrownoutChange | None:
-        """Decide whether to step the ladder; at most one step per call."""
+        """Decide whether to step the ladder; at most one step per call.
+
+        The signal pools the TBT windows of the replicas ``table``
+        marks alive.
+        """
         cfg = self.config
         if now - self._last_change < cfg.min_dwell:
             return None
-        pooled: list[float] = []
-        for slot in slots:
-            if slot.alive:
-                pooled.extend(slot.recent_tbts)
-        if len(pooled) < cfg.min_samples:
+        alive = np.flatnonzero(table.alive).tolist()
+        num_pooled = sum(windows[index].count for index in alive)
+        if num_pooled < cfg.min_samples:
             # No signal.  An idle or just-recovered fleet steps back
             # toward health rather than staying browned out forever.
-            if self.level > 0 and pooled == []:
+            if self.level > 0 and num_pooled == 0:
                 self.level -= 1
                 self._last_change = now
                 return BrownoutChange(-1, self.level, None)
             return None
-        p99 = percentile(sorted(pooled), 99)
+        pooled = np.concatenate([windows[index].samples() for index in alive])
+        p99 = float(np.percentile(pooled, 99))
         enter = cfg.tbt_slo * (1.0 + cfg.enter_margin)
         exit_ = cfg.tbt_slo * (1.0 + cfg.exit_margin)
         if p99 > enter and self.level < len(cfg.levels):

@@ -5,9 +5,10 @@ cluster path statically pre-partitioned the whole trace and simulated
 replicas independently, the fleet simulator advances every replica
 through one shared virtual clock and makes *online* decisions:
 
-* **State-aware routing** — each arrival is routed against live
-  replica snapshots (queue depth, outstanding tokens, KV occupancy,
-  recent TBT tail), so routers see the consequences of their own past
+* **State-aware routing** — each arrival is routed against a live
+  replica state table (queue depth, outstanding tokens, KV occupancy,
+  recent TBT tail) that every replica slot writes as its state
+  changes, so routers see the consequences of their own past
   decisions, exactly like a real gateway.
 * **Fault injection** — a deterministic :class:`FaultSchedule` crashes
   and restores replicas mid-run.  A crash throws away the replica's
@@ -19,8 +20,9 @@ through one shared virtual clock and makes *online* decisions:
   configurable shed/reject/spill policies plus timeout+backoff retry,
   so goodput degrades gracefully instead of queueing unboundedly.
 
-Determinism: the event loop is driven by (time, insertion-order)
-min-heaps and contains no randomness of its own; fault schedules carry
+Determinism: the event loop is driven by min-heaps — global events by
+(time, insertion order), the replicas' next events by (time, replica
+index) — and contains no randomness of its own; fault schedules carry
 their own seed.  With zero faults and unbounded admission the fleet
 path reproduces the old static-partition results bit for bit, and a
 1-replica fleet run is exactly the replica engine's ``run`` (the single-replica
@@ -30,10 +32,13 @@ path reproduces the old static-partition results bit for bit, and a
 from __future__ import annotations
 
 import enum
+import heapq
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.cluster.degradation import BrownoutConfig, BrownoutController
 from repro.cluster.health import HealthConfig, HealthMonitor
@@ -41,13 +46,16 @@ from repro.cluster.router import (
     FleetRouter,
     LeastOutstandingTokensRouter,
     ReplicaSnapshot,
+    ReplicaTable,
+    ReplicaView,
     Router,
+    TbtWindow,
     as_fleet_router,
+    lexicographic_argmin,
 )
 from repro.engine.simulator import EventQueue
 from repro.engine.replica import EngineStats, SimulationResult
 from repro.engine.vectorized import VectorizedReplicaEngine
-from repro.metrics.stats import percentile
 from repro.metrics.summary import RunMetrics, summarize
 from repro.memory.prefix import PrefixCacheStats
 from repro.metrics.timeline import IterationRecord
@@ -372,7 +380,7 @@ class FleetConfig:
     max_retries: int = 4
     admission_timeout: float | None = None
     # Sliding window of recent TBT samples kept per replica for the
-    # SLO-aware router and telemetry snapshots.
+    # SLO-aware router, the control loops and admission-hook snapshots.
     tbt_window: int = 128
     # Optional control loops: the straggler health monitor
     # (repro.cluster.health) and the SLO-aware brownout controller
@@ -434,6 +442,20 @@ class FleetConfig:
             )
         if self.tbt_window < 1:
             raise ValueError(f"tbt_window must be >= 1, got {self.tbt_window}")
+        # A monitor that needs more samples than the windows hold could
+        # never judge anything.
+        if self.health is not None and self.health.min_samples > self.tbt_window:
+            raise ValueError(
+                f"health.min_samples ({self.health.min_samples}) exceeds "
+                f"tbt_window ({self.tbt_window}): no replica could be judged"
+            )
+        pooled = self.num_replicas * self.tbt_window
+        if self.brownout is not None and self.brownout.min_samples > pooled:
+            raise ValueError(
+                f"brownout.min_samples ({self.brownout.min_samples}) exceeds "
+                f"num_replicas * tbt_window ({pooled}): the controller "
+                "could never act"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +597,14 @@ class FleetResult:
 # One replica slot (survives crash/restore cycles)
 # ----------------------------------------------------------------------
 class _ReplicaSlot:
-    """A replica index that engines come and go from across faults."""
+    """A replica index that engines come and go from across faults.
+
+    The slot writes its row of the fleet's :class:`ReplicaTable` and
+    hands its :class:`TbtWindow`, when the fleet keeps windows, to every
+    engine it boots.  Neither those objects nor the engine refer back
+    to the slot, so a crashed incarnation is freed the moment the slot
+    drops it.
+    """
 
     def __init__(
         self,
@@ -583,14 +612,16 @@ class _ReplicaSlot:
         deployment: "Deployment",
         config: "ServingConfig",
         exec_model: "ExecutionModel",
-        tbt_window: int,
+        table: ReplicaTable,
     ) -> None:
         self.index = index
         self._deployment = deployment
         self._config = config
         self._exec_model = exec_model
-        self._tbt_window = tbt_window
-        self.alive = True
+        self._table = table
+        self.window: TbtWindow | None = None
+        self._alive = True
+        self._draining = False
         self.engine: VectorizedReplicaEngine | None = None
         self.num_stages = 0
         self.num_incarnations = 0
@@ -603,16 +634,6 @@ class _ReplicaSlot:
         self._past_batches = 0
         self._past_wall_s = 0.0
         self._past_prefix: PrefixCacheStats | None = None
-        self.recent_tbts: list[float] = []
-        # Memoized p99 over recent_tbts: routers snapshot every replica
-        # on every routing decision, but the window only changes when a
-        # token lands here — recomputing the percentile per snapshot
-        # dominated fleet wall-clock at high arrival rates.
-        self._p99_cache: float | None = None
-        self._p99_dirty = False
-        # Health-monitor drain flag: the router stops new work, the
-        # in-flight requests finish, then the monitor restarts the slot.
-        self.draining = False
         # Active degraded-mode fault state, persisted across reboots so
         # a restart inside a slowdown/capacity window stays degraded.
         self._perf_scale = 1.0
@@ -628,7 +649,7 @@ class _ReplicaSlot:
         self.engine = build_engine(
             self._deployment, self._config, exec_model=self._exec_model
         )
-        self.engine.token_observer = self._observe_token
+        self.engine.tbt_window = self.window
         self.num_stages = self.engine.num_stages
         self.num_incarnations += 1
         if self._perf_scale != 1.0:
@@ -640,19 +661,46 @@ class _ReplicaSlot:
         if self.budget_override is not None:
             self.engine.scheduler.override_token_budget(self.budget_override)
 
-    def _observe_token(self, request: Request, tbt: float, now: float) -> None:
-        self.recent_tbts.append(tbt)
-        if len(self.recent_tbts) > self._tbt_window:
-            del self.recent_tbts[: -self._tbt_window]
-        self._p99_dirty = True
+    def attach_window(self, window: TbtWindow) -> None:
+        self.window = window
+        self.engine.tbt_window = window
 
-    def _recent_p99(self) -> float | None:
-        if self._p99_dirty:
-            self._p99_cache = (
-                percentile(self.recent_tbts, 99) if self.recent_tbts else None
-            )
-            self._p99_dirty = False
-        return self._p99_cache
+    @property
+    def alive(self) -> bool:
+        return self._alive
+
+    @alive.setter
+    def alive(self, value: bool) -> None:
+        self._alive = value
+        self._table.alive[self.index] = value
+
+    @property
+    def draining(self) -> bool:
+        """Health-monitor drain flag: the router stops new work, the
+        in-flight requests finish, then the monitor restarts the slot."""
+        return self._draining
+
+    @draining.setter
+    def draining(self, value: bool) -> None:
+        self._draining = value
+        self._table.draining[self.index] = value
+
+    def publish(self) -> None:
+        """Write this replica's live counters into its table row."""
+        table, i = self._table, self.index
+        if not self._alive:
+            table.queue_depth[i] = table.num_running[i] = 0
+            table.num_pending[i] = table.outstanding_tokens[i] = 0
+            table.kv_occupancy[i] = 0.0
+            return
+        # The engine keeps these as O(1) counters, so publishing never
+        # forces a full state synchronization.
+        scheduler = self.engine.scheduler
+        table.queue_depth[i] = scheduler.num_waiting
+        table.num_pending[i] = scheduler.num_pending
+        table.outstanding_tokens[i] = scheduler.outstanding_tokens
+        table.num_running[i] = scheduler.num_running
+        table.kv_occupancy[i] = scheduler.memory.occupancy
 
     # -- event-loop interface -----------------------------------------
     def next_event_time(self) -> float | None:
@@ -661,6 +709,11 @@ class _ReplicaSlot:
         return self.engine.next_event_time()
 
     def snapshot(self, now: float) -> ReplicaSnapshot:
+        """This replica's state as an object, built on demand.
+
+        Routers read the state table; the fleet builds a snapshot only
+        for a scheduler's admission hook.
+        """
         if not self.alive:
             return ReplicaSnapshot(
                 index=self.index,
@@ -673,8 +726,6 @@ class _ReplicaSlot:
                 recent_p99_tbt=None,
                 draining=False,
             )
-        # The engine keeps these as O(1) counters, so a router snapshot
-        # never forces a full state synchronization.
         scheduler = self.engine.scheduler
         return ReplicaSnapshot(
             index=self.index,
@@ -684,7 +735,9 @@ class _ReplicaSlot:
             num_pending=self.engine.num_pending(),
             outstanding_tokens=self.engine.outstanding_tokens(),
             kv_occupancy=scheduler.memory.occupancy,
-            recent_p99_tbt=self._recent_p99(),
+            recent_p99_tbt=(
+                None if self.window is None else self.window.percentile(99)
+            ),
             draining=self.draining,
         )
 
@@ -721,8 +774,8 @@ class _ReplicaSlot:
         # The dead engine's shed KV pool died with it; a reboot inside
         # the fault window re-sheds from the fresh pool.
         self._capacity_lost = 0
-        self.recent_tbts.clear()
-        self._p99_dirty = True
+        if self.window is not None:
+            self.window.clear()
         for request in failed:
             if request.phase is not RequestPhase.QUEUED or request.context_len > 0:
                 request.restart_after_preemption()
@@ -852,10 +905,15 @@ class FleetSimulator:
                 f"router is configured for {self.router.num_replicas} replicas, "
                 f"cluster has {fleet.num_replicas}"
             )
+        num = fleet.num_replicas
+        self.table = ReplicaTable(num)
         self.replicas = [
-            _ReplicaSlot(i, deployment, config, self.exec_model, fleet.tbt_window)
-            for i in range(fleet.num_replicas)
+            _ReplicaSlot(i, deployment, config, self.exec_model, self.table)
+            for i in range(num)
         ]
+        self._view = ReplicaView(self.table, self.router.columns)
+        self._alive_view = self._view.alive
+        self._reads_p99 = "recent_p99_tbt" in self.router.columns
         self.events: list[FleetEvent] = []
         self.assignments: dict[int, int] = {}
         self.shed: list[Request] = []
@@ -879,11 +937,27 @@ class FleetSimulator:
             if cfg is not None
         ]
         self._tick_interval = min(intervals) if intervals else None
-        # Per-slot next-event-time cache: every loop iteration mutates
-        # at most one slot (a step, a delivery, or a fault transition),
-        # so polling all N engines per event is N-1 parts waste.
-        self._slot_times: list[float | None] = [None] * fleet.num_replicas
-        self._slot_dirty: list[bool] = [True] * fleet.num_replicas
+        # TBT windows exist only when something reads them: the router,
+        # a control loop, or a scheduler's admission hook (through its
+        # snapshot).  Without a reader the engines emit no samples.
+        hook = getattr(self.replicas[0].engine.scheduler, "admission_hook", None)
+        self.windows: list[TbtWindow] | None = None
+        if self._reads_p99 or intervals or hook is not None:
+            self.windows = [
+                TbtWindow(fleet.tbt_window, i, self.table.changed)
+                for i in range(num)
+            ]
+            for slot, window in zip(self.replicas, self.windows):
+                slot.attach_window(window)
+        for slot in self.replicas:
+            slot.publish()
+        # Next replica event: a (time, index) heap.  Every loop
+        # iteration mutates at most one slot (a step, a delivery, or a
+        # fault transition); the slot is marked dirty and re-polled
+        # lazily (see _next_replica_event), so no event scans all N.
+        self._slot_times: list[float | None] = [None] * num
+        self._slot_dirty: list[bool] = [True] * num
+        self._event_heap: list[tuple[float, int]] = [(0.0, i) for i in range(num)]
 
     # -- main loop -----------------------------------------------------
     def run(
@@ -906,10 +980,14 @@ class FleetSimulator:
         if self._tick_interval is not None:
             queue.push(self._tick_interval, _CONTROL_TICK, None)
 
+        heap = self._event_heap
+        times = self._slot_times
         now = 0.0
+        # Only a global event's handler pushes to the queue, so its head
+        # is re-read after each global event, not on every replica step.
+        global_time = queue.peek_time()
         while True:
-            global_time = queue.peek_time()
-            replica_time, replica_idx = self._next_replica_event()
+            replica_time, replica_idx = self._next_replica_event(global_time)
             if global_time is None and replica_time is None:
                 break
             # Global events win ties: in the single-engine loop every
@@ -925,9 +1003,18 @@ class FleetSimulator:
             if take_global:
                 now, kind, payload = queue.pop()
                 self._handle(kind, payload, now, queue)
+                global_time = queue.peek_time()
             else:
-                now = self.replicas[replica_idx].engine.step()
-                self._slot_dirty[replica_idx] = True
+                slot = self.replicas[replica_idx]
+                now = slot.engine.step()
+                # The stepped slot's entry is the heap top: replace it
+                # with the slot's next event.
+                times[replica_idx] = new = slot.engine.next_event_time()
+                if new is None:
+                    heapq.heappop(heap)
+                else:
+                    heapq.heapreplace(heap, (new, replica_idx))
+                slot.publish()
 
         cache_stats = getattr(self.exec_model, "cache_stats", None)
         result = FleetResult(
@@ -953,19 +1040,42 @@ class FleetSimulator:
             )
         return result
 
-    def _next_replica_event(self) -> tuple[float | None, int]:
+    def _touch(self, index: int, now: float) -> None:
+        """Slot ``index`` changed at ``now``: publish its row, re-poll it lazily."""
+        if not self._slot_dirty[index]:
+            self._slot_dirty[index] = True
+            # No event of the slot can precede the instant it changed.
+            heapq.heappush(self._event_heap, (now, index))
+        self.replicas[index].publish()
+
+    def _next_replica_event(self, bound: float | None) -> tuple[float | None, int]:
+        """The earliest replica event as ``(time, index)``, or ``(None, -1)``.
+
+        Ties go to the lowest index.  A dirty slot sits in the heap
+        under a lower bound on its next event time and is polled only
+        when that bound surfaces below ``bound``, the next global event
+        (which wins ties, so a bound at or after it decides nothing).
+        Entries of slots that have since moved are dropped as they
+        surface.
+        """
+        heap = self._event_heap
         times = self._slot_times
         dirty = self._slot_dirty
-        best_time: float | None = None
-        best_idx = -1
-        for i, slot in enumerate(self.replicas):
+        while heap:
+            t, i = heap[0]
             if dirty[i]:
-                times[i] = slot.next_event_time()
+                if bound is not None and bound <= t:
+                    return t, i
+                heapq.heappop(heap)
                 dirty[i] = False
-            t = times[i]
-            if t is not None and (best_time is None or t < best_time):
-                best_time, best_idx = t, i
-        return best_time, best_idx
+                times[i] = new = self.replicas[i].next_event_time()
+                if new is not None:
+                    heapq.heappush(heap, (new, i))
+            elif times[i] != t:
+                heapq.heappop(heap)
+            else:
+                return t, i
+        return None, -1
 
     # -- event handlers ------------------------------------------------
     def _handle(self, kind: str, payload: Any, now: float, queue: EventQueue) -> None:
@@ -992,7 +1102,7 @@ class FleetSimulator:
         if not slot.alive:
             return
         failed = slot.crash(now)
-        self._slot_dirty[index] = True
+        self._touch(index, now)
         self.events.append(
             FleetEvent(time=now, kind="fault_down", replica=index, reason=f"{len(failed)} failed over")
         )
@@ -1015,16 +1125,18 @@ class FleetSimulator:
         if slot.alive:
             return
         slot.restore(now)
-        self._slot_dirty[index] = True
+        self._touch(index, now)
         self.events.append(FleetEvent(time=now, kind="fault_up", replica=index))
 
     def _degrade_replica(self, fault: ReplicaFault, now: float) -> None:
         slot = self.replicas[fault.replica]
+        # A slowdown only scales iterations not yet priced, so neither
+        # the slot's next event nor its row moves.
         if fault.kind is FaultKind.SLOWDOWN:
             slot.slow_down(fault.severity)
         else:
             slot.lose_capacity(fault.severity)
-        self._slot_dirty[fault.replica] = True
+            self._touch(fault.replica, now)
         self.events.append(
             FleetEvent(
                 time=now,
@@ -1045,7 +1157,7 @@ class FleetSimulator:
                 # waiting-but-unadmittable work and no internal events;
                 # restoring capacity must nudge the scheduler.
                 slot.engine.kick(now)
-        self._slot_dirty[fault.replica] = True
+            self._touch(fault.replica, now)
         self.events.append(
             FleetEvent(
                 time=now,
@@ -1063,14 +1175,12 @@ class FleetSimulator:
             self._run_brownout(now)
         # Re-arm only while the run can still make progress, so the
         # tick stream never keeps a drained event loop alive.
-        if queue.peek_time() is not None or any(
-            slot.alive and slot.engine.num_pending() > 0
-            for slot in self.replicas
-        ):
+        if queue.peek_time() is not None or self.table.num_pending.max() > 0:
             queue.push(now + self._tick_interval, _CONTROL_TICK, None)
 
     def _run_health(self, now: float) -> None:
-        for index, ratio in self.health.flag_stragglers(self.replicas):
+        table = self.table
+        for index, ratio in self.health.flag_stragglers(table, self.windows):
             slot = self.replicas[index]
             slot.draining = True
             self.events.append(
@@ -1081,28 +1191,25 @@ class FleetSimulator:
                     reason=f"tbt_inflation={ratio:.2f}",
                 )
             )
-        for slot in self.replicas:
-            if (
-                slot.draining
-                and slot.alive
-                and slot.engine.num_pending() == 0
-            ):
-                slot.draining = False
-                slot.recycle(now)
-                self._slot_dirty[slot.index] = True
-                self.events.append(
-                    FleetEvent(time=now, kind="health_restart", replica=slot.index)
-                )
+        idle = table.draining & table.alive & (table.num_pending == 0)
+        for index in np.flatnonzero(idle).tolist():
+            slot = self.replicas[index]
+            slot.draining = False
+            slot.recycle(now)
+            self._touch(index, now)
+            self.events.append(
+                FleetEvent(time=now, kind="health_restart", replica=index)
+            )
 
     def _run_brownout(self, now: float) -> None:
-        change = self.brownout.evaluate(now, self.replicas)
+        change = self.brownout.evaluate(now, self.table, self.windows)
         if change is None:
             return
+        # A budget clamp shapes batches not yet formed: no slot's next
+        # event or row moves.
         budget = self.brownout.active_budget()
         for slot in self.replicas:
             slot.apply_budget_override(budget)
-            if slot.alive:
-                self._slot_dirty[slot.index] = True
         self.events.append(
             FleetEvent(
                 time=now,
@@ -1123,64 +1230,65 @@ class FleetSimulator:
             if veto is not None:
                 self._shed(request, attempt, now, None, veto)
                 return
-        snapshots = [slot.snapshot(now) for slot in self.replicas]
-        if any(s.draining for s in snapshots) and any(
-            s.alive and not s.draining for s in snapshots
-        ):
+        table = self.table
+        routable = self._alive_view
+        if table.draining.any():
             # Draining replicas take no new work while at least one
             # routable replica remains: state-blind routers see them as
             # down and the dead-pick failover below walks past them.
-            snapshots = [
-                replace(s, alive=False) if s.draining else s for s in snapshots
-            ]
-        alive = [s for s in snapshots if s.alive]
-        if not alive:
+            open_ = table.alive & ~table.draining
+            if open_.any():
+                open_.flags.writeable = False
+                routable = open_
+        if not routable.any():
             self._reject(request, attempt, now, queue, None, "no_alive_replica")
             return
-        choice = self.router.route(request, now, snapshots)
+        if self._reads_p99:
+            table.refresh_p99(self.windows)
+        self._view.alive = routable
+        choice = self.router.route(request, now, self._view)
         num = self.fleet.num_replicas
         if not isinstance(choice, int) or not 0 <= choice < num:
             raise ValueError(f"router returned invalid replica {choice!r}")
-        if not snapshots[choice].alive:
+        if not routable[choice]:
             # A state-blind router picked a crashed replica; fail over
             # deterministically to the next alive index.
             for shift in range(1, num):
                 candidate = (choice + shift) % num
-                if snapshots[candidate].alive:
+                if routable[candidate]:
                     choice = candidate
                     break
         depth_limit = self.fleet.max_queue_depth
-        if (
-            depth_limit is not None
-            and snapshots[choice].queue_depth >= depth_limit
-        ):
+        if depth_limit is not None and table.queue_depth[choice] >= depth_limit:
             policy = self.fleet.admission
             if policy is AdmissionPolicy.SPILL:
-                open_replicas = [s for s in alive if s.queue_depth < depth_limit]
-                if not open_replicas:
+                open_ = routable & (table.queue_depth < depth_limit)
+                if not open_.any():
                     self._reject(request, attempt, now, queue, choice, "fleet_saturated")
                     return
-                choice = min(
-                    open_replicas,
-                    key=lambda s: (s.queue_depth, s.outstanding_tokens, s.index),
-                ).index
+                choice = lexicographic_argmin(
+                    open_, table.queue_depth, table.outstanding_tokens
+                )
             elif policy is AdmissionPolicy.SHED:
                 self._shed(request, attempt, now, choice, "queue_full")
                 return
             else:
                 self._reject(request, attempt, now, queue, choice, "queue_full")
                 return
+        slot = self.replicas[choice]
         # Policy admission hook (see repro.scheduling.policy): a
         # scheduler exposing ``admission_hook`` sees the chosen
         # replica's live snapshot and may defer the request into the
         # backoff-retry loop.  Schedulers without the hook — including
         # every vectorized core — admit unconditionally, as before.
-        hook = getattr(self.replicas[choice].engine.scheduler, "admission_hook", None)
-        if hook is not None and not hook(snapshots[choice], request, now):
+        hook = getattr(slot.engine.scheduler, "admission_hook", None)
+        if hook is not None and not hook(slot.snapshot(now), request, now):
             self._reject(request, attempt, now, queue, choice, "policy_deferred")
             return
-        self.replicas[choice].engine.deliver(request, now)
-        self._slot_dirty[choice] = True
+        queue_depth = int(table.queue_depth[choice])
+        outstanding = int(table.outstanding_tokens[choice])
+        slot.engine.deliver(request, now)
+        self._touch(choice, now)
         self.assignments.setdefault(request.request_id, choice)
         self.events.append(
             FleetEvent(
@@ -1189,8 +1297,8 @@ class FleetSimulator:
                 request_id=request.request_id,
                 replica=choice,
                 attempt=attempt,
-                queue_depth=snapshots[choice].queue_depth,
-                outstanding_tokens=snapshots[choice].outstanding_tokens,
+                queue_depth=queue_depth,
+                outstanding_tokens=outstanding,
             )
         )
 

@@ -9,20 +9,24 @@ check cadence; a replica inflated past ``inflation_factor`` is
 finish) and then *restarted* once idle, clearing its stale window.
 
 The monitor is a pure decision function over the fleet's replica
-slots; the :class:`~repro.cluster.fleet.FleetSimulator` drives it from
-the control-tick event stream and owns the drain flags and restarts,
-so a replayed run sees identical decisions at identical instants.
+state table and TBT windows; the
+:class:`~repro.cluster.fleet.FleetSimulator` drives it from the
+control-tick event stream and owns the drain flags and restarts, so a
+replayed run sees identical decisions at identical instants.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.metrics.stats import percentile
 
 if TYPE_CHECKING:
-    from repro.cluster.fleet import _ReplicaSlot
+    from repro.cluster.router import ReplicaTable, TbtWindow
 
 
 @dataclass(frozen=True)
@@ -64,22 +68,24 @@ class HealthMonitor:
         self.num_replicas = num_replicas
 
     def flag_stragglers(
-        self, slots: "list[_ReplicaSlot]"
+        self, table: "ReplicaTable", windows: "Sequence[TbtWindow]"
     ) -> list[tuple[int, float]]:
         """Replicas to drain now, as ``(index, inflation_ratio)`` pairs.
 
-        Deterministic: slots are scanned in index order and the fleet
-        median is taken over the replicas' TBT windows.
+        Deterministic: replicas are scanned in index order (``table``
+        supplies the ``alive`` and ``draining`` columns, ``windows`` one
+        TBT window per replica) and the fleet median is taken over the
+        judged replicas' window medians.
         Flagging respects ``min_healthy`` — when several replicas
         inflate at once, lower indices are drained first and the rest
         wait for capacity to return.
         """
         cfg = self.config
-        healthy = [s for s in slots if s.alive and not s.draining]
+        healthy = np.flatnonzero(table.alive & ~table.draining).tolist()
         medians: list[tuple[int, float]] = [
-            (slot.index, percentile(slot.recent_tbts, 50))
-            for slot in healthy
-            if len(slot.recent_tbts) >= cfg.min_samples
+            (index, windows[index].percentile(50))
+            for index in healthy
+            if windows[index].count >= cfg.min_samples
         ]
         # A median needs company to be an outlier: with fewer than two
         # judged replicas there is no fleet to compare against.

@@ -1,4 +1,4 @@
-"""Request routers for multi-replica serving.
+"""Request routers for multi-replica serving, and the fleet state they read.
 
 Two router generations coexist:
 
@@ -6,31 +6,39 @@ Two router generations coexist:
   the request and its own bookkeeping (cumulative assigned work), which
   is what a front-end that never hears back from replicas can run.
 * :class:`FleetRouter` — the state-aware interface used by the
-  event-driven fleet simulator (:mod:`repro.cluster.fleet`).  At every
-  arrival it receives a live :class:`ReplicaSnapshot` per replica —
-  queue depth, outstanding tokens, KV occupancy, recently observed TBT
-  tail — exactly the feedback a production gateway gets from replica
-  health/metrics endpoints.
+  event-driven fleet simulator (:mod:`repro.cluster.fleet`).  A fleet
+  router declares the :class:`ReplicaTable` columns it reads and, at
+  every arrival, gets read-only array views of them — queue depth,
+  outstanding tokens, KV occupancy, recently observed TBT tail — exactly
+  the feedback a production gateway gets from replica health/metrics
+  endpoints.
 
 Legacy routers still work everywhere: the fleet wraps them in an
-adapter that ignores the snapshots (and fails over deterministically
-when a state-blind router picks a crashed replica).
+adapter that reads no columns (and fails over deterministically when a
+state-blind router picks a crashed replica).
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.types import Request
 
 
 # ----------------------------------------------------------------------
-# Live replica state (produced by the fleet simulator each arrival)
+# Live replica state
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ReplicaSnapshot:
-    """What the routing tier knows about one replica *right now*."""
+    """One replica's state as an object: a debugging view built on demand.
+
+    Routers read :class:`ReplicaTable` columns instead; the fleet builds
+    a snapshot only for a scheduler's admission hook.
+    """
 
     index: int
     alive: bool
@@ -45,11 +53,179 @@ class ReplicaSnapshot:
     # Fraction of KV-cache capacity currently claimed, in [0, 1].
     kv_occupancy: float
     # P99 over the replica's recent TBT samples (None before any
-    # decode tokens have been observed, or right after a restart).
+    # decode tokens have been observed, right after a restart, or when
+    # no reader asked the fleet to keep TBT windows).
     recent_p99_tbt: float | None
     # Health monitor is draining this replica: alive and finishing its
     # in-flight work, but not accepting new arrivals.
     draining: bool = False
+
+
+class TbtWindow:
+    """One replica's most recent TBT samples, in a numpy ring buffer.
+
+    The replica engine pushes each commit's samples as one array, in
+    batch item order, and the window keeps the last ``size`` of them.
+    The fleet owns the windows and hands each slot's window to every
+    engine the slot boots, so no engine holds a reference to its owner.
+    ``changed`` is a list shared by a fleet's windows: a window appends
+    its ``index`` the first time it moves after a
+    :meth:`ReplicaTable.refresh_p99`, so that refresh touches only the
+    windows that moved.
+    """
+
+    __slots__ = ("index", "count", "moved", "_buf", "_pos", "_changed")
+
+    def __init__(
+        self, size: int, index: int = 0, changed: list[int] | None = None
+    ) -> None:
+        if size < 1:
+            raise ValueError(f"window size must be >= 1, got {size}")
+        self.index = index
+        self.count = 0
+        self.moved = False
+        self._buf = np.empty(size)
+        # Next write position; equals ``count`` until the buffer wraps.
+        self._pos = 0
+        self._changed = changed if changed is not None else []
+
+    def push(self, tbts: np.ndarray) -> None:
+        """Append samples, oldest first, dropping what falls off the window."""
+        buf = self._buf
+        size = len(buf)
+        n = len(tbts)
+        if n >= size:
+            buf[:] = tbts[n - size :]
+            self._pos = 0
+        else:
+            pos = self._pos
+            end = pos + n
+            if end <= size:
+                buf[pos:end] = tbts
+            else:
+                head = size - pos
+                buf[pos:] = tbts[:head]
+                buf[: n - head] = tbts[head:]
+            self._pos = end % size
+        self.count = min(self.count + n, size)
+        self._mark()
+
+    def clear(self) -> None:
+        self.count = 0
+        self._pos = 0
+        self._mark()
+
+    def _mark(self) -> None:
+        if not self.moved:
+            self.moved = True
+            self._changed.append(self.index)
+
+    def samples(self) -> np.ndarray:
+        """The samples in the window, oldest first."""
+        buf, pos = self._buf, self._pos
+        if self.count < len(buf):
+            return buf[: self.count].copy()
+        return np.concatenate((buf[pos:], buf[:pos]))
+
+    def percentile(self, q: float) -> float | None:
+        """The window's ``q``-th percentile, or None while it is empty.
+
+        The float ``numpy.percentile`` (linear method) returns for the
+        samples, computed on the sorted buffer without that function's
+        per-call overhead, which is many times the sort's.
+        """
+        n = self.count
+        if n == 0:
+            return None
+        ordered = self._buf[:n].copy()
+        ordered.sort()
+        index = (n - 1) * (q / 100)
+        lo = math.floor(index)
+        if lo >= n - 1:
+            return float(ordered[-1])
+        a, b = float(ordered[lo]), float(ordered[lo + 1])
+        gamma = index - lo
+        # numpy's lerp: from the nearer end, so the result stays in [a, b].
+        if gamma >= 0.5:
+            return b - (b - a) * (1 - gamma)
+        return a + (b - a) * gamma
+
+
+class ReplicaTable:
+    """The fleet's live state as columns: one row per replica.
+
+    Each replica slot writes its own row whenever its state changes
+    (a step, a delivery, a fault), so routing an arrival reads arrays
+    instead of polling every replica.  ``recent_p99_tbt`` is NaN where
+    a replica has no samples, and is brought up to date by
+    :meth:`refresh_p99` only for the windows that moved.
+    """
+
+    COLUMNS = (
+        "queue_depth",
+        "num_running",
+        "num_pending",
+        "outstanding_tokens",
+        "kv_occupancy",
+        "recent_p99_tbt",
+        "alive",
+        "draining",
+    )
+
+    def __init__(self, num_replicas: int) -> None:
+        n = num_replicas
+        self.queue_depth = np.zeros(n, dtype=np.int64)
+        self.num_running = np.zeros(n, dtype=np.int64)
+        self.num_pending = np.zeros(n, dtype=np.int64)
+        self.outstanding_tokens = np.zeros(n, dtype=np.int64)
+        self.kv_occupancy = np.zeros(n)
+        self.recent_p99_tbt = np.full(n, np.nan)
+        self.alive = np.ones(n, dtype=bool)
+        self.draining = np.zeros(n, dtype=bool)
+        # Indices of TBT windows that moved since the last refresh_p99.
+        self.changed: list[int] = []
+
+    def refresh_p99(self, windows: list[TbtWindow]) -> None:
+        column = self.recent_p99_tbt
+        for index in self.changed:
+            window = windows[index]
+            window.moved = False
+            p99 = window.percentile(99)
+            column[index] = np.nan if p99 is None else p99
+        self.changed.clear()
+
+
+class ReplicaView:
+    """Read-only array views of the :class:`ReplicaTable` columns a router reads.
+
+    ``alive`` is always present and marks the replicas the router may
+    pick: the fleet hides draining replicas behind it while another
+    replica can take the work.
+    """
+
+    def __init__(self, table: ReplicaTable, columns: tuple[str, ...]) -> None:
+        self.alive: np.ndarray
+        for name in ("alive", *columns):
+            if name not in ReplicaTable.COLUMNS:
+                raise ValueError(f"unknown replica-table column {name!r}")
+            column = getattr(table, name).view()
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+
+def lexicographic_argmin(pool: np.ndarray, *keys: np.ndarray) -> int:
+    """Index of the smallest ``keys`` tuple among the rows ``pool`` marks.
+
+    Ties on every key go to the lowest index, like ``min`` over
+    ``(key..., index)`` tuples.
+    """
+    rows = pool.nonzero()[0]
+    for key in keys:
+        if len(rows) == 1:
+            break
+        values = key[rows]
+        rows = rows[values == values[values.argmin()]]
+    return int(rows[0])
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +281,15 @@ class LeastTokensRouter(Router):
 # State-aware fleet routers
 # ----------------------------------------------------------------------
 class FleetRouter(abc.ABC):
-    """Routes arrivals against live replica state (fleet simulator)."""
+    """Routes arrivals against live replica state (fleet simulator).
+
+    ``columns`` names the :class:`ReplicaTable` columns the router
+    reads; ``route`` gets them as read-only arrays on its ``view``,
+    next to the always-present ``alive`` mask.  A router that reads
+    nothing declares nothing.
+    """
+
+    columns: tuple[str, ...] = ()
 
     def __init__(self, num_replicas: int) -> None:
         if num_replicas < 1:
@@ -113,15 +297,13 @@ class FleetRouter(abc.ABC):
         self.num_replicas = num_replicas
 
     @abc.abstractmethod
-    def route(
-        self, request: Request, now: float, replicas: list[ReplicaSnapshot]
-    ) -> int:
+    def route(self, request: Request, now: float, view: ReplicaView) -> int:
         """Replica index for this request; should pick an alive replica."""
 
 
-def _least_loaded(pool: list[ReplicaSnapshot]) -> int:
-    """Lowest outstanding work; queue depth then index break ties."""
-    return min(pool, key=lambda s: (s.outstanding_tokens, s.queue_depth, s.index)).index
+def _least_loaded(view: ReplicaView, pool: np.ndarray) -> int:
+    """Lowest outstanding work in ``pool``; queue depth then index break ties."""
+    return lexicographic_argmin(pool, view.outstanding_tokens, view.queue_depth)
 
 
 class LeastOutstandingTokensRouter(FleetRouter):
@@ -134,13 +316,12 @@ class LeastOutstandingTokensRouter(FleetRouter):
     join-shortest-queue on token work rather than request count).
     """
 
-    def route(
-        self, request: Request, now: float, replicas: list[ReplicaSnapshot]
-    ) -> int:
-        alive = [s for s in replicas if s.alive]
-        if not alive:
+    columns = ("outstanding_tokens", "queue_depth")
+
+    def route(self, request: Request, now: float, view: ReplicaView) -> int:
+        if not view.alive.any():
             raise ValueError("no alive replica to route to")
-        return _least_loaded(alive)
+        return _least_loaded(view, view.alive)
 
 
 class SloAwareRouter(FleetRouter):
@@ -153,24 +334,22 @@ class SloAwareRouter(FleetRouter):
     pool the least-outstanding-tokens rule applies.
     """
 
+    columns = ("outstanding_tokens", "queue_depth", "recent_p99_tbt")
+
     def __init__(self, num_replicas: int, tbt_slo: float) -> None:
         super().__init__(num_replicas)
         if tbt_slo <= 0:
             raise ValueError("tbt_slo must be positive")
         self.tbt_slo = tbt_slo
 
-    def route(
-        self, request: Request, now: float, replicas: list[ReplicaSnapshot]
-    ) -> int:
-        alive = [s for s in replicas if s.alive]
-        if not alive:
+    def route(self, request: Request, now: float, view: ReplicaView) -> int:
+        alive = view.alive
+        if not alive.any():
             raise ValueError("no alive replica to route to")
-        healthy = [
-            s
-            for s in alive
-            if s.recent_p99_tbt is None or s.recent_p99_tbt <= self.tbt_slo
-        ]
-        return _least_loaded(healthy or alive)
+        # NaN (no samples yet) compares False, so such replicas count
+        # as healthy.
+        healthy = alive & ~(view.recent_p99_tbt > self.tbt_slo)
+        return _least_loaded(view, healthy if healthy.any() else alive)
 
 
 class _LegacyRouterAdapter(FleetRouter):
@@ -180,9 +359,7 @@ class _LegacyRouterAdapter(FleetRouter):
         super().__init__(router.num_replicas)
         self.wrapped = router
 
-    def route(
-        self, request: Request, now: float, replicas: list[ReplicaSnapshot]
-    ) -> int:
+    def route(self, request: Request, now: float, view: ReplicaView) -> int:
         return self.wrapped.route(request)
 
 

@@ -1,4 +1,4 @@
-"""What a replica simulation produces, and the engine's callback types.
+"""What a replica simulation produces, and the engine's callback type.
 
 The engine itself is :class:`repro.engine.vectorized.VectorizedReplicaEngine`.
 """
@@ -19,11 +19,6 @@ if TYPE_CHECKING:
 # Called once per finished request; returns follow-up requests to
 # inject (e.g. the next round of a conversation).
 FollowupFn = Callable[[Request, float], list[Request]]
-
-# Called once per emitted decode token with (request, tbt_sample, now);
-# lets an external driver (the fleet simulator) observe live per-replica
-# TBT without re-scanning request state.
-TokenObserver = Callable[[Request, float, float], None]
 
 
 @dataclass(frozen=True)

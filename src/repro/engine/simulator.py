@@ -9,23 +9,18 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass(order=True)
-class _Entry:
-    time: float
-    seq: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False)
-
-
 class EventQueue:
-    """Deterministic min-heap of timestamped events."""
+    """Deterministic min-heap of timestamped events.
+
+    Entries are ``(time, seq, kind, payload)`` tuples; ``seq`` is unique,
+    so the heap compares in C and never reaches the payload.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[_Entry] = []
+        self._heap: list[tuple[float, int, str, Any]] = []
         self._counter = itertools.count()
         self.now = 0.0
 
@@ -37,18 +32,18 @@ class EventQueue:
             raise ValueError(f"cannot schedule event at non-finite time {time!r}")
         if time < self.now - 1e-9:
             raise ValueError(f"cannot schedule event at {time} before now={self.now}")
-        heapq.heappush(self._heap, _Entry(time, next(self._counter), kind, payload))
+        heapq.heappush(self._heap, (time, next(self._counter), kind, payload))
 
     def peek_time(self) -> float | None:
         """The timestamp of the next event, or ``None`` when empty."""
         if not self._heap:
             return None
-        return self._check_finite(self._heap[0].time)
+        return self._check_finite(self._heap[0][0])
 
     def pop(self) -> tuple[float, str, Any]:
-        entry = heapq.heappop(self._heap)
-        self.now = self._check_finite(entry.time)
-        return entry.time, entry.kind, entry.payload
+        time, _, kind, payload = heapq.heappop(self._heap)
+        self.now = self._check_finite(time)
+        return time, kind, payload
 
     def _check_finite(self, time: float) -> float:
         # Guarded on pop/peek as well as push: an entry that slipped in

@@ -47,12 +47,7 @@ import time
 import numpy as np
 
 from repro.engine.arrays import PH_FINISHED, RequestArrays
-from repro.engine.replica import (
-    EngineStats,
-    FollowupFn,
-    SimulationResult,
-    TokenObserver,
-)
+from repro.engine.replica import EngineStats, FollowupFn, SimulationResult
 from repro.metrics.timeline import IterationRecord
 from repro.parallel.comm import pp_send_time, tp_comm_time
 from repro.perf.iteration import ExecutionModel
@@ -95,7 +90,10 @@ class VectorizedReplicaEngine:
         )
         if self.max_inflight < 1:
             raise ValueError("max_inflight_batches must be >= 1")
-        self.token_observer: TokenObserver | None = None
+        # TBT sink with a ``push(samples)`` method (the fleet's
+        # ``TbtWindow``); None when nothing reads the samples.  The
+        # engine never holds a reference to its owner.
+        self.tbt_window = None
         self._followup_fn: FollowupFn | None = None
 
         # Event state: at most one batch in flight plus follow-up
@@ -482,17 +480,13 @@ class VectorizedReplicaEngine:
                 self._emit_log.append((now, decode_rows))
             if prefill_emits:
                 self._emit_log.append((now, np.array(prefill_emits, dtype=np.int64)))
-        if self.token_observer is not None and len(decode_rows):
+        if self.tbt_window is not None and len(decode_rows):
             # Prefill-completion emissions are always a request's first
             # token (no predecessor), so only decode rows with ≥ 2
             # emitted tokens produce TBT samples, in batch item order.
             sampled = decode_rows[A.num_emitted[decode_rows] >= 2]
             if len(sampled):
-                observer = self.token_observer
-                requests = A.requests
-                prevs = A.prev_emit[sampled].tolist()
-                for row, prev in zip(sampled.tolist(), prevs):
-                    observer(requests[row], now - prev, now)
+                self.tbt_window.push(now - A.prev_emit[sampled])
         if self._followup_fn is not None:
             for row in finished:
                 A.sync_row(row)

@@ -68,11 +68,9 @@ class TestEventQueue:
         # reordering every later pop.
         import heapq
 
-        from repro.engine.simulator import _Entry
-
         for probe in ("peek_time", "pop"):
             q = EventQueue()
-            heapq.heappush(q._heap, _Entry(bad, 0, "bad", None))
+            heapq.heappush(q._heap, (bad, 0, "bad", None))
             with pytest.raises(ValueError, match="non-finite"):
                 getattr(q, probe)()
 

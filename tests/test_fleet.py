@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import ServingConfig, build_engine, clone_requests, simulate
+from repro.cluster.degradation import BrownoutConfig, DegradationLevel
 from repro.cluster.fleet import (
     AdmissionPolicy,
     FaultSchedule,
@@ -13,9 +15,12 @@ from repro.cluster.fleet import (
     ReplicaFault,
     simulate_fleet,
 )
+from repro.cluster.health import HealthConfig
 from repro.cluster.router import (
     LeastOutstandingTokensRouter,
     ReplicaSnapshot,
+    ReplicaTable,
+    ReplicaView,
     RoundRobinRouter,
     SloAwareRouter,
     as_fleet_router,
@@ -317,6 +322,27 @@ class TestOverloadControl:
         # Strings coerce to the enum.
         assert FleetConfig(admission="shed").admission is AdmissionPolicy.SHED
 
+    def test_monitor_sample_floors_must_fit_the_windows(self):
+        """A monitor needing more samples than the windows hold could
+        never judge a replica; such configs are rejected by name."""
+        with pytest.raises(ValueError, match=r"min_samples \(64\).*tbt_window \(32\)"):
+            FleetConfig(tbt_window=32, health=HealthConfig(min_samples=64))
+        FleetConfig(tbt_window=32, health=HealthConfig(min_samples=32))
+        ladder = (DegradationLevel(token_budget=128),)
+        with pytest.raises(
+            ValueError, match=r"min_samples \(65\).*num_replicas \* tbt_window \(64\)"
+        ):
+            FleetConfig(
+                num_replicas=2,
+                tbt_window=32,
+                brownout=BrownoutConfig(levels=ladder, min_samples=65),
+            )
+        FleetConfig(
+            num_replicas=2,
+            tbt_window=32,
+            brownout=BrownoutConfig(levels=ladder, min_samples=64),
+        )
+
 
 class TestFleetRouters:
     def _snap(self, index, alive=True, outstanding=0, queue=0, p99=None):
@@ -331,6 +357,16 @@ class TestFleetRouters:
             recent_p99_tbt=p99,
         )
 
+    def _view(self, router, snaps):
+        """The array view ``router`` reads, one table row per snapshot."""
+        table = ReplicaTable(len(snaps))
+        for column in ReplicaTable.COLUMNS:
+            values = [getattr(snap, column) for snap in snaps]
+            if column == "recent_p99_tbt":
+                values = [np.nan if v is None else v for v in values]
+            getattr(table, column)[:] = values
+        return ReplicaView(table, router.columns)
+
     def test_least_outstanding_picks_lightest(self):
         router = LeastOutstandingTokensRouter(3)
         snaps = [
@@ -338,12 +374,12 @@ class TestFleetRouters:
             self._snap(1, outstanding=100),
             self._snap(2, outstanding=300),
         ]
-        assert router.route(make_request(), 0.0, snaps) == 1
+        assert router.route(make_request(), 0.0, self._view(router, snaps)) == 1
 
     def test_least_outstanding_skips_dead(self):
         router = LeastOutstandingTokensRouter(2)
         snaps = [self._snap(0, alive=False), self._snap(1, outstanding=9999)]
-        assert router.route(make_request(), 0.0, snaps) == 1
+        assert router.route(make_request(), 0.0, self._view(router, snaps)) == 1
 
     def test_slo_aware_avoids_degraded(self):
         router = SloAwareRouter(2, tbt_slo=0.1)
@@ -351,7 +387,7 @@ class TestFleetRouters:
             self._snap(0, outstanding=10, p99=0.5),   # violating
             self._snap(1, outstanding=1000, p99=0.05),
         ]
-        assert router.route(make_request(), 0.0, snaps) == 1
+        assert router.route(make_request(), 0.0, self._view(router, snaps)) == 1
 
     def test_slo_aware_falls_back_when_all_degraded(self):
         router = SloAwareRouter(2, tbt_slo=0.1)
@@ -359,7 +395,39 @@ class TestFleetRouters:
             self._snap(0, outstanding=10, p99=0.5),
             self._snap(1, outstanding=1000, p99=0.9),
         ]
-        assert router.route(make_request(), 0.0, snaps) == 0
+        assert router.route(make_request(), 0.0, self._view(router, snaps)) == 0
+
+    def test_ties_break_on_queue_depth_then_index(self):
+        router = LeastOutstandingTokensRouter(4)
+        snaps = [
+            self._snap(0, outstanding=100, queue=3),
+            self._snap(1, outstanding=100, queue=1),
+            self._snap(2, outstanding=100, queue=1),
+            self._snap(3, outstanding=200, queue=0),
+        ]
+        assert router.route(make_request(), 0.0, self._view(router, snaps)) == 1
+
+    def test_slo_aware_counts_sampleless_replicas_healthy(self):
+        router = SloAwareRouter(2, tbt_slo=0.1)
+        snaps = [
+            self._snap(0, outstanding=10, p99=0.5),
+            self._snap(1, outstanding=1000, p99=None),
+        ]
+        assert router.route(make_request(), 0.0, self._view(router, snaps)) == 1
+
+    def test_view_is_read_only_and_declared(self):
+        table = ReplicaTable(2)
+        view = ReplicaView(table, LeastOutstandingTokensRouter.columns)
+        with pytest.raises(ValueError):
+            view.outstanding_tokens[0] = 1
+        with pytest.raises(ValueError):
+            view.alive[0] = False
+        assert not hasattr(view, "recent_p99_tbt")
+        # Views follow the table's writes.
+        table.outstanding_tokens[1] = 7
+        assert view.outstanding_tokens[1] == 7
+        with pytest.raises(ValueError, match="unknown replica-table column"):
+            ReplicaView(table, ("vibes",))
 
     def test_as_fleet_router_rejects_other_types(self):
         with pytest.raises(TypeError):

@@ -11,8 +11,7 @@ beats brownout-off on fleet goodput.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
+import numpy as np
 import pytest
 
 from repro.api import Deployment, ServingConfig, build_engine, clone_requests
@@ -33,6 +32,7 @@ from repro.cluster.fleet import (
     simulate_fleet,
 )
 from repro.cluster.health import HealthMonitor
+from repro.cluster.router import ReplicaTable, TbtWindow
 from repro.hardware.catalog import A100_80G
 from repro.metrics.recovery import recovery_report
 from repro.metrics.stats import jain_fairness
@@ -230,9 +230,18 @@ class TestCapacityShed:
 # Health monitor
 # ----------------------------------------------------------------------
 def _slot(index, tbts, alive=True, draining=False):
-    return SimpleNamespace(
-        index=index, alive=alive, draining=draining, recent_tbts=list(tbts)
-    )
+    """One replica's row flags and its TBT window."""
+    window = TbtWindow(max(len(tbts), 1), index)
+    window.push(np.array(tbts, dtype=float))
+    return alive, draining, window
+
+
+def _fleet_state(*slots):
+    """The state table and windows a monitor reads, from ``_slot`` rows."""
+    table = ReplicaTable(len(slots))
+    table.alive[:] = [alive for alive, _, _ in slots]
+    table.draining[:] = [draining for _, draining, _ in slots]
+    return table, [window for _, _, window in slots]
 
 
 class TestHealthMonitor:
@@ -244,7 +253,7 @@ class TestHealthMonitor:
             _slot(1, [0.05] * 8),
             _slot(2, [0.30] * 8),
         ]
-        flagged = monitor.flag_stragglers(slots)
+        flagged = monitor.flag_stragglers(*_fleet_state(*slots))
         assert [index for index, _ in flagged] == [2]
         assert flagged[0][1] == pytest.approx(6.0)
 
@@ -252,9 +261,9 @@ class TestHealthMonitor:
         config = HealthConfig(min_samples=8, inflation_factor=2.0)
         monitor = HealthMonitor(config, num_replicas=2)
         assert monitor.flag_stragglers(
-            [_slot(0, [0.05] * 8), _slot(1, [0.5] * 3)]
+            *_fleet_state(_slot(0, [0.05] * 8), _slot(1, [0.5] * 3))
         ) == []
-        assert monitor.flag_stragglers([_slot(0, [0.5] * 8)]) == []
+        assert monitor.flag_stragglers(*_fleet_state(_slot(0, [0.5] * 8))) == []
 
     def test_min_healthy_floor_holds(self):
         config = HealthConfig(min_samples=4, inflation_factor=1.5, min_healthy=3)
@@ -267,7 +276,7 @@ class TestHealthMonitor:
         ]
         # Both 2 and 3 inflate, but draining both would leave only two
         # routable replicas < min_healthy=3 — exactly one is drained.
-        flagged = monitor.flag_stragglers(slots)
+        flagged = monitor.flag_stragglers(*_fleet_state(*slots))
         assert [index for index, _ in flagged] == [2]
 
     @pytest.mark.usefixtures("core")
@@ -331,24 +340,24 @@ class TestBrownoutController:
 
     def test_steps_up_and_down_with_hysteresis(self):
         controller = BrownoutController(_ladder())
-        hot = [_slot(0, [0.2] * 8)]
-        cool = [_slot(0, [0.05] * 8)]
-        change = controller.evaluate(1.0, hot)
+        hot = _fleet_state(_slot(0, [0.2] * 8))
+        cool = _fleet_state(_slot(0, [0.05] * 8))
+        change = controller.evaluate(1.0, *hot)
         assert change is not None and change.direction == 1
         assert controller.level == 1
         # Dwell gate: immediately after a step, nothing moves.
-        assert controller.evaluate(1.5, hot) is None
-        assert controller.evaluate(2.5, hot).level == 2
-        assert controller.evaluate(3.8, hot).level == 3
+        assert controller.evaluate(1.5, *hot) is None
+        assert controller.evaluate(2.5, *hot).level == 2
+        assert controller.evaluate(3.8, *hot).level == 3
         # Between exit and enter thresholds: hold the level.
-        between = [_slot(0, [0.12] * 8)]
-        assert controller.evaluate(5.0, between) is None
-        down = controller.evaluate(6.0, cool)
+        between = _fleet_state(_slot(0, [0.12] * 8))
+        assert controller.evaluate(5.0, *between) is None
+        down = controller.evaluate(6.0, *cool)
         assert down.direction == -1 and controller.level == 2
 
     def test_idle_fleet_steps_down(self):
         controller = BrownoutController(_ladder(), level=2)
-        change = controller.evaluate(10.0, [_slot(0, [])])
+        change = controller.evaluate(10.0, *_fleet_state(_slot(0, [])))
         assert change is not None and change.direction == -1
         assert change.p99_tbt is None
 
