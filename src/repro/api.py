@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import os
+from array import array
 from dataclasses import dataclass, field, replace
 
 from repro.engine.arrays import RequestArrays
@@ -250,12 +251,13 @@ def build_engine(
 def clone_requests(requests: list[Request]) -> list[Request]:
     """Copy a trace so runs never share mutable request state.
 
-    ``token_times`` is a ``Request``'s only mutable field; the others
-    are immutable scalars, enums or ``None``.
+    ``token_times`` is a ``Request``'s only mutable field; each clone
+    gets its own ``array('d')`` copy.  The other fields are immutable
+    scalars, enums or ``None``.
     """
     clones = [copy.copy(r) for r in requests]
     for clone in clones:
-        clone.token_times = list(clone.token_times)
+        clone.token_times = array("d", clone.token_times)
     return clones
 
 

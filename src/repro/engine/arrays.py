@@ -12,9 +12,11 @@ Token emission timestamps are not appended per token; the engine logs
 ``(time, rows)`` pairs per iteration and :meth:`RequestArrays.sync_out`
 folds only the entries logged since the previous sync into each
 ``Request.token_times``, in chunks of at most ``_SYNC_CHUNK`` entries
-(each stable-sorted by row), then clears the log.  Every timestamp
-becomes a Python float once, and the transient arrays of a sync are
-bounded by one chunk, however long the log.
+(each stable-sorted by row), then clears the log.  ``token_times`` is
+a packed float64 ``array('d')``: each row's run is appended as raw
+bytes of the sorted chunk, so a sync creates no Python float per
+token, and its transient arrays are bounded by one chunk, however long
+the log.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ class RequestArrays:
         self.first_token_at[row] = _none_to_nan(request.first_token_at)
         self.finished_at[row] = _none_to_nan(request.finished_at)
         # A failed-over request arrives with its earlier emissions; new
-        # ones are appended to the same list at sync time.
+        # ones are appended to the same array at sync time.
         times = request.token_times
         if times:
             self.last_emit[row] = times[-1]
@@ -261,7 +263,7 @@ class RequestArrays:
             return
         cap = self._SYNC_CHUNK
         parts: list[np.ndarray | None] = [rows for _, rows in emit_log]
-        stamps = np.array([now for now, _ in emit_log])
+        stamps = np.array([now for now, _ in emit_log], dtype=np.float64)
         emit_log.clear()
         counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
         ends = np.cumsum(counts)
@@ -282,16 +284,18 @@ class RequestArrays:
         # Sort on the low 16 bits: NumPy's stable sort is then a radix
         # sort, several times faster than on int64.  Rows sharing those
         # bits stay in log order, so every run of one row is still
-        # chronological and is appended in turn.
+        # chronological and is appended in turn, as raw float64 bytes.
         order = np.argsort(rows.astype(np.uint16), kind="stable")
         rows_sorted = rows[order]
-        times_sorted = times[order].tolist()
+        times_sorted = times[order]
+        data = memoryview(times_sorted).cast("B")
+        width = times_sorted.itemsize
         bounds = (np.flatnonzero(rows_sorted[1:] != rows_sorted[:-1]) + 1).tolist()
         starts = [0] + bounds
         ends = bounds + [len(times_sorted)]
         requests = self.requests
         for row, a, b in zip(rows_sorted[starts].tolist(), starts, ends):
-            requests[row].token_times.extend(times_sorted[a:b])
+            requests[row].token_times.frombytes(data[a * width : b * width])
 
 
 def _none_to_nan(value: float | None) -> float:

@@ -29,8 +29,9 @@ this cheap without a per-token event heap:
 * Token emission timestamps need not be appended per request in the
   hot loop: the engine logs ``(time, rows)`` per iteration, and each
   synchronization point (end of run, fleet crash or drain) folds only
-  the entries logged since the previous one into the ``token_times``
-  lists, in bounded stable-sorted chunks, and then clears the log.  A
+  the entries logged since the previous one into the packed float64
+  ``token_times`` arrays, in bounded stable-sorted chunks appended as
+  raw bytes (no Python float per token), and then clears the log.  A
   run with a ``followup_fn`` hands finished requests off mid-run, so it
   appends to ``token_times`` directly instead.
 

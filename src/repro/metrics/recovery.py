@@ -19,6 +19,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.metrics.stats import percentile
 
 if TYPE_CHECKING:
@@ -88,13 +90,12 @@ def _tbt_samples(result: "FleetResult") -> tuple[list[float], list[float]]:
     percentiles reflect what users experienced *during* that window —
     including tokens from requests that only finished much later.
     """
-    pairs: list[tuple[float, float]] = []
-    for request in result.requests:
-        times = request.token_times
-        for earlier, later in zip(times, times[1:]):
-            pairs.append((later, later - earlier))
-    pairs.sort()
-    return [t for t, _ in pairs], [gap for _, gap in pairs]
+    stamps = [np.frombuffer(r.token_times) for r in result.requests]
+    times = np.concatenate([t[1:] for t in stamps] or [np.empty(0)])
+    gaps = np.concatenate([t[1:] - t[:-1] for t in stamps] or [np.empty(0)])
+    # Time-major, gap-minor: the order of sorting (time, gap) pairs.
+    order = np.lexsort((gaps, times))
+    return times[order].tolist(), gaps[order].tolist()
 
 
 def recovery_report(

@@ -1,4 +1,7 @@
-"""Small statistics helpers shared by the metrics pipeline."""
+"""Small statistics helpers shared by the metrics pipeline.
+
+Each takes a non-empty sequence of floats: a list or a numpy array.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ import numpy as np
 
 def percentile(values: list[float], q: float) -> float:
     """The ``q``-th percentile (0-100) of a non-empty sample."""
-    if not values:
+    if len(values) == 0:
         raise ValueError("cannot take a percentile of an empty sample")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
@@ -27,7 +30,7 @@ def p99(values: list[float]) -> float:
 
 
 def mean(values: list[float]) -> float:
-    if not values:
+    if len(values) == 0:
         raise ValueError("cannot take the mean of an empty sample")
     return float(np.mean(values))
 
@@ -40,7 +43,7 @@ def jain_fairness(values: list[float]) -> float:
     means the latency burden is evenly spread rather than concentrated
     on a starved few.
     """
-    if not values:
+    if len(values) == 0:
         raise ValueError("cannot take a fairness index of an empty sample")
     arr = np.asarray(values, dtype=np.float64)
     if np.any(arr < 0):

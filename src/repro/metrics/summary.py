@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.metrics.slo import SLOSpec
 from repro.metrics.stats import percentile
 from repro.metrics.timeline import stage_utilization
@@ -66,19 +68,25 @@ def summarize(result: "SimulationResult") -> RunMetrics:
     ttfts = [r.ttft for r in finished]
     delays = [r.scheduling_delay for r in finished]
     window_end = max(r.arrival_time for r in result.requests)
-    tbts: list[float] = []
-    for request in finished:
-        times = request.token_times
-        tbts.extend(
-            b - a for a, b in zip(times, times[1:]) if b <= window_end
-        )
-    if not tbts:
+    # One float64 pool for every pooled gap; each request's gaps are
+    # computed from its packed timestamps without a Python float apiece.
+    stamps = [
+        np.frombuffer(r.token_times) for r in finished if len(r.token_times) > 1
+    ]
+    pool = np.empty(sum(len(times) - 1 for times in stamps))
+    filled = 0
+    for times in stamps:
+        later = times[1:]
+        gaps = (later - times[:-1])[later <= window_end]
+        pool[filled : filled + len(gaps)] = gaps
+        filled += len(gaps)
+    if not filled:
         # Closed-loop trace or too-short window: use every sample.
-        for request in finished:
-            tbts.extend(request.tbt_samples)
-    if not tbts:
-        # Degenerate single-token outputs; report zeros rather than fail.
-        tbts = [0.0]
+        for times in stamps:
+            pool[filled : filled + len(times) - 1] = times[1:] - times[:-1]
+            filled += len(times) - 1
+    # Degenerate single-token outputs report zeros rather than fail.
+    tbts = pool[:filled] if filled else np.zeros(1)
 
     output_tokens = sum(r.num_emitted for r in finished)
     total_tokens = sum(r.prompt_len + r.num_emitted for r in finished)
@@ -95,9 +103,9 @@ def summarize(result: "SimulationResult") -> RunMetrics:
         median_ttft=percentile(ttfts, 50),
         p90_ttft=percentile(ttfts, 90),
         p99_ttft=percentile(ttfts, 99),
-        median_tbt=percentile(tbts, 50),
-        p99_tbt=percentile(tbts, 99),
-        max_tbt=max(tbts),
+        median_tbt=_percentile_in_place(tbts, 50),
+        p99_tbt=_percentile_in_place(tbts, 99),
+        max_tbt=float(tbts.max()),
         median_scheduling_delay=percentile(delays, 50),
         p99_scheduling_delay=percentile(delays, 99),
         output_tokens=output_tokens,
@@ -107,3 +115,8 @@ def summarize(result: "SimulationResult") -> RunMetrics:
         throughput_tokens_per_s=total_tokens / makespan if makespan > 0 else 0.0,
         mean_bubble_fraction=sum(bubble_fracs) / len(bubble_fracs),
     )
+
+
+def _percentile_in_place(values: np.ndarray, q: float) -> float:
+    """``percentile(values, q)``, reordering ``values`` instead of copying."""
+    return float(np.percentile(values, q, overwrite_input=True))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from array import array
 from dataclasses import dataclass, field
 
 
@@ -85,6 +86,10 @@ class Request:
     ``prefill_target`` grows to ``prompt_len + num_emitted`` and the
     request re-queues.  Emitted-token bookkeeping (``num_emitted``,
     ``token_times``) is monotone — users saw those tokens.
+
+    ``token_times`` holds one emission timestamp per output token as a
+    packed float64 ``array('d')`` (8 bytes a token); any other sequence
+    passed in is converted on construction.
     """
 
     prompt_len: int
@@ -117,7 +122,7 @@ class Request:
     first_scheduled_at: float | None = None
     first_token_at: float | None = None
     finished_at: float | None = None
-    token_times: list[float] = field(default_factory=list)
+    token_times: array = field(default_factory=lambda: array("d"))
     num_restarts: int = 0
 
     def __post_init__(self) -> None:
@@ -139,6 +144,9 @@ class Request:
             )
         if self.prefill_target == 0:
             self.prefill_target = self.prompt_len
+        times = self.token_times
+        if not (isinstance(times, array) and times.typecode == "d"):
+            self.token_times = array("d", times)
 
     # --- derived quantities ------------------------------------------------
     @property

@@ -90,7 +90,7 @@ def test_monotone_completion_times(trace, kind):
     for request in trace:
         assert request.first_scheduled_at >= request.arrival_time
         assert request.first_token_at >= request.first_scheduled_at
-        assert request.token_times == sorted(request.token_times)
+        assert request.token_times.tolist() == sorted(request.token_times)
         assert request.token_times[0] == request.first_token_at
         assert request.finished_at == request.token_times[-1]
 

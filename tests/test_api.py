@@ -114,7 +114,7 @@ class TestCloneRequests:
             assert vars(clone) == vars(request)
             assert clone.token_times is not request.token_times
         clones[1].record_decode(now=2.0)
-        assert original[1].token_times == [1.0, 1.5]
+        assert original[1].token_times.tolist() == [1.0, 1.5]
 
 
 class TestSimulate:

@@ -47,7 +47,7 @@ class TestEverySchedulerSingleStage:
         for request in result.requests:
             assert request.num_emitted == request.output_len
             assert len(request.token_times) == request.output_len
-            assert request.token_times == sorted(request.token_times)
+            assert request.token_times.tolist() == sorted(request.token_times)
         # Prefill conservation: at least every prompt token was
         # prefilled once; anything beyond that must be explained by
         # recompute restarts (which re-prefill prompt + emitted).

@@ -110,7 +110,7 @@ class TestReplicaEngineSingleStage:
         ]
         self._run(tiny_deployment, requests)
         for r in requests:
-            assert r.token_times == sorted(r.token_times)
+            assert r.token_times.tolist() == sorted(r.token_times)
             assert r.token_times[0] >= r.arrival_time
 
     def test_records_cover_all_work(self, tiny_deployment):

@@ -116,7 +116,7 @@ def test_no_request_lost_or_double_finished(scenario):
         if request.is_finished:
             assert request.num_emitted == request.output_len
             assert len(request.token_times) == request.output_len
-            assert request.token_times == sorted(request.token_times)
+            assert request.token_times.tolist() == sorted(request.token_times)
             assert request.finished_at == request.token_times[-1]
 
     # Each request was delivered to at most one replica at a time:
@@ -195,7 +195,7 @@ def test_conservation_under_correlated_faults_and_degradation(
         assert request.num_emitted <= request.output_len
         if request.is_finished:
             assert request.num_emitted == request.output_len
-            assert request.token_times == sorted(request.token_times)
+            assert request.token_times.tolist() == sorted(request.token_times)
     finished_ids = [
         r.request_id
         for replica_result in result.replica_results

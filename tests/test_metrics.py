@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import Deployment, ServingConfig, simulate
 from repro.metrics.capacity import find_capacity
 from repro.metrics.slo import PAPER_SLOS, SLOSpec, derived_slo, paper_slo
-from repro.metrics.stats import mean, median, p90, p99, percentile
+from repro.metrics.stats import jain_fairness, mean, median, p90, p99, percentile
 from repro.metrics.summary import RunMetrics
 from repro.metrics.timeline import (
     IterationRecord,
@@ -41,6 +42,28 @@ class TestStats:
     def test_out_of_range_percentile_rejected(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
+
+    def test_ndarray_input_matches_list(self):
+        values = [float(v) ** 1.5 for v in range(1, 101)]
+        arr = np.array(values)
+        for q in (0, 50, 90, 99, 100):
+            assert percentile(arr, q) == percentile(values, q)
+        assert median(arr) == median(values)
+        assert p99(arr) == p99(values)
+        assert mean(arr) == mean(values)
+        assert jain_fairness(arr) == jain_fairness(values)
+
+    def test_single_element_ndarray(self):
+        assert percentile(np.array([3.5]), 99) == 3.5
+        assert mean(np.array([3.5])) == 3.5
+
+    def test_empty_ndarray_rejected(self):
+        with pytest.raises(ValueError):
+            percentile(np.array([]), 50)
+        with pytest.raises(ValueError):
+            mean(np.array([]))
+        with pytest.raises(ValueError):
+            jain_fairness(np.array([]))
 
 
 class TestSLO:

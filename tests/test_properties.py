@@ -153,7 +153,7 @@ def test_request_emits_exactly_output_len_tokens(prompt, output, chunk):
         r.record_decode(now=now)
     assert r.num_emitted == output
     assert len(r.token_times) == output
-    assert r.token_times == sorted(r.token_times)
+    assert r.token_times.tolist() == sorted(r.token_times)
     assert r.context_len == prompt + output - 1
 
 

@@ -180,7 +180,7 @@ def test_disaggregated_engine_random_workloads_complete(specs):
         assert r.is_finished
         assert r.num_emitted == r.output_len
         assert len(r.token_times) == r.output_len
-        assert r.token_times == sorted(r.token_times)
+        assert r.token_times.tolist() == sorted(r.token_times)
     # One migration per request that decodes at least once.
     expected = sum(1 for r in requests if r.output_len > 1)
     assert engine.num_migrations == expected

@@ -94,7 +94,7 @@ def test_incremental_sync_matches_single_final_sync(
     assert requests == reference
     for request in requests:
         assert len(request.token_times) == request.output_len
-        assert request.token_times == sorted(request.token_times)
+        assert request.token_times.tolist() == sorted(request.token_times)
 
 
 @pytest.mark.parametrize("chunk", [7, RequestArrays._SYNC_CHUNK])
@@ -122,7 +122,7 @@ def test_sync_out_matches_per_token_append(monkeypatch, chunk, num_rows):
                 expected[row].append(now)
         arrays.sync_out(log)
         assert log == []
-        assert [r.token_times for r in arrays.requests] == expected
+        assert [r.token_times.tolist() for r in arrays.requests] == expected
     assert arrays.requests[-1].token_times is failed_over
 
 
@@ -132,7 +132,7 @@ def test_sync_out_is_idempotent(tiny_deployment):
     before = [list(r.token_times) for r in result.requests]
     engine.all_requests
     engine.pending_requests()
-    assert [r.token_times for r in engine.all_requests] == before
+    assert [r.token_times.tolist() for r in engine.all_requests] == before
 
 
 def test_failover_keeps_pre_crash_times_then_appends(tiny_deployment, monkeypatch):
@@ -161,7 +161,7 @@ def test_failover_keeps_pre_crash_times_then_appends(tiny_deployment, monkeypatc
     by_id = {r.request_id: r for r in result.finished_requests}
     mid_decode = 0
     for request_id, (crashed_at, before) in crash_times.items():
-        times = by_id[request_id].token_times
+        times = by_id[request_id].token_times.tolist()
         assert times[: len(before)] == before
         assert all(t > crashed_at for t in times[len(before) :])
         assert times == sorted(times)
@@ -185,6 +185,6 @@ def test_followup_handoff_sees_final_token_times(tiny_deployment):
     result = engine.run(workload.initial_requests(), followup_fn=followup)
     assert engine._emit_log == []
     assert len(result.requests) > 8  # follow-up rounds ran
-    assert handed_off == {r.request_id: r.token_times for r in result.requests}
+    assert handed_off == {r.request_id: r.token_times.tolist() for r in result.requests}
     for request in result.requests:
         assert len(request.token_times) == request.output_len

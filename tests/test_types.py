@@ -52,7 +52,7 @@ class TestRequestPrefillLifecycle:
         assert r.phase is RequestPhase.DECODE
         assert r.num_emitted == 1
         assert r.first_token_at == 2.5
-        assert r.token_times == [2.5]
+        assert r.token_times.tolist() == [2.5]
 
     def test_chunked_prefill_emits_only_at_end(self):
         r = Request(prompt_len=100, output_len=5)
@@ -85,7 +85,7 @@ class TestRequestDecodeLifecycle:
         r.record_decode(now=1.1)
         assert r.num_emitted == 2
         assert r.decode_steps == 1
-        assert r.token_times == [1.0, 1.1]
+        assert r.token_times.tolist() == [1.0, 1.1]
 
     def test_decode_before_prefill_rejected(self):
         r = Request(prompt_len=10, output_len=2)
