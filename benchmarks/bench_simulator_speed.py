@@ -18,12 +18,9 @@ Cases:
   directly on the execution model.
 * **parallel_capacity_grid** — a Fig. 10-shaped capacity grid run the
   pre-engine way (serial, memoization off) vs through the sweep engine
-  (``--jobs 4`` on a warm persistent cache), with the serial-cached,
-  parallel-cold and parallel-warm wall-clocks recorded in the detail.
-  Every variant must produce the identical table.
-* **capacity_grid_disk_cache** — the same grid's first (cold) disk-
-  cached run vs its fully-warm rerun in a fresh process registry; the
-  warm run must win by ≥1.5x and change nothing.
+  at ``--jobs 4``, with the engine's serial wall-clock recorded in the
+  detail.  The engine's serial and ``--jobs 4`` runs must produce the
+  identical table.
 * **surrogate_capacity_grid** — a Yi-34B capacity grid searched three
   ways: warm-start-only baseline (surrogate off), then a cold
   surrogate run that fills the store, then a warm rerun seeded by it
@@ -38,8 +35,7 @@ Cases:
   fixed P99-TBT SLO with the cache off vs on, per chunk size.
 * **leaderboard_smoke** — the two-policy scheduler leaderboard
   (sarathi vs the SRPT oracle, capacity search skipped) run twice in
-  one process: a cold-registry run vs a process-warm rerun, which must
-  produce identical rankings cell for cell.
+  one process, which must produce identical rankings cell for cell.
 * **fleet_resilience** — the resilience experiment's high-fault-rate
   operating point (correlated slowdown faults over 2 domains) with the
   brownout controller off vs on, run twice in one process; both runs
@@ -97,7 +93,6 @@ from repro.reporting import (  # noqa: E402
     render_bench_table,
     write_bench_json,
 )
-from repro.runtime import clear_process_models  # noqa: E402
 from repro.types import SchedulerKind  # noqa: E402
 from repro.workload.conversation import simulate_conversations  # noqa: E402
 from repro.workload.datasets import ARXIV_SUMMARIZATION, SHAREGPT4  # noqa: E402
@@ -109,8 +104,8 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_simulator.json"
 SWEEP_SCALE = Scale(num_requests=24, capacity_rel_tol=0.3, capacity_max_probes=5)
 QUICK_SCALE = Scale(num_requests=10, capacity_rel_tol=0.4, capacity_max_probes=3)
 # The capacity grid prices long arxiv prompts, where the execution
-# model dominates wall-clock; smaller request counts keep the four
-# runs of the grid (uncached / cold / warm / parallel) around a minute.
+# model dominates wall-clock; smaller request counts keep the three
+# runs of the grid (uncached / serial / parallel) around a minute.
 GRID_SCALE = Scale(num_requests=16, capacity_rel_tol=0.3, capacity_max_probes=4)
 GRID_QUICK_SCALE = Scale(num_requests=8, capacity_rel_tol=0.5, capacity_max_probes=3)
 
@@ -141,12 +136,14 @@ def _timed_capacity_sweep(
     slo = derived_slo(deployment.execution_model(), strict=True)
     scale = replace(scale, seed=seed)
 
-    def sweep(perf_cache: bool):
-        config = serving_config_for(
-            deployment, SchedulerKind.SARATHI_DYNAMIC, strict=True,
-            perf_cache=perf_cache,
+    config = serving_config_for(deployment, SchedulerKind.SARATHI_DYNAMIC, strict=True)
+
+    def sweep(memoized: bool):
+        exec_model = (
+            execution_model_for(deployment)
+            if memoized
+            else deployment.execution_model()
         )
-        exec_model = execution_model_for(deployment, config)
         start = time.perf_counter()
         result = measure_capacity(
             deployment,
@@ -161,9 +158,8 @@ def _timed_capacity_sweep(
         )
         return time.perf_counter() - start, result, exec_model
 
-    uncached_s, uncached, _ = sweep(perf_cache=False)
-    cached_s, cached, cached_model = sweep(perf_cache=True)
-    assert isinstance(cached_model, CachedExecutionModel)
+    uncached_s, uncached, _ = sweep(memoized=False)
+    cached_s, cached, cached_model = sweep(memoized=True)
     stats = cached_model.cache_stats
 
     identical = _probe_fingerprint(uncached) == _probe_fingerprint(cached)
@@ -237,15 +233,13 @@ def _timed_parallel_grid(
     deployment: Deployment,
     scale: Scale,
     seed: int,
-    cache_dir: Path,
     quick: bool,
-) -> list[BenchCase]:
-    """A capacity grid four ways: legacy serial vs engine variants.
+) -> BenchCase:
+    """A capacity grid three ways: legacy serial vs engine serial/parallel.
 
-    Returns the ``parallel_capacity_grid`` case (pre-engine serial +
-    memoization-off vs engine ``--jobs 4`` warm) and the
-    ``capacity_grid_disk_cache`` case (engine cold vs fully-warm rerun).
-    All variants must produce the identical cell table.
+    The timed columns are the pre-engine serial loop with memoization
+    off and the engine at ``--jobs 4``; the engine's serial and
+    parallel runs must produce the identical cell table.
     """
     scale = replace(scale, seed=seed)
     dataset = ARXIV_SUMMARIZATION
@@ -264,8 +258,7 @@ def _timed_parallel_grid(
         for scheduler in schedulers
     ]
     # One dynamic-scheduler cell: its per-iteration budget bisection
-    # prices thousands of trial batches, so it is where the engine's
-    # memoized + disk-warmed pricing pays off hardest.
+    # prices thousands of trial batches through the cell's model.
     specs.append(
         CapacityCellSpec(
             deployment=deployment,
@@ -280,73 +273,43 @@ def _timed_parallel_grid(
     # Pre-engine baseline: serial loop, fresh uncached model per cell.
     start = time.perf_counter()
     for spec in specs:
-        config = serving_config_for(
-            deployment, spec.scheduler, spec.strict, perf_cache=False
-        )
+        config = serving_config_for(deployment, spec.scheduler, spec.strict)
         slo = derived_slo(deployment.execution_model(), spec.strict)
         measure_capacity(
             deployment, spec.scheduler, dataset, slo, scale,
             config=config, qps_hint=spec.qps_hint,
+            exec_model=deployment.execution_model(),
         )
     legacy_s = time.perf_counter() - start
 
-    def engine_run(jobs: int, with_cache: bool):
-        clear_process_models()
+    def engine_run(jobs: int):
         start = time.perf_counter()
-        outcomes = run_capacity_cells(
-            specs, jobs=jobs, cache_dir=cache_dir if with_cache else None
-        )
+        outcomes = run_capacity_cells(specs, jobs=jobs)
         return time.perf_counter() - start, outcomes
 
-    cold_s, cold = engine_run(jobs=1, with_cache=True)
-    warm_s, warm = engine_run(jobs=1, with_cache=True)
-    par_s, par = engine_run(jobs=4, with_cache=True)
+    serial_s, serial = engine_run(jobs=1)
+    par_s, par = engine_run(jobs=4)
 
-    # Bit-identity holds across engine variants (same spec list, any
-    # jobs/cache state).  The legacy baseline runs a *different* search
-    # (static hints instead of warm-started ones), so its capacities
-    # agree only to the search tolerance — it times, not golden-checks.
-    tables = [[o.cell for o in run] for run in (cold, warm, par)]
-    identical = all(table == tables[0] for table in tables)
-    hits = sum(o.cache_row.get("cache_hits", 0) for o in warm)
-    misses = sum(o.cache_row.get("cache_misses", 0) for o in warm)
-    work_hits = sum(o.cache_row.get("cache_work_hits", 0) for o in warm)
-    work_misses = sum(o.cache_row.get("cache_work_misses", 0) for o in warm)
-    grid_label = (
-        f"{len(specs)} cells ({deployment.label}, {dataset.name}), seed={scale.seed}"
+    # Bit-identity holds across engine runs (same spec list, any jobs).
+    # The legacy baseline runs a *different* search (static hints
+    # instead of warm-started ones), so its capacities agree only to
+    # the search tolerance — it times, not golden-checks.
+    identical = [o.cell for o in serial] == [o.cell for o in par]
+    return BenchCase(
+        name="parallel_capacity_grid",
+        uncached_seconds=legacy_s,
+        cached_seconds=par_s,
+        identical=identical,
+        cache_hits=sum(o.cache_row["cache_hits"] for o in serial),
+        cache_misses=sum(o.cache_row["cache_misses"] for o in serial),
+        work_hits=sum(o.cache_row["cache_work_hits"] for o in serial),
+        work_misses=sum(o.cache_row["cache_work_misses"] for o in serial),
+        detail=(
+            f"{len(specs)} cells ({deployment.label}, {dataset.name}), "
+            f"seed={scale.seed}; serial+no-memo {legacy_s:.1f}s, engine "
+            f"jobs=1 {serial_s:.1f}s, jobs=4 {par_s:.1f}s"
+        ),
     )
-    return [
-        BenchCase(
-            name="parallel_capacity_grid",
-            uncached_seconds=legacy_s,
-            cached_seconds=par_s,
-            identical=identical,
-            cache_hits=hits,
-            cache_misses=misses,
-            work_hits=work_hits,
-            work_misses=work_misses,
-            detail=(
-                f"{grid_label}; serial+no-memo {legacy_s:.1f}s, engine "
-                f"jobs=1 cold {cold_s:.1f}s, jobs=1 warm {warm_s:.1f}s, "
-                f"jobs=4 warm {par_s:.1f}s (single-CPU host: parallel "
-                f"gains come from the warm persistent cache)"
-            ),
-        ),
-        BenchCase(
-            name="capacity_grid_disk_cache",
-            uncached_seconds=cold_s,
-            cached_seconds=warm_s,
-            identical=tables[0] == tables[1],
-            cache_hits=hits,
-            cache_misses=misses,
-            work_hits=work_hits,
-            work_misses=work_misses,
-            detail=(
-                f"{grid_label}; first disk-cached run vs fully-warm "
-                f"rerun in a fresh process (target >=1.5x)"
-            ),
-        ),
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -556,12 +519,10 @@ def _leaderboard_fingerprint(rows) -> list[tuple]:
 
 
 def _timed_leaderboard(deployment: Deployment, quick: bool, seed: int) -> BenchCase:
-    """Leaderboard case: cold-registry run vs process-warm rerun.
+    """Leaderboard case: two identical runs in one process.
 
     Runs the two-policy mini-leaderboard (sarathi vs the SRPT oracle,
-    capacity search skipped) twice in the same process.  The first run
-    starts from a cleared execution-model registry; the second reuses
-    the warm per-process models.  Both runs must produce identical
+    capacity search skipped) twice.  Both runs must produce identical
     rows cell for cell, and the detail records the oracle-vs-sarathi
     mean-latency gap on the saturating static workload.
     """
@@ -581,27 +542,26 @@ def _timed_leaderboard(deployment: Deployment, quick: bool, seed: int) -> BenchC
         )
         return time.perf_counter() - start, rows
 
-    clear_process_models()
-    cold_s, cold = run()
-    warm_s, warm = run()
-    identical = _leaderboard_fingerprint(cold) == _leaderboard_fingerprint(warm)
+    first_s, first = run()
+    second_s, second = run()
+    identical = _leaderboard_fingerprint(first) == _leaderboard_fingerprint(second)
 
     static = {
-        row.cell.scheduler: row.cell for row in cold if row.cell.workload == "static"
+        row.cell.scheduler: row.cell for row in first if row.cell.workload == "static"
     }
     oracle = static["srpt_oracle"]
     sarathi = static["sarathi"]
     return BenchCase(
         name="leaderboard_smoke",
-        uncached_seconds=cold_s,
-        cached_seconds=warm_s,
+        uncached_seconds=first_s,
+        cached_seconds=second_s,
         identical=identical,
         detail=(
             f"{deployment.label}, {len(LEADERBOARD_POLICIES)} policies x 3 "
             f"workloads, seed={scale.seed}; static qps {oracle.qps:g}: "
             f"srpt_oracle mean latency {oracle.mean_latency:.2f}s vs sarathi "
-            f"{sarathi.mean_latency:.2f}s; timed columns = cold-registry run "
-            f"vs process-warm rerun (must rank identically)"
+            f"{sarathi.mean_latency:.2f}s; timed columns = first run vs "
+            f"identical second run (must rank identically)"
         ),
     )
 
@@ -616,7 +576,7 @@ RESILIENCE_QUICK_SCALE = Scale(
 
 
 def _timed_fleet_resilience(quick: bool, seed: int) -> BenchCase:
-    """Resilience case: brownout off/on pair, cold vs process-warm.
+    """Resilience case: brownout off/on pair, run twice.
 
     Always runs on the Mistral deployment (the resilience sweep's own):
     the operating point — correlated 2x slowdowns against the strict
@@ -637,7 +597,7 @@ def _timed_fleet_resilience(quick: bool, seed: int) -> BenchCase:
     config = ServingConfig(
         scheduler=SchedulerKind.SARATHI, token_budget=SWEEP_TOKEN_BUDGET
     )
-    slo = derived_slo(execution_model_for(deployment, config), strict=True)
+    slo = derived_slo(execution_model_for(deployment), strict=True)
     specs = [
         ResiliencePointSpec(
             deployment=deployment,
@@ -659,27 +619,26 @@ def _timed_fleet_resilience(quick: bool, seed: int) -> BenchCase:
         points = [run_resilience_point(spec) for spec in specs]
         return time.perf_counter() - start, points
 
-    clear_process_models()
-    cold_s, cold = run()
-    warm_s, warm = run()
-    identical = cold == warm
-    off, on = cold
+    first_s, first = run()
+    second_s, second = run()
+    identical = first == second
+    off, on = first
 
     def _fmt(value):
         return "-" if value is None else f"{value:.2f}s"
 
     return BenchCase(
         name="fleet_resilience",
-        uncached_seconds=cold_s,
-        cached_seconds=warm_s,
+        uncached_seconds=first_s,
+        cached_seconds=second_s,
         identical=identical,
         detail=(
             f"{deployment.label}, 4 replicas x 2 domains, correlated "
             f"slowdown rate=0.15, seed={scale.seed}; goodput "
             f"{off.goodput_rps:.2f} rps (brownout off) -> "
             f"{on.goodput_rps:.2f} rps (on), MTTR {_fmt(off.mean_recovery_s)} "
-            f"-> {_fmt(on.mean_recovery_s)}; timed columns = cold-registry "
-            f"run vs process-warm rerun (must be bit-identical)"
+            f"-> {_fmt(on.mean_recovery_s)}; timed columns = first run vs "
+            f"identical second run (must be bit-identical)"
         ),
     )
 
@@ -693,15 +652,11 @@ def bench_simulator_cache_speed(benchmark, report):
             deployment, QUICK_SCALE, seed=0, min_load_duration=10.0
         )
         hybrid = _timed_hybrid_batch(deployment, quick=True, seed=0)
-        with tempfile.TemporaryDirectory() as cache_dir:
-            grid = _timed_parallel_grid(
-                deployment, GRID_QUICK_SCALE, seed=0,
-                cache_dir=Path(cache_dir), quick=True,
-            )
+        grid = _timed_parallel_grid(deployment, GRID_QUICK_SCALE, seed=0, quick=True)
         prefix = _timed_prefix_cache_conversation(deployment, quick=True, seed=0)
         leaderboard = _timed_leaderboard(deployment, quick=True, seed=0)
         resilience = _timed_fleet_resilience(quick=True, seed=0)
-        return [sweep, hybrid, *grid, prefix, leaderboard, resilience]
+        return [sweep, hybrid, grid, prefix, leaderboard, resilience]
 
     cases = benchmark.pedantic(run, rounds=1, iterations=1)
     report(
@@ -744,14 +699,12 @@ def main(argv: list[str] | None = None) -> int:
     print("timing hybrid-batch pricing sweep…", flush=True)
     hybrid_case = _timed_hybrid_batch(deployment, args.quick, args.seed)
     print("timing parallel capacity grid (sweep engine)…", flush=True)
-    with tempfile.TemporaryDirectory() as cache_dir:
-        grid_cases = _timed_parallel_grid(
-            deployment,
-            GRID_QUICK_SCALE if args.quick else GRID_SCALE,
-            args.seed,
-            cache_dir=Path(cache_dir),
-            quick=args.quick,
-        )
+    grid_case = _timed_parallel_grid(
+        deployment,
+        GRID_QUICK_SCALE if args.quick else GRID_SCALE,
+        args.seed,
+        quick=args.quick,
+    )
     print("timing surrogate-guided capacity grid…", flush=True)
     surrogate_case = _timed_surrogate_grid(args.quick, args.seed)
     print("timing prefix-cache conversation capacity…", flush=True)
@@ -761,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
     print("timing fleet resilience (brownout off/on)…", flush=True)
     resilience_case = _timed_fleet_resilience(args.quick, args.seed)
     cases = [
-        sweep_case, hybrid_case, *grid_cases,
+        sweep_case, hybrid_case, grid_case,
         surrogate_case, prefix_case, leaderboard_case, resilience_case,
     ]
 

@@ -27,7 +27,7 @@ from repro.memory.prefix import SharedPrefixStore
 from repro.metrics.summary import RunMetrics, summarize
 from repro.models.config import ModelConfig
 from repro.parallel.config import ParallelConfig
-from repro.perf.cache import DEFAULT_MAX_ENTRIES, CachedExecutionModel
+from repro.perf.cache import CachedExecutionModel
 from repro.perf.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.perf.iteration import ExecutionModel
 from repro.scheduling.registry import SchedulerBuildContext, resolve
@@ -49,9 +49,8 @@ class Deployment:
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     calibration: Calibration = DEFAULT_CALIBRATION
 
-    def execution_model(self, cached: bool = False) -> ExecutionModel:
-        model = ExecutionModel(self.model, self.gpu, self.parallel, self.calibration)
-        return CachedExecutionModel(model) if cached else model
+    def execution_model(self) -> ExecutionModel:
+        return ExecutionModel(self.model, self.gpu, self.parallel, self.calibration)
 
     def kv_capacity_tokens(self, reservation_style: bool = False) -> int:
         reserve = (
@@ -97,11 +96,6 @@ class ServingConfig:
     # memory and pays PCIe transfers instead.  Strings are normalized
     # to the enum at construction time.
     preemption_mode: PreemptionMode | str = PreemptionMode.RECOMPUTE
-    # Memoize execution-model pricing (bit-identical results; see
-    # repro.perf.cache).  On by default — disable to time the raw
-    # analytical model or to bisect a suspected cache bug.
-    perf_cache: bool = True
-    perf_cache_max_entries: int = DEFAULT_MAX_ENTRIES
     # KV prefix caching (paged schedulers only): requests tagged with a
     # prefix_id reuse ref-counted shared blocks published by earlier
     # requests in the same lineage, prefilling only their novel suffix
@@ -141,11 +135,6 @@ class ServingConfig:
             raise ValueError(
                 f"tbt_slo must be positive or None, got {self.tbt_slo}"
             )
-        if self.perf_cache_max_entries <= 0:
-            raise ValueError(
-                "perf_cache_max_entries must be positive, "
-                f"got {self.perf_cache_max_entries}"
-            )
         # Normalize to the enum (raises a naming error on typos); plain
         # strings keep working thanks to PreemptionMode's str mixin.
         object.__setattr__(
@@ -169,21 +158,16 @@ class ServingConfig:
         return replace(self, token_budget=token_budget)
 
 
-def execution_model_for(
-    deployment: Deployment, config: ServingConfig
-) -> ExecutionModel:
-    """The deployment's execution model, memoized when config asks.
+def execution_model_for(deployment: Deployment) -> CachedExecutionModel:
+    """The deployment's memoized execution model (:mod:`repro.perf.cache`).
 
-    Build one and pass it to several ``simulate``/``build_engine``
-    calls to share warm cache entries across runs (capacity searches
-    replay thousands of overlapping batch compositions).
+    Every sweep task builds one and passes it to the
+    ``simulate``/``build_engine`` calls it makes, so a capacity search
+    shares warm entries across its probes; the model is dropped with
+    the task.  Pricing is bit-identical to ``deployment.execution_model()``,
+    which callers pass as ``exec_model`` to time the raw analytical model.
     """
-    exec_model = deployment.execution_model()
-    if config.perf_cache:
-        exec_model = CachedExecutionModel(
-            exec_model, max_entries=config.perf_cache_max_entries
-        )
-    return exec_model
+    return CachedExecutionModel(deployment.execution_model())
 
 
 def build_vectorized_scheduler(
@@ -224,7 +208,7 @@ def build_vectorized_scheduler(
         memory=memory,
         kv_bytes_per_token=deployment.model.kv_bytes_per_token,
         _exec_model=exec_model,
-        _exec_model_factory=lambda: execution_model_for(deployment, config),
+        _exec_model_factory=lambda: execution_model_for(deployment),
     )
     return spec.build(context)
 
@@ -236,11 +220,11 @@ def build_engine(
 ) -> VectorizedReplicaEngine:
     """A fresh engine ready to ``run`` a request trace.
 
-    Passing ``exec_model`` overrides ``config.perf_cache`` — the caller
-    owns the model (typically to share one warm cache across engines).
+    Passing ``exec_model`` overrides the default memoized model — the
+    caller owns it (typically to share one warm cache across engines).
     """
     if exec_model is None:
-        exec_model = execution_model_for(deployment, config)
+        exec_model = execution_model_for(deployment)
     return VectorizedReplicaEngine(
         exec_model,
         build_vectorized_scheduler(deployment, config, exec_model=exec_model),

@@ -10,7 +10,7 @@ Examples::
     python -m repro budget --model llama2-70b --gpu a40-48gb --tp 4 --pp 2
     python -m repro fleet --replicas 4 --qps 4.0 --fault-rate 0.02 \
         --router slo-aware --max-queue-depth 64
-    python -m repro reproduce fig10 --scale smoke --jobs 4 --cache-dir .perf-cache
+    python -m repro reproduce fig10 --scale smoke --jobs 4 --surrogate --cache-dir .surrogate
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 
 from repro.api import Deployment, ServingConfig, simulate
 from repro.experiments.capacity_runner import serving_config_for
-from repro.experiments.common import Scale, perf_cache_from_env
+from repro.experiments.common import Scale
 from repro.hardware.catalog import ETHERNET_100G, get_gpu
 from repro.metrics.slo import derived_slo
 from repro.models.catalog import get_model, list_models
@@ -68,16 +68,6 @@ def _scheduler_from(args: argparse.Namespace) -> str:
     return name
 
 
-def _add_perf_cache_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--perf-cache",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="memoize execution-model pricing (bit-identical results; "
-        "default on, or REPRO_PERF_CACHE)",
-    )
-
-
 def _add_prefix_cache_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prefix-cache",
@@ -106,8 +96,8 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="directory for the persistent perf cache; warm-starts "
-        "repeat runs (default off, or REPRO_CACHE_DIR)",
+        help="directory where --surrogate keeps surrogate.json "
+        "(default in-memory only, or REPRO_CACHE_DIR)",
     )
     parser.add_argument(
         "--run-dir",
@@ -170,12 +160,6 @@ def _sweep_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
-def _perf_cache_from(args: argparse.Namespace) -> bool:
-    if args.perf_cache is None:
-        return perf_cache_from_env()
-    return args.perf_cache
-
-
 def _deployment_from(args: argparse.Namespace) -> Deployment:
     pp_link = ETHERNET_100G if args.cross_node_pp else None
     kwargs = {"tensor_parallel": args.tp, "pipeline_parallel": args.pp}
@@ -210,7 +194,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = ServingConfig(
         scheduler=scheduler,
         token_budget=args.token_budget,
-        perf_cache=_perf_cache_from(args),
         **_prefix_cache_kwargs(args),
     )
     if args.workload == "conversation":
@@ -292,11 +275,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     trace = generate_requests(
         dataset, num_requests=args.requests, qps=args.qps, seed=args.seed
     )
-    config = ServingConfig(
-        scheduler=scheduler,
-        token_budget=args.token_budget,
-        perf_cache=_perf_cache_from(args),
-    )
+    config = ServingConfig(scheduler=scheduler, token_budget=args.token_budget)
     slo = derived_slo(deployment.execution_model(), strict=False)
     horizon = max(r.arrival_time for r in trace) + 30.0
     domains = None
@@ -390,9 +369,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     strict = args.slo == "strict"
     slo = derived_slo(deployment.execution_model(), strict=strict)
     scheduler = _scheduler_from(args)
-    config = serving_config_for(
-        deployment, scheduler, strict, perf_cache=_perf_cache_from(args)
-    )
+    config = serving_config_for(deployment, scheduler, strict)
     scale = Scale(
         num_requests=args.requests,
         capacity_rel_tol=0.15,
@@ -424,12 +401,6 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     )
     if outcome.resumed:
         print("result replayed from the run ledger (0 probes recomputed)")
-    if args.cache_dir:
-        print(
-            f"perf cache: {outcome.cache_source} start "
-            f"({outcome.loaded_entries} entries loaded, "
-            f"{outcome.merged_entries} merged back)"
-        )
     total_retries = sum(report.num_retries for report in reports)
     if total_retries:
         print(f"supervisor: {total_retries} task retries, "
@@ -491,12 +462,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     trace = generate_requests(
         dataset, num_requests=args.requests, qps=args.qps, seed=args.seed
     )
-    rows = compare_schedulers(
-        deployment,
-        trace,
-        token_budget=args.token_budget,
-        perf_cache=_perf_cache_from(args),
-    )
+    rows = compare_schedulers(deployment, trace, token_budget=args.token_budget)
     title = (
         f"{deployment.label} on {dataset.name} "
         f"({args.requests} requests @ {args.qps} qps)"
@@ -548,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--requests", type=int, default=128)
     sim.add_argument("--token-budget", type=int, default=512)
     sim.add_argument("--seed", type=int, default=0)
-    _add_perf_cache_arg(sim)
     _add_prefix_cache_arg(sim)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -601,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--sweep", action="store_true",
                        help="run the replicas × faults × load sweep instead")
     _add_sweep_args(fleet)
-    _add_perf_cache_arg(fleet)
     fleet.set_defaults(func=_cmd_fleet)
 
     cap = sub.add_parser("capacity", help="search the max sustainable QPS under an SLO")
@@ -613,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--probes", type=int, default=12)
     cap.add_argument("--qps-hint", type=float, default=1.0)
     _add_sweep_args(cap)
-    _add_perf_cache_arg(cap)
     cap.set_defaults(func=_cmd_capacity)
 
     board = sub.add_parser(
@@ -652,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--requests", type=int, default=96)
     compare.add_argument("--token-budget", type=int, default=512)
     compare.add_argument("--seed", type=int, default=0)
-    _add_perf_cache_arg(compare)
     compare.set_defaults(func=_cmd_compare)
 
     reproduce = sub.add_parser(

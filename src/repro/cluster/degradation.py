@@ -34,7 +34,7 @@ import numpy as np
 
 if TYPE_CHECKING:
     from repro.cluster.router import ReplicaTable, TbtWindow
-    from repro.core.request import Request
+    from repro.types import Request
 
 
 @dataclass(frozen=True)

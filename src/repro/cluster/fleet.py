@@ -893,7 +893,7 @@ class FleetSimulator:
         self.exec_model = (
             exec_model
             if exec_model is not None
-            else execution_model_for(deployment, config)
+            else execution_model_for(deployment)
         )
         self.router = as_fleet_router(
             router

@@ -14,7 +14,9 @@ worker processes, and **warm-started** — each neighbourhood of cells
 then seeds every remaining cell's bracket with the anchor's measured
 capacity.  The two-wave plan is a pure function of the spec list, and
 every cell is a pure function of its spec, so the grid's output is
-bit-identical at any ``--jobs``.
+bit-identical at any ``--jobs``.  Each cell builds one memoized
+execution model, shares it across its own probes and drops it on
+return; no pricing state is kept across cells.
 """
 
 from __future__ import annotations
@@ -31,19 +33,11 @@ from repro.experiments.common import (
     RELAXED_TOKEN_BUDGET,
     STRICT_TOKEN_BUDGET,
     Scale,
-    perf_cache_from_env,
 )
 from repro.metrics.capacity import CapacityResult, find_capacity
 from repro.metrics.slo import SLOSpec, derived_slo
-from repro.perf.cache import CachedExecutionModel
 from repro.perf.surrogate import SurrogateStore
-from repro.runtime import (
-    cache_dir_from_env,
-    map_tasks,
-    persist_execution_model,
-    shared_execution_model,
-    surrogate_from_env,
-)
+from repro.runtime import cache_dir_from_env, map_tasks, surrogate_from_env
 from repro.scheduling.registry import scheduler_name
 from repro.telemetry.sweep import capacity_probe_rows
 from repro.types import SchedulerKind
@@ -78,7 +72,6 @@ def serving_config_for(
     strict: bool,
     max_batch_size: int = 128,
     token_budget: int | None = None,
-    perf_cache: bool | None = None,
 ) -> ServingConfig:
     """A scheduler's serving config for one SLO regime."""
     if token_budget is None:
@@ -92,14 +85,11 @@ def serving_config_for(
     else:
         budget = token_budget
     reserve_len = 16384  # worst-case sequence across both datasets
-    if perf_cache is None:
-        perf_cache = perf_cache_from_env()
     return ServingConfig(
         scheduler=scheduler,
         token_budget=budget,
         max_batch_size=max_batch_size,
         reserve_len=reserve_len,
-        perf_cache=perf_cache,
     )
 
 
@@ -132,11 +122,11 @@ def measure_capacity(
             raise ValueError("pass either config or strict")
         config = serving_config_for(deployment, scheduler, strict)
 
-    # One (possibly memoized) execution model serves every probe: the
-    # model's inputs are immutable, so later probes run on the warm
-    # cache earlier probes populated.
+    # One memoized execution model serves every probe: the model's
+    # inputs are immutable, so later probes run on the warm cache
+    # earlier probes populated.
     if exec_model is None:
-        exec_model = execution_model_for(deployment, config)
+        exec_model = execution_model_for(deployment)
 
     def run_at_qps(qps: float):
         num_requests = max(scale.num_requests, int(qps * min_load_duration))
@@ -272,9 +262,6 @@ class CellOutcome:
     num_bisect_probes: int
     seconds: float
     worker_pid: int
-    cache_source: str
-    loaded_entries: int
-    merged_entries: int
     probe_rows: list[dict[str, Any]] = field(default_factory=list)
     cache_row: dict[str, Any] = field(default_factory=dict)
     # Set by run_capacity_cells from the sweep report, not by the worker:
@@ -285,9 +272,8 @@ class CellOutcome:
 def run_capacity_cell(spec: CapacityCellSpec) -> CellOutcome:
     """Execute one cell (module-level: the sweep engine pickles this).
 
-    The execution model comes from the runtime's per-process registry —
-    warm from the persistent disk cache and from every cell this
-    process already ran — and new entries are merged back afterwards.
+    The cell builds its own memoized execution model, shared by its
+    probes; ``cache_row`` reports that model's counters.
     """
     deployment = spec.deployment
     config = spec.config
@@ -297,10 +283,7 @@ def run_capacity_cell(spec: CapacityCellSpec) -> CellOutcome:
     if slo is None:
         slo = derived_slo(deployment.execution_model(), spec.strict)
 
-    lease = shared_execution_model(deployment, config)
-    cached = isinstance(lease.exec_model, CachedExecutionModel)
-    stats_before = lease.exec_model.cache_stats if cached else None
-
+    exec_model = execution_model_for(deployment)
     start = time.perf_counter()
     result = measure_capacity(
         deployment,
@@ -310,22 +293,10 @@ def run_capacity_cell(spec: CapacityCellSpec) -> CellOutcome:
         spec.scale,
         config=config,
         qps_hint=spec.qps_hint,
-        exec_model=lease.exec_model,
+        exec_model=exec_model,
     )
     seconds = time.perf_counter() - start
-    merged = persist_execution_model(lease.exec_model)
-
-    cache_row: dict[str, Any] = {}
-    if cached:
-        after = lease.exec_model.cache_stats
-        # Per-cell deltas: the model is shared across cells, so the raw
-        # counters are cumulative over this worker's lifetime.
-        cache_row = {
-            "cache_hits": after.hits - stats_before.hits,
-            "cache_misses": after.misses - stats_before.misses,
-            "cache_work_hits": after.work_hits - stats_before.work_hits,
-            "cache_work_misses": after.work_misses - stats_before.work_misses,
-        }
+    stats = exec_model.cache_stats
 
     labels = {
         "deployment": deployment.label,
@@ -351,11 +322,13 @@ def run_capacity_cell(spec: CapacityCellSpec) -> CellOutcome:
         num_bisect_probes=result.num_bisect_probes,
         seconds=seconds,
         worker_pid=os.getpid(),
-        cache_source=lease.source,
-        loaded_entries=lease.loaded_entries,
-        merged_entries=merged,
         probe_rows=capacity_probe_rows(result, **labels),
-        cache_row=cache_row,
+        cache_row={
+            "cache_hits": stats.hits,
+            "cache_misses": stats.misses,
+            "cache_work_hits": stats.work_hits,
+            "cache_work_misses": stats.work_misses,
+        },
     )
 
 
@@ -445,7 +418,6 @@ def run_capacity_cells(
     outcomes: list[CellOutcome | None] = [None] * len(specs)
     options = dict(
         jobs=jobs,
-        cache_dir=cache_dir,
         run_dir=run_dir,
         resume=resume,
         task_timeout=task_timeout,

@@ -48,23 +48,6 @@ def scale_from_env(default: Scale = DEFAULT) -> Scale:
     raise ValueError(f"unknown REPRO_SCALE {name!r} (use smoke|default|full)")
 
 
-def perf_cache_from_env(default: bool = True) -> bool:
-    """Whether runs memoize execution-model pricing (``REPRO_PERF_CACHE``).
-
-    The cached path is bit-identical to the uncached one, so it is on
-    by default; ``REPRO_PERF_CACHE=0`` turns it off globally, e.g. to
-    time the raw analytical model.
-    """
-    value = os.environ.get("REPRO_PERF_CACHE", "").lower()
-    if value in ("", "default"):
-        return default
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"unknown REPRO_PERF_CACHE {value!r} (use 0|1)")
-
-
 # ----------------------------------------------------------------------
 # Table 1 deployments
 # ----------------------------------------------------------------------

@@ -24,11 +24,11 @@ from repro.cluster.router import (
     SloAwareRouter,
     as_fleet_router,
 )
-from repro.experiments.common import Scale, mistral_deployment, perf_cache_from_env
+from repro.experiments.common import Scale, mistral_deployment
 from repro.metrics.goodput import RequestSLO, fleet_goodput
 from repro.metrics.slo import derived_slo
 from repro.metrics.summary import summarize
-from repro.runtime import map_tasks, persist_execution_model, shared_execution_model
+from repro.runtime import map_tasks
 from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
@@ -90,12 +90,7 @@ class FleetPointSpec:
 
 
 def run_fleet_point(spec: FleetPointSpec) -> FleetSweepPoint:
-    """Simulate one fleet operating point (module-level: picklable).
-
-    The execution model comes from the runtime's per-process registry,
-    warm from the persistent disk cache when one is configured.
-    """
-    lease = shared_execution_model(spec.deployment, spec.config)
+    """Simulate one fleet operating point (module-level: picklable)."""
     trace = generate_requests(
         SHAREGPT4,
         num_requests=spec.scale.num_requests,
@@ -119,10 +114,8 @@ def run_fleet_point(spec: FleetPointSpec) -> FleetSweepPoint:
         spec.config,
         fleet_config,
         router=router_named(spec.router, spec.num_replicas, spec.tbt_deadline),
-        exec_model=lease.exec_model,
     )
     result = simulator.run(trace)
-    persist_execution_model(lease.exec_model)
     request_slo = RequestSLO(
         ttft_deadline=spec.ttft_deadline, tbt_deadline=spec.tbt_deadline
     )
@@ -155,9 +148,7 @@ def run_fleet_sweep(
     qps_per_replica: float = 1.5,
     mean_downtime: float = 5.0,
     router: str = "least-outstanding",
-    perf_cache: bool | None = None,
     jobs: int | None = None,
-    cache_dir=None,
     run_dir=None,
     resume: bool | None = None,
 ) -> list[FleetSweepPoint]:
@@ -166,15 +157,12 @@ def run_fleet_sweep(
     ``fault_rates`` are crashes per replica-second (Poisson, seeded by
     ``scale.seed``); load is ``load_factor * qps_per_replica *
     num_replicas`` so each replica sees comparable pressure across
-    fleet sizes.  Points fan out through the sweep engine; every point
-    prices the same deployment, so they all share one warm execution
-    model per process (and the persistent disk cache across runs).
+    fleet sizes.  Points fan out through the sweep engine; each point's
+    fleet builds its own execution model, shared by its replicas.
     """
     deployment = mistral_deployment()
-    if perf_cache is None:
-        perf_cache = perf_cache_from_env()
-    config = ServingConfig(scheduler=SchedulerKind.SARATHI, perf_cache=perf_cache)
-    slo = derived_slo(execution_model_for(deployment, config), strict=False)
+    config = ServingConfig(scheduler=SchedulerKind.SARATHI)
+    slo = derived_slo(execution_model_for(deployment), strict=False)
 
     specs = [
         FleetPointSpec(
@@ -193,6 +181,5 @@ def run_fleet_sweep(
         for fault_rate in fault_rates
     ]
     return map_tasks(
-        run_fleet_point, specs, jobs=jobs, cache_dir=cache_dir,
-        run_dir=run_dir, resume=resume,
+        run_fleet_point, specs, jobs=jobs, run_dir=run_dir, resume=resume
     ).values

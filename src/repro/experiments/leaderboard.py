@@ -43,7 +43,7 @@ from repro.experiments.common import DEFAULT, Scale, mistral_deployment
 from repro.metrics.goodput import RequestSLO, fleet_goodput, goodput
 from repro.metrics.slo import derived_slo
 from repro.metrics.stats import jain_fairness
-from repro.runtime import map_tasks, persist_execution_model, shared_execution_model
+from repro.runtime import map_tasks
 from repro.scheduling.registry import registered_names, scheduler_name
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
@@ -165,15 +165,9 @@ def run_leaderboard_cell(spec: LeaderboardCellSpec) -> LeaderboardCell:
                 qps=spec.qps,
                 seed=spec.seed,
             )
-        lease = shared_execution_model(spec.deployment, spec.config)
         fleet_result, metrics = simulate_fleet(
-            spec.deployment,
-            spec.config,
-            trace,
-            FleetConfig(num_replicas=1),
-            exec_model=lease.exec_model,
+            spec.deployment, spec.config, trace, FleetConfig(num_replicas=1)
         )
-        persist_execution_model(lease.exec_model)
         result = fleet_result.merged()
         report = fleet_goodput(fleet_result, slo)
         num_offered = report.num_offered

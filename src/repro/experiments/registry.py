@@ -324,9 +324,10 @@ def reproduce_figure(
 ) -> str:
     """Run one figure's experiment and render its table.
 
-    The sweep knobs (``jobs``, ``cache_dir``, the ``run_dir``/``resume``
-    ledger pair, ``task_timeout``/``max_retries`` supervision limits,
-    the ``chaos`` spec and the ``surrogate`` capacity-seeding switch)
+    The sweep knobs (``jobs``, the ``run_dir``/``resume`` ledger pair,
+    ``task_timeout``/``max_retries`` supervision limits, the ``chaos``
+    spec, and the ``surrogate`` capacity-seeding switch with its
+    ``cache_dir`` store)
     reach the figure's sweep through the ``REPRO_*`` environment
     (runners pick them up via the sweep engine's defaults), so every
     registry entry keeps its plain ``run(scale)`` signature.

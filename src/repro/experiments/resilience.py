@@ -36,12 +36,12 @@ from repro.cluster.fleet import (
     FleetSimulator,
     partition_domains,
 )
-from repro.experiments.common import Scale, mistral_deployment, perf_cache_from_env
+from repro.experiments.common import Scale, mistral_deployment
 from repro.metrics.goodput import RequestSLO, fleet_goodput
 from repro.metrics.recovery import recovery_report
 from repro.metrics.slo import derived_slo
 from repro.metrics.summary import summarize
-from repro.runtime import map_tasks, persist_execution_model, shared_execution_model
+from repro.runtime import map_tasks
 from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
@@ -149,7 +149,6 @@ def _multitenant_trace(spec: ResiliencePointSpec):
 
 def run_resilience_point(spec: ResiliencePointSpec) -> ResiliencePoint:
     """Simulate one resilience operating point (module-level: picklable)."""
-    lease = shared_execution_model(spec.deployment, spec.config)
     trace = _multitenant_trace(spec)
     # Faults are drawn over the live arrival span, not the drain tail:
     # a window that opens after the last arrival cannot interact with
@@ -192,11 +191,7 @@ def run_resilience_point(spec: ResiliencePointSpec) -> ResiliencePoint:
             else None
         ),
     )
-    simulator = FleetSimulator(
-        spec.deployment, spec.config, fleet_config, exec_model=lease.exec_model
-    )
-    result = simulator.run(trace)
-    persist_execution_model(lease.exec_model)
+    result = FleetSimulator(spec.deployment, spec.config, fleet_config).run(trace)
 
     report = fleet_goodput(
         result,
@@ -233,9 +228,7 @@ def run_resilience_sweep(
     fault_rates: Sequence[float] = (0.0, 0.05, 0.15),
     qps_per_replica: float = 1.5,
     mean_downtime: float = 6.0,
-    perf_cache: bool | None = None,
     jobs: int | None = None,
-    cache_dir=None,
     run_dir=None,
     resume: bool | None = None,
 ) -> list[ResiliencePoint]:
@@ -249,14 +242,10 @@ def run_resilience_sweep(
     the relaxed one leaves a 2x slowdown invisible.
     """
     deployment = mistral_deployment()
-    if perf_cache is None:
-        perf_cache = perf_cache_from_env()
     config = ServingConfig(
-        scheduler=SchedulerKind.SARATHI,
-        token_budget=SWEEP_TOKEN_BUDGET,
-        perf_cache=perf_cache,
+        scheduler=SchedulerKind.SARATHI, token_budget=SWEEP_TOKEN_BUDGET
     )
-    slo = derived_slo(execution_model_for(deployment, config), strict=True)
+    slo = derived_slo(execution_model_for(deployment), strict=True)
 
     specs = [
         ResiliencePointSpec(
@@ -276,6 +265,5 @@ def run_resilience_sweep(
         for brownout in (False, True)
     ]
     return map_tasks(
-        run_resilience_point, specs, jobs=jobs, cache_dir=cache_dir,
-        run_dir=run_dir, resume=resume,
+        run_resilience_point, specs, jobs=jobs, run_dir=run_dir, resume=resume
     ).values

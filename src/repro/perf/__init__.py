@@ -7,14 +7,10 @@ from repro.perf.attention import AttentionModel
 from repro.perf.iteration import ExecutionModel
 from repro.perf.cache import (
     DEFAULT_MAX_ENTRIES,
-    SNAPSHOT_VERSION,
     CachedExecutionModel,
-    CacheSnapshot,
     CacheStats,
     batch_signature,
-    execution_fingerprint,
 )
-from repro.perf.disk_cache import PersistentPerfCache
 from repro.perf.table import ProfiledIterationTable
 from repro.perf.validation import AnchorCheck, assert_calibrated, validate_calibration
 from repro.perf.profiler import (
@@ -37,13 +33,9 @@ __all__ = [
     "AttentionModel",
     "ExecutionModel",
     "CachedExecutionModel",
-    "CacheSnapshot",
     "CacheStats",
     "DEFAULT_MAX_ENTRIES",
-    "SNAPSHOT_VERSION",
-    "PersistentPerfCache",
     "batch_signature",
-    "execution_fingerprint",
     "BudgetProfile",
     "compute_token_budget",
     "derive_slo",

@@ -27,21 +27,21 @@ the same calls in the same summation order the uncached path uses.
 Both tiers are FIFO-bounded so long multitenant runs cannot grow the
 cache without limit; hit/miss/eviction counters are exposed as
 :class:`CacheStats` and surfaced through ``repro.telemetry``.
+
+A model lives exactly as long as one sweep task — a capacity cell's
+probes, one fleet or resilience point, one leaderboard cell — which
+builds it with :func:`repro.api.execution_model_for`.  Nothing is kept
+across tasks, across processes or on disk: the engine and the dynamic
+scheduler price from their own per-run memo tables, so this wrapper
+sees few lookups and a longer-lived copy would buy nothing.
 """
 
 from __future__ import annotations
 
-import enum
-import hashlib
-import json
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
-from repro.hardware.gpu import GPUSpec
-from repro.models.config import ModelConfig
 from repro.parallel.comm import pp_send_time, tp_comm_time
-from repro.parallel.config import ParallelConfig
-from repro.perf.calibration import Calibration
 from repro.perf.iteration import ExecutionModel
 from repro.types import IterationTime, TokenWork, ZERO_TIME
 
@@ -51,97 +51,6 @@ from repro.types import IterationTime, TokenWork, ZERO_TIME
 DEFAULT_MAX_ENTRIES = 1 << 17
 
 BatchSignature = tuple[bool, bool, tuple[tuple[int, int, bool, bool], ...]]
-
-# Bump when the cache key/value layout changes: snapshots carry the
-# version, and loaders reject mismatching ones instead of replaying
-# entries computed under different semantics.
-SNAPSHOT_VERSION = 1
-
-
-def execution_fingerprint(
-    model: ModelConfig,
-    gpu: GPUSpec,
-    parallel: ParallelConfig,
-    calibration: Calibration,
-) -> str:
-    """Stable hash of everything that determines cached values.
-
-    Two execution models with equal fingerprints produce bit-identical
-    pricing, so their cache entries are interchangeable — across
-    processes, runs and machines.  The hash covers every field of the
-    four configuration dataclasses (recursively, so link specs and
-    enum members are included) plus the snapshot schema version.
-    """
-
-    def canonical(value):
-        if isinstance(value, enum.Enum):
-            return value.value
-        raise TypeError(f"unhashable config field {value!r}")
-
-    payload = {
-        "snapshot_version": SNAPSHOT_VERSION,
-        "model": asdict(model),
-        "gpu": asdict(gpu),
-        "parallel": asdict(parallel),
-        "calibration": asdict(calibration),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=canonical)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
-
-
-@dataclass
-class CacheSnapshot:
-    """A serializable copy of one :class:`CachedExecutionModel`'s tiers.
-
-    Snapshots are what the persistent disk cache stores and what worker
-    processes exchange: plain dicts of hashable keys to floats (or
-    :class:`IterationTime` tuples), tagged with the owning model's
-    fingerprint so entries are never replayed under a different
-    configuration.
-    """
-
-    fingerprint: str
-    version: int = SNAPSHOT_VERSION
-    batch: dict[BatchSignature, IterationTime] = field(default_factory=dict)
-    work: dict[tuple[int, int, bool], float] = field(default_factory=dict)
-    linear: dict[tuple[int, int], float] = field(default_factory=dict)
-    token: dict[int, tuple[float, float]] = field(default_factory=dict)
-    send: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def num_entries(self) -> int:
-        return (
-            len(self.batch)
-            + len(self.work)
-            + len(self.linear)
-            + len(self.token)
-            + len(self.send)
-        )
-
-    def merge(self, other: "CacheSnapshot") -> int:
-        """Union ``other``'s entries into this snapshot.
-
-        Both snapshots must share a fingerprint, which guarantees any
-        overlapping keys hold bit-identical values — so merge order
-        cannot change the result.  Returns the number of new entries.
-        """
-        if other.fingerprint != self.fingerprint:
-            raise ValueError(
-                f"cannot merge snapshot {other.fingerprint} into "
-                f"{self.fingerprint}: fingerprints differ"
-            )
-        if other.version != self.version:
-            raise ValueError(
-                f"cannot merge snapshot version {other.version} into "
-                f"version {self.version}"
-            )
-        before = self.num_entries
-        self.batch.update(other.batch)
-        self.work.update(other.work)
-        self.linear.update(other.linear)
-        self.token.update(other.token)
-        self.send.update(other.send)
-        return self.num_entries - before
 
 
 def batch_signature(
@@ -280,7 +189,7 @@ class CachedExecutionModel(ExecutionModel):
         return send
 
     # ------------------------------------------------------------------
-    # Introspection & maintenance
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def cache_stats(self) -> CacheStats:
@@ -295,82 +204,6 @@ class CachedExecutionModel(ExecutionModel):
             work_misses=self._work_misses,
             component_evictions=self._component_evictions,
         )
-
-    @property
-    def fingerprint(self) -> str:
-        """The configuration hash keying this model's persistent cache."""
-        return execution_fingerprint(
-            self.model, self.gpu, self.parallel, self.calibration
-        )
-
-    @property
-    def num_entries(self) -> int:
-        """Total entries across every tier (cheap: no snapshot copy)."""
-        return (
-            len(self._batch_cache)
-            + len(self._work_cache)
-            + len(self._linear_cache)
-            + len(self._token_cache)
-            + len(self._send_cache)
-        )
-
-    def export_snapshot(self) -> CacheSnapshot:
-        """Copy every tier into a serializable :class:`CacheSnapshot`."""
-        return CacheSnapshot(
-            fingerprint=self.fingerprint,
-            batch=dict(self._batch_cache),
-            work=dict(self._work_cache),
-            linear=dict(self._linear_cache),
-            token=dict(self._token_cache),
-            send=dict(self._send_cache),
-        )
-
-    def load_snapshot(self, snapshot: CacheSnapshot) -> int:
-        """Pre-warm the tiers from a snapshot; returns entries added.
-
-        Existing in-memory entries win (they are bit-identical anyway,
-        since the fingerprint pins every input of the computation);
-        loading never touches the hit/miss counters, so stats keep
-        describing this process's own lookups.  Each tier respects
-        ``max_entries``: excess snapshot entries are dropped, not
-        evicted through the FIFO (no eviction counters move).
-        """
-        if snapshot.fingerprint != self.fingerprint:
-            raise ValueError(
-                f"snapshot fingerprint {snapshot.fingerprint} does not match "
-                f"model fingerprint {self.fingerprint}"
-            )
-        if snapshot.version != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"snapshot version {snapshot.version} unsupported "
-                f"(expected {SNAPSHOT_VERSION})"
-            )
-        added = 0
-        for cache, entries in (
-            (self._batch_cache, snapshot.batch),
-            (self._work_cache, snapshot.work),
-            (self._linear_cache, snapshot.linear),
-            (self._token_cache, snapshot.token),
-            (self._send_cache, snapshot.send),
-        ):
-            for key, value in entries.items():
-                if len(cache) >= self.max_entries:
-                    break
-                if key not in cache:
-                    cache[key] = value
-                    added += 1
-        return added
-
-    def clear(self) -> None:
-        """Drop every entry and reset all counters."""
-        self._batch_cache.clear()
-        self._work_cache.clear()
-        self._linear_cache.clear()
-        self._token_cache.clear()
-        self._send_cache.clear()
-        self._hits = self._misses = self._evictions = 0
-        self._component_evictions = 0
-        self._work_hits = self._work_misses = 0
 
     # ------------------------------------------------------------------
     # Internals

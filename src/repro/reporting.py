@@ -51,7 +51,6 @@ def compare_schedulers(
     schedulers: tuple[SchedulerKind, ...] = DEFAULT_COMPARISON,
     token_budget: int = 512,
     max_batch_size: int = 128,
-    perf_cache: bool = True,
 ) -> list[ComparisonRow]:
     """Replay ``requests`` under each scheduler and collect metrics."""
     if not requests:
@@ -62,7 +61,6 @@ def compare_schedulers(
             scheduler=kind,
             token_budget=token_budget,
             max_batch_size=max_batch_size,
-            perf_cache=perf_cache,
         )
         result, metrics = simulate(deployment, config, requests)
         rows.append(

@@ -1,12 +1,11 @@
-"""Sweep execution runtime: supervised fan-out, warm caches, resume.
+"""Sweep execution runtime: supervised fan-out and resume.
 
 See :mod:`repro.runtime.engine` for the worker model and determinism
 contract, :mod:`repro.runtime.supervisor` for crash/hang recovery and
 quarantine, :mod:`repro.runtime.ledger` for the checkpointed-resume
 journal, and :mod:`repro.runtime.chaos` for deterministic fault
-injection.  Experiments use :func:`map_tasks` for the fan-out and
-:func:`shared_execution_model`/:func:`persist_execution_model` to start
-warm from — and contribute back to — the persistent perf cache.
+injection.  Experiments use :func:`map_tasks` for the fan-out; each
+task builds and drops its own execution model.
 """
 
 from repro.runtime.chaos import CHAOS_ENV, ChaosConfig, chaos_from_env, corrupt_file
@@ -18,18 +17,13 @@ from repro.runtime.engine import (
     RUN_DIR_ENV,
     SURROGATE_ENV,
     TASK_TIMEOUT_ENV,
-    ModelLease,
     SweepReport,
     cache_dir_from_env,
-    clear_process_models,
-    current_cache_dir,
     jobs_from_env,
     map_tasks,
     max_retries_from_env,
-    persist_execution_model,
     resume_from_env,
     run_dir_from_env,
-    shared_execution_model,
     surrogate_from_env,
     sweep_env,
     task_timeout_from_env,
@@ -58,7 +52,6 @@ __all__ = [
     "SURROGATE_ENV",
     "CHAOS_ENV",
     "ChaosConfig",
-    "ModelLease",
     "RunLedger",
     "SupervisorPolicy",
     "SweepFailedError",
@@ -67,19 +60,15 @@ __all__ = [
     "TaskOutcome",
     "cache_dir_from_env",
     "chaos_from_env",
-    "clear_process_models",
     "corrupt_file",
-    "current_cache_dir",
     "decode_outcome",
     "encode_outcome",
     "jobs_from_env",
     "map_tasks",
     "max_retries_from_env",
-    "persist_execution_model",
     "resume_from_env",
     "run_dir_from_env",
     "run_supervised",
-    "shared_execution_model",
     "surrogate_from_env",
     "sweep_env",
     "sweep_fingerprint",

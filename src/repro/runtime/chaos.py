@@ -23,7 +23,7 @@ on attempts < N; default 1).  Chaos only applies to worker processes
 (``jobs >= 2``): killing the serial path would kill the caller.
 
 :func:`corrupt_file` is the disk half of the harness — deterministic
-byte flips for ledger/perf-cache corruption drills.
+byte flips for ledger corruption drills.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def corrupt_file(path: str | Path, seed: int = 0, num_bytes: int = 8) -> int:
     """Deterministically flip bytes of a file in place; bytes flipped.
 
     The disk-fault half of the chaos harness: tests aim it at ledger
-    lines and perf-cache pickles to prove both degrade to recompute
-    rather than crash.  Offsets and XOR masks derive from sha256 of the
+    lines to prove a damaged journal degrades to recompute rather than
+    crash.  Offsets and XOR masks derive from sha256 of the
     seed, so a drill is reproducible.  Empty/missing files flip 0.
     """
     path = Path(path)

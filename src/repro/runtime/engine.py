@@ -11,10 +11,9 @@ deterministic simulations.  This module fans those cells out across
   worker ran what;
 * every task carries its own seeds inside its spec, so a task computes
   the same result in any process on any attempt;
-* the only cross-task state — the memoized execution-model cache — is
-  bit-identical by construction (see :mod:`repro.perf.cache`), so
-  sharing it between tasks, processes and runs can change wall-clock
-  but never values.
+* tasks share no state: each builds its own execution model
+  (:func:`repro.api.execution_model_for`) and drops it on return, so no
+  pricing state outlives a task, crosses a process or lands on disk.
 
 Unlike a bare ``pool.map``, worker death, hangs and poison tasks are
 survivable events (:mod:`repro.runtime.supervisor`): dead/wedged pools
@@ -26,12 +25,6 @@ tasks that keep failing are quarantined into structured
 ``resume=True`` skips already-completed cells bit-identically after a
 crash or Ctrl-C.  The recovery paths themselves are exercised by the
 deterministic chaos harness (:mod:`repro.runtime.chaos`).
-
-Workers start warm: when a cache directory is configured, each process
-loads the persistent snapshot for a configuration the first time it
-prices it (:mod:`repro.perf.disk_cache`) and merges its new entries
-back after each task, so run N+1 — and every late-starting worker of
-run N — skips work any earlier process already did.
 
 ``jobs=1`` (the default) runs tasks in-process through the *same*
 journaling code path, which is both the fallback on single-core
@@ -53,9 +46,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.perf.cache import CachedExecutionModel
-from repro.perf.disk_cache import PersistentPerfCache
-from repro.perf.iteration import ExecutionModel
 from repro.runtime.chaos import CHAOS_ENV, ChaosConfig, chaos_from_env
 from repro.runtime.ledger import RunLedger, sweep_fingerprint
 from repro.runtime.supervisor import (
@@ -93,7 +83,8 @@ def jobs_from_env(default: int = 1) -> int:
 
 
 def cache_dir_from_env() -> Path | None:
-    """Persistent perf-cache directory from ``REPRO_CACHE_DIR``."""
+    """Surrogate-store directory from ``REPRO_CACHE_DIR``
+    (:mod:`repro.perf.surrogate` keeps ``surrogate.json`` there)."""
     value = os.environ.get(CACHE_DIR_ENV, "").strip()
     return Path(value) if value else None
 
@@ -199,98 +190,6 @@ def sweep_env(
 
 
 # ----------------------------------------------------------------------
-# Per-process shared state
-# ----------------------------------------------------------------------
-# One warm execution model per configuration fingerprint, shared by
-# every task this process runs (exactly the sharing measure_capacity
-# already does across the probes of one cell, widened to the whole
-# sweep).  Values are bit-identical regardless of which task populated
-# an entry, so this affects wall-clock only.
-_process_models: dict[tuple[str, int], CachedExecutionModel] = {}
-# Entry count of each shared model at its last persist, so fully-warm
-# tasks (no new entries) skip the disk read-union-write entirely.
-_persisted_entries: dict[tuple[str, int], int] = {}
-_process_cache_dir: Path | None = None
-
-
-def _set_process_cache_dir(cache_dir: Path | None) -> None:
-    global _process_cache_dir
-    _process_cache_dir = cache_dir
-
-
-def current_cache_dir() -> Path | None:
-    """The persistent cache directory active in this process, if any."""
-    return _process_cache_dir
-
-
-def _worker_init(cache_dir_str: str | None) -> None:
-    """ProcessPool initializer: adopt the sweep's cache directory."""
-    _set_process_cache_dir(Path(cache_dir_str) if cache_dir_str else None)
-
-
-@dataclass
-class ModelLease:
-    """How a task obtained its execution model, for telemetry."""
-
-    exec_model: ExecutionModel
-    # "off" (uncached model), "cold", "disk" (warmed from the persistent
-    # store) or "process" (reused from an earlier task in this process).
-    source: str
-    loaded_entries: int = 0
-
-
-def shared_execution_model(deployment, config) -> ModelLease:
-    """A (possibly disk-warmed) execution model for one task.
-
-    Cached models are keyed by configuration fingerprint and reused
-    across every task of this process; the first lease per fingerprint
-    pre-loads the persistent snapshot when a cache directory is active.
-    Uncached configs (``config.perf_cache=False``) always build fresh.
-    """
-    from repro.api import execution_model_for
-
-    exec_model = execution_model_for(deployment, config)
-    if not isinstance(exec_model, CachedExecutionModel):
-        return ModelLease(exec_model=exec_model, source="off")
-    key = (exec_model.fingerprint, exec_model.max_entries)
-    shared = _process_models.get(key)
-    if shared is not None:
-        return ModelLease(exec_model=shared, source="process")
-    loaded = 0
-    source = "cold"
-    if _process_cache_dir is not None:
-        loaded = PersistentPerfCache(_process_cache_dir).warm(exec_model)
-        if loaded:
-            source = "disk"
-    _process_models[key] = exec_model
-    _persisted_entries[key] = exec_model.num_entries
-    return ModelLease(exec_model=exec_model, source=source, loaded_entries=loaded)
-
-
-def persist_execution_model(exec_model: ExecutionModel) -> int:
-    """Merge a model's entries into the persistent store; new entries.
-
-    No-op (returns 0) when no cache directory is active, the model is
-    uncached, or the model has gained no entries since its last persist
-    (the fully-warm fast path: no disk traffic at all).
-    """
-    if _process_cache_dir is None or not isinstance(exec_model, CachedExecutionModel):
-        return 0
-    key = (exec_model.fingerprint, exec_model.max_entries)
-    if _persisted_entries.get(key) == exec_model.num_entries:
-        return 0
-    merged = PersistentPerfCache(_process_cache_dir).persist(exec_model)
-    _persisted_entries[key] = exec_model.num_entries
-    return merged
-
-
-def clear_process_models() -> None:
-    """Drop this process's shared warm models (tests and benchmarks)."""
-    _process_models.clear()
-    _persisted_entries.clear()
-
-
-# ----------------------------------------------------------------------
 # The fan-out engine
 # ----------------------------------------------------------------------
 @dataclass
@@ -307,7 +206,6 @@ class SweepReport:
     outcomes: list[TaskOutcome] = field(default_factory=list)
     failures: list[TaskFailure] = field(default_factory=list)
     jobs: int = 1
-    cache_dir: Path | None = None
     run_dir: Path | None = None
     fingerprint: str | None = None
     wall_seconds: float = 0.0
@@ -339,7 +237,6 @@ class SweepReport:
                 "attempt": outcome.attempt,
                 "resumed": outcome.resumed,
                 "jobs": self.jobs,
-                "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             }
             for outcome in self.outcomes
         ]
@@ -396,7 +293,6 @@ def _sigterm_as_interrupt():
 def _run_serial(
     fn: Callable[[Any], Any],
     tasks: list[tuple[int, Any]],
-    cache_dir: Path | None,
     on_complete: Callable[[TaskOutcome], None],
 ) -> tuple[dict[int, TaskOutcome], list[TaskFailure], bool]:
     """The in-process reference path: same journaling, no pool.
@@ -408,31 +304,26 @@ def _run_serial(
     outcomes: dict[int, TaskOutcome] = {}
     failures: list[TaskFailure] = []
     interrupted = False
-    previous = _process_cache_dir
-    _set_process_cache_dir(cache_dir)
-    try:
-        for index, item in tasks:
-            try:
-                outcome = _run_one(fn, (index, item))
-            except KeyboardInterrupt:
-                interrupted = True
-                break
-            except Exception as exc:
-                failures.append(
-                    TaskFailure(
-                        index=index,
-                        error=repr(exc),
-                        traceback=traceback_module.format_exc(),
-                        attempts=1,
-                        worker_pid=os.getpid(),
-                        kind="exception",
-                    )
+    for index, item in tasks:
+        try:
+            outcome = _run_one(fn, (index, item))
+        except KeyboardInterrupt:
+            interrupted = True
+            break
+        except Exception as exc:
+            failures.append(
+                TaskFailure(
+                    index=index,
+                    error=repr(exc),
+                    traceback=traceback_module.format_exc(),
+                    attempts=1,
+                    worker_pid=os.getpid(),
+                    kind="exception",
                 )
-                continue
-            outcomes[index] = outcome
-            on_complete(outcome)
-    finally:
-        _set_process_cache_dir(previous)
+            )
+            continue
+        outcomes[index] = outcome
+        on_complete(outcome)
     return outcomes, failures, interrupted
 
 
@@ -440,7 +331,6 @@ def map_tasks(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
     jobs: int | None = None,
-    cache_dir: str | Path | None = None,
     run_dir: str | Path | None = None,
     resume: bool | None = None,
     task_timeout: float | None = None,
@@ -454,7 +344,7 @@ def map_tasks(
     Results always come back in item order — the parallel path is
     output-equivalent to the serial one whenever ``fn`` is a pure
     function of its item (every sweep task is: specs carry their own
-    seeds, and the shared perf cache is bit-identical by construction).
+    seeds, and each task builds its own execution model).
     Worker death and hangs (``task_timeout``) are retried up to
     ``max_retries`` times; persistent failures are quarantined into
     ``report.failures``.  ``strict=True`` (the default) raises
@@ -476,9 +366,6 @@ def map_tasks(
         jobs = jobs_from_env()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if cache_dir is None:
-        cache_dir = cache_dir_from_env()
-    cache_dir = Path(cache_dir) if cache_dir is not None else None
     if run_dir is None:
         run_dir = run_dir_from_env()
     run_dir = Path(run_dir) if run_dir is not None else None
@@ -511,9 +398,7 @@ def map_tasks(
     try:
         with _sigterm_as_interrupt():
             if jobs == 1 or len(remaining) <= 1:
-                outcomes, failures, interrupted = _run_serial(
-                    fn, remaining, cache_dir, journal
-                )
+                outcomes, failures, interrupted = _run_serial(fn, remaining, journal)
                 num_retries = num_respawns = 0
             else:
                 policy = SupervisorPolicy(
@@ -527,8 +412,6 @@ def map_tasks(
                     remaining,
                     jobs=jobs,
                     policy=policy,
-                    initializer=_worker_init,
-                    initargs=(str(cache_dir) if cache_dir else None,),
                     on_complete=journal,
                 )
                 outcomes, failures = run.outcomes, run.failures
@@ -543,7 +426,6 @@ def map_tasks(
         outcomes=[outcomes[index] for index in sorted(outcomes)],
         failures=sorted(failures, key=lambda f: f.index),
         jobs=jobs,
-        cache_dir=cache_dir,
         run_dir=run_dir,
         fingerprint=fingerprint,
         wall_seconds=time.perf_counter() - start,

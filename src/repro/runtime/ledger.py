@@ -15,9 +15,7 @@ record of what already finished:
   replayed values are pickle round-trips, so a resumed sweep is
   bit-identical to an uninterrupted one;
 * a corrupt line (torn write, flipped bits, truncation) fails its
-  checksum and degrades to *recompute that cell*, never to an error —
-  symmetric with :mod:`repro.perf.disk_cache`'s cold-start-on-garbage
-  policy.
+  checksum and degrades to *recompute that cell*, never to an error.
 
 File layout: ``<run_dir>/ledger-<fingerprint16>.jsonl`` — a header line
 (`magic`, version, full fingerprint, task count) followed by one task

@@ -183,8 +183,6 @@ def run_supervised(
     tasks: list[tuple[int, Any]],
     jobs: int,
     policy: SupervisorPolicy,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
     on_complete: Callable[[TaskOutcome], None] | None = None,
 ) -> SupervisedRun:
     """Run tasks across a supervised worker pool; never raises for task faults.
@@ -205,9 +203,7 @@ def run_supervised(
     pool: ProcessPoolExecutor | None = None
 
     def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=max_workers, initializer=initializer, initargs=initargs
-        )
+        return ProcessPoolExecutor(max_workers=max_workers)
 
     def settle(result: TaskOutcome | _TaskError) -> None:
         """File a worker's return value: success, or a retryable error."""

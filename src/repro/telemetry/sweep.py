@@ -64,7 +64,7 @@ def capacity_probe_rows(result: CapacityResult, **labels: Any) -> list[Row]:
 
 
 def sweep_cell_rows(outcomes: "list[CellOutcome]") -> list[Row]:
-    """One row per sweep cell: timing, worker and cache-warmth counters."""
+    """One row per sweep cell: timing, worker and pricing-cache counters."""
     rows = []
     for outcome in outcomes:
         cell = outcome.cell
@@ -83,9 +83,6 @@ def sweep_cell_rows(outcomes: "list[CellOutcome]") -> list[Row]:
                 "hinted": outcome.hinted,
                 "worker_pid": outcome.worker_pid,
                 "cell_seconds": outcome.seconds,
-                "cache_source": outcome.cache_source,
-                "cache_loaded_entries": outcome.loaded_entries,
-                "cache_merged_entries": outcome.merged_entries,
                 "resumed": outcome.resumed,
                 "attempt": outcome.attempt,
                 **outcome.cache_row,

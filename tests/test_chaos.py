@@ -21,7 +21,6 @@ from repro.runtime import (
     CHAOS_ENV,
     ChaosConfig,
     chaos_from_env,
-    clear_process_models,
     corrupt_file,
     map_tasks,
 )
@@ -156,16 +155,13 @@ class TestRecoveryDrills:
             for strict in (True, False)
             for scheduler in (SchedulerKind.VLLM, SchedulerKind.SARATHI)
         ]
-        clear_process_models()
         serial = run_capacity_cells(specs, jobs=1)
-        clear_process_models()
 
         reports = []
         chaotic = run_capacity_cells(
             specs, jobs=2, chaos=ChaosConfig(seed=1, kill_rate=0.4),
             reports=reports,
         )
-        clear_process_models()
         assert [o.cell for o in chaotic] == [o.cell for o in serial]
         assert sum(r.num_retries for r in reports) > 0  # chaos actually bit
         assert all(not r.failures for r in reports)

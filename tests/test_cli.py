@@ -39,13 +39,6 @@ class TestParser:
         with pytest.raises(ValueError, match="did you mean"):
             _scheduler_from(args)
 
-    def test_perf_cache_flag_tristate(self):
-        parse = build_parser().parse_args
-        assert parse(["simulate"]).perf_cache is None  # defer to env/default
-        assert parse(["simulate", "--perf-cache"]).perf_cache is True
-        assert parse(["simulate", "--no-perf-cache"]).perf_cache is False
-        assert parse(["capacity", "--no-perf-cache"]).perf_cache is False
-
 
 class TestCommands:
     def test_list(self, capsys):
@@ -74,8 +67,6 @@ class TestCommands:
         base = ["simulate", "--model", "tiny-1b", "--qps", "4", "--requests", "8"]
         assert main(base) == 0
         assert "perf cache" in capsys.readouterr().out
-        assert main(base + ["--no-perf-cache"]) == 0
-        assert "perf cache" not in capsys.readouterr().out
 
     def test_simulate_small_run(self, capsys):
         code = main(

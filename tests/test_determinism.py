@@ -73,13 +73,15 @@ def _request_timelines(result):
         SchedulerKind.SARATHI_DYNAMIC,
     ],
 )
-@pytest.mark.parametrize("perf_cache", [True, False], ids=["cached", "uncached"])
-def test_golden_trace_single_stage(tiny_deployment, kind, perf_cache):
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+def test_golden_trace_single_stage(tiny_deployment, kind, cached):
     trace = generate_requests(SHAREGPT4, num_requests=20, qps=1.5, seed=11)
-    config = ServingConfig(scheduler=kind, token_budget=256, perf_cache=perf_cache)
+    config = ServingConfig(scheduler=kind, token_budget=256)
 
     def run():
-        built = build_engine(tiny_deployment, config)
+        # None lets build_engine memoize; the uncached arm passes the raw model.
+        exec_model = None if cached else tiny_deployment.execution_model()
+        built = build_engine(tiny_deployment, config, exec_model=exec_model)
         return built.run(clone_requests(trace))
 
     first, second = run(), run()

@@ -594,7 +594,6 @@ class TestServingConfigValidation:
             ("max_inflight_batches", 0),
             ("tbt_slo", 0.0),
             ("tbt_slo", -1.0),
-            ("perf_cache_max_entries", 0),
         ],
     )
     def test_bad_values_raise_with_field_name(self, field, value):

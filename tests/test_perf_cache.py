@@ -122,13 +122,6 @@ class TestCacheCounters:
         assert stats.work_misses == 2
         assert stats.work_hits == 2
 
-    def test_clear_resets(self):
-        cached = CachedExecutionModel(DEPLOYMENTS[0].execution_model())
-        cached.stage_iteration_time([TokenWork.decode(50)])
-        cached.clear()
-        stats = cached.cache_stats
-        assert stats == CacheStats(max_entries=cached.max_entries)
-
     def test_invalid_max_entries_rejected(self):
         with pytest.raises(ValueError):
             CachedExecutionModel(DEPLOYMENTS[0].execution_model(), max_entries=0)
@@ -197,8 +190,9 @@ class TestEndToEndEquivalence:
         on, _ = simulate(tiny_deployment, base, trace)
         off, _ = simulate(
             tiny_deployment,
-            ServingConfig(scheduler=kind, token_budget=256, perf_cache=False),
+            base,
             trace,
+            exec_model=tiny_deployment.execution_model(),
         )
         assert _comparable_iteration_rows(on) == _comparable_iteration_rows(off)
         assert request_rows(on) == request_rows(off)
@@ -211,8 +205,9 @@ class TestEndToEndEquivalence:
         on, _ = simulate(tiny_pp_deployment, ServingConfig(token_budget=256), trace)
         off, _ = simulate(
             tiny_pp_deployment,
-            ServingConfig(token_budget=256, perf_cache=False),
+            ServingConfig(token_budget=256),
             trace,
+            exec_model=tiny_pp_deployment.execution_model(),
         )
         assert _comparable_iteration_rows(on) == _comparable_iteration_rows(off)
         assert request_rows(on) == request_rows(off)
@@ -224,15 +219,12 @@ class TestThreading:
         assert isinstance(engine.exec_model, CachedExecutionModel)
 
     def test_build_engine_can_opt_out(self, tiny_deployment):
-        engine = build_engine(tiny_deployment, ServingConfig(perf_cache=False))
-        assert not isinstance(engine.exec_model, CachedExecutionModel)
-
-    def test_execution_model_for_honours_max_entries(self, tiny_deployment):
-        model = execution_model_for(
-            tiny_deployment, ServingConfig(perf_cache_max_entries=17)
+        engine = build_engine(
+            tiny_deployment,
+            ServingConfig(),
+            exec_model=tiny_deployment.execution_model(),
         )
-        assert isinstance(model, CachedExecutionModel)
-        assert model.max_entries == 17
+        assert not isinstance(engine.exec_model, CachedExecutionModel)
 
     def test_shared_model_accumulates_across_runs(self, tiny_deployment):
         # The engine prices from its own per-run memo tables; the shared
@@ -241,7 +233,7 @@ class TestThreading:
         config = ServingConfig(
             scheduler=SchedulerKind.SARATHI_DYNAMIC, token_budget=256
         )
-        model = execution_model_for(tiny_deployment, config)
+        model = execution_model_for(tiny_deployment)
         trace = generate_requests(SHAREGPT4, num_requests=8, qps=1.0, seed=2)
         simulate(tiny_deployment, config, trace, exec_model=model)
         after_first = model.cache_stats
@@ -250,32 +242,6 @@ class TestThreading:
         assert model.cache_stats.misses == after_first.misses
         assert model.cache_stats.hits > after_first.hits
         assert result.cache_stats == model.cache_stats
-
-    @pytest.mark.parametrize(
-        "value,expected",
-        [
-            ("", True),
-            ("default", True),
-            ("1", True),
-            ("true", True),
-            ("on", True),
-            ("0", False),
-            ("no", False),
-            ("OFF", False),
-        ],
-    )
-    def test_env_knob(self, monkeypatch, value, expected):
-        from repro.experiments.common import perf_cache_from_env
-
-        monkeypatch.setenv("REPRO_PERF_CACHE", value)
-        assert perf_cache_from_env() is expected
-
-    def test_env_knob_rejects_garbage(self, monkeypatch):
-        from repro.experiments.common import perf_cache_from_env
-
-        monkeypatch.setenv("REPRO_PERF_CACHE", "maybe")
-        with pytest.raises(ValueError, match="REPRO_PERF_CACHE"):
-            perf_cache_from_env()
 
     def test_dynamic_scheduler_shares_engine_model(self, tiny_deployment):
         engine = build_engine(

@@ -609,7 +609,7 @@ class TestResilienceExperiment:
         config = ServingConfig(
             scheduler=SchedulerKind.SARATHI, token_budget=SWEEP_TOKEN_BUDGET
         )
-        slo = derived_slo(execution_model_for(deployment, config), strict=True)
+        slo = derived_slo(execution_model_for(deployment), strict=True)
         scale = Scale(
             num_requests=40, capacity_rel_tol=0.2, capacity_max_probes=3, seed=0
         )

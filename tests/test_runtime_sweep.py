@@ -2,9 +2,9 @@
 warm-started grid runner.
 
 The contract under test is the tentpole guarantee: a sweep's output is
-a pure function of its spec list — the same tables come back serial,
-parallel, cold or disk-warmed.  The fig10-shaped smoke grid is run
-both ways and compared exactly.
+a pure function of its spec list — the same tables come back serial or
+parallel.  The fig10-shaped smoke grid is run both ways and compared
+exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.runtime import (
     ChaosConfig,
     cache_dir_from_env,
     chaos_from_env,
-    clear_process_models,
     jobs_from_env,
     map_tasks,
     max_retries_from_env,
@@ -67,27 +66,16 @@ def fail_on_two(x: int) -> int:
     return x
 
 
-@pytest.fixture(autouse=True)
-def _fresh_process_models():
-    clear_process_models()
-    yield
-    clear_process_models()
-
-
 @pytest.fixture(scope="module")
 def serial_outcomes():
     """The smoke grid run once serially — the golden reference."""
-    clear_process_models()
-    outcomes = run_capacity_cells(tiny_grid_specs(), jobs=1)
-    clear_process_models()
-    return outcomes
+    return run_capacity_cells(tiny_grid_specs(), jobs=1)
 
 
 def tiny_grid_specs(scale: Scale = TINY) -> list[CapacityCellSpec]:
     # Yi-34B/TP2 keeps capacities near 1 QPS, so every probe simulates
     # a handful of requests.  The dynamic scheduler prices candidate
-    # budgets through the shared execution model, so the grid has
-    # cache entries to persist and warm-load.
+    # budgets through each cell's execution model.
     deployment = Deployment(
         model=YI_34B, gpu=A100_80G, parallel=ParallelConfig(tensor_parallel=2)
     )
@@ -250,9 +238,9 @@ class TestWavePlanning:
 
 
 class TestGridBitIdentity:
-    """The golden test: the smoke grid, serial vs parallel vs warm."""
+    """The golden test: the smoke grid, serial vs parallel."""
 
-    def test_parallel_and_warm_runs_identical(self, tmp_path, serial_outcomes):
+    def test_parallel_and_warm_runs_identical(self, serial_outcomes):
         # The anchor and one follower cover both warm-start roles; half
         # the grid keeps the drill fast.
         specs = tiny_grid_specs()[:2]
@@ -260,18 +248,6 @@ class TestGridBitIdentity:
 
         parallel = run_capacity_cells(specs, jobs=2)
         assert [o.cell for o in parallel] == [o.cell for o in serial]
-
-        # Cold disk-cached run, then a fully-warm rerun: same cells.
-        clear_process_models()
-        cold = run_capacity_cells(specs, jobs=1, cache_dir=tmp_path)
-        assert [o.cell for o in cold] == [o.cell for o in serial]
-        clear_process_models()
-        warm = run_capacity_cells(specs, jobs=1, cache_dir=tmp_path)
-        assert [o.cell for o in warm] == [o.cell for o in serial]
-        assert warm[0].cache_source == "disk"
-        assert warm[0].loaded_entries > 0
-        # The warm run recomputed nothing, so it persisted nothing.
-        assert all(o.merged_entries == 0 for o in warm)
 
     def test_warm_start_hints_flow_from_anchor(self, serial_outcomes):
         specs = tiny_grid_specs()
@@ -354,7 +330,6 @@ class TestSweepTelemetry:
         outcomes = serial_outcomes
         rows = sweep_cell_rows(outcomes)
         assert len(rows) == len(outcomes)
-        assert rows[0]["cache_source"] == "cold"
         assert {row["scheduler"] for row in rows} == {"vllm", "sarathi_dynamic"}
         assert all("cell_seconds" in row and "worker_pid" in row for row in rows)
         # Probe accounting is consistent with the cell's probe count.

@@ -99,7 +99,9 @@ class TestCounters:
     def test_cache_counters_zero_for_uncached_run(self, tiny_deployment):
         trace = [make_request(prompt_len=100, output_len=3) for _ in range(3)]
         engine = build_engine(
-            tiny_deployment, ServingConfig(token_budget=128, perf_cache=False)
+            tiny_deployment,
+            ServingConfig(token_budget=128),
+            exec_model=tiny_deployment.execution_model(),
         )
         counters = run_counters(engine.run(trace))
         assert counters["cache_hits"] == 0
