@@ -21,12 +21,6 @@ Cases:
   at ``--jobs 4``, with the engine's serial wall-clock recorded in the
   detail.  The engine's serial and ``--jobs 4`` runs must produce the
   identical table.
-* **surrogate_capacity_grid** — a Yi-34B capacity grid searched three
-  ways: warm-start-only baseline (surrogate off), then a cold
-  surrogate run that fills the store, then a warm rerun seeded by it
-  (uncached→baseline, cached→warm columns).  ``identical`` asserts
-  both that every capacity is bit-identical across all three runs and
-  that the warm store saves ≥30% of the simulation probes.
 * **prefix_cache_conversation** — KV prefix caching on a multi-round
   conversation workload.  The timed columns are a 100%-miss workload
   (unique prefix ids) with the cache off vs on — those two runs must
@@ -55,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 import time
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -75,7 +68,6 @@ from repro.experiments.capacity_runner import (  # noqa: E402
     run_capacity_cells,
     serving_config_for,
 )
-from repro.parallel.config import ParallelConfig  # noqa: E402
 from repro.experiments.common import Scale, mistral_deployment  # noqa: E402
 from repro.experiments.fig09_hybrid_latency import run_hybrid_latency  # noqa: E402
 from repro.experiments.prefix_cache import (  # noqa: E402
@@ -86,7 +78,7 @@ from repro.experiments.prefix_cache import (  # noqa: E402
 )
 from repro.hardware.catalog import A100_80G  # noqa: E402
 from repro.metrics.slo import derived_slo  # noqa: E402
-from repro.models.catalog import TINY_1B, YI_34B  # noqa: E402
+from repro.models.catalog import TINY_1B  # noqa: E402
 from repro.perf.cache import CachedExecutionModel  # noqa: E402
 from repro.reporting import (  # noqa: E402
     BenchCase,
@@ -291,9 +283,7 @@ def _timed_parallel_grid(
     par_s, par = engine_run(jobs=4)
 
     # Bit-identity holds across engine runs (same spec list, any jobs).
-    # The legacy baseline runs a *different* search (static hints
-    # instead of warm-started ones), so its capacities agree only to
-    # the search tolerance — it times, not golden-checks.
+    # The legacy baseline only times; it is not golden-checked.
     identical = [o.cell for o in serial] == [o.cell for o in par]
     return BenchCase(
         name="parallel_capacity_grid",
@@ -308,98 +298,6 @@ def _timed_parallel_grid(
             f"{len(specs)} cells ({deployment.label}, {dataset.name}), "
             f"seed={scale.seed}; serial+no-memo {legacy_s:.1f}s, engine "
             f"jobs=1 {serial_s:.1f}s, jobs=4 {par_s:.1f}s"
-        ),
-    )
-
-
-# ----------------------------------------------------------------------
-# Surrogate-guided capacity search
-# ----------------------------------------------------------------------
-# Yi-34B/TP2 keeps capacities in the ~1 QPS range, so every probe
-# simulates a handful of requests and the measurement is about probe
-# counts, not execution-model pricing.  max_probes stays generous:
-# truncated searches are path-dependent and would break the
-# bit-identity the case asserts.
-SURROGATE_SCALE = Scale(num_requests=16, capacity_rel_tol=0.3, capacity_max_probes=20)
-SURROGATE_QUICK_SCALE = Scale(
-    num_requests=8, capacity_rel_tol=0.4, capacity_max_probes=20
-)
-SURROGATE_MIN_PROBE_SAVINGS = 0.30
-
-
-def _timed_surrogate_grid(quick: bool, seed: int) -> BenchCase:
-    """A capacity grid with the surrogate off, cold, and store-warm.
-
-    The warm rerun must return bit-identical capacities while spending
-    at least 30% fewer simulation probes than the warm-start-only
-    baseline; both requirements fold into ``identical`` so a
-    regression in either fails the harness.
-    """
-    deployment = Deployment(
-        model=YI_34B, gpu=A100_80G, parallel=ParallelConfig(tensor_parallel=2)
-    )
-    scale = replace(
-        SURROGATE_QUICK_SCALE if quick else SURROGATE_SCALE, seed=seed
-    )
-    # Strict-SLO cells only: relaxed cells land ~6x higher on the QPS
-    # ladder, and with the 60s load floor each of their probes offers
-    # qps x 60s of Yi-34B traffic — one relaxed cell would outweigh
-    # the rest of the harness.  Schedulers vary instead; they share a
-    # context row, which is also what the store's ratio transfer eats.
-    schedulers = (
-        (SchedulerKind.SARATHI, SchedulerKind.VLLM)
-        if quick
-        else (
-            SchedulerKind.SARATHI,
-            SchedulerKind.VLLM,
-            SchedulerKind.ORCA,
-            SchedulerKind.FASTER_TRANSFORMER,
-        )
-    )
-    specs = [
-        CapacityCellSpec(
-            deployment=deployment,
-            scheduler=scheduler,
-            dataset=SHAREGPT4,
-            scale=scale,
-            strict=True,
-        )
-        for scheduler in schedulers
-    ]
-
-    def caps(outcomes):
-        return [o.cell.capacity_qps for o in outcomes]
-
-    def probes(outcomes):
-        return sum(o.cell.num_probes for o in outcomes)
-
-    start = time.perf_counter()
-    baseline = run_capacity_cells(list(specs), surrogate=False)
-    base_s = time.perf_counter() - start
-    with tempfile.TemporaryDirectory() as cache_dir:
-        start = time.perf_counter()
-        cold = run_capacity_cells(list(specs), cache_dir=cache_dir, surrogate=True)
-        cold_s = time.perf_counter() - start
-        start = time.perf_counter()
-        warm = run_capacity_cells(list(specs), cache_dir=cache_dir, surrogate=True)
-        warm_s = time.perf_counter() - start
-    saved = 1 - probes(warm) / probes(baseline)
-    identical = (
-        caps(cold) == caps(baseline)
-        and caps(warm) == caps(baseline)
-        and saved >= SURROGATE_MIN_PROBE_SAVINGS
-    )
-    return BenchCase(
-        name="surrogate_capacity_grid",
-        uncached_seconds=base_s,
-        cached_seconds=warm_s,
-        identical=identical,
-        detail=(
-            f"{len(specs)} cells ({deployment.label}, {SHAREGPT4.name}), "
-            f"seed={scale.seed}; capacities bit-identical off/cold/warm; "
-            f"probes {probes(baseline)} -> {probes(warm)} "
-            f"({saved:.0%} saved, >={SURROGATE_MIN_PROBE_SAVINGS:.0%} required); "
-            f"cold surrogate run {cold_s:.1f}s"
         ),
     )
 
@@ -705,8 +603,6 @@ def main(argv: list[str] | None = None) -> int:
         args.seed,
         quick=args.quick,
     )
-    print("timing surrogate-guided capacity grid…", flush=True)
-    surrogate_case = _timed_surrogate_grid(args.quick, args.seed)
     print("timing prefix-cache conversation capacity…", flush=True)
     prefix_case = _timed_prefix_cache_conversation(deployment, args.quick, args.seed)
     print("timing scheduler leaderboard (2-policy smoke)…", flush=True)
@@ -715,7 +611,7 @@ def main(argv: list[str] | None = None) -> int:
     resilience_case = _timed_fleet_resilience(args.quick, args.seed)
     cases = [
         sweep_case, hybrid_case, grid_case,
-        surrogate_case, prefix_case, leaderboard_case, resilience_case,
+        prefix_case, leaderboard_case, resilience_case,
     ]
 
     print()

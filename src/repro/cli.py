@@ -10,7 +10,7 @@ Examples::
     python -m repro budget --model llama2-70b --gpu a40-48gb --tp 4 --pp 2
     python -m repro fleet --replicas 4 --qps 4.0 --fault-rate 0.02 \
         --router slo-aware --max-queue-depth 64
-    python -m repro reproduce fig10 --scale smoke --jobs 4 --surrogate --cache-dir .surrogate
+    python -m repro reproduce fig10 --scale smoke --jobs 4 --run-dir .runs/fig10
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
         help="worker processes for sweep fan-out (default 1, or REPRO_JOBS)",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory where --surrogate keeps surrogate.json "
-        "(default in-memory only, or REPRO_CACHE_DIR)",
-    )
-    parser.add_argument(
         "--run-dir",
         default=None,
         help="journal completed sweep cells to this directory's run "
@@ -134,15 +128,6 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
         "'kill=0.2,hang=0.1,seed=1' (default off, or REPRO_CHAOS; "
         "needs --jobs >= 2)",
     )
-    parser.add_argument(
-        "--surrogate",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="seed capacity searches from previously measured cells "
-        "(persisted at CACHE_DIR/surrogate.json); saves probes without "
-        "changing any measured capacity (default off, or "
-        "REPRO_SURROGATE)",
-    )
 
 
 def _sweep_kwargs(args: argparse.Namespace) -> dict:
@@ -150,13 +135,11 @@ def _sweep_kwargs(args: argparse.Namespace) -> dict:
     run_dir = args.resume if args.resume is not None else args.run_dir
     return {
         "jobs": args.jobs,
-        "cache_dir": args.cache_dir,
         "run_dir": run_dir,
         "resume": True if args.resume is not None else None,
         "task_timeout": args.task_timeout,
         "max_retries": args.max_retries,
         "chaos": args.chaos,
-        "surrogate": args.surrogate,
     }
 
 

@@ -23,7 +23,6 @@ from repro.experiments.common import (
 )
 from repro.experiments.capacity_runner import (
     CapacityCell,
-    capacity_cell,
     measure_capacity,
     serving_config_for,
     token_budget_for,
@@ -45,7 +44,6 @@ __all__ = [
     "LLAMA_RELAXED_TOKEN_BUDGET",
     "format_table",
     "CapacityCell",
-    "capacity_cell",
     "measure_capacity",
     "serving_config_for",
     "token_budget_for",

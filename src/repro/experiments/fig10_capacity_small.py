@@ -25,8 +25,6 @@ CAPACITY_SCHEDULERS = (
 )
 
 # Search hints keep probe counts low; searches expand beyond them.
-# Only each (deployment, dataset) group's first cell uses the static
-# hint — every later cell warm-starts from the group's measured anchor.
 _QPS_HINTS = {
     ("Mistral-7B", "openchat_sharegpt4"): 2.0,
     ("Mistral-7B", "arxiv_summarization"): 0.6,
@@ -71,25 +69,19 @@ def run_capacity_grid(
     datasets: tuple[DatasetSpec, ...] = (SHAREGPT4, ARXIV_SUMMARIZATION),
     schedulers: tuple[SchedulerKind, ...] = CAPACITY_SCHEDULERS,
     strict_values: tuple[bool, ...] = (True, False),
-    jobs: int | None = None,
-    cache_dir=None,
-    run_dir=None,
-    resume: bool | None = None,
 ) -> list[CapacityCell]:
     """The full Fig. 10 grid (or any sub-grid), via the sweep engine.
 
-    ``run_dir``/``resume`` (and the ``REPRO_RUN_DIR``/``REPRO_RESUME``
-    env defaults) journal completed cells and replay them after a
-    crash; see :func:`repro.experiments.capacity_runner.run_capacity_cells`.
+    The ``REPRO_*`` sweep variables (``REPRO_JOBS``, ``REPRO_RUN_DIR``,
+    ``REPRO_RESUME``, ...) fan the cells out and journal them; see
+    :func:`repro.experiments.capacity_runner.run_capacity_cells`.
     """
     if deployments is None:
         deployments = (mistral_deployment(), yi_deployment())
     specs = capacity_grid_specs(
         scale, deployments, datasets, schedulers, strict_values
     )
-    outcomes = run_capacity_cells(
-        specs, jobs=jobs, cache_dir=cache_dir, run_dir=run_dir, resume=resume
-    )
+    outcomes = run_capacity_cells(specs)
     return [outcome.cell for outcome in outcomes]
 
 

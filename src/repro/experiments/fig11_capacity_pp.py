@@ -37,10 +37,6 @@ def run_capacity_grid_pp(
     datasets: tuple[DatasetSpec, ...] = (SHAREGPT4, ARXIV_SUMMARIZATION),
     schedulers: tuple[SchedulerKind, ...] = CAPACITY_SCHEDULERS,
     strict_values: tuple[bool, ...] = (True, False),
-    jobs: int | None = None,
-    cache_dir=None,
-    run_dir=None,
-    resume: bool | None = None,
 ) -> list[CapacityCell]:
     """The Fig. 11 grid for pipeline-parallel models."""
     if deployments is None:
@@ -54,7 +50,5 @@ def run_capacity_grid_pp(
         hints=_QPS_HINTS,
         default_hint=0.3,
     )
-    outcomes = run_capacity_cells(
-        specs, jobs=jobs, cache_dir=cache_dir, run_dir=run_dir, resume=resume
-    )
+    outcomes = run_capacity_cells(specs)
     return [outcome.cell for outcome in outcomes]

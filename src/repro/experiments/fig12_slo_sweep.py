@@ -57,17 +57,8 @@ def run_slo_sweep(
     dataset: DatasetSpec = SHAREGPT4,
     slo_multipliers: tuple[float, ...] = SLO_MULTIPLIERS,
     qps_hint: float = 3.0,
-    jobs: int | None = None,
-    cache_dir=None,
-    run_dir=None,
-    resume: bool | None = None,
 ) -> list[SweepPoint]:
-    """Capacity vs SLO for every Fig. 12 variant.
-
-    Warm-start groups are per variant: each variant's first (strictest)
-    SLO anchors, and its measured capacity seeds the same variant's
-    searches at every other SLO value.
-    """
+    """Capacity vs SLO for every Fig. 12 variant."""
     deployment = deployment or mistral_deployment()
     reference = reference_decode_time(deployment.execution_model())
     variants = sweep_variants(deployment)
@@ -84,13 +75,10 @@ def run_slo_sweep(
                     config=config,
                     slo=slo,
                     qps_hint=qps_hint,
-                    group=(variant,),
                     variant=variant,
                 )
             )
-    outcomes = run_capacity_cells(
-        specs, jobs=jobs, cache_dir=cache_dir, run_dir=run_dir, resume=resume
-    )
+    outcomes = run_capacity_cells(specs)
     return [
         SweepPoint(
             variant=outcome.variant,

@@ -83,16 +83,8 @@ class ParallelCapacityCell:
 def run_parallel_capacity(
     scale: Scale = DEFAULT,
     strict_values: tuple[bool, ...] = (True, False),
-    jobs: int | None = None,
-    cache_dir=None,
-    run_dir=None,
-    resume: bool | None = None,
 ) -> list[ParallelCapacityCell]:
-    """Capacity of vLLM-TP8, vLLM-PP and Sarathi-PP (Fig. 13b).
-
-    Warm-start groups are per system: a system's strict-SLO anchor
-    seeds its relaxed-SLO search.
-    """
+    """Capacity of vLLM-TP8, vLLM-PP and Sarathi-PP (Fig. 13b)."""
     tp8 = falcon_tp8_cross_node_deployment()
     pp = falcon_deployment()
     systems: list[tuple[str, Deployment, SchedulerKind]] = [
@@ -116,13 +108,10 @@ def run_parallel_capacity(
                     config=config,
                     slo=slo,
                     qps_hint=0.4,
-                    group=(name,),
                     variant=name,
                 )
             )
-    outcomes = run_capacity_cells(
-        specs, jobs=jobs, cache_dir=cache_dir, run_dir=run_dir, resume=resume
-    )
+    outcomes = run_capacity_cells(specs)
     return [
         ParallelCapacityCell(
             system=outcome.variant,

@@ -17,9 +17,8 @@ Three workloads per scheduler:
 * ``production`` — the multi-tenant bursty/diurnal trace generator.
 
 Plus, optionally, a strict-SLO capacity search per scheduler on the
-static dataset (one warm-start group, so the grid shares bisection
-brackets).  Cells fan out through the parallel/resumable sweep runtime
-exactly like the capacity figures; run it via
+static dataset.  Cells fan out through the parallel/resumable sweep
+runtime exactly like the capacity figures; run it via
 ``python -m repro reproduce leaderboard`` or ``python -m repro
 leaderboard`` (which can restrict the scheduler set).
 
@@ -270,9 +269,6 @@ def run_leaderboard(
                 strict=None,
                 config=leaderboard_config(deployment, name),
                 slo=derived_slo(deployment.execution_model(), strict=True),
-                # One warm-start group: the first scheduler's measured
-                # capacity seeds every other policy's bracket.
-                group=("leaderboard", deployment.label, SHAREGPT4.name),
             )
             for name in names
         ]

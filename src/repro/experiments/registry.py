@@ -314,21 +314,17 @@ def reproduce_figure(
     figure_id: str,
     scale: Scale = DEFAULT,
     jobs: int | None = None,
-    cache_dir: str | Path | None = None,
     run_dir: str | Path | None = None,
     resume: bool | None = None,
     task_timeout: float | None = None,
     max_retries: int | None = None,
     chaos: str | None = None,
-    surrogate: bool | None = None,
 ) -> str:
     """Run one figure's experiment and render its table.
 
     The sweep knobs (``jobs``, the ``run_dir``/``resume`` ledger pair,
-    ``task_timeout``/``max_retries`` supervision limits, the ``chaos``
-    spec, and the ``surrogate`` capacity-seeding switch with its
-    ``cache_dir`` store)
-    reach the figure's sweep through the ``REPRO_*`` environment
+    ``task_timeout``/``max_retries`` supervision limits and the ``chaos``
+    spec) reach the figure's sweep through the ``REPRO_*`` environment
     (runners pick them up via the sweep engine's defaults), so every
     registry entry keeps its plain ``run(scale)`` signature.
     """
@@ -339,13 +335,11 @@ def reproduce_figure(
     entry = REGISTRY[key]
     with sweep_env(
         jobs=jobs,
-        cache_dir=cache_dir,
         run_dir=run_dir,
         resume=resume,
         task_timeout=task_timeout,
         max_retries=max_retries,
         chaos=chaos,
-        surrogate=surrogate,
     ):
         headers, rows = entry.run(scale)
     return f"{entry.figure_id} — {entry.title}\n\n" + format_table(headers, rows)

@@ -7,17 +7,18 @@ infeasible boundary, then an integer bisection narrows it to adjacent
 rungs.  Each probe is a full simulation at that QPS supplied by the
 caller, so the search is policy- and substrate-agnostic.
 
-The starting rung can be seeded with a ``qps_hint`` — a neighbouring
-cell's measured capacity in a sweep grid, or a surrogate model's
-prediction (:mod:`repro.perf.surrogate`).  Because every probe lands on
-the same global ladder regardless of the seed, the search converges to
-the *same rung* — bit-identical capacity — whether the hint was absent,
-perfect, or wrong; a hint only changes how many probes the walk needs
-to bracket the boundary.  (The one caveat: an exhausted ``max_probes``
-truncates the search path-dependently, so probe budgets must be
-adequate for identity guarantees — the defaults are.)  Accounting
-splits probes into bracketing vs bisection so sweeps can measure
-exactly how much warm-starting and surrogate seeding save.
+The starting rung can be seeded with a ``qps_hint`` (each sweep cell
+passes its spec's static hint).  Because every probe lands on the same
+global ladder regardless of the seed, the search converges to the
+*same rung* — bit-identical capacity — whether the hint was absent,
+perfect, or wrong, as long as SLO attainment is monotone in QPS; a hint
+only changes how many probes the walk needs to bracket the boundary.
+Two caveats: an exhausted ``max_probes`` truncates the search
+path-dependently, so probe budgets must be adequate for identity
+guarantees (the defaults are); and where attainment is *not* monotone
+(a probe fails below a rung that passes), the starting rung decides
+which boundary the walk brackets.  Accounting splits probes into
+bracketing vs bisection so sweeps can see where a search spent them.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class CapacityResult:
     infeasible bracket, the remaining ``num_bisect_probes`` narrowed
     it.  ``qps_hint`` is the starting-rung seed (None when the search
     cold-started from ``qps_hi``) — comparing it with
-    ``num_bracket_probes`` across a sweep shows what warm-started
-    hints save.
+    ``num_bracket_probes`` across a sweep shows what a hint costs or
+    saves.
     """
 
     capacity_qps: float

@@ -10,21 +10,17 @@ task builds and drops its own execution model.
 
 from repro.runtime.chaos import CHAOS_ENV, ChaosConfig, chaos_from_env, corrupt_file
 from repro.runtime.engine import (
-    CACHE_DIR_ENV,
     JOBS_ENV,
     MAX_RETRIES_ENV,
     RESUME_ENV,
     RUN_DIR_ENV,
-    SURROGATE_ENV,
     TASK_TIMEOUT_ENV,
     SweepReport,
-    cache_dir_from_env,
     jobs_from_env,
     map_tasks,
     max_retries_from_env,
     resume_from_env,
     run_dir_from_env,
-    surrogate_from_env,
     sweep_env,
     task_timeout_from_env,
 )
@@ -44,12 +40,10 @@ from repro.runtime.supervisor import (
 
 __all__ = [
     "JOBS_ENV",
-    "CACHE_DIR_ENV",
     "RUN_DIR_ENV",
     "RESUME_ENV",
     "TASK_TIMEOUT_ENV",
     "MAX_RETRIES_ENV",
-    "SURROGATE_ENV",
     "CHAOS_ENV",
     "ChaosConfig",
     "RunLedger",
@@ -58,7 +52,6 @@ __all__ = [
     "SweepReport",
     "TaskFailure",
     "TaskOutcome",
-    "cache_dir_from_env",
     "chaos_from_env",
     "corrupt_file",
     "decode_outcome",
@@ -69,7 +62,6 @@ __all__ = [
     "resume_from_env",
     "run_dir_from_env",
     "run_supervised",
-    "surrogate_from_env",
     "sweep_env",
     "sweep_fingerprint",
     "task_timeout_from_env",

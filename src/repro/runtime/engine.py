@@ -58,12 +58,10 @@ from repro.runtime.supervisor import (
 
 # Environment knobs mirrored by the CLI's sweep flags.
 JOBS_ENV = "REPRO_JOBS"
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 RUN_DIR_ENV = "REPRO_RUN_DIR"
 RESUME_ENV = "REPRO_RESUME"
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-SURROGATE_ENV = "REPRO_SURROGATE"
 
 DEFAULT_MAX_RETRIES = 2
 
@@ -80,13 +78,6 @@ def jobs_from_env(default: int = 1) -> int:
     if jobs < 1:
         raise ValueError(f"{JOBS_ENV} must be >= 1, got {jobs}")
     return jobs
-
-
-def cache_dir_from_env() -> Path | None:
-    """Surrogate-store directory from ``REPRO_CACHE_DIR``
-    (:mod:`repro.perf.surrogate` keeps ``surrogate.json`` there)."""
-    value = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return Path(value) if value else None
 
 
 def run_dir_from_env() -> Path | None:
@@ -133,40 +124,29 @@ def max_retries_from_env(default: int = DEFAULT_MAX_RETRIES) -> int:
     return retries
 
 
-def surrogate_from_env() -> bool:
-    """Whether ``REPRO_SURROGATE`` asks for surrogate-seeded capacity
-    searches (:mod:`repro.perf.surrogate`)."""
-    value = os.environ.get(SURROGATE_ENV, "").strip().lower()
-    return value in ("1", "true", "yes", "on")
-
-
 @contextmanager
 def sweep_env(
     jobs: int | None = None,
-    cache_dir: str | Path | None = None,
     run_dir: str | Path | None = None,
     resume: bool | None = None,
     task_timeout: float | None = None,
     max_retries: int | None = None,
     chaos: str | ChaosConfig | None = None,
-    surrogate: bool | None = None,
 ):
     """Temporarily pin the sweep knobs in the environment.
 
     The figure registry's runners read the ``REPRO_*`` sweep variables
     when not passed explicit arguments, so the CLI can thread --jobs,
-    --cache-dir, --resume, --task-timeout, --max-retries and --chaos
+    --run-dir, --resume, --task-timeout, --max-retries and --chaos
     through ``reproduce_figure`` without changing every runner's
     signature.
     """
     values = {
         JOBS_ENV: str(jobs) if jobs is not None else None,
-        CACHE_DIR_ENV: str(cache_dir) if cache_dir is not None else None,
         RUN_DIR_ENV: str(run_dir) if run_dir is not None else None,
         RESUME_ENV: ("1" if resume else "0") if resume is not None else None,
         TASK_TIMEOUT_ENV: str(task_timeout) if task_timeout is not None else None,
         MAX_RETRIES_ENV: str(max_retries) if max_retries is not None else None,
-        SURROGATE_ENV: ("1" if surrogate else "0") if surrogate is not None else None,
         CHAOS_ENV: (
             None if chaos is None
             else chaos if isinstance(chaos, str)

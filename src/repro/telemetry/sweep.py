@@ -5,12 +5,11 @@ instead of anecdotal:
 
 * :func:`capacity_probe_rows` — one row per capacity-search probe, with
   the probe's phase (bracketing vs bisection) and the hint the search
-  was seeded from.  Summing ``phase == "bracket"`` rows per cell shows
-  exactly how many simulations warm-started hints saved.
+  started from.  Summing ``phase == "bracket"`` rows per cell shows
+  how many simulations the walk from the hint to the boundary took.
 * :func:`sweep_cell_rows` — one row per sweep cell, with the worker pid
-  that ran it, its wall-clock, how its execution model started
-  (cold / disk-warmed / process-shared) including loaded/merged entry
-  counts, plus fault-tolerance provenance: whether the cell was
+  that ran it, its wall-clock, its execution model's pricing-cache
+  counters, plus fault-tolerance provenance: whether the cell was
   replayed from the run ledger (``resumed`` — the "ledger hit" counter
   a resumed run is verified by) and how many retries it survived.
 * :func:`sweep_run_rows` — one row per ``map_tasks`` report:
@@ -80,7 +79,6 @@ def sweep_cell_rows(outcomes: "list[CellOutcome]") -> list[Row]:
                 "num_bracket_probes": outcome.num_bracket_probes,
                 "num_bisect_probes": outcome.num_bisect_probes,
                 "qps_hint": outcome.qps_hint,
-                "hinted": outcome.hinted,
                 "worker_pid": outcome.worker_pid,
                 "cell_seconds": outcome.seconds,
                 "resumed": outcome.resumed,
@@ -92,9 +90,11 @@ def sweep_cell_rows(outcomes: "list[CellOutcome]") -> list[Row]:
 
 
 def sweep_run_rows(reports: "list[SweepReport]", **labels: Any) -> list[Row]:
-    """One row per sweep wave: resume/retry/failure/respawn accounting.
+    """One row per ``map_tasks`` report: resume/retry/failure/respawn
+    accounting.
 
-    ``sum(row["num_resumed"])`` across a resumed run's waves is the
+    ``wave`` is the report's index in ``reports``.
+    ``sum(row["num_resumed"])`` across a resumed run's reports is the
     ledger-hit count the resume acceptance check verifies; a clean
     first run shows zero everywhere.
     """
@@ -121,7 +121,7 @@ def sweep_run_rows(reports: "list[SweepReport]", **labels: Any) -> list[Row]:
 
 
 def sweep_failure_rows(reports: "list[SweepReport]", **labels: Any) -> list[Row]:
-    """One row per quarantined task across a run's sweep waves."""
+    """One row per quarantined task across a run's ``map_tasks`` reports."""
     rows = []
     for index, report in enumerate(reports):
         for failure_row in report.failure_rows():

@@ -231,17 +231,22 @@ class TestTable4:
 
 class TestCapacityRunnerSmoke:
     def test_capacity_cell_runs(self):
-        from repro.experiments.capacity_runner import capacity_cell
+        from repro.experiments.capacity_runner import (
+            CapacityCellSpec,
+            run_capacity_cells,
+        )
         from repro.workload.datasets import SHAREGPT4
 
-        cell = capacity_cell(
-            mistral_deployment(),
-            SchedulerKind.SARATHI,
-            SHAREGPT4,
-            strict=True,
+        spec = CapacityCellSpec(
+            deployment=mistral_deployment(),
+            scheduler=SchedulerKind.SARATHI,
+            dataset=SHAREGPT4,
             scale=TINY,
+            strict=True,
             qps_hint=1.0,
         )
+        [outcome] = run_capacity_cells([spec])
+        cell = outcome.cell
         assert cell.capacity_qps > 0
         assert cell.slo_name == "strict"
         assert cell.num_probes <= TINY.capacity_max_probes + 1

@@ -1,10 +1,11 @@
 """Tests for the parallel sweep engine (``repro.runtime``) and the
-warm-started grid runner.
+capacity grid runner.
 
-The contract under test is the tentpole guarantee: a sweep's output is
-a pure function of its spec list — the same tables come back serial or
-parallel.  The fig10-shaped smoke grid is run both ways and compared
-exactly.
+The contract under test: a sweep's output is a pure function of its
+spec list — the same tables come back serial or parallel — and each
+capacity cell is a pure function of its own spec, the same alone as
+inside a grid.  The fig10-shaped smoke grid is run both ways and
+compared exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import pytest
 from repro.api import Deployment
 from repro.experiments.capacity_runner import (
     CapacityCellSpec,
-    plan_waves,
     run_capacity_cells,
     serving_config_for,
     token_budget_for,
@@ -27,14 +27,12 @@ from repro.metrics.summary import RunMetrics
 from repro.models.catalog import TINY_1B, YI_34B
 from repro.parallel.config import ParallelConfig
 from repro.runtime import (
-    CACHE_DIR_ENV,
     JOBS_ENV,
     MAX_RETRIES_ENV,
     RESUME_ENV,
     RUN_DIR_ENV,
     TASK_TIMEOUT_ENV,
     ChaosConfig,
-    cache_dir_from_env,
     chaos_from_env,
     jobs_from_env,
     map_tasks,
@@ -130,21 +128,15 @@ class TestEnvKnobs:
         with pytest.raises(ValueError, match=JOBS_ENV):
             jobs_from_env()
 
-    def test_cache_dir(self, monkeypatch, tmp_path):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        assert cache_dir_from_env() is None
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        assert cache_dir_from_env() == tmp_path
-
     def test_sweep_env_sets_and_restores(self, monkeypatch, tmp_path):
         monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.setenv(CACHE_DIR_ENV, "original")
-        with sweep_env(jobs=3, cache_dir=tmp_path):
+        monkeypatch.setenv(RUN_DIR_ENV, "original")
+        with sweep_env(jobs=3, run_dir=tmp_path):
             assert jobs_from_env() == 3
-            assert cache_dir_from_env() == tmp_path
+            assert run_dir_from_env() == tmp_path
         assert jobs_from_env() == 1
-        assert cache_dir_from_env() is not None
-        assert cache_dir_from_env().name == "original"
+        assert run_dir_from_env() is not None
+        assert run_dir_from_env().name == "original"
 
     def test_run_dir_and_resume(self, monkeypatch, tmp_path):
         monkeypatch.delenv(RUN_DIR_ENV, raising=False)
@@ -193,30 +185,6 @@ class TestEnvKnobs:
 
 
 class TestWavePlanning:
-    def test_one_anchor_per_group(self):
-        specs = tiny_grid_specs()
-        anchors, followers = plan_waves(specs)
-        # All four cells share (deployment, dataset) → one anchor.
-        assert [index for index, _ in anchors] == [0]
-        assert followers == [1, 2, 3]
-
-    def test_distinct_groups_get_distinct_anchors(self):
-        specs = tiny_grid_specs()
-        specs = [
-            spec if i < 2 else CapacityCellSpec(
-                deployment=spec.deployment,
-                scheduler=spec.scheduler,
-                dataset=spec.dataset,
-                scale=spec.scale,
-                strict=spec.strict,
-                group=("other",),
-            )
-            for i, spec in enumerate(specs)
-        ]
-        anchors, followers = plan_waves(specs)
-        assert [index for index, _ in anchors] == [0, 2]
-        assert followers == [1, 3]
-
     def test_spec_validation(self):
         deployment = Deployment(model=TINY_1B, gpu=A100_80G)
         with pytest.raises(ValueError, match="strict"):
@@ -241,24 +209,21 @@ class TestGridBitIdentity:
     """The golden test: the smoke grid, serial vs parallel."""
 
     def test_parallel_and_warm_runs_identical(self, serial_outcomes):
-        # The anchor and one follower cover both warm-start roles; half
-        # the grid keeps the drill fast.
+        # Half the grid keeps the drill fast.
         specs = tiny_grid_specs()[:2]
         serial = serial_outcomes[:2]
 
         parallel = run_capacity_cells(specs, jobs=2)
         assert [o.cell for o in parallel] == [o.cell for o in serial]
 
-    def test_warm_start_hints_flow_from_anchor(self, serial_outcomes):
-        specs = tiny_grid_specs()
-        outcomes = serial_outcomes
-        anchor, followers = outcomes[0], outcomes[1:]
-        assert not anchor.hinted
-        assert anchor.qps_hint == specs[0].qps_hint
-        if anchor.cell.capacity_qps > 0:
-            for follower in followers:
-                assert follower.hinted
-                assert follower.qps_hint == anchor.cell.capacity_qps
+    def test_cell_is_the_same_alone_and_in_the_grid(self, serial_outcomes):
+        """A cell's outcome depends on its own spec only: searched by
+        itself it finds the same capacity with the same probes as
+        inside the grid."""
+        for spec, in_grid in zip(tiny_grid_specs(), serial_outcomes):
+            [alone] = run_capacity_cells([spec])
+            assert alone.cell == in_grid.cell
+            assert alone.qps_hint == spec.qps_hint
 
 
 class TestServingConfigValidation:
