@@ -58,7 +58,7 @@ from repro.engine.replica import EngineStats, SimulationResult
 from repro.engine.vectorized import VectorizedReplicaEngine
 from repro.metrics.summary import RunMetrics, summarize
 from repro.memory.prefix import PrefixCacheStats
-from repro.metrics.timeline import IterationRecord
+from repro.metrics.timeline import IterationLog
 from repro.types import Request, RequestPhase
 
 if TYPE_CHECKING:
@@ -556,13 +556,11 @@ class FleetResult:
 
     def merged(self) -> SimulationResult:
         """The fleet-wide view used for metric aggregation."""
-        records: list[IterationRecord] = []
         num_stages = 0
         preemptions = 0
         engine_stats = None
         prefix_stats = None
         for result in self.replica_results:
-            records.extend(result.records)
             num_stages = max(num_stages, result.num_stages)
             preemptions += result.num_preemptions
             stats = result.engine_stats
@@ -582,7 +580,7 @@ class FleetResult:
             prefix_stats = _add_prefix_stats(prefix_stats, result.prefix_stats)
         return SimulationResult(
             requests=list(self.requests),
-            records=records,
+            records=IterationLog.chain(r.records for r in self.replica_results),
             makespan=self.makespan,
             num_stages=num_stages,
             num_preemptions=preemptions,
@@ -627,7 +625,7 @@ class _ReplicaSlot:
         self.num_incarnations = 0
         # Carried across incarnations: completed iteration records,
         # preemption counts, and requests that finished here.
-        self._past_records: list[IterationRecord] = []
+        self._past_records = IterationLog()
         self._past_preemptions = 0
         self._finished_past: list[Request] = []
         self._past_events = 0
@@ -753,8 +751,9 @@ class _ReplicaSlot:
         """
         assert self.alive and self.engine is not None
         failed = self.engine.pending_requests()
-        self._past_records.extend(
-            r for r in self.engine.records if r.end <= now + 1e-12
+        log = self.engine.records
+        self._past_records = IterationLog.chain(
+            [self._past_records, log.select(log.column("end") <= now + 1e-12)]
         )
         self._past_preemptions += self.engine.scheduler.num_preemptions
         self._finished_past.extend(
@@ -829,7 +828,7 @@ class _ReplicaSlot:
     def finalize(
         self, makespan: float, cache_stats: "CacheStats | None"
     ) -> SimulationResult:
-        records = list(self._past_records)
+        logs = [self._past_records]
         preemptions = self._past_preemptions
         requests = list(self._finished_past)
         events = self._past_events
@@ -838,7 +837,7 @@ class _ReplicaSlot:
         prefix_stats = self._past_prefix
         kind = VectorizedReplicaEngine.kind
         if self.engine is not None:
-            records.extend(self.engine.records)
+            logs.append(self.engine.records)
             preemptions += self.engine.scheduler.num_preemptions
             requests.extend(self.engine.all_requests)
             stats = self.engine.engine_stats()
@@ -852,7 +851,7 @@ class _ReplicaSlot:
             )
         return SimulationResult(
             requests=requests,
-            records=records,
+            records=IterationLog.chain(logs),
             makespan=makespan,
             num_stages=self.num_stages,
             num_preemptions=preemptions,
@@ -1412,4 +1411,7 @@ def simulate_fleet(
         exec_model=exec_model,
     )
     result = simulator.run(requests, max_time=max_time)
+    # Free the engines, their request arrays and pricing memos before
+    # summarizing: the result holds everything summarize reads.
+    del simulator
     return result, summarize(result.merged())

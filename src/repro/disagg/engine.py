@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.engine.simulator import EventQueue
 from repro.hardware.interconnect import LinkSpec
 from repro.memory.capacity import DEFAULT_BLOCK_SIZE
-from repro.metrics.timeline import IterationRecord
+from repro.metrics.timeline import IterationLog
 from repro.perf.iteration import ExecutionModel
 from repro.types import Request, RequestPhase, TokenWork
 
@@ -42,7 +42,7 @@ class DisaggregatedResult:
     """Run outcome, mirroring ``SimulationResult``'s metric surface."""
 
     requests: list[Request]
-    records: list[IterationRecord]
+    records: IterationLog
     makespan: float
     num_stages: int = 1
     num_preemptions: int = 0
@@ -161,7 +161,7 @@ class DisaggregatedEngine:
             _DecodeReplica(i, decode_kv_capacity) for i in range(num_decode_replicas)
         ]
         self._staging: list[Request] = []   # prefilled, waiting for decode memory
-        self._records: list[IterationRecord] = []
+        self._records = IterationLog()
         self.num_migrations = 0
         self.total_migration_time = 0.0
 
@@ -213,20 +213,14 @@ class DisaggregatedEngine:
             if request.first_scheduled_at is None:
                 request.first_scheduled_at = now
             work = TokenWork.prefill_chunk(request.remaining_prefill)
-            duration = self.exec_model.iteration_time([work]).total
+            breakdown = self.exec_model.iteration_time([work])
+            duration = breakdown.total
             self._prefill_busy[replica] = True
             self._records.append(
-                IterationRecord(
-                    stage=0,
-                    start=now,
-                    end=now + duration,
-                    batch_id=request.request_id,
-                    num_prefill_tokens=work.num_tokens,
-                    num_decode_tokens=0,
-                    num_prefill_seqs=1,
-                    num_decode_seqs=0,
-                    breakdown=self.exec_model.iteration_time([work]),
-                )
+                0, now, now + duration, request.request_id,
+                work.num_tokens, 0, 1, 0,
+                breakdown.linear, breakdown.attention, breakdown.others,
+                breakdown.communication, breakdown.overhead,
             )
             self._events.push(now + duration, _PREFILL_DONE, (replica, request))
 
@@ -283,17 +277,10 @@ class DisaggregatedEngine:
         breakdown = self.exec_model.iteration_time(works)
         replica.busy = True
         self._records.append(
-            IterationRecord(
-                stage=0,
-                start=now,
-                end=now + breakdown.total,
-                batch_id=-(replica.index + 1),
-                num_prefill_tokens=0,
-                num_decode_tokens=len(batch),
-                num_prefill_seqs=0,
-                num_decode_seqs=len(batch),
-                breakdown=breakdown,
-            )
+            0, now, now + breakdown.total, -(replica.index + 1),
+            0, len(batch), 0, len(batch),
+            breakdown.linear, breakdown.attention, breakdown.others,
+            breakdown.communication, breakdown.overhead,
         )
         self._events.push(now + breakdown.total, _DECODE_DONE, (replica.index, batch))
 

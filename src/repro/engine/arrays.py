@@ -9,19 +9,21 @@ plug-in policy's pool view — so callers see ordinary ``Request``
 objects while the engine iterates over arrays.
 
 Token emission timestamps are not appended per token; the engine logs
-``(time, rows)`` pairs per iteration and :meth:`RequestArrays.sync_out`
-folds only the entries logged since the previous sync into each
-``Request.token_times``, in chunks of at most ``_SYNC_CHUNK`` entries
-(each stable-sorted by row), then clears the log.  ``token_times`` is
-a packed float64 ``array('d')``: each row's run is appended as raw
-bytes of the sorted chunk, so a sync creates no Python float per
-token, and its transient arrays are bounded by one chunk, however long
-the log.
+each iteration's ``(time, rows)`` into an :class:`EmissionLog` (three
+packed arrays, no Python object per entry) and
+:meth:`RequestArrays.sync_out` folds only the entries logged since the
+previous sync into each ``Request.token_times``, in chunks of at most
+``_SYNC_CHUNK`` entries (each stable-sorted by row), then clears the
+log.  ``token_times`` is a packed float64 ``array('d')``: each row's
+run is appended as raw bytes of the sorted chunk, so a sync creates no
+Python float per token, and its transient arrays are bounded by one
+chunk, however long the log.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -74,6 +76,34 @@ _FLOAT_FIELDS = (
     "last_emit",
     "prev_emit",
 )
+
+
+class EmissionLog:
+    """Token emissions since the last sync, packed into three arrays.
+
+    Entry ``i`` says that the ``counts[i]`` rows starting at
+    ``sum(counts[:i])`` of ``rows`` emitted a token at ``stamps[i]``.
+    Entries are appended in time order.
+    """
+
+    __slots__ = ("stamps", "counts", "rows")
+
+    def __init__(self) -> None:
+        self.stamps = array("d")
+        self.counts = array("q")
+        self.rows = array("q")
+
+    def append(self, now: float, rows: "np.ndarray | list[int]") -> None:
+        """Log that each of ``rows`` emitted a token at ``now``."""
+        self.stamps.append(now)
+        self.counts.append(len(rows))
+        self.rows.frombytes(np.asarray(rows, dtype=np.int64).tobytes())
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def clear(self) -> None:
+        del self.stamps[:], self.counts[:], self.rows[:]
 
 
 class RequestArrays:
@@ -207,7 +237,7 @@ class RequestArrays:
         state["finished_at"] = _nan_to_none(float(self.finished_at[row]))
         return request
 
-    def sync_out(self, emit_log: list[tuple[float, np.ndarray]]) -> None:
+    def sync_out(self, emit_log: EmissionLog) -> None:
         """Write array state back into every mirrored Request object.
 
         Emissions logged since the previous call are appended to each
@@ -251,21 +281,27 @@ class RequestArrays:
             state["first_token_at"] = _nan_to_none(first_token_at)
             state["finished_at"] = _nan_to_none(finished_at)
 
-    def _fold_emissions(self, emit_log: list[tuple[float, np.ndarray]]) -> None:
+    def _fold_emissions(self, emit_log: EmissionLog) -> None:
         """Append the logged emissions to ``token_times``; empty the log.
 
         The log is chronological and is consumed in consecutive chunks
         of ``_SYNC_CHUNK`` token entries, so a stable sort by row within
-        each chunk keeps every row's timestamps chronological.  Consumed
-        entries are released chunk by chunk.
+        each chunk keeps every row's timestamps chronological.
         """
-        if not emit_log:
-            return
+        if len(emit_log):
+            self._fold_packed(
+                np.frombuffer(emit_log.stamps, dtype=np.float64),
+                np.frombuffer(emit_log.counts, dtype=np.int64),
+                np.frombuffer(emit_log.rows, dtype=np.int64),
+            )
+            # Cleared only once the views above are gone: an array
+            # cannot shrink while a view of it exists.
+            emit_log.clear()
+
+    def _fold_packed(
+        self, stamps: np.ndarray, counts: np.ndarray, rows: np.ndarray
+    ) -> None:
         cap = self._SYNC_CHUNK
-        parts: list[np.ndarray | None] = [rows for _, rows in emit_log]
-        stamps = np.array([now for now, _ in emit_log], dtype=np.float64)
-        emit_log.clear()
-        counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
         ends = np.cumsum(counts)
         total = int(ends[-1])
         for lo in range(0, total, cap):
@@ -273,12 +309,8 @@ class RequestArrays:
             # Entries holding the chunk's first and last token.
             first, last = np.searchsorted(ends, [lo, lo + size - 1], side="right")
             offset = lo - int(ends[first] - counts[first])
-            rows = np.concatenate(parts[first : last + 1])
             times = np.repeat(stamps[first : last + 1], counts[first : last + 1])
-            self._fold_chunk(
-                rows[offset : offset + size], times[offset : offset + size]
-            )
-            parts[first:last] = [None] * (last - first)
+            self._fold_chunk(rows[lo : lo + size], times[offset : offset + size])
 
     def _fold_chunk(self, rows: np.ndarray, times: np.ndarray) -> None:
         # Sort on the low 16 bits: NumPy's stable sort is then a radix

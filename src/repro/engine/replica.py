@@ -9,7 +9,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.metrics.timeline import IterationRecord
+from repro.metrics.timeline import IterationLog, IterationRecord
 from repro.types import Request
 
 if TYPE_CHECKING:
@@ -42,7 +42,9 @@ class SimulationResult:
     """Everything a simulation run produced."""
 
     requests: list[Request]
-    records: list[IterationRecord]
+    # Packed per-iteration records; a plain list of IterationRecords
+    # also works (analyses turn it into a log at entry).
+    records: "IterationLog | list[IterationRecord]"
     makespan: float
     num_stages: int
     num_preemptions: int = 0
@@ -52,10 +54,10 @@ class SimulationResult:
     # shared across runs (e.g. one capacity search) accumulates, so
     # per-run deltas require differencing consecutive snapshots.
     cache_stats: "CacheStats | None" = None
-    # Filled by ``run()``; None for results assembled elsewhere (fleet
-    # crash snapshots, merged fleet results).  Left out of the golden
-    # digests alongside cache_stats — it describes the engine, not the
-    # simulated system.
+    # Filled by every engine and fleet result (a fleet replica's and the
+    # merged view's counters sum all incarnations); None only for
+    # results built by hand.  Left out of the golden digests alongside
+    # cache_stats — it describes the engine, not the simulated system.
     engine_stats: "EngineStats | None" = None
     # Prefix-cache counters from the scheduler's memory manager (None
     # when prefix caching is off or the allocator is reservation-style).

@@ -27,13 +27,19 @@ this cheap without a per-token event heap:
   the same order :meth:`ExecutionModel.stage_iteration_time` uses, so
   every float operation matches the unmemoized model.
 * Token emission timestamps need not be appended per request in the
-  hot loop: the engine logs ``(time, rows)`` per iteration, and each
+  hot loop: the engine logs ``(time, rows)`` per iteration into a
+  packed :class:`repro.engine.arrays.EmissionLog`, and each
   synchronization point (end of run, fleet crash or drain) folds only
   the entries logged since the previous one into the packed float64
   ``token_times`` arrays, in bounded stable-sorted chunks appended as
   raw bytes (no Python float per token), and then clears the log.  A
   run with a ``followup_fn`` hands finished requests off mid-run, so it
   appends to ``token_times`` directly instead.
+* Each executed (stage, batch) pair is 13 numbers appended to an
+  :class:`repro.metrics.timeline.IterationLog`: pricing hands back the
+  five breakdown terms without building an ``IterationTime``, and
+  ``IterationRecord`` objects exist only while a caller iterates
+  ``records``.
 
 The frozen digests under ``tests/differential`` pin its outputs bit
 for bit.
@@ -47,13 +53,13 @@ import time
 
 import numpy as np
 
-from repro.engine.arrays import PH_FINISHED, RequestArrays
+from repro.engine.arrays import PH_FINISHED, EmissionLog, RequestArrays
 from repro.engine.replica import EngineStats, FollowupFn, SimulationResult
-from repro.metrics.timeline import IterationRecord
+from repro.metrics.timeline import IterationLog
 from repro.parallel.comm import pp_send_time, tp_comm_time
 from repro.perf.iteration import ExecutionModel
 from repro.scheduling.vectorized import VecBatch, VecScheduler
-from repro.types import IterationTime, Request, TokenWork
+from repro.types import Request, TokenWork
 
 __all__ = ["VectorizedReplicaEngine"]
 
@@ -121,20 +127,10 @@ class VectorizedReplicaEngine:
         # iterations; the scheduler must exclude them from re-batching.
         scheduler.track_in_flight = self.num_stages > 1
 
-        # Emission log since the last sync: (timestamp, rows emitted).
-        self._emit_log: list[tuple[float, np.ndarray]] = []
-
-        # Iteration records as parallel columns, materialized lazily.
-        self._rec_stage: list[int] = []
-        self._rec_start: list[float] = []
-        self._rec_end: list[float] = []
-        self._rec_batch_id: list[int] = []
-        self._rec_np_tok: list[int] = []
-        self._rec_nd_tok: list[int] = []
-        self._rec_np_seq: list[int] = []
-        self._rec_nd_seq: list[int] = []
-        self._rec_breakdown: list[IterationTime] = []
-        self._rec_cache: list[IterationRecord] = []
+        # Emissions logged since the last sync, packed (see EmissionLog).
+        self._emit_log = EmissionLog()
+        # One packed row per executed (stage, batch) pair.
+        self._log = IterationLog()
 
         # Component pricing memos, assembled in stage_iteration_time's
         # exact operation order so totals are bit-identical.
@@ -319,35 +315,8 @@ class VectorizedReplicaEngine:
         return self.scheduler.outstanding_tokens
 
     @property
-    def records(self) -> list[IterationRecord]:
-        cache = self._rec_cache
-        start = len(cache)
-        if start < len(self._rec_start):
-            cache.extend(
-                IterationRecord(
-                    stage=st,
-                    start=s,
-                    end=e,
-                    batch_id=b,
-                    num_prefill_tokens=pt,
-                    num_decode_tokens=dt,
-                    num_prefill_seqs=ps,
-                    num_decode_seqs=ds,
-                    breakdown=bd,
-                )
-                for st, s, e, b, pt, dt, ps, ds, bd in zip(
-                    self._rec_stage[start:],
-                    self._rec_start[start:],
-                    self._rec_end[start:],
-                    self._rec_batch_id[start:],
-                    self._rec_np_tok[start:],
-                    self._rec_nd_tok[start:],
-                    self._rec_np_seq[start:],
-                    self._rec_nd_seq[start:],
-                    self._rec_breakdown[start:],
-                )
-            )
-        return cache
+    def records(self) -> IterationLog:
+        return self._log
 
     @property
     def all_requests(self) -> list[Request]:
@@ -404,24 +373,35 @@ class VectorizedReplicaEngine:
 
     def _run_iteration(self, stage_idx: int, batch: VecBatch, now: float) -> float:
         """Price ``batch`` on one stage from ``now``, record it, return its end."""
-        breakdown = self._price(
+        linear, attention, others, communication, overhead = self._price(
             batch, stage_idx == 0, stage_idx == self.num_stages - 1
         )
         if stage_idx == 0 and batch.swap_bytes:
-            swap_time = batch.swap_bytes / self.swap_bandwidth
-            breakdown = breakdown + IterationTime(0.0, 0.0, 0.0, swap_time, 0.0)
-        if self.perf_scale != 1.0:
-            breakdown = breakdown.scaled(self.perf_scale)
-        end = now + breakdown.total
-        self._rec_stage.append(stage_idx)
-        self._rec_start.append(now)
-        self._rec_end.append(end)
-        self._rec_batch_id.append(batch.batch_id)
-        self._rec_np_tok.append(batch.num_prefill_tokens)
-        self._rec_nd_tok.append(batch.num_decode_tokens)
-        self._rec_np_seq.append(batch.num_prefill_seqs)
-        self._rec_nd_seq.append(batch.num_decode_seqs)
-        self._rec_breakdown.append(breakdown)
+            communication += batch.swap_bytes / self.swap_bandwidth
+        scale = self.perf_scale
+        if scale != 1.0:
+            linear *= scale
+            attention *= scale
+            others *= scale
+            communication *= scale
+            overhead *= scale
+        # IterationTime.total's summation order.
+        end = now + (linear + attention + others + communication + overhead)
+        self._log.append(
+            stage_idx,
+            now,
+            end,
+            batch.batch_id,
+            batch.num_prefill_tokens,
+            batch.num_decode_tokens,
+            batch.num_prefill_seqs,
+            batch.num_decode_seqs,
+            linear,
+            attention,
+            others,
+            communication,
+            overhead,
+        )
         return end
 
     # ------------------------------------------------------------------
@@ -478,9 +458,9 @@ class VectorizedReplicaEngine:
                 A.requests[row].token_times.append(now)
         else:
             if len(decode_rows):
-                self._emit_log.append((now, decode_rows))
+                self._emit_log.append(now, decode_rows)
             if prefill_emits:
-                self._emit_log.append((now, np.array(prefill_emits, dtype=np.int64)))
+                self._emit_log.append(now, prefill_emits)
         if self.tbt_window is not None and len(decode_rows):
             # Prefill-completion emissions are always a request's first
             # token (no predecessor), so only decode rows with ≥ 2
@@ -510,7 +490,8 @@ class VectorizedReplicaEngine:
     # ------------------------------------------------------------------
     def _price(
         self, batch: VecBatch, is_first: bool = True, is_last: bool = True
-    ) -> IterationTime:
+    ) -> tuple[float, float, float, float, float]:
+        """The five ``IterationTime`` terms of ``batch`` on one stage."""
         num_tokens = batch.num_tokens
         key = (num_tokens, batch.num_logit_tokens if is_last else 0)
         linear = self._linear_cache.get(key)
@@ -544,7 +525,7 @@ class VectorizedReplicaEngine:
                 ),
             )
             self._token_cache[num_tokens] = token_terms
-        return IterationTime(
+        return (
             linear,
             attention,
             token_terms[0],

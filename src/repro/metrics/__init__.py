@@ -30,6 +30,7 @@ from repro.metrics.utilization import (
     run_utilization,
 )
 from repro.metrics.timeline import (
+    IterationLog,
     IterationRecord,
     StageUtilization,
     generation_stalls,
@@ -53,6 +54,7 @@ __all__ = [
     "p99",
     "RunMetrics",
     "summarize",
+    "IterationLog",
     "IterationRecord",
     "StageUtilization",
     "stage_utilization",

@@ -1,8 +1,8 @@
 """Incremental sync-out: emitted tokens fold into ``token_times`` exactly.
 
-The engine logs ``(time, rows)`` per iteration and folds only the
-entries logged since the previous synchronization point, in bounded
-chunks.  However often (and wherever) syncs happen, the requests must
+The engine logs ``(time, rows)`` per iteration into a packed
+``EmissionLog`` and folds only the entries logged since the previous
+synchronization point, in bounded chunks.  However often (and wherever) syncs happen, the requests must
 end up exactly as in a run synced once at the end.
 """
 
@@ -22,7 +22,7 @@ from repro.cluster.fleet import (
     simulate_fleet,
 )
 from repro.cluster.router import RoundRobinRouter
-from repro.engine.arrays import RequestArrays
+from repro.engine.arrays import EmissionLog, RequestArrays
 from repro.types import SchedulerKind
 from repro.workload.conversation import ConversationWorkload
 
@@ -71,10 +71,10 @@ def _drive(deployment, trace, sync_seed: int | None = None):
                 engine.all_requests
             else:
                 engine.pending_requests()
-            assert engine._emit_log == []
+            assert len(engine._emit_log) == 0
             num_syncs += 1
     requests = sorted(engine.all_requests, key=lambda r: r.request_id)
-    assert engine._emit_log == []
+    assert len(engine._emit_log) == 0
     # batch_id is a process-global counter, so it differs between runs.
     records = [dataclasses.replace(r, batch_id=0) for r in engine.records]
     return requests, records, num_syncs
@@ -111,17 +111,17 @@ def test_sync_out_matches_per_token_append(monkeypatch, chunk, num_rows):
     failed_over.extend([0.25, 0.5])
     expected = [list(r.token_times) for r in arrays.requests]
     for step in range(3):
-        log = []
+        log = EmissionLog()
         for i in range(40):
             now = step + i / 40 + 1.0
             rows = rng.choice(num_rows, size=int(rng.integers(1, 30)), replace=False)
             if num_rows > 1 << 16 and i % 3 == 0:
                 rows = rng.permutation(np.union1d(rows, [5, 5 + (1 << 16)]))
-            log.append((now, rows))
+            log.append(now, rows)
             for row in rows.tolist():
                 expected[row].append(now)
         arrays.sync_out(log)
-        assert log == []
+        assert len(log) == 0
         assert [r.token_times.tolist() for r in arrays.requests] == expected
     assert arrays.requests[-1].token_times is failed_over
 
@@ -183,7 +183,7 @@ def test_followup_handoff_sees_final_token_times(tiny_deployment):
         tiny_deployment, ServingConfig(scheduler=SchedulerKind.SARATHI)
     )
     result = engine.run(workload.initial_requests(), followup_fn=followup)
-    assert engine._emit_log == []
+    assert len(engine._emit_log) == 0
     assert len(result.requests) > 8  # follow-up rounds ran
     assert handed_off == {r.request_id: r.token_times.tolist() for r in result.requests}
     for request in result.requests:
