@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 
 from repro.api import Deployment, ServingConfig, simulate
 from repro.experiments.capacity_runner import serving_config_for
@@ -96,8 +97,9 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--run-dir",
         default=None,
-        help="journal completed sweep cells to this directory's run "
-        "ledger (default off, or REPRO_RUN_DIR)",
+        help="journal each completed sweep cell to a run ledger in this "
+        "directory, so an interrupted run can be resumed (default off, "
+        "or REPRO_RUN_DIR)",
     )
     parser.add_argument(
         "--resume",
@@ -106,40 +108,15 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
         help="resume from a previous run's ledger in RUN_DIR, "
         "recomputing only missing cells (implies --run-dir RUN_DIR)",
     )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="seconds a sweep task may run before its worker is killed "
-        "and the task retried (default none, or REPRO_TASK_TIMEOUT; "
-        "needs --jobs >= 2)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="retries per task after a crash/hang/error before it is "
-        "quarantined (default 2, or REPRO_MAX_RETRIES)",
-    )
-    parser.add_argument(
-        "--chaos",
-        default=None,
-        help="deterministic fault injection for recovery drills, e.g. "
-        "'kill=0.2,hang=0.1,seed=1' (default off, or REPRO_CHAOS; "
-        "needs --jobs >= 2)",
-    )
 
 
 def _sweep_kwargs(args: argparse.Namespace) -> dict:
-    """The supervised-sweep knobs shared by capacity/fleet/reproduce."""
+    """The sweep knobs shared by capacity/fleet/leaderboard/reproduce."""
     run_dir = args.resume if args.resume is not None else args.run_dir
     return {
         "jobs": args.jobs,
         "run_dir": run_dir,
         "resume": True if args.resume is not None else None,
-        "task_timeout": args.task_timeout,
-        "max_retries": args.max_retries,
-        "chaos": args.chaos,
     }
 
 
@@ -369,13 +346,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
         slo=slo,
         qps_hint=args.qps_hint,
     )
-    reports: list = []
-    outcomes = run_capacity_cells([spec], reports=reports, **_sweep_kwargs(args))
-    if not outcomes:
-        print("interrupted before the search completed; "
-              "re-run with --resume to continue")
-        return 130
-    outcome = outcomes[0]
+    [outcome] = run_capacity_cells([spec], **_sweep_kwargs(args))
     cell = outcome.cell
     print(
         f"capacity: {cell.capacity_qps:.2f} qps "
@@ -384,10 +355,6 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     )
     if outcome.resumed:
         print("result replayed from the run ledger (0 probes recomputed)")
-    total_retries = sum(report.num_retries for report in reports)
-    if total_retries:
-        print(f"supervisor: {total_retries} task retries, "
-              f"{sum(r.num_respawns for r in reports)} pool respawns")
     return 0
 
 
@@ -619,7 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:
+        # Ctrl-C or SIGTERM: no partial table; a --run-dir ledger keeps
+        # the finished cells for --resume.
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

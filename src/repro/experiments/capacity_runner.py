@@ -9,7 +9,8 @@ simulator's calibration; token budgets follow the paper's choices
 
 Grids run through the sweep engine (:mod:`repro.runtime`): cells are
 described by picklable :class:`CapacityCellSpec`\\ s and fanned out
-across worker processes in one :func:`~repro.runtime.map_tasks` call.
+across worker processes in one :func:`~repro.runtime.map_tasks` call,
+optionally journaled to a resume ledger (``--run-dir``/``--resume``).
 Every cell searches from its own spec's ``qps_hint``, so a cell's
 outcome is a pure function of its spec alone — the same whether it
 runs by itself or inside any grid, and bit-identical at any
@@ -186,9 +187,8 @@ class CellOutcome:
     worker_pid: int
     probe_rows: list[dict[str, Any]] = field(default_factory=list)
     cache_row: dict[str, Any] = field(default_factory=dict)
-    # Set by run_capacity_cells from the sweep report, not by the worker:
+    # Set by run_capacity_cells from the sweep outcome, not by the worker:
     resumed: bool = False  # replayed from the run ledger (a "ledger hit")
-    attempt: int = 0       # >0 = the cell survived that many retries
 
 
 def run_capacity_cell(spec: CapacityCellSpec) -> CellOutcome:
@@ -258,39 +258,17 @@ def run_capacity_cells(
     jobs: int | None = None,
     run_dir=None,
     resume: bool | None = None,
-    task_timeout: float | None = None,
-    max_retries: int | None = None,
-    chaos=None,
-    strict: bool = True,
-    reports: list | None = None,
 ) -> list[CellOutcome]:
     """Run a capacity grid through the sweep engine, one task per cell.
 
     Every cell searches from its own spec's ``qps_hint``; outcomes come
-    back in the order of ``specs`` regardless of ``jobs``.
-
-    With ``run_dir``, the grid journals to a fingerprint-keyed ledger
-    and ``resume=True`` replays completed cells bit-identically.  An
-    interrupted sweep returns the cells completed so far; quarantined
-    cells raise :class:`repro.runtime.SweepFailedError` unless
-    ``strict=False``, which drops them from the result instead.  The
-    append-only sweep report lands in ``reports`` when given, for
-    telemetry (:func:`repro.telemetry.sweep.sweep_run_rows`).
+    back in the order of ``specs`` regardless of ``jobs``.  With
+    ``run_dir``, the grid journals to a fingerprint-keyed ledger and
+    ``resume=True`` replays completed cells bit-identically.  A failing
+    cell or an interrupt propagates; the ledger keeps the cells that
+    finished before it.
     """
-    report = map_tasks(
-        run_capacity_cell,
-        specs,
-        jobs=jobs,
-        run_dir=run_dir,
-        resume=resume,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        chaos=chaos,
-        strict=strict,
+    outcomes = map_tasks(
+        run_capacity_cell, specs, jobs=jobs, run_dir=run_dir, resume=resume
     )
-    if reports is not None:
-        reports.append(report)
-    return [
-        replace(outcome.value, resumed=outcome.resumed, attempt=outcome.attempt)
-        for outcome in report.outcomes
-    ]
+    return [replace(outcome.value, resumed=outcome.resumed) for outcome in outcomes]

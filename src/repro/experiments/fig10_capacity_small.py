@@ -72,9 +72,9 @@ def run_capacity_grid(
 ) -> list[CapacityCell]:
     """The full Fig. 10 grid (or any sub-grid), via the sweep engine.
 
-    The ``REPRO_*`` sweep variables (``REPRO_JOBS``, ``REPRO_RUN_DIR``,
-    ``REPRO_RESUME``, ...) fan the cells out and journal them; see
-    :func:`repro.experiments.capacity_runner.run_capacity_cells`.
+    The ``REPRO_*`` sweep variables (``REPRO_JOBS``, ``REPRO_RUN_DIR``
+    and ``REPRO_RESUME``) fan the cells out and journal them for
+    resume; see :func:`repro.experiments.capacity_runner.run_capacity_cells`.
     """
     if deployments is None:
         deployments = (mistral_deployment(), yi_deployment())

@@ -180,6 +180,7 @@ def run_fleet_sweep(
         for load in load_factors
         for fault_rate in fault_rates
     ]
-    return map_tasks(
+    outcomes = map_tasks(
         run_fleet_point, specs, jobs=jobs, run_dir=run_dir, resume=resume
-    ).values
+    )
+    return [outcome.value for outcome in outcomes]

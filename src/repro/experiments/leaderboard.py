@@ -17,12 +17,13 @@ Three workloads per scheduler:
 * ``production`` — the multi-tenant bursty/diurnal trace generator.
 
 Plus, optionally, a strict-SLO capacity search per scheduler on the
-static dataset.  Cells fan out through the parallel/resumable sweep
-runtime exactly like the capacity figures; run it via
-``python -m repro reproduce leaderboard`` or ``python -m repro
-leaderboard`` (which can restrict the scheduler set).
+static dataset.  Cells fan out through the sweep runtime exactly like
+the capacity figures (``--jobs`` workers, ``--run-dir``/``--resume``
+ledger); run it via ``python -m repro reproduce leaderboard`` or
+``python -m repro leaderboard`` (which can restrict the scheduler set).
 
-Caveat for plug-in authors: sweep workers import ``repro`` fresh, so
+Caveat for plug-in authors: where worker processes are spawned rather
+than forked (macOS, Windows), sweep workers import ``repro`` fresh, so
 schedulers registered imperatively in the parent process are only
 visible with ``--jobs 1`` (the default).  Package your policy as an
 importable module to leaderboard it at higher job counts.
@@ -256,7 +257,9 @@ def run_leaderboard(
     slo = derived_slo(deployment.execution_model(), strict=False)
 
     specs = build_specs(deployment, names, scale, tbt_deadline=slo.p99_tbt)
-    cells: list[LeaderboardCell] = map_tasks(run_leaderboard_cell, specs).values
+    cells: list[LeaderboardCell] = [
+        outcome.value for outcome in map_tasks(run_leaderboard_cell, specs)
+    ]
 
     capacity: dict[str, float] = {}
     if include_capacity:

@@ -316,30 +316,20 @@ def reproduce_figure(
     jobs: int | None = None,
     run_dir: str | Path | None = None,
     resume: bool | None = None,
-    task_timeout: float | None = None,
-    max_retries: int | None = None,
-    chaos: str | None = None,
 ) -> str:
     """Run one figure's experiment and render its table.
 
-    The sweep knobs (``jobs``, the ``run_dir``/``resume`` ledger pair,
-    ``task_timeout``/``max_retries`` supervision limits and the ``chaos``
-    spec) reach the figure's sweep through the ``REPRO_*`` environment
+    The sweep knobs (``jobs`` and the ``run_dir``/``resume`` ledger
+    pair) reach the figure's sweep through the ``REPRO_*`` environment
     (runners pick them up via the sweep engine's defaults), so every
-    registry entry keeps its plain ``run(scale)`` signature.
+    registry entry keeps its plain ``run(scale)`` signature.  An
+    interrupted or failed sweep raises; no partial table is rendered.
     """
     key = figure_id.lower()
     if key not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise KeyError(f"unknown figure {figure_id!r}; known: {known}")
     entry = REGISTRY[key]
-    with sweep_env(
-        jobs=jobs,
-        run_dir=run_dir,
-        resume=resume,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        chaos=chaos,
-    ):
+    with sweep_env(jobs=jobs, run_dir=run_dir, resume=resume):
         headers, rows = entry.run(scale)
     return f"{entry.figure_id} — {entry.title}\n\n" + format_table(headers, rows)

@@ -264,6 +264,7 @@ def run_resilience_sweep(
         for correlated in ((False,) if fault_rate == 0.0 else (False, True))
         for brownout in (False, True)
     ]
-    return map_tasks(
+    outcomes = map_tasks(
         run_resilience_point, specs, jobs=jobs, run_dir=run_dir, resume=resume
-    ).values
+    )
+    return [outcome.value for outcome in outcomes]

@@ -1,36 +1,30 @@
-"""Fault-tolerant parallel sweep execution engine.
+"""Sweep fan-out: an ordered process-pool map with a resume ledger.
 
-Capacity figures and fleet grids are embarrassingly parallel: dozens of
-independent (deployment, scheduler, dataset, SLO) cells, each a pile of
-deterministic simulations.  This module fans those cells out across
-**supervised** worker processes while keeping the results
-*bit-identical* to a serial run:
+Capacity figures and fleet grids are grids of independent cells, each
+a pile of deterministic simulations.  :func:`map_tasks` runs a task
+function over them and returns one :class:`TaskOutcome` per item, in
+item order:
 
-* tasks carry canonical indices and results are collected by index, so
-  the output never depends on completion order, retries, or which
-  worker ran what;
-* every task carries its own seeds inside its spec, so a task computes
-  the same result in any process on any attempt;
-* tasks share no state: each builds its own execution model
-  (:func:`repro.api.execution_model_for`) and drops it on return, so no
-  pricing state outlives a task, crosses a process or lands on disk.
+* ``jobs == 1`` runs the tasks in-process, one after another; this is
+  the reference path;
+* ``jobs > 1`` submits every task to one ``ProcessPoolExecutor`` and
+  collects the results by index, so the output never depends on
+  completion order.
 
-Unlike a bare ``pool.map``, worker death, hangs and poison tasks are
-survivable events (:mod:`repro.runtime.supervisor`): dead/wedged pools
-are respawned with capped backoff and the affected tasks retried;
-tasks that keep failing are quarantined into structured
-:class:`TaskFailure` records instead of aborting the sweep.  With a
-``run_dir``, every completed outcome is journaled to an fsynced ledger
-(:mod:`repro.runtime.ledger`) keyed by the sweep's fingerprint, so
-``resume=True`` skips already-completed cells bit-identically after a
-crash or Ctrl-C.  The recovery paths themselves are exercised by the
-deterministic chaos harness (:mod:`repro.runtime.chaos`).
+Every task carries its own seeds inside its spec and builds its own
+execution model (:func:`repro.api.execution_model_for`), so a task
+computes the same value in any process, and the two paths agree
+bit for bit.
 
-``jobs=1`` (the default) runs tasks in-process through the *same*
-journaling code path, which is both the fallback on single-core
-machines and the reference the parallel path is golden-tested against.
-Chaos injection and task timeouts need worker processes, so they apply
-only at ``jobs >= 2``.
+With a ``run_dir``, each completed outcome is journaled to an fsynced
+ledger (:mod:`repro.runtime.ledger`) as it finishes, and
+``resume=True`` replays the recorded tasks and computes only the
+missing ones.
+
+Any exception (a task error, a dead worker, Ctrl-C or SIGTERM) cancels
+the pending tasks, kills the workers and propagates.  There are no
+retries and no partial results: the ledger keeps what finished, and a
+resumed run completes the rest.
 """
 
 from __future__ import annotations
@@ -39,31 +33,30 @@ import os
 import signal
 import threading
 import time
-import traceback as traceback_module
 from collections.abc import Callable, Iterable
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.runtime.chaos import CHAOS_ENV, ChaosConfig, chaos_from_env
 from repro.runtime.ledger import RunLedger, sweep_fingerprint
-from repro.runtime.supervisor import (
-    SupervisorPolicy,
-    SweepFailedError,
-    TaskFailure,
-    TaskOutcome,
-    run_supervised,
-)
 
 # Environment knobs mirrored by the CLI's sweep flags.
 JOBS_ENV = "REPRO_JOBS"
 RUN_DIR_ENV = "REPRO_RUN_DIR"
 RESUME_ENV = "REPRO_RESUME"
-TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 
-DEFAULT_MAX_RETRIES = 2
+
+@dataclass(frozen=True)
+class TaskOutcome:
+    """One task's result plus its execution footprint."""
+
+    index: int
+    value: Any
+    worker_pid: int
+    seconds: float
+    resumed: bool = False  # replayed from a run ledger, not recomputed
 
 
 def jobs_from_env(default: int = 1) -> int:
@@ -92,68 +85,23 @@ def resume_from_env() -> bool:
     return value in ("1", "true", "yes", "on")
 
 
-def task_timeout_from_env() -> float | None:
-    """Per-task timeout (seconds) from ``REPRO_TASK_TIMEOUT``."""
-    value = os.environ.get(TASK_TIMEOUT_ENV, "").strip()
-    if not value:
-        return None
-    try:
-        timeout = float(value)
-    except ValueError:
-        raise ValueError(
-            f"{TASK_TIMEOUT_ENV} must be a number, got {value!r}"
-        ) from None
-    if timeout <= 0:
-        raise ValueError(f"{TASK_TIMEOUT_ENV} must be positive, got {timeout}")
-    return timeout
-
-
-def max_retries_from_env(default: int = DEFAULT_MAX_RETRIES) -> int:
-    """Per-task retry budget from ``REPRO_MAX_RETRIES`` (>= 0)."""
-    value = os.environ.get(MAX_RETRIES_ENV, "").strip()
-    if not value:
-        return default
-    try:
-        retries = int(value)
-    except ValueError:
-        raise ValueError(
-            f"{MAX_RETRIES_ENV} must be an integer, got {value!r}"
-        ) from None
-    if retries < 0:
-        raise ValueError(f"{MAX_RETRIES_ENV} must be >= 0, got {retries}")
-    return retries
-
-
 @contextmanager
 def sweep_env(
     jobs: int | None = None,
     run_dir: str | Path | None = None,
     resume: bool | None = None,
-    task_timeout: float | None = None,
-    max_retries: int | None = None,
-    chaos: str | ChaosConfig | None = None,
 ):
     """Temporarily pin the sweep knobs in the environment.
 
     The figure registry's runners read the ``REPRO_*`` sweep variables
     when not passed explicit arguments, so the CLI can thread --jobs,
-    --run-dir, --resume, --task-timeout, --max-retries and --chaos
-    through ``reproduce_figure`` without changing every runner's
-    signature.
+    --run-dir and --resume through ``reproduce_figure`` without
+    changing every runner's signature.
     """
     values = {
         JOBS_ENV: str(jobs) if jobs is not None else None,
         RUN_DIR_ENV: str(run_dir) if run_dir is not None else None,
         RESUME_ENV: ("1" if resume else "0") if resume is not None else None,
-        TASK_TIMEOUT_ENV: str(task_timeout) if task_timeout is not None else None,
-        MAX_RETRIES_ENV: str(max_retries) if max_retries is not None else None,
-        CHAOS_ENV: (
-            None if chaos is None
-            else chaos if isinstance(chaos, str)
-            else f"kill={chaos.kill_rate},hang={chaos.hang_rate},"
-                 f"hang_seconds={chaos.hang_seconds},seed={chaos.seed},"
-                 f"attempts={chaos.max_attempt}"
-        ),
     }
     saved = {key: os.environ.get(key) for key in values}
     try:
@@ -169,75 +117,7 @@ def sweep_env(
                 os.environ[key] = value
 
 
-# ----------------------------------------------------------------------
-# The fan-out engine
-# ----------------------------------------------------------------------
-@dataclass
-class SweepReport:
-    """Everything one ``map_tasks`` call did, in canonical task order.
-
-    ``outcomes`` holds every *completed* task (fresh or ledger-resumed)
-    sorted by index; ``failures`` holds tasks quarantined after
-    exhausting their retries.  ``interrupted`` marks a partial report
-    cut short by Ctrl-C/SIGTERM — the journaled cells are safe in the
-    ledger and a ``resume`` run completes only what is missing.
-    """
-
-    outcomes: list[TaskOutcome] = field(default_factory=list)
-    failures: list[TaskFailure] = field(default_factory=list)
-    jobs: int = 1
-    run_dir: Path | None = None
-    fingerprint: str | None = None
-    wall_seconds: float = 0.0
-    interrupted: bool = False
-    num_resumed: int = 0
-    num_retries: int = 0
-    num_respawns: int = 0
-
-    @property
-    def values(self) -> list[Any]:
-        return [outcome.value for outcome in self.outcomes]
-
-    @property
-    def ok(self) -> bool:
-        """Every task completed: nothing failed, nothing cut short."""
-        return not self.failures and not self.interrupted
-
-    @property
-    def num_workers(self) -> int:
-        return len({outcome.worker_pid for outcome in self.outcomes})
-
-    def worker_rows(self) -> list[dict[str, Any]]:
-        """Per-task timing rows for telemetry export."""
-        return [
-            {
-                "task_index": outcome.index,
-                "worker_pid": outcome.worker_pid,
-                "task_seconds": outcome.seconds,
-                "attempt": outcome.attempt,
-                "resumed": outcome.resumed,
-                "jobs": self.jobs,
-            }
-            for outcome in self.outcomes
-        ]
-
-    def failure_rows(self) -> list[dict[str, Any]]:
-        """Per-quarantined-task rows for telemetry export."""
-        return [
-            {
-                "task_index": failure.index,
-                "kind": failure.kind,
-                "error": failure.error,
-                "attempts": failure.attempts,
-                "worker_pid": failure.worker_pid,
-                "jobs": self.jobs,
-            }
-            for failure in self.failures
-        ]
-
-
-def _run_one(fn: Callable[[Any], Any], payload: tuple[int, Any]) -> TaskOutcome:
-    index, item = payload
+def _run_one(fn: Callable[[Any], Any], index: int, item: Any) -> TaskOutcome:
     start = time.perf_counter()
     value = fn(item)
     return TaskOutcome(
@@ -270,41 +150,32 @@ def _sigterm_as_interrupt():
         signal.signal(signal.SIGTERM, previous)
 
 
-def _run_serial(
+def _run_pool(
     fn: Callable[[Any], Any],
     tasks: list[tuple[int, Any]],
-    on_complete: Callable[[TaskOutcome], None],
-) -> tuple[dict[int, TaskOutcome], list[TaskFailure], bool]:
-    """The in-process reference path: same journaling, no pool.
+    jobs: int,
+    finish: Callable[[TaskOutcome], None],
+) -> None:
+    """Run ``tasks`` on one worker pool, calling ``finish`` as each completes.
 
-    A failing task is quarantined after one attempt (retrying a pure
-    function in the same process cannot change the answer); Ctrl-C
-    returns the completed prefix.
+    On any exception the workers are killed before it propagates: a
+    worker inherits the SIGTERM handler, so only SIGKILL is sure to
+    stop one mid-task.
     """
-    outcomes: dict[int, TaskOutcome] = {}
-    failures: list[TaskFailure] = []
-    interrupted = False
-    for index, item in tasks:
-        try:
-            outcome = _run_one(fn, (index, item))
-        except KeyboardInterrupt:
-            interrupted = True
-            break
-        except Exception as exc:
-            failures.append(
-                TaskFailure(
-                    index=index,
-                    error=repr(exc),
-                    traceback=traceback_module.format_exc(),
-                    attempts=1,
-                    worker_pid=os.getpid(),
-                    kind="exception",
-                )
-            )
-            continue
-        outcomes[index] = outcome
-        on_complete(outcome)
-    return outcomes, failures, interrupted
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
+    try:
+        futures = [pool.submit(_run_one, fn, index, item) for index, item in tasks]
+        for future in as_completed(futures):
+            finish(future.result())
+    except BaseException:
+        workers = list((getattr(pool, "_processes", None) or {}).values())
+        for worker in workers:
+            worker.kill()
+        pool.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.join()
+        raise
+    pool.shutdown()
 
 
 def map_tasks(
@@ -313,34 +184,20 @@ def map_tasks(
     jobs: int | None = None,
     run_dir: str | Path | None = None,
     resume: bool | None = None,
-    task_timeout: float | None = None,
-    max_retries: int | None = None,
-    chaos: ChaosConfig | str | None = None,
-    strict: bool = True,
-    backoff_base: float = 0.1,
-) -> SweepReport:
-    """Run ``fn`` over ``items`` under supervision; survives worker faults.
+) -> list[TaskOutcome]:
+    """Run ``fn`` over ``items``; one outcome per item, in item order.
 
-    Results always come back in item order — the parallel path is
-    output-equivalent to the serial one whenever ``fn`` is a pure
-    function of its item (every sweep task is: specs carry their own
-    seeds, and each task builds its own execution model).
-    Worker death and hangs (``task_timeout``) are retried up to
-    ``max_retries`` times; persistent failures are quarantined into
-    ``report.failures``.  ``strict=True`` (the default) raises
-    :class:`SweepFailedError` when anything was quarantined;
-    ``strict=False`` returns the degraded report instead.
-
-    With ``run_dir``, completed outcomes are journaled to an fsynced
-    ledger named by the sweep fingerprint; ``resume=True`` replays
-    recorded cells bit-identically and computes only what is missing.
-    A Ctrl-C/SIGTERM persists the ledger and returns a partial report
-    with ``interrupted=True`` (never an exception), so callers can
-    stop cleanly and users can resume.
+    The parallel path is output-equivalent to the serial one whenever
+    ``fn`` is a pure function of its item (every sweep task is).  With
+    ``run_dir``, completed outcomes are journaled to an fsynced ledger
+    named by the sweep fingerprint; ``resume=True`` replays recorded
+    outcomes (``resumed=True``) and computes only what is missing.  An
+    exception, Ctrl-C or SIGTERM propagates after the workers are
+    stopped; the ledger keeps every outcome that finished before it.
 
     ``fn`` and each item must be picklable (module-level function,
-    dataclass specs) when ``jobs > 1``.  All knobs default to their
-    ``REPRO_*`` environment variables.
+    dataclass specs) when ``jobs > 1``.  ``jobs``, ``run_dir`` and
+    ``resume`` default to their ``REPRO_*`` environment variables.
     """
     if jobs is None:
         jobs = jobs_from_env()
@@ -348,72 +205,30 @@ def map_tasks(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if run_dir is None:
         run_dir = run_dir_from_env()
-    run_dir = Path(run_dir) if run_dir is not None else None
     if resume is None:
         resume = resume_from_env()
-    if task_timeout is None:
-        task_timeout = task_timeout_from_env()
-    if max_retries is None:
-        max_retries = max_retries_from_env()
-    if chaos is None:
-        chaos = chaos_from_env()
-    elif isinstance(chaos, str):
-        chaos = ChaosConfig.parse(chaos)
 
-    tasks = list(enumerate(items))
-    fingerprint: str | None = None
+    items = list(items)
+    outcomes: dict[int, TaskOutcome] = {}
     ledger: RunLedger | None = None
-    recorded: dict[int, TaskOutcome] = {}
     if run_dir is not None:
-        fingerprint = sweep_fingerprint(fn, [item for _, item in tasks])
-        ledger = RunLedger(run_dir, fingerprint)
-        recorded = ledger.start(num_tasks=len(tasks), resume=resume)
+        ledger = RunLedger(run_dir, sweep_fingerprint(fn, items))
+        outcomes = ledger.start(num_tasks=len(items), resume=resume)
 
-    def journal(outcome: TaskOutcome) -> None:
+    def finish(outcome: TaskOutcome) -> None:
+        outcomes[outcome.index] = outcome
         if ledger is not None:
             ledger.record(outcome)
 
-    remaining = [(index, item) for index, item in tasks if index not in recorded]
-    start = time.perf_counter()
+    remaining = [(index, item) for index, item in enumerate(items) if index not in outcomes]
     try:
         with _sigterm_as_interrupt():
             if jobs == 1 or len(remaining) <= 1:
-                outcomes, failures, interrupted = _run_serial(fn, remaining, journal)
-                num_retries = num_respawns = 0
+                for index, item in remaining:
+                    finish(_run_one(fn, index, item))
             else:
-                policy = SupervisorPolicy(
-                    task_timeout=task_timeout,
-                    max_retries=max_retries,
-                    backoff_base=backoff_base,
-                    chaos=chaos,
-                )
-                run = run_supervised(
-                    fn,
-                    remaining,
-                    jobs=jobs,
-                    policy=policy,
-                    on_complete=journal,
-                )
-                outcomes, failures = run.outcomes, run.failures
-                interrupted = run.interrupted
-                num_retries, num_respawns = run.num_retries, run.num_respawns
+                _run_pool(fn, remaining, jobs, finish)
     finally:
         if ledger is not None:
             ledger.close()
-
-    outcomes.update(recorded)
-    report = SweepReport(
-        outcomes=[outcomes[index] for index in sorted(outcomes)],
-        failures=sorted(failures, key=lambda f: f.index),
-        jobs=jobs,
-        run_dir=run_dir,
-        fingerprint=fingerprint,
-        wall_seconds=time.perf_counter() - start,
-        interrupted=interrupted,
-        num_resumed=len(recorded),
-        num_retries=num_retries,
-        num_respawns=num_respawns,
-    )
-    if strict and report.failures and not report.interrupted:
-        raise SweepFailedError(report)
-    return report
+    return [outcomes[index] for index in range(len(items))]

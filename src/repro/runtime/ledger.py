@@ -9,8 +9,8 @@ record of what already finished:
   can never be replayed against a different grid;
 * every completed :class:`~repro.runtime.engine.TaskOutcome` is
   appended as one self-checksummed JSONL line (pickled value, base64),
-  flushed and fsynced before the supervisor moves on — a ``kill -9``
-  loses at most the cell in flight;
+  flushed and fsynced before the sweep moves on — a ``kill -9`` loses
+  at most the cells in flight;
 * ``--resume`` loads the ledger back and skips every recorded index;
   replayed values are pickle round-trips, so a resumed sweep is
   bit-identical to an uninterrupted one;
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from repro.runtime.supervisor import TaskOutcome
+    from repro.runtime.engine import TaskOutcome
 
 LEDGER_MAGIC = "repro-sweep-ledger"
 LEDGER_VERSION = 1
@@ -66,7 +66,6 @@ def encode_outcome(outcome: "TaskOutcome") -> str:
     record = {
         "kind": "task",
         "index": outcome.index,
-        "attempt": outcome.attempt,
         "worker_pid": outcome.worker_pid,
         "seconds": outcome.seconds,
         "payload": base64.b64encode(
@@ -82,9 +81,11 @@ def decode_outcome(line: str) -> "TaskOutcome | None":
 
     Every failure mode — broken JSON, missing fields, checksum
     mismatch, unpicklable payload — returns ``None`` so the caller
-    recomputes that cell instead of aborting the resume.
+    recomputes that cell instead of aborting the resume.  Lines that
+    still carry the ``attempt`` field of older ledgers decode the same;
+    the field is covered by the checksum and otherwise ignored.
     """
-    from repro.runtime.supervisor import TaskOutcome
+    from repro.runtime.engine import TaskOutcome
 
     try:
         record = json.loads(line)
@@ -102,7 +103,6 @@ def decode_outcome(line: str) -> "TaskOutcome | None":
             value=value,
             worker_pid=int(record["worker_pid"]),
             seconds=float(record["seconds"]),
-            attempt=int(record["attempt"]),
             resumed=True,
         )
     except Exception:
@@ -127,7 +127,7 @@ class RunLedger:
         A missing file, a bad/missing header, or a header naming a
         different fingerprint all read as an empty ledger.  Damaged
         task lines are skipped individually.  A later record for the
-        same index wins (a retried-then-journaled cell).
+        same index wins.
         """
         try:
             # Flipped bytes may not be valid UTF-8; substitute rather

@@ -11,12 +11,7 @@ from repro.telemetry.recorder import (
     write_csv,
     write_jsonl,
 )
-from repro.telemetry.sweep import (
-    capacity_probe_rows,
-    sweep_cell_rows,
-    sweep_failure_rows,
-    sweep_run_rows,
-)
+from repro.telemetry.sweep import capacity_probe_rows, sweep_cell_rows
 
 __all__ = [
     "engine_rows",
@@ -27,8 +22,6 @@ __all__ = [
     "replica_utilization_rows",
     "capacity_probe_rows",
     "sweep_cell_rows",
-    "sweep_failure_rows",
-    "sweep_run_rows",
     "write_jsonl",
     "read_jsonl",
     "write_csv",

@@ -1,26 +1,38 @@
-"""Tests for the run ledger (``repro.runtime.ledger``).
+"""Tests for the run ledger (``repro.runtime.ledger``) and how
+``map_tasks`` journals to it.
 
 The journal's contract: every recorded outcome replays bit-identically
 on resume, any damaged line degrades to recomputing that one cell, and
-a ledger can never be replayed against a different sweep.
+a ledger can never be replayed against a different sweep.  A sweep cut
+short by a task error or an interrupt propagates it, leaves exactly the
+finished tasks in the ledger, and a resumed run computes only the rest.
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
+import json
+import multiprocessing
+import os
+import pickle
+import signal
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import (
     RunLedger,
     TaskOutcome,
-    corrupt_file,
     decode_outcome,
     encode_outcome,
     map_tasks,
     sweep_fingerprint,
 )
+from repro.runtime.ledger import _checksum
 
 FP = "ab" * 32
 # Shares the first 16 chars (the ledger filename) with FP but differs
@@ -43,7 +55,6 @@ outcomes = st.builds(
     value=values,
     worker_pid=st.integers(1, 1 << 22),
     seconds=st.floats(0, 1e6, allow_nan=False),
-    attempt=st.integers(0, 5),
     resumed=st.just(False),
 )
 
@@ -59,6 +70,59 @@ def triple_and_mark(arg: tuple[int, str]) -> int:
     return x * 3
 
 
+def triple_unless_poisoned(arg: tuple[int, str]) -> int:
+    """``triple_and_mark``, but raises while a ``poison-<x>`` file exists."""
+    x, marker_dir = arg
+    if (Path(marker_dir) / f"poison-{x}").exists():
+        raise ValueError(f"poisoned item {x}")
+    return triple_and_mark(arg)
+
+
+def triple_until_interrupted(arg: tuple[int, str]) -> int:
+    """``triple_and_mark``, but a ``stop-<x>`` file turns item ``x`` into
+    a Ctrl-C (``KeyboardInterrupt``) or a SIGTERM to the sweep process."""
+    x, marker_dir = arg
+    stop = Path(marker_dir) / f"stop-{x}"
+    if stop.exists():
+        if stop.read_text() == "sigterm":
+            parent = multiprocessing.parent_process()
+            os.kill(parent.pid if parent else os.getpid(), signal.SIGTERM)
+            time.sleep(60)  # a worker waits here to be killed by the sweep
+        raise KeyboardInterrupt
+    return triple_and_mark(arg)
+
+
+def corrupt_file(path: str | Path, seed: int = 0, num_bytes: int = 8) -> int:
+    """Deterministically flip bytes of a file in place; bytes flipped.
+
+    Offsets and XOR masks derive from sha256 of the seed, so a damaged
+    ledger is reproducible.  Empty/missing files flip 0.
+    """
+    path = Path(path)
+    try:
+        data = bytearray(path.read_bytes())
+    except OSError:
+        return 0
+    if not data:
+        return 0
+    for i in range(num_bytes):
+        digest = hashlib.sha256(f"corrupt:{seed}:{i}".encode()).digest()
+        offset = int.from_bytes(digest[:8], "big") % len(data)
+        data[offset] ^= digest[8] or 0xFF
+    path.write_bytes(bytes(data))
+    return num_bytes
+
+
+def ledger_indices(run_dir: Path) -> set[int]:
+    [path] = run_dir.glob("ledger-*.jsonl")
+    return set(RunLedger(run_dir, json.loads(path.read_text().splitlines()[0])[
+        "fingerprint"]).load())
+
+
+def computed(markers: Path) -> set[int]:
+    return {int(p.name.split("-")[1]) for p in markers.glob("computed-*")}
+
+
 class TestEncodeDecode:
     @given(outcome=outcomes)
     @settings(max_examples=50, deadline=None)
@@ -69,8 +133,25 @@ class TestEncodeDecode:
         assert decoded.value == outcome.value  # pickle: bit-exact floats
         assert decoded.worker_pid == outcome.worker_pid
         assert decoded.seconds == outcome.seconds
-        assert decoded.attempt == outcome.attempt
         assert decoded.resumed is True  # replayed records are marked
+
+    def test_lines_with_an_attempt_field_still_decode(self):
+        """Ledgers whose lines carry an ``attempt`` field (written when
+        sweeps retried tasks) resume: the field is checksummed, then
+        ignored."""
+        record = {
+            "kind": "task",
+            "index": 3,
+            "attempt": 0,
+            "worker_pid": 77,
+            "seconds": 1.25,
+            "payload": base64.b64encode(pickle.dumps((9, "x"))).decode("ascii"),
+        }
+        record["sha256"] = _checksum(record)
+        decoded = decode_outcome(json.dumps(record, sort_keys=True))
+        assert decoded == TaskOutcome(
+            index=3, value=(9, "x"), worker_pid=77, seconds=1.25, resumed=True
+        )
 
     @given(outcome=outcomes, data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -176,7 +257,7 @@ class TestMapTasksResume:
         items = [(i, str(markers)) for i in range(6)]
 
         first = map_tasks(triple_and_mark, items, jobs=1, run_dir=run_dir)
-        assert first.ok and first.num_resumed == 0
+        assert not any(o.resumed for o in first)
         assert len(list(markers.glob("computed-*"))) == 6
 
         # Simulate a sweep killed after cell 3: drop the last two records.
@@ -187,14 +268,9 @@ class TestMapTasksResume:
             marker.unlink()
 
         second = map_tasks(triple_and_mark, items, jobs=1, run_dir=run_dir, resume=True)
-        assert second.values == first.values  # bit-identical resume
-        assert second.num_resumed == 4
-        recomputed = sorted(
-            int(p.name.split("-")[1]) for p in markers.glob("computed-*")
-        )
-        assert recomputed == [4, 5]  # exactly the missing cells
-        resumed_indices = {o.index for o in second.outcomes if o.resumed}
-        assert resumed_indices == {0, 1, 2, 3}
+        assert [o.value for o in second] == [o.value for o in first]  # bit-identical
+        assert computed(markers) == {4, 5}  # exactly the missing cells
+        assert {o.index for o in second if o.resumed} == {0, 1, 2, 3}
 
     def test_corrupted_ledger_degrades_to_recompute(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -207,12 +283,81 @@ class TestMapTasksResume:
         assert corrupt_file(ledger_path, seed=7, num_bytes=16) > 0
 
         second = map_tasks(triple_and_mark, items, jobs=1, run_dir=run_dir, resume=True)
-        assert second.ok
-        assert second.values == first.values  # recomputed cells match exactly
+        # Recomputed cells match exactly.
+        assert [o.value for o in second] == [o.value for o in first]
 
     def test_without_resume_flag_ledger_is_ignored(self, tmp_path):
         items = [(i, str(tmp_path)) for i in range(3)]
         map_tasks(triple_and_mark, items, jobs=1, run_dir=tmp_path / "run")
-        report = map_tasks(triple_and_mark, items, jobs=1, run_dir=tmp_path / "run")
-        assert report.num_resumed == 0
-        assert all(not o.resumed for o in report.outcomes)
+        outcomes = map_tasks(triple_and_mark, items, jobs=1, run_dir=tmp_path / "run")
+        assert not any(o.resumed for o in outcomes)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestMapTasksFailure:
+    """A sweep cut short propagates, keeps its finished cells, resumes."""
+
+    def test_task_error_propagates_and_resume_fills_the_gap(self, jobs, tmp_path):
+        run_dir, markers = tmp_path / "run", tmp_path / "markers"
+        markers.mkdir()
+        items = [(i, str(markers)) for i in range(6)]
+        (markers / "poison-3").touch()
+        with pytest.raises(ValueError, match="poisoned item 3"):
+            map_tasks(triple_unless_poisoned, items, jobs=jobs, run_dir=run_dir)
+        assert not multiprocessing.active_children()  # no worker left behind
+        journaled = ledger_indices(run_dir)
+        assert 3 not in journaled
+        # Exactly the cells that finished are journaled: every journaled
+        # cell ran, and a serial sweep stops at the failing cell.
+        assert journaled <= computed(markers)
+        if jobs == 1:
+            assert journaled == computed(markers) == {0, 1, 2}
+
+        (markers / "poison-3").unlink()
+        for marker in markers.glob("computed-*"):
+            marker.unlink()
+        resumed = map_tasks(
+            triple_unless_poisoned, items, jobs=jobs, run_dir=run_dir, resume=True
+        )
+        assert [o.value for o in resumed] == [x * 3 for x in range(6)]
+        assert computed(markers) == set(range(6)) - journaled
+        assert {o.index for o in resumed if o.resumed} == journaled
+
+    @pytest.mark.parametrize("how", ["ctrl-c", "sigterm"])
+    def test_interrupt_propagates_without_partial_result(self, jobs, how, tmp_path):
+        run_dir, markers = tmp_path / "run", tmp_path / "markers"
+        markers.mkdir()
+        items = [(i, str(markers)) for i in range(6)]
+        (markers / "stop-2").write_text("sigterm" if how == "sigterm" else "")
+        previous = signal.getsignal(signal.SIGTERM)
+        with pytest.raises(KeyboardInterrupt):
+            map_tasks(triple_until_interrupted, items, jobs=jobs, run_dir=run_dir)
+        assert signal.getsignal(signal.SIGTERM) is previous
+        assert not multiprocessing.active_children()
+        journaled = ledger_indices(run_dir)
+        assert 2 not in journaled
+        if jobs == 1:
+            assert journaled == {0, 1}
+
+        (markers / "stop-2").unlink()
+        resumed = map_tasks(
+            triple_until_interrupted, items, jobs=jobs, run_dir=run_dir, resume=True
+        )
+        assert [o.value for o in resumed] == [x * 3 for x in range(6)]
+        assert {o.index for o in resumed if o.resumed} == journaled
+
+
+class TestCorruptFile:
+    def test_corrupt_file_is_deterministic(self, tmp_path):
+        payload = bytes(range(256)) * 4
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        a.write_bytes(payload)
+        b.write_bytes(payload)
+        assert corrupt_file(a, seed=3) == corrupt_file(b, seed=3) == 8
+        assert a.read_bytes() == b.read_bytes() != payload
+
+    def test_corrupt_file_handles_empty_and_missing(self, tmp_path):
+        empty = tmp_path / "empty"
+        empty.touch()
+        assert corrupt_file(empty) == 0
+        assert corrupt_file(tmp_path / "nope") == 0

@@ -28,26 +28,15 @@ from repro.models.catalog import TINY_1B, YI_34B
 from repro.parallel.config import ParallelConfig
 from repro.runtime import (
     JOBS_ENV,
-    MAX_RETRIES_ENV,
     RESUME_ENV,
     RUN_DIR_ENV,
-    TASK_TIMEOUT_ENV,
-    ChaosConfig,
-    chaos_from_env,
     jobs_from_env,
     map_tasks,
-    max_retries_from_env,
     resume_from_env,
     run_dir_from_env,
     sweep_env,
-    task_timeout_from_env,
 )
-from repro.telemetry import (
-    capacity_probe_rows,
-    sweep_cell_rows,
-    sweep_failure_rows,
-    sweep_run_rows,
-)
+from repro.telemetry import capacity_probe_rows, sweep_cell_rows
 from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4
 
@@ -56,12 +45,6 @@ TINY = Scale(num_requests=12, capacity_rel_tol=0.5, capacity_max_probes=3)
 
 def square(x: int) -> int:  # module-level: picklable for worker processes
     return x * x
-
-
-def fail_on_two(x: int) -> int:
-    if x == 2:
-        raise ValueError("two is right out")
-    return x
 
 
 @pytest.fixture(scope="module")
@@ -93,22 +76,17 @@ def tiny_grid_specs(scale: Scale = TINY) -> list[CapacityCellSpec]:
 
 class TestMapTasks:
     def test_serial_preserves_order(self):
-        report = map_tasks(square, [3, 1, 2], jobs=1)
-        assert report.values == [9, 1, 4]
-        assert [o.index for o in report.outcomes] == [0, 1, 2]
+        outcomes = map_tasks(square, [3, 1, 2], jobs=1)
+        assert [o.value for o in outcomes] == [9, 1, 4]
+        assert [o.index for o in outcomes] == [0, 1, 2]
+        assert not any(o.resumed for o in outcomes)
 
     def test_parallel_matches_serial(self):
         items = list(range(8))
         serial = map_tasks(square, items, jobs=1)
         parallel = map_tasks(square, items, jobs=2)
-        assert parallel.values == serial.values
-        assert parallel.jobs == 2
-
-    def test_worker_rows_shape(self):
-        report = map_tasks(square, [1, 2], jobs=1)
-        rows = report.worker_rows()
-        assert [r["task_index"] for r in rows] == [0, 1]
-        assert all(r["jobs"] == 1 for r in rows)
+        assert [o.value for o in parallel] == [o.value for o in serial]
+        assert [o.index for o in parallel] == list(range(8))
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -150,36 +128,14 @@ class TestEnvKnobs:
         monkeypatch.setenv(RESUME_ENV, "0")
         assert resume_from_env() is False
 
-    def test_task_timeout_and_retries(self, monkeypatch):
-        monkeypatch.delenv(TASK_TIMEOUT_ENV, raising=False)
-        monkeypatch.delenv(MAX_RETRIES_ENV, raising=False)
-        assert task_timeout_from_env() is None
-        assert max_retries_from_env() == 2
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "2.5")
-        monkeypatch.setenv(MAX_RETRIES_ENV, "5")
-        assert task_timeout_from_env() == 2.5
-        assert max_retries_from_env() == 5
-        monkeypatch.setenv(TASK_TIMEOUT_ENV, "-1")
-        with pytest.raises(ValueError, match=TASK_TIMEOUT_ENV):
-            task_timeout_from_env()
-        monkeypatch.setenv(MAX_RETRIES_ENV, "-1")
-        with pytest.raises(ValueError, match=MAX_RETRIES_ENV):
-            max_retries_from_env()
-
     def test_sweep_env_pins_fault_knobs(self, monkeypatch, tmp_path):
-        for env in (RUN_DIR_ENV, RESUME_ENV, TASK_TIMEOUT_ENV, MAX_RETRIES_ENV):
+        """The crash-recovery pair (ledger directory and resume) is
+        pinned for the duration of the block and then cleared."""
+        for env in (RUN_DIR_ENV, RESUME_ENV):
             monkeypatch.delenv(env, raising=False)
-        chaos = ChaosConfig(seed=7, kill_rate=0.25, hang_rate=0.1)
-        with sweep_env(
-            run_dir=tmp_path, resume=True, task_timeout=3.0,
-            max_retries=1, chaos=chaos,
-        ):
+        with sweep_env(run_dir=tmp_path, resume=True):
             assert run_dir_from_env() == tmp_path
             assert resume_from_env() is True
-            assert task_timeout_from_env() == 3.0
-            assert max_retries_from_env() == 1
-            # The chaos plan round-trips through its env spec exactly.
-            assert chaos_from_env() == chaos
         assert run_dir_from_env() is None
         assert resume_from_env() is False
 
@@ -305,26 +261,13 @@ class TestSweepTelemetry:
         probe_rows = [r for o in outcomes for r in o.probe_rows]
         assert sum(row["num_probes"] for row in rows) == len(probe_rows)
 
-    def test_run_rows_count_ledger_hits(self, tmp_path):
-        """The resume acceptance check: ledger hits show up in telemetry."""
-        first = map_tasks(square, list(range(4)), jobs=1, run_dir=tmp_path)
-        resumed = map_tasks(
-            square, list(range(4)), jobs=1, run_dir=tmp_path, resume=True
-        )
-        rows = sweep_run_rows([first, resumed], figure="smoke")
-        assert [row["wave"] for row in rows] == [0, 1]
-        assert all(row["figure"] == "smoke" for row in rows)
-        assert rows[0]["num_resumed"] == 0
-        assert rows[1]["num_resumed"] == 4  # every cell was a ledger hit
-        assert rows[1]["num_completed"] == 4
-        assert rows[0]["fingerprint"] == rows[1]["fingerprint"]
-        assert not rows[1]["interrupted"]
-
-    def test_failure_rows_flatten_quarantines(self):
-        report = map_tasks(fail_on_two, [1, 2, 3], jobs=1, strict=False)
-        rows = sweep_failure_rows([report], figure="smoke")
-        assert len(rows) == 1
-        assert rows[0]["task_index"] == 1
-        assert rows[0]["kind"] == "exception"
-        assert rows[0]["wave"] == 0
-        assert rows[0]["figure"] == "smoke"
+    def test_cell_rows_count_ledger_hits(self, serial_outcomes, tmp_path):
+        """The resume acceptance check: ledger hits show up in telemetry,
+        and a resumed grid's rows equal the first run's cells."""
+        specs = tiny_grid_specs()[:2]
+        first = run_capacity_cells(specs, jobs=1, run_dir=tmp_path)
+        resumed = run_capacity_cells(specs, jobs=1, run_dir=tmp_path, resume=True)
+        assert [o.cell for o in first] == [o.cell for o in serial_outcomes[:2]]
+        assert [o.cell for o in resumed] == [o.cell for o in first]
+        assert [row["resumed"] for row in sweep_cell_rows(first)] == [False, False]
+        assert [row["resumed"] for row in sweep_cell_rows(resumed)] == [True, True]
