@@ -51,6 +51,7 @@ __all__ = [
     "VecFasterTransformerScheduler",
     "VecChunkedPrefillsOnlyScheduler",
     "VecFairSarathiScheduler",
+    "next_chunk_size",
     "DEFAULT_MAX_BATCH_SIZE",
     "DEFAULT_MAX_BATCHED_TOKENS",
 ]
@@ -61,6 +62,20 @@ DEFAULT_MAX_BATCHED_TOKENS = 16384
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _batch_ids = itertools.count()
+
+
+def next_chunk_size(remaining: int, token_budget: int, tokens_used: int) -> int:
+    """Prompt tokens to prefill in what is left of the token budget.
+
+    ``remaining`` prompt tokens, capped by ``token_budget - tokens_used``;
+    0 when the budget is spent or no prefill is left.  Lines 11/15 of
+    Algorithm 3 (§4.3).
+    """
+    if token_budget <= 0:
+        raise ValueError("token_budget must be positive")
+    if tokens_used < 0:
+        raise ValueError("tokens_used must be non-negative")
+    return max(0, min(remaining, token_budget - tokens_used))
 
 
 class VecBatch:
@@ -1105,11 +1120,7 @@ class VecSarathiScheduler(_ArrivalSortedMixin):
             # Hybrid-batching-only ablation: whole prompts; budget only
             # gates whether more requests join.
             return remaining if tokens_used < self.token_budget else 0
-        leftover = self.token_budget - tokens_used
-        if leftover <= 0:
-            return 0
-        chunk = min(remaining, leftover)
-        return chunk if chunk > 0 else 0
+        return next_chunk_size(remaining, self.token_budget, tokens_used)
 
 
 class VecDynamicSarathiScheduler(VecSarathiScheduler):
@@ -1538,11 +1549,7 @@ class VecChunkedPrefillsOnlyScheduler(_ArrivalSortedMixin):
     def _next_chunk(self, row: int, tokens_used: int) -> int:
         A = self.A
         remaining = int(A.prefill_target[row] - A.prefill_done[row])
-        leftover = self.token_budget - tokens_used
-        if leftover <= 0:
-            return 0
-        chunk = min(remaining, leftover)
-        return chunk if chunk > 0 else 0
+        return next_chunk_size(remaining, self.token_budget, tokens_used)
 
 
 class VecFairSarathiScheduler(VecSarathiScheduler):

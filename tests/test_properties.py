@@ -10,7 +10,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chunking import get_next_chunk_size, num_chunks
 from repro.hardware.catalog import A100_80G
 from repro.engine.arrays import RequestArrays
 from repro.models.catalog import TINY_1B
@@ -20,6 +19,7 @@ from repro.scheduling.vectorized import (
     VecPagedMemory,
     VecReservationMemory,
     VecSarathiScheduler,
+    next_chunk_size,
 )
 from repro.types import Request, TokenWork
 
@@ -32,12 +32,6 @@ small_lengths = st.integers(min_value=1, max_value=512)
 # ----------------------------------------------------------------------
 # Chunking algebra
 # ----------------------------------------------------------------------
-@given(prompt=lengths, chunk=st.integers(min_value=1, max_value=4096))
-def test_num_chunks_covers_prompt_exactly(prompt, chunk):
-    n = num_chunks(prompt, chunk)
-    assert (n - 1) * chunk < prompt <= n * chunk
-
-
 @given(
     prompt=lengths,
     budget=st.integers(min_value=1, max_value=4096),
@@ -45,7 +39,7 @@ def test_num_chunks_covers_prompt_exactly(prompt, chunk):
 )
 def test_chunk_size_within_bounds(prompt, budget, used):
     request = Request(prompt_len=prompt, output_len=1)
-    chunk = get_next_chunk_size(request, budget, used)
+    chunk = next_chunk_size(request.remaining_prefill, budget, used)
     assert 0 <= chunk <= prompt
     assert chunk <= max(budget - used, 0)
 
@@ -59,11 +53,11 @@ def test_repeated_chunking_terminates_and_covers(prompt, budget):
     request = Request(prompt_len=prompt, output_len=1)
     steps = 0
     while not request.is_prefill_complete:
-        chunk = get_next_chunk_size(request, budget, tokens_used=0)
+        chunk = next_chunk_size(request.remaining_prefill, budget, tokens_used=0)
         assert chunk > 0
         request.record_prefill(chunk, now=float(steps))
         steps += 1
-        assert steps <= num_chunks(prompt, budget)
+        assert steps <= -(-prompt // budget)  # ceil(prompt / budget) chunks
     assert request.prefill_done == prompt
 
 

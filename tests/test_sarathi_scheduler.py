@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.chunking import get_next_chunk_size, num_chunks
-from repro.scheduling.vectorized import VecSarathiScheduler
+from repro.scheduling.vectorized import VecSarathiScheduler, next_chunk_size
 
 from tests.conftest import harness, make_request
 
@@ -20,50 +19,28 @@ def sarathi(token_budget=512, max_batch_size=8, capacity=65536, **kwargs):
 class TestChunking:
     def test_chunk_bounded_by_leftover_budget(self):
         r = make_request(prompt_len=1000)
-        assert get_next_chunk_size(r, token_budget=512, tokens_used=100) == 412
+        assert next_chunk_size(r.remaining_prefill, token_budget=512, tokens_used=100) == 412
 
     def test_chunk_bounded_by_remaining_prompt(self):
         r = make_request(prompt_len=100)
-        assert get_next_chunk_size(r, token_budget=512, tokens_used=0) == 100
+        assert next_chunk_size(r.remaining_prefill, token_budget=512, tokens_used=0) == 100
 
     def test_zero_when_budget_exhausted(self):
         r = make_request(prompt_len=100)
-        assert get_next_chunk_size(r, token_budget=512, tokens_used=512) == 0
-        assert get_next_chunk_size(r, token_budget=512, tokens_used=600) == 0
+        assert next_chunk_size(r.remaining_prefill, token_budget=512, tokens_used=512) == 0
+        assert next_chunk_size(r.remaining_prefill, token_budget=512, tokens_used=600) == 0
 
     def test_partial_prefill_uses_remaining(self):
         r = make_request(prompt_len=1000)
         r.record_prefill(900, now=0.0)
-        assert get_next_chunk_size(r, token_budget=512, tokens_used=0) == 100
-
-    def test_tile_alignment_rounds_down_mid_prompt(self):
-        r = make_request(prompt_len=10000)
-        chunk = get_next_chunk_size(r, token_budget=500, tokens_used=0, tile_align=128)
-        assert chunk == 384  # 500 aligned down to 128 multiple
-
-    def test_tile_alignment_keeps_final_piece_whole(self):
-        r = make_request(prompt_len=100)
-        chunk = get_next_chunk_size(r, token_budget=512, tokens_used=0, tile_align=128)
-        assert chunk == 100  # final piece, taken whole
-
-    def test_tile_alignment_never_starves(self):
-        r = make_request(prompt_len=10000)
-        chunk = get_next_chunk_size(r, token_budget=100, tokens_used=0, tile_align=128)
-        assert chunk == 100  # aligned-down would be 0; keep the raw chunk
+        assert next_chunk_size(r.remaining_prefill, token_budget=512, tokens_used=0) == 100
 
     def test_invalid_inputs_rejected(self):
         r = make_request()
         with pytest.raises(ValueError):
-            get_next_chunk_size(r, token_budget=0, tokens_used=0)
+            next_chunk_size(r.remaining_prefill, token_budget=0, tokens_used=0)
         with pytest.raises(ValueError):
-            get_next_chunk_size(r, token_budget=512, tokens_used=-1)
-
-    def test_num_chunks(self):
-        assert num_chunks(1024, 512) == 2
-        assert num_chunks(1025, 512) == 3
-        assert num_chunks(100, 512) == 1
-        with pytest.raises(ValueError):
-            num_chunks(100, 0)
+            next_chunk_size(r.remaining_prefill, token_budget=512, tokens_used=-1)
 
 
 class TestStallFreeBatching:
