@@ -150,6 +150,12 @@ def _sigterm_as_interrupt():
         signal.signal(signal.SIGTERM, previous)
 
 
+def _default_sigterm() -> None:
+    """Worker initializer: a forked worker must not inherit the sweep's
+    SIGTERM-as-interrupt handler, so that the pool can terminate it."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _run_pool(
     fn: Callable[[Any], Any],
     tasks: list[tuple[int, Any]],
@@ -158,11 +164,12 @@ def _run_pool(
 ) -> None:
     """Run ``tasks`` on one worker pool, calling ``finish`` as each completes.
 
-    On any exception the workers are killed before it propagates: a
-    worker inherits the SIGTERM handler, so only SIGKILL is sure to
-    stop one mid-task.
+    On any exception the workers are killed, and reaped, before it
+    propagates, so no worker outlives the sweep.
     """
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)), initializer=_default_sigterm
+    )
     try:
         futures = [pool.submit(_run_one, fn, index, item) for index, item in tasks]
         for future in as_completed(futures):

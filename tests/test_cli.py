@@ -114,6 +114,19 @@ class TestCommands:
         with pytest.raises(KeyError):
             main(["budget", "--model", "gpt-99"])
 
+    def test_interrupted_sweep_prints_no_table(self, capsys, monkeypatch):
+        """Ctrl-C or SIGTERM mid-sweep: exit 130, nothing on stdout."""
+        import repro.experiments.registry as registry
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(registry, "reproduce_figure", interrupted)
+        assert main(["reproduce", "fig10", "--jobs", "2"]) == 130
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "interrupted" in err
+
 
 class TestCompareCommand:
     def test_compare_prints_markdown(self, capsys):
