@@ -578,9 +578,10 @@ class FleetResult:
             # Per-replica prefix stores are independent; the fleet view
             # sums their counters (incarnations after a crash included).
             prefix_stats = _add_prefix_stats(prefix_stats, result.prefix_stats)
+        replica_logs = tuple(IterationLog.of(r.records) for r in self.replica_results)
         return SimulationResult(
             requests=list(self.requests),
-            records=IterationLog.chain(r.records for r in self.replica_results),
+            records=IterationLog.chain(replica_logs),
             makespan=self.makespan,
             num_stages=num_stages,
             num_preemptions=preemptions,
@@ -588,6 +589,7 @@ class FleetResult:
             cache_stats=self.cache_stats,
             engine_stats=engine_stats,
             prefix_stats=prefix_stats,
+            replica_logs=replica_logs,
         )
 
 

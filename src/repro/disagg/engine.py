@@ -47,6 +47,7 @@ class DisaggregatedResult:
     num_stages: int = 1
     num_preemptions: int = 0
     unfinished: list[Request] | None = None
+    replica_logs: tuple[IterationLog, ...] = ()
 
     def __post_init__(self) -> None:
         if self.unfinished is None:

@@ -62,6 +62,10 @@ class SimulationResult:
     # Prefix-cache counters from the scheduler's memory manager (None
     # when prefix caching is off or the allocator is reservation-style).
     prefix_stats: "PrefixCacheStats | None" = None
+    # A fleet's merged view keeps each replica's log here (``records``
+    # chains them).  Replicas run concurrently, so per-stage timeline
+    # metrics are computed per log, never over the interleaved chain.
+    replica_logs: "tuple[IterationLog, ...]" = ()
 
     @property
     def finished_requests(self) -> list[Request]:

@@ -92,8 +92,11 @@ def summarize(result: "SimulationResult") -> RunMetrics:
     total_tokens = sum(r.prompt_len + r.num_emitted for r in finished)
     makespan = result.makespan
 
+    # Per replica and stage, then averaged: in a fleet's chained log one
+    # replica's batches would fill another's idle gaps.
     bubble_fracs = [
-        stage_utilization(result.records, s).bubble_fraction
+        stage_utilization(log, s).bubble_fraction
+        for log in result.replica_logs or (result.records,)
         for s in range(result.num_stages)
     ]
 

@@ -7,6 +7,7 @@ import pytest
 from repro.api import ServingConfig
 from repro.cluster.fleet import FleetConfig, simulate_fleet
 from repro.cluster.router import LeastTokensRouter, RoundRobinRouter, Router
+from repro.metrics.timeline import stage_utilization
 
 from tests.conftest import make_request
 
@@ -84,6 +85,7 @@ class TestSimulateCluster:
         _, fleet = _fleet(tiny_deployment, trace, 1)
         assert fleet.p99_tbt == pytest.approx(solo.p99_tbt)
         assert fleet.median_ttft == pytest.approx(solo.median_ttft)
+        assert fleet.mean_bubble_fraction == solo.mean_bubble_fraction
 
     def test_more_replicas_reduce_queueing(self, tiny_deployment):
         trace = [
@@ -120,3 +122,26 @@ class TestSimulateCluster:
         result, _ = _fleet(tiny_deployment, trace, 4)
         assert len(result.assignments) == 20
         assert all(0 <= a < 4 for a in result.assignments.values())
+
+
+class TestFleetBubbles:
+    """Replicas run concurrently: the fleet's bubble fraction averages
+    each replica's stages, so one replica's busy time never fills
+    another replica's idle gaps."""
+
+    def test_bubble_fraction_is_averaged_per_replica(self, tiny_deployment):
+        trace = [
+            make_request(prompt_len=64, output_len=16, arrival_time=0.05 * i)
+            for i in range(80)
+        ]
+        result, metrics = _fleet(tiny_deployment, trace, 4, router=RoundRobinRouter(4))
+        per_replica = [
+            stage_utilization(r.records, 0).bubble_fraction
+            for r in result.replica_results
+        ]
+        assert per_replica == pytest.approx([0.741] * 4, abs=1e-3)
+        assert metrics.mean_bubble_fraction == sum(per_replica) / 4
+        # The chained log alone reads almost no bubbles at all.
+        merged = result.merged()
+        assert stage_utilization(merged.records, 0).bubble_fraction < 0.01
+        assert list(merged.replica_logs) == [r.records for r in result.replica_results]
