@@ -164,8 +164,9 @@ def _run_pool(
 ) -> None:
     """Run ``tasks`` on one worker pool, calling ``finish`` as each completes.
 
-    On any exception the workers are killed, and reaped, before it
-    propagates, so no worker outlives the sweep.
+    On any exception the workers are killed before it propagates.  The
+    pool's manager thread then sees them die and reaps them; waiting
+    for it leaves no worker behind and no second thread reaping them.
     """
     pool = ProcessPoolExecutor(
         max_workers=min(jobs, len(tasks)), initializer=_default_sigterm
@@ -175,12 +176,9 @@ def _run_pool(
         for future in as_completed(futures):
             finish(future.result())
     except BaseException:
-        workers = list((getattr(pool, "_processes", None) or {}).values())
-        for worker in workers:
+        for worker in list((getattr(pool, "_processes", None) or {}).values()):
             worker.kill()
-        pool.shutdown(wait=False, cancel_futures=True)
-        for worker in workers:
-            worker.join()
+        pool.shutdown(wait=True, cancel_futures=True)
         raise
     pool.shutdown()
 

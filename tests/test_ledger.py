@@ -87,7 +87,7 @@ def triple_until_interrupted(arg: tuple[int, str]) -> int:
         if stop.read_text() == "sigterm":
             parent = multiprocessing.parent_process()
             os.kill(parent.pid if parent else os.getpid(), signal.SIGTERM)
-            time.sleep(60)  # a worker waits here to be killed by the sweep
+            time.sleep(5)  # a worker waits here to be killed by the sweep
         raise KeyboardInterrupt
     return triple_and_mark(arg)
 
@@ -113,10 +113,8 @@ def corrupt_file(path: str | Path, seed: int = 0, num_bytes: int = 8) -> int:
     return num_bytes
 
 
-def ledger_indices(run_dir: Path) -> set[int]:
-    [path] = run_dir.glob("ledger-*.jsonl")
-    return set(RunLedger(run_dir, json.loads(path.read_text().splitlines()[0])[
-        "fingerprint"]).load())
+def ledger_indices(run_dir: Path, fn, items: list) -> set[int]:
+    return set(RunLedger(run_dir, sweep_fingerprint(fn, items)).load())
 
 
 def computed(markers: Path) -> set[int]:
@@ -305,7 +303,7 @@ class TestMapTasksFailure:
         with pytest.raises(ValueError, match="poisoned item 3"):
             map_tasks(triple_unless_poisoned, items, jobs=jobs, run_dir=run_dir)
         assert not multiprocessing.active_children()  # no worker left behind
-        journaled = ledger_indices(run_dir)
+        journaled = ledger_indices(run_dir, triple_unless_poisoned, items)
         assert 3 not in journaled
         # Exactly the cells that finished are journaled: every journaled
         # cell ran, and a serial sweep stops at the failing cell.
@@ -334,7 +332,7 @@ class TestMapTasksFailure:
             map_tasks(triple_until_interrupted, items, jobs=jobs, run_dir=run_dir)
         assert signal.getsignal(signal.SIGTERM) is previous
         assert not multiprocessing.active_children()
-        journaled = ledger_indices(run_dir)
+        journaled = ledger_indices(run_dir, triple_until_interrupted, items)
         assert 2 not in journaled
         if jobs == 1:
             assert journaled == {0, 1}
