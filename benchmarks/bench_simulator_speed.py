@@ -1,11 +1,14 @@
 #!/usr/bin/env python
 """Perf-regression harness for the memoized execution model.
 
-Times two fixed-seed workloads on the uncached and cached execution
-models (``repro.perf.cache``), verifies the outputs stayed
+Times fixed-seed workloads on the plain ``ExecutionModel`` and on the
+memoized one (``repro.perf.cache``), verifies the outputs stayed
 bit-identical, and writes the speedups plus hit rates to
 ``BENCH_simulator.json`` at the repo root so future PRs have a perf
-trajectory to compare against.
+trajectory to compare against.  The model holds the only pricing memo:
+the engine and the dynamic scheduler price through it, so an uncached
+arm runs every component price through the analytical model, with no
+memo at any layer.
 
 Cases:
 
@@ -79,7 +82,6 @@ from repro.experiments.prefix_cache import (  # noqa: E402
 from repro.hardware.catalog import A100_80G  # noqa: E402
 from repro.metrics.slo import derived_slo  # noqa: E402
 from repro.models.catalog import TINY_1B  # noqa: E402
-from repro.perf.cache import CachedExecutionModel  # noqa: E402
 from repro.reporting import (  # noqa: E402
     BenchCase,
     render_bench_table,
@@ -198,7 +200,7 @@ def _timed_hybrid_batch(deployment: Deployment, quick: bool, seed: int) -> Bench
     uncached_points = sweep(uncached_model)
     uncached_s = time.perf_counter() - start
 
-    cached_model = CachedExecutionModel(deployment.execution_model())
+    cached_model = execution_model_for(deployment)
     start = time.perf_counter()
     cached_points = sweep(cached_model)
     cached_s = time.perf_counter() - start

@@ -165,9 +165,12 @@ def execution_model_for(deployment: Deployment) -> CachedExecutionModel:
     ``simulate``/``build_engine`` calls it makes, so a capacity search
     shares warm entries across its probes; the model is dropped with
     the task.  Pricing is bit-identical to ``deployment.execution_model()``,
-    which callers pass as ``exec_model`` to time the raw analytical model.
+    the unmemoized reference, which callers pass as ``exec_model`` to
+    time the raw analytical model.
     """
-    return CachedExecutionModel(deployment.execution_model())
+    return CachedExecutionModel(
+        deployment.model, deployment.gpu, deployment.parallel, deployment.calibration
+    )
 
 
 def build_vectorized_scheduler(

@@ -188,7 +188,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if result.cache_stats is not None:
         stats = result.cache_stats
         print(
-            f"perf cache: {stats.hits}/{stats.hits + stats.misses} batch hits "
+            f"perf cache: {stats.hits}/{stats.hits + stats.misses} component hits "
             f"({stats.hit_rate:.0%}), {stats.work_hit_rate:.0%} attention-work hits"
         )
     if result.prefix_stats is not None:

@@ -18,6 +18,10 @@ The engine is event-driven like the replica engine:
   queue if none has room);
 * decode replicas run decode-only iterations over their resident
   requests, iteration-level.
+
+Each instance keeps its own iteration log (``replica_logs``: prefill
+instances first, then decode instances), so utilization metrics
+average over instances the way a fleet's do.
 """
 
 from __future__ import annotations
@@ -114,6 +118,7 @@ class _DecodeReplica:
         self.memory = _DecodeKV(capacity_tokens, block_size)
         self.resident: list[Request] = []
         self.busy = False
+        self.log = IterationLog()
 
     def can_admit(self, request: Request) -> bool:
         # Conservative admission: reserve room for the whole response so
@@ -157,12 +162,12 @@ class DisaggregatedEngine:
         self.max_decode_batch = max_decode_batch
         self._events = EventQueue()
         self._prefill_busy = [False] * num_prefill_replicas
+        self._prefill_logs = [IterationLog() for _ in range(num_prefill_replicas)]
         self._prefill_queue: list[Request] = []
         self._decode_replicas = [
             _DecodeReplica(i, decode_kv_capacity) for i in range(num_decode_replicas)
         ]
         self._staging: list[Request] = []   # prefilled, waiting for decode memory
-        self._records = IterationLog()
         self.num_migrations = 0
         self.total_migration_time = 0.0
 
@@ -196,11 +201,15 @@ class DisaggregatedEngine:
             raise RuntimeError(
                 f"disaggregated run stuck with {len(unfinished)} unfinished requests"
             )
+        replica_logs = tuple(self._prefill_logs) + tuple(
+            replica.log for replica in self._decode_replicas
+        )
         return DisaggregatedResult(
             requests=list(requests),
-            records=self._records,
+            records=IterationLog.chain(replica_logs),
             makespan=now,
             unfinished=unfinished,
+            replica_logs=replica_logs,
         )
 
     # ------------------------------------------------------------------
@@ -217,7 +226,7 @@ class DisaggregatedEngine:
             breakdown = self.exec_model.iteration_time([work])
             duration = breakdown.total
             self._prefill_busy[replica] = True
-            self._records.append(
+            self._prefill_logs[replica].append(
                 0, now, now + duration, request.request_id,
                 work.num_tokens, 0, 1, 0,
                 breakdown.linear, breakdown.attention, breakdown.others,
@@ -277,7 +286,7 @@ class DisaggregatedEngine:
         works = [TokenWork.decode(r.context_len) for r in batch]
         breakdown = self.exec_model.iteration_time(works)
         replica.busy = True
-        self._records.append(
+        replica.log.append(
             0, now, now + breakdown.total, -(replica.index + 1),
             0, len(batch), 0, len(batch),
             breakdown.linear, breakdown.attention, breakdown.others,

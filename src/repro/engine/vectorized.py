@@ -21,11 +21,13 @@ this cheap without a per-token event heap:
   source, a small heap of stage-done/stage-enqueue events, so pipeline
   bubbles (stage idle waiting on its upstream send) fall out of the
   same event order rather than a separate bubble model.
-* Iteration pricing decomposes into per-component memo tables (linear
-  by token counts, decode attention by context length, prefill
-  attention by chunk shape, token-count terms) that are reassembled in
-  the same order :meth:`ExecutionModel.stage_iteration_time` uses, so
-  every float operation matches the unmemoized model.
+* Iteration pricing calls the execution model's component prices
+  (linear by token counts, decode attention over the batch's context
+  array, prefill attention per chunk, token-count terms) and assembles
+  them in the order :meth:`ExecutionModel.stage_iteration_time` uses,
+  so every float matches the unmemoized model.  The memo is the
+  model's (:class:`repro.perf.cache.CachedExecutionModel`), shared by
+  every engine of a sweep task.
 * Token emission timestamps need not be appended per request in the
   hot loop: the engine logs ``(time, rows)`` per iteration into a
   packed :class:`repro.engine.arrays.EmissionLog`, and each
@@ -56,10 +58,9 @@ import numpy as np
 from repro.engine.arrays import PH_FINISHED, EmissionLog, RequestArrays
 from repro.engine.replica import EngineStats, FollowupFn, SimulationResult
 from repro.metrics.timeline import IterationLog
-from repro.parallel.comm import pp_send_time, tp_comm_time
 from repro.perf.iteration import ExecutionModel
 from repro.scheduling.vectorized import VecBatch, VecScheduler
-from repro.types import Request, TokenWork
+from repro.types import Request
 
 __all__ = ["VectorizedReplicaEngine"]
 
@@ -121,7 +122,7 @@ class VectorizedReplicaEngine:
         self._wall_time_s = 0.0
         # Multiplier on every iteration's wall time — 1.0 is nominal;
         # the fleet raises it to model straggler/throttled replicas.
-        # Applied after pricing so the memo caches stay unscaled.
+        # Applied after pricing so the model's memos stay unscaled.
         self.perf_scale = 1.0
         # Pipelined batches keep requests claimed across several stage
         # iterations; the scheduler must exclude them from re-batching.
@@ -132,15 +133,8 @@ class VectorizedReplicaEngine:
         # One packed row per executed (stage, batch) pair.
         self._log = IterationLog()
 
-        # Component pricing memos, assembled in stage_iteration_time's
-        # exact operation order so totals are bit-identical.
-        self._linear_cache: dict[tuple[int, int], float] = {}
-        self._prefill_attn: dict[tuple[int, int], float] = {}
-        self._token_cache: dict[int, tuple[float, float]] = {}
-        self._decode_attn = np.full(1024, np.nan)
         self._overhead = exec_model._fixed_overhead(True)
         self._overhead_rest = exec_model._fixed_overhead(False)
-        self._send_cache: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -416,13 +410,7 @@ class VectorizedReplicaEngine:
     def _on_stage_done(self, stage_idx: int, batch: VecBatch, now: float) -> None:
         self._stage_busy[stage_idx] = False
         if stage_idx < self.num_stages - 1:
-            num_tokens = batch.num_tokens
-            send = self._send_cache.get(num_tokens)
-            if send is None:
-                send = pp_send_time(
-                    self.exec_model.model, self.exec_model.parallel, num_tokens
-                )
-                self._send_cache[num_tokens] = send
+            send = self.exec_model.send_time(batch.num_tokens)
             heapq.heappush(
                 self._pipe_heap, (now + send, self._seq, 1, stage_idx + 1, batch)
             )
@@ -486,68 +474,32 @@ class VectorizedReplicaEngine:
                     self._seq += 1
 
     # ------------------------------------------------------------------
-    # Pricing (memoized components, assembled like the model)
+    # Pricing (component prices, assembled like the model)
     # ------------------------------------------------------------------
     def _price(
         self, batch: VecBatch, is_first: bool = True, is_last: bool = True
     ) -> tuple[float, float, float, float, float]:
         """The five ``IterationTime`` terms of ``batch`` on one stage."""
+        model = self.exec_model
         num_tokens = batch.num_tokens
-        key = (num_tokens, batch.num_logit_tokens if is_last else 0)
-        linear = self._linear_cache.get(key)
-        if linear is None:
-            linear = self.exec_model.linear.stage_time(num_tokens, key[1])
-            self._linear_cache[key] = linear
-        if len(batch.decode_rows):
-            values = self._decode_attention(batch.decode_ctx)
-        else:
-            values = []
-        prefill_attn = self._prefill_attn
+        linear = model.linear_time(
+            num_tokens, batch.num_logit_tokens if is_last else 0
+        )
+        values = model.decode_attention_times(batch.decode_ctx)
+        attention_time = model.attention_time
         for chunk, past in zip(batch.p_chunk, batch.p_past):
-            work_key = (chunk, past)
-            value = prefill_attn.get(work_key)
-            if value is None:
-                value = self.exec_model.attention.work_time(
-                    TokenWork(num_tokens=chunk, past_len=past, is_prefill=True)
-                )
-                prefill_attn[work_key] = value
-            values.append(value)
+            values.append(attention_time(chunk, past, True))
         # Builtin sum over the batch-ordered list is the execution
         # model's left-to-right float accumulation exactly.
         attention = sum(batch.in_order(values))
-        token_terms = self._token_cache.get(num_tokens)
-        if token_terms is None:
-            model = self.exec_model
-            token_terms = (
-                model._others_time(num_tokens),
-                tp_comm_time(
-                    model.model, model.parallel, num_tokens, model.stage_layers
-                ),
-            )
-            self._token_cache[num_tokens] = token_terms
+        others, communication = model.token_terms(num_tokens)
         return (
             linear,
             attention,
-            token_terms[0],
-            token_terms[1],
+            others,
+            communication,
             self._overhead if is_first else self._overhead_rest,
         )
-
-    def _decode_attention(self, ctx: np.ndarray) -> list[float]:
-        table = self._decode_attn
-        max_ctx = int(ctx.max())
-        if max_ctx >= table.size:
-            grown = np.full(max(table.size * 2, max_ctx + 1), np.nan)
-            grown[: table.size] = table
-            self._decode_attn = table = grown
-        values = table[ctx]
-        missing = np.isnan(values)
-        if missing.any():
-            work_time = self.exec_model.attention.work_time
-            for context_len in np.unique(ctx[missing]).tolist():
-                table[context_len] = work_time(TokenWork.decode(context_len))
-            values = table[ctx]
-        return values.tolist()
 
     # ------------------------------------------------------------------
     # Request synchronization

@@ -14,7 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import Deployment, ServingConfig, build_engine, clone_requests
+from repro.api import (
+    Deployment,
+    ServingConfig,
+    build_engine,
+    clone_requests,
+    execution_model_for,
+)
 from repro.engine.arrays import RequestArrays
 from repro.engine.vectorized import VectorizedReplicaEngine
 from repro.experiments.common import DEFAULT, Scale, mistral_deployment, yi_deployment
@@ -159,6 +165,7 @@ def run_allocator_comparison(
             arrays, reserved_capacity, reserve_len=reserve_len
         ),
     }
+    exec_model = execution_model_for(deployment)
     points = []
     for name, make_memory in allocators.items():
         arrays = RequestArrays()
@@ -166,7 +173,7 @@ def run_allocator_comparison(
             arrays, make_memory(arrays), token_budget=token_budget,
             max_batch_size=DEFAULT_MAX_BATCH_SIZE,
         )
-        engine = VectorizedReplicaEngine(deployment.execution_model(), scheduler)
+        engine = VectorizedReplicaEngine(exec_model, scheduler)
         result = engine.run(clone_requests(trace))
         metrics = summarize(result)
         points.append(

@@ -201,11 +201,10 @@ def run_capacity_cell(spec: CapacityCellSpec) -> CellOutcome:
     config = spec.config
     if config is None:
         config = serving_config_for(deployment, spec.scheduler, spec.strict)
+    exec_model = execution_model_for(deployment)
     slo = spec.slo
     if slo is None:
-        slo = derived_slo(deployment.execution_model(), spec.strict)
-
-    exec_model = execution_model_for(deployment)
+        slo = derived_slo(exec_model, spec.strict)
     start = time.perf_counter()
     result = measure_capacity(
         deployment,

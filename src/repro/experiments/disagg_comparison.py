@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import Deployment, ServingConfig, clone_requests
+from repro.api import Deployment, ServingConfig, clone_requests, execution_model_for
 from repro.cluster.fleet import FleetConfig, simulate_fleet
 from repro.disagg.engine import DisaggregatedEngine
 from repro.experiments.common import DEFAULT, Scale, mistral_deployment
@@ -49,10 +49,11 @@ def run_disagg_comparison(
         SHAREGPT4, num_requests=scale.num_requests, qps=qps, seed=scale.seed
     )
     points = []
+    exec_model = execution_model_for(deployment)
 
     config = ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=token_budget)
     _, sarathi_metrics = simulate_fleet(
-        deployment, config, trace, FleetConfig(num_replicas=2)
+        deployment, config, trace, FleetConfig(num_replicas=2), exec_model=exec_model
     )
     points.append(
         DisaggPoint(
@@ -67,7 +68,7 @@ def run_disagg_comparison(
 
     for link in migration_links:
         engine = DisaggregatedEngine(
-            deployment.execution_model(),
+            exec_model,
             num_prefill_replicas=1,
             num_decode_replicas=1,
             migration_link=link,

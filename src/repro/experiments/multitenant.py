@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import Deployment, clone_requests
+from repro.api import Deployment, clone_requests, execution_model_for
 from repro.engine.arrays import RequestArrays
 from repro.engine.vectorized import VectorizedReplicaEngine
 from repro.experiments.common import DEFAULT, Scale, mistral_deployment
@@ -89,6 +89,7 @@ def run_fairness_comparison(
 
     capacity = deployment.kv_capacity_tokens()
     policies = {"fcfs": VecSarathiScheduler, "fair": VecFairSarathiScheduler}
+    exec_model = execution_model_for(deployment)
     rows = []
     for policy, scheduler_cls in policies.items():
         arrays = RequestArrays()
@@ -97,7 +98,7 @@ def run_fairness_comparison(
             arrays, memory, token_budget=token_budget,
             max_batch_size=DEFAULT_MAX_BATCH_SIZE,
         )
-        engine = VectorizedReplicaEngine(deployment.execution_model(), scheduler)
+        engine = VectorizedReplicaEngine(exec_model, scheduler)
         result = engine.run(clone_requests(trace))
         for client_id, label in ((HEAVY_CLIENT, "heavy"), (LIGHT_CLIENT, "light")):
             mine = [r for r in result.requests if r.client_id == client_id]

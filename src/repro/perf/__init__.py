@@ -5,12 +5,7 @@ from repro.perf.roofline import OpCost, arithmetic_intensity, op_time, tile_quan
 from repro.perf.linear import LinearModel
 from repro.perf.attention import AttentionModel
 from repro.perf.iteration import ExecutionModel
-from repro.perf.cache import (
-    DEFAULT_MAX_ENTRIES,
-    CachedExecutionModel,
-    CacheStats,
-    batch_signature,
-)
+from repro.perf.cache import CachedExecutionModel, CacheStats
 from repro.perf.table import ProfiledIterationTable
 from repro.perf.validation import AnchorCheck, assert_calibrated, validate_calibration
 from repro.perf.profiler import (
@@ -34,8 +29,6 @@ __all__ = [
     "ExecutionModel",
     "CachedExecutionModel",
     "CacheStats",
-    "DEFAULT_MAX_ENTRIES",
-    "batch_signature",
     "BudgetProfile",
     "compute_token_budget",
     "derive_slo",

@@ -5,11 +5,21 @@ models with communication and fixed overheads into the per-iteration
 time of one pipeline stage.  This is the simulator's substitute for
 running kernels on a GPU; everything above it (schedulers, engines,
 capacity search) consumes only this interface.
+
+Pricing decomposes into five component prices — linear time by token
+counts, attention time per work segment, decode attention over a
+context array, the token-count terms and the pipeline send — that
+``stage_iteration_time`` composes.  Engines and schedulers that price
+from flat arrays call the components directly, in the same operation
+order, and :class:`repro.perf.cache.CachedExecutionModel` memoizes
+exactly these methods; this class is the unmemoized reference.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+import numpy as np
 
 from repro.hardware.gpu import GPUSpec
 from repro.models.config import ModelConfig
@@ -69,12 +79,14 @@ class ExecutionModel:
         num_tokens = sum(w.num_tokens for w in works)
         num_logit_tokens = sum(1 for w in works if w.emits_token)
 
-        linear = self.linear.stage_time(
+        linear = self.linear_time(
             num_tokens, num_logit_tokens if is_last_stage else 0
         )
-        attention = sum(self.attention.work_time(w) for w in works)
-        others = self._others_time(num_tokens)
-        comm = tp_comm_time(self.model, self.parallel, num_tokens, self.stage_layers)
+        attention = sum(
+            self.attention_time(w.num_tokens, w.past_len, w.is_prefill)
+            for w in works
+        )
+        others, comm = self.token_terms(num_tokens)
         overhead = self._fixed_overhead(is_first_stage)
         return IterationTime(linear, attention, others, comm, overhead)
 
@@ -84,7 +96,35 @@ class ExecutionModel:
 
     def pipeline_send_time(self, works: Sequence[TokenWork]) -> float:
         """Activation transfer time to the next pipeline stage."""
-        num_tokens = sum(w.num_tokens for w in works)
+        return self.send_time(sum(w.num_tokens for w in works))
+
+    # ------------------------------------------------------------------
+    # Component prices (what CachedExecutionModel memoizes)
+    # ------------------------------------------------------------------
+    def linear_time(self, num_tokens: int, num_logit_tokens: int) -> float:
+        """Linear layers over ``num_tokens``, LM head over the logit tokens."""
+        return self.linear.stage_time(num_tokens, num_logit_tokens)
+
+    def attention_time(self, num_tokens: int, past_len: int, is_prefill: bool) -> float:
+        """Attention of one request's segment of a batch."""
+        return self.attention.work_time(
+            TokenWork(num_tokens=num_tokens, past_len=past_len, is_prefill=is_prefill)
+        )
+
+    def decode_attention_times(self, ctx: np.ndarray) -> list[float]:
+        """Attention of one decode step per context length, in ``ctx`` order."""
+        work_time = self.attention.work_time
+        return [work_time(TokenWork.decode(c)) for c in ctx.tolist()]
+
+    def token_terms(self, num_tokens: int) -> tuple[float, float]:
+        """The "others" and TP-communication times of ``num_tokens`` tokens."""
+        return (
+            self._others_time(num_tokens),
+            tp_comm_time(self.model, self.parallel, num_tokens, self.stage_layers),
+        )
+
+    def send_time(self, num_tokens: int) -> float:
+        """Activation transfer of ``num_tokens`` tokens to the next stage."""
         return pp_send_time(self.model, self.parallel, num_tokens)
 
     # ------------------------------------------------------------------

@@ -166,7 +166,7 @@ def render_bench_table(cases: list[BenchCase]) -> str:
     """Plain-text summary of a perf-regression run."""
     from repro.experiments.common import format_table
 
-    headers = ["case", "uncached (s)", "cached (s)", "speedup", "batch hits", "work hits", "identical"]
+    headers = ["case", "uncached (s)", "cached (s)", "speedup", "component hits", "work hits", "identical"]
     rows = [
         [
             case.name,

@@ -37,8 +37,7 @@ from repro.engine.arrays import (
     RequestArrays,
 )
 from repro.memory.prefix import PrefixCacheStats, SharedPrefixStore
-from repro.parallel.comm import pp_send_time, tp_comm_time
-from repro.types import IterationTime, PreemptionMode, TokenWork
+from repro.types import IterationTime, PreemptionMode
 
 __all__ = [
     "VecBatch",
@@ -1130,9 +1129,10 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
     decode pool: bisection over the step grid for the largest budget
     whose predicted hybrid-iteration latency (``pp`` stages plus
     ``pp - 1`` sends) meets the TBT SLO.  Candidates are priced from
-    per-component memo tables (the same tables the engine uses),
-    assembled in ``stage_iteration_time``'s operation order so every
-    probe produces the float ``ExecutionModel.iteration_time`` would.
+    the execution model's component prices (the engine's model, so one
+    memo serves both), assembled in ``stage_iteration_time``'s
+    operation order so every probe produces the float
+    ``ExecutionModel.iteration_time`` would.
 
     The decode pool's attention sum is folded left-to-right once per
     ``_pick_budget`` and shared across probes; every probe folds the
@@ -1171,15 +1171,7 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
         self.budget_step = budget_step
         self.budget_history: list[int] = []
         self._pp = exec_model.parallel.pipeline_parallel
-        # Candidate-pricing memos, keyed like the engine's (see
-        # VectorizedReplicaEngine._price): components are cached, the
-        # assembly replays every float operation.
-        self._dyn_linear: dict[tuple[int, int], float] = {}
-        self._dyn_prefill_attn: dict[tuple[int, int], float] = {}
-        self._dyn_decode_attn: dict[int, float] = {}
-        self._dyn_token: dict[int, tuple[float, float]] = {}
-        self._dyn_send: dict[int, float] = {}
-        self._dyn_overhead = exec_model._fixed_overhead(True)
+        self._overhead = exec_model._fixed_overhead(True)
 
     def _build_batch(self, now: float) -> VecBatch | None:
         self.token_budget = self._pick_budget()
@@ -1190,20 +1182,14 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
     def _pick_budget(self) -> int:
         """Largest budget whose predicted iteration fits the SLO."""
         A = self.A
+        rows = np.asarray(self._schedulable_rows(), dtype=np.int64)
+        rows = rows[A.prefill_done[rows] >= A.prefill_target[rows]]
         decode_attn = 0
-        num_decodes = 0
-        table = self._dyn_decode_attn
-        work_time = self.exec_model.attention.work_time
-        for row in self._schedulable_rows():
-            if A.prefill_done[row] < A.prefill_target[row]:
-                continue
-            ctx = int(A.prefill_done[row] + A.decode_steps[row])
-            value = table.get(ctx)
-            if value is None:
-                value = work_time(TokenWork.decode(ctx))
-                table[ctx] = value
+        for value in self.exec_model.decode_attention_times(
+            A.prefill_done[rows] + A.decode_steps[rows]
+        ):
             decode_attn = decode_attn + value
-            num_decodes += 1
+        num_decodes = len(rows)
         lo = self.min_budget
         if not self._fits(lo, num_decodes, decode_attn):
             return self.min_budget
@@ -1221,51 +1207,24 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
         return lo
 
     def _fits(self, budget: int, num_decodes: int, decode_attn: float) -> bool:
+        model = self.exec_model
         num_tokens = num_decodes
         attention = decode_attn
         prefill_tokens = budget - num_decodes
         if prefill_tokens > 0:
-            key = (prefill_tokens, budget)
-            value = self._dyn_prefill_attn.get(key)
-            if value is None:
-                value = self.exec_model.attention.work_time(
-                    TokenWork.prefill_chunk(
-                        prefill_tokens, past_len=budget, is_last=False
-                    )
-                )
-                self._dyn_prefill_attn[key] = value
-            attention = attention + value
+            attention = attention + model.attention_time(prefill_tokens, budget, True)
             num_tokens += prefill_tokens
         elif num_decodes == 0:
             return True  # empty candidate
-        lin_key = (num_tokens, num_decodes)
-        linear = self._dyn_linear.get(lin_key)
-        if linear is None:
-            linear = self.exec_model.linear.stage_time(num_tokens, num_decodes)
-            self._dyn_linear[lin_key] = linear
-        token_terms = self._dyn_token.get(num_tokens)
-        if token_terms is None:
-            model = self.exec_model
-            token_terms = (
-                model._others_time(num_tokens),
-                tp_comm_time(
-                    model.model, model.parallel, num_tokens, model.stage_layers
-                ),
-            )
-            self._dyn_token[num_tokens] = token_terms
+        linear = model.linear_time(num_tokens, num_decodes)
+        others, communication = model.token_terms(num_tokens)
         stage = IterationTime(
-            linear, attention, token_terms[0], token_terms[1], self._dyn_overhead
+            linear, attention, others, communication, self._overhead
         ).total
         if self._pp == 1:
             cost = stage
         else:
-            send = self._dyn_send.get(num_tokens)
-            if send is None:
-                send = pp_send_time(
-                    self.exec_model.model, self.exec_model.parallel, num_tokens
-                )
-                self._dyn_send[num_tokens] = send
-            cost = self._pp * stage + (self._pp - 1) * send
+            cost = self._pp * stage + (self._pp - 1) * model.send_time(num_tokens)
         return cost <= self.tbt_slo
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.disagg.engine import DisaggregatedEngine
 from repro.hardware.catalog import ETHERNET_100G, NVLINK
 from repro.metrics.summary import summarize
+from repro.metrics.timeline import stage_utilization
 
 from tests.conftest import make_request
 
@@ -73,6 +74,35 @@ class TestLifecycle:
         metrics = summarize(engine.run(requests))
         assert metrics.num_requests == 10
         assert metrics.p99_tbt > 0
+
+
+class TestInstanceLogs:
+    def test_bubble_fraction_averages_per_instance(self, tiny_deployment):
+        # One shared log would let the prefill instance's batches fill
+        # the decode instance's idle gaps (and vice versa), reading a
+        # bubble fraction near zero for two mostly idle-or-busy GPUs.
+        engine = build(tiny_deployment)
+        requests = [
+            make_request(prompt_len=64, output_len=16, arrival_time=0.05 * i)
+            for i in range(80)
+        ]
+        result = engine.run(requests)
+        prefill_log, decode_log = result.replica_logs
+        assert all(r.num_decode_tokens == 0 for r in prefill_log)
+        assert all(r.num_prefill_tokens == 0 for r in decode_log)
+        assert len(result.records) == len(prefill_log) + len(decode_log)
+        prefill = stage_utilization(prefill_log, 0).bubble_fraction
+        decode = stage_utilization(decode_log, 0).bubble_fraction
+        assert prefill == pytest.approx(0.937, abs=1e-3)
+        assert decode == pytest.approx(0.066, abs=1e-3)
+        assert summarize(result).mean_bubble_fraction == pytest.approx(
+            (prefill + decode) / 2
+        )
+
+    def test_one_log_per_instance(self, tiny_deployment):
+        engine = build(tiny_deployment, prefill=2, decode=3)
+        result = engine.run([make_request(prompt_len=100, output_len=4)])
+        assert len(result.replica_logs) == 5
 
 
 class TestDecodeInterferenceFreedom:

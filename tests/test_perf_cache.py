@@ -3,7 +3,7 @@
 The load-bearing property is *bit-identity*: every quantity the cached
 model returns must be exactly — not approximately — the float the
 uncached model computes, across randomized batch compositions, stage
-flags, repeated queries and evictions.  Everything built on top
+flags, repeated queries, decode-table growth and evictions.  Everything built on top
 (capacity numbers, SLO verdicts, telemetry) inherits its correctness
 from this.
 """
@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+import repro.perf.cache as cache_module
 from repro.api import (
     Deployment,
     ServingConfig,
@@ -24,8 +26,8 @@ from repro.api import (
 from repro.hardware.catalog import A100_80G, ETHERNET_100G
 from repro.models.catalog import TINY_1B, YI_34B
 from repro.parallel.config import ParallelConfig
-from repro.perf.cache import CachedExecutionModel, CacheStats, batch_signature
-from repro.perf.iteration import ExecutionModel
+from repro.perf.attention import AttentionModel
+from repro.perf.cache import CachedExecutionModel, CacheStats
 from repro.telemetry.recorder import iteration_rows, request_rows
 from repro.types import SchedulerKind, TokenWork
 from repro.workload.datasets import SHAREGPT4, generate_requests
@@ -64,7 +66,7 @@ class TestCacheEquivalence:
     def test_randomized_batches_bit_identical(self, deployment):
         rng = random.Random(1234)
         plain = deployment.execution_model()
-        cached = CachedExecutionModel(deployment.execution_model())
+        cached = execution_model_for(deployment)
         for _ in range(300):
             works = random_batch(rng)
             first = rng.random() < 0.5
@@ -74,14 +76,47 @@ class TestCacheEquivalence:
             # Exact equality on the full breakdown, not approx.
             assert got == expected
             assert got.total == expected.total
-            # And again, now served from the batch tier.
+            # And again, now assembled from warm components only.
             assert cached.stage_iteration_time(works, first, last) == expected
             assert cached.pipeline_send_time(works) == plain.pipeline_send_time(works)
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS, ids=["tiny", "yi-tp2-pp2"])
+    def test_component_prices_bit_identical(self, deployment, monkeypatch):
+        # A small bound makes the dict memos evict, and contexts drawn
+        # past each doubling of the decode table make it grow mid-run.
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 16)
+        rng = random.Random(99)
+        plain = deployment.execution_model()
+        cached = execution_model_for(deployment)
+        for round_ in range(200):
+            limit = 512 << (round_ // 40)  # 512 .. 8192 over the rounds
+            ctx = np.array(
+                [rng.randrange(1, limit) for _ in range(rng.randrange(0, 20))],
+                dtype=np.int64,
+            )
+            assert cached.decode_attention_times(ctx) == plain.decode_attention_times(ctx)
+            tokens = rng.randrange(1, 64)
+            logits = rng.randrange(0, tokens + 1)
+            past = rng.randrange(0, 64)
+            prefill = rng.random() < 0.5
+            for _ in range(2):  # miss, then hit (or re-miss after eviction)
+                assert cached.linear_time(tokens, logits) == plain.linear_time(
+                    tokens, logits
+                )
+                assert cached.attention_time(
+                    tokens, past, prefill
+                ) == plain.attention_time(tokens, past, prefill)
+                assert cached.token_terms(tokens) == plain.token_terms(tokens)
+                assert cached.send_time(tokens) == plain.send_time(tokens)
+        assert cached._decode_table.size > 4096
+        stats = cached.cache_stats
+        assert stats.evictions > 0
+        assert stats.hits > 0 and stats.work_hits > 0
 
     def test_derived_helpers_route_through_cache(self):
         deployment = DEPLOYMENTS[0]
         plain = deployment.execution_model()
-        cached = CachedExecutionModel(deployment.execution_model())
+        cached = execution_model_for(deployment)
         assert cached.decode_iteration_time(8, 512) == plain.decode_iteration_time(8, 512)
         assert cached.full_prefill_time(777) == plain.full_prefill_time(777)
         assert cached.chunked_prefill_time(1000, 256) == plain.chunked_prefill_time(
@@ -90,84 +125,67 @@ class TestCacheEquivalence:
         assert cached.cache_stats.misses > 0
 
     def test_empty_batch(self):
-        cached = CachedExecutionModel(DEPLOYMENTS[0].execution_model())
+        cached = execution_model_for(DEPLOYMENTS[0])
         assert cached.stage_iteration_time([]).total == 0.0
+        assert cached.decode_attention_times(np.empty(0, dtype=np.int64)) == []
 
-    def test_eviction_preserves_results(self):
+    def test_eviction_preserves_results(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 8)
         deployment = DEPLOYMENTS[0]
         plain = deployment.execution_model()
-        cached = CachedExecutionModel(deployment.execution_model(), max_entries=8)
+        cached = execution_model_for(deployment)
         rng = random.Random(7)
         batches = [random_batch(rng) for _ in range(40)]
         for works in batches + batches:  # second pass re-misses evicted keys
             assert cached.stage_iteration_time(works) == plain.stage_iteration_time(works)
         stats = cached.cache_stats
         assert stats.evictions > 0
-        assert stats.size <= 8
+        assert len(cached._attention_cache) <= 8
 
 
 class TestCacheCounters:
     def test_hits_misses_and_size(self):
-        cached = CachedExecutionModel(DEPLOYMENTS[0].execution_model())
+        cached = execution_model_for(DEPLOYMENTS[0])
         works = [TokenWork.decode(100), TokenWork.decode(200)]
         cached.stage_iteration_time(works)
         cached.stage_iteration_time(works)
-        cached.stage_iteration_time(works, is_last_stage=False)  # distinct key
+        cached.stage_iteration_time(works, is_last_stage=False)  # new linear key
         stats = cached.cache_stats
-        assert stats.hits == 1
-        assert stats.misses == 2
-        assert stats.size == 2
-        assert stats.hit_rate == pytest.approx(1 / 3)
-        # Component tier: 2 unique decode works, reused by later calls.
+        # Per batch: one linear and one token-terms lookup.
+        assert stats.misses == 3  # two linear keys, one token count
+        assert stats.hits == 3
+        assert stats.hit_rate == pytest.approx(1 / 2)
+        # Attention: 2 unique decode works, reused by the later calls.
         assert stats.work_misses == 2
-        assert stats.work_hits == 2
-
-    def test_invalid_max_entries_rejected(self):
-        with pytest.raises(ValueError):
-            CachedExecutionModel(DEPLOYMENTS[0].execution_model(), max_entries=0)
+        assert stats.work_hits == 4
+        assert stats.size == 5
+        # The decode table (the engine's array path) has its own
+        # entries: a repeated context in one gather is computed once.
+        cached.decode_attention_times(np.array([300, 400, 400]))
+        cached.decode_attention_times(np.array([400]))
+        stats = cached.cache_stats
+        assert (stats.work_misses, stats.work_hits) == (2 + 2, 4 + 2)
+        assert stats.size == 5 + 2
 
     def test_stats_row_shape(self):
         row = CacheStats(hits=3, misses=1, size=1).as_row()
         assert row["cache_hits"] == 3
         assert row["cache_hit_rate"] == pytest.approx(0.75)
-        assert row["cache_component_evictions"] == 0
+        assert row["cache_evictions"] == 0
 
-    def test_component_evictions_counted_separately(self):
-        # One batch of many unique decode works: the batch tier stores a
-        # single entry (no batch evictions possible), while the work
-        # tier overflows max_entries and must evict.
-        cached = CachedExecutionModel(DEPLOYMENTS[0].execution_model(), max_entries=8)
-        works = [TokenWork.decode(100 + i) for i in range(32)]
+    def test_component_evictions_counted_separately(self, monkeypatch):
+        # Each component memo has its own FIFO bound: 32 unique
+        # attention keys overflow the attention memo, while the one
+        # linear and token-count key of the batch stay resident.
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 8)
+        cached = execution_model_for(DEPLOYMENTS[0])
+        works = [TokenWork.prefill_chunk(16, past_len=i) for i in range(32)]
         cached.stage_iteration_time(works)
         stats = cached.cache_stats
-        assert stats.evictions == 0  # batch tier untouched by the overflow
-        assert stats.component_evictions > 0
-        assert stats.size == 1
-
-    def test_batch_evictions_do_not_count_as_component(self):
-        # Many single-work batches of the *same* work: only the batch
-        # tier grows past max_entries (the component tiers stay tiny).
-        cached = CachedExecutionModel(DEPLOYMENTS[0].execution_model(), max_entries=4)
-        for i in range(12):
-            cached.stage_iteration_time([TokenWork.decode(64)], is_last_stage=i % 2 == 0)
-            cached.stage_iteration_time([TokenWork.decode(64 + i % 8)])
-        stats = cached.cache_stats
-        assert stats.evictions > 0
-        assert stats.size <= 4
-
-
-class TestBatchSignature:
-    def test_distinguishes_stage_flags_and_order(self):
-        works = [TokenWork.decode(10), TokenWork.prefill_chunk(5)]
-        base = batch_signature(works)
-        assert batch_signature(works, is_last_stage=False) != base
-        assert batch_signature(works, is_first_stage=False) != base
-        assert batch_signature(list(reversed(works))) != base
-
-    def test_emits_token_is_part_of_the_key(self):
-        last = [TokenWork.prefill_chunk(64, past_len=64, is_last=True)]
-        mid = [TokenWork.prefill_chunk(64, past_len=64, is_last=False)]
-        assert batch_signature(last) != batch_signature(mid)
+        assert stats.evictions == 32 - 8
+        assert stats.size == 8 + 1 + 1
+        cached.stage_iteration_time(works)
+        assert cached.cache_stats.hits == 2
 
 
 def _comparable_iteration_rows(result):
@@ -227,9 +245,8 @@ class TestThreading:
         assert not isinstance(engine.exec_model, CachedExecutionModel)
 
     def test_shared_model_accumulates_across_runs(self, tiny_deployment):
-        # The engine prices from its own per-run memo tables; the shared
-        # model serves what is built per run — here the dynamic
-        # scheduler's SLO derivation.
+        # The engine and the dynamic scheduler both price through the
+        # shared model, so a replayed trace is served from warm memos.
         config = ServingConfig(
             scheduler=SchedulerKind.SARATHI_DYNAMIC, token_budget=256
         )
@@ -240,8 +257,28 @@ class TestThreading:
         result, _ = simulate(tiny_deployment, config, trace, exec_model=model)
         # Replaying the identical trace hits the warm cache only.
         assert model.cache_stats.misses == after_first.misses
+        assert model.cache_stats.work_misses == after_first.work_misses
         assert model.cache_stats.hits > after_first.hits
         assert result.cache_stats == model.cache_stats
+
+    @pytest.mark.parametrize(
+        "kind", [SchedulerKind.SARATHI, SchedulerKind.SARATHI_DYNAMIC]
+    )
+    def test_replay_prices_no_attention(self, tiny_deployment, kind, monkeypatch):
+        config = ServingConfig(scheduler=kind, token_budget=256)
+        model = execution_model_for(tiny_deployment)
+        trace = generate_requests(SHAREGPT4, num_requests=16, qps=2.0, seed=3)
+        simulate(tiny_deployment, config, trace, exec_model=model)
+        calls = []
+        original = AttentionModel.work_time
+
+        def counting(self, work):
+            calls.append(work)
+            return original(self, work)
+
+        monkeypatch.setattr(AttentionModel, "work_time", counting)
+        simulate(tiny_deployment, config, trace, exec_model=model)
+        assert calls == []
 
     def test_dynamic_scheduler_shares_engine_model(self, tiny_deployment):
         engine = build_engine(
