@@ -461,7 +461,7 @@ class FleetConfig:
 # ----------------------------------------------------------------------
 # Telemetry events
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FleetEvent:
     """One control-plane decision, for telemetry and determinism tests.
 

@@ -14,7 +14,8 @@ packed arrays, no Python object per entry) and
 :meth:`RequestArrays.sync_out` folds only the entries logged since the
 previous sync into each ``Request.token_times``, in chunks of at most
 ``_SYNC_CHUNK`` entries (each stable-sorted by row), then clears the
-log.  ``token_times`` is a packed float64 ``array('d')``: each row's
+log.  The engine also folds the log (without the scalar sync) whenever
+it reaches ``_SYNC_CHUNK`` rows, so the log stays within one chunk.  ``token_times`` is a packed float64 ``array('d')``: each row's
 run is appended as raw bytes of the sorted chunk, so a sync creates no
 Python float per token, and its transient arrays are bounded by one
 chunk, however long the log.
@@ -225,16 +226,15 @@ class RequestArrays:
         :meth:`sync_out` (or directly from the engine).
         """
         request = self.requests[row]
-        state = request.__dict__
-        state["prefill_target"] = int(self.prefill_target[row])
-        state["prefill_done"] = int(self.prefill_done[row])
-        state["decode_steps"] = int(self.decode_steps[row])
-        state["num_emitted"] = int(self.num_emitted[row])
-        state["num_restarts"] = int(self.num_restarts[row])
-        state["phase"] = _CODE_TO_PHASE[int(self.phase[row])]
-        state["first_scheduled_at"] = _nan_to_none(float(self.first_scheduled_at[row]))
-        state["first_token_at"] = _nan_to_none(float(self.first_token_at[row]))
-        state["finished_at"] = _nan_to_none(float(self.finished_at[row]))
+        request.prefill_target = int(self.prefill_target[row])
+        request.prefill_done = int(self.prefill_done[row])
+        request.decode_steps = int(self.decode_steps[row])
+        request.num_emitted = int(self.num_emitted[row])
+        request.num_restarts = int(self.num_restarts[row])
+        request.phase = _CODE_TO_PHASE[int(self.phase[row])]
+        request.first_scheduled_at = _nan_to_none(float(self.first_scheduled_at[row]))
+        request.first_token_at = _nan_to_none(float(self.first_token_at[row]))
+        request.finished_at = _nan_to_none(float(self.finished_at[row]))
         return request
 
     def sync_out(self, emit_log: EmissionLog) -> None:
@@ -244,7 +244,7 @@ class RequestArrays:
         request's ``token_times`` and the log is emptied, so repeated
         calls are idempotent.
         """
-        self._fold_emissions(emit_log)
+        self.fold_emissions(emit_log)
         n = self.n
         iterator = zip(
             self.requests,
@@ -270,18 +270,17 @@ class RequestArrays:
             first_token_at,
             finished_at,
         ) in iterator:
-            state = request.__dict__
-            state["prefill_target"] = prefill_target
-            state["prefill_done"] = prefill_done
-            state["decode_steps"] = decode_steps
-            state["num_emitted"] = num_emitted
-            state["num_restarts"] = num_restarts
-            state["phase"] = _CODE_TO_PHASE[phase]
-            state["first_scheduled_at"] = _nan_to_none(first_scheduled_at)
-            state["first_token_at"] = _nan_to_none(first_token_at)
-            state["finished_at"] = _nan_to_none(finished_at)
+            request.prefill_target = prefill_target
+            request.prefill_done = prefill_done
+            request.decode_steps = decode_steps
+            request.num_emitted = num_emitted
+            request.num_restarts = num_restarts
+            request.phase = _CODE_TO_PHASE[phase]
+            request.first_scheduled_at = _nan_to_none(first_scheduled_at)
+            request.first_token_at = _nan_to_none(first_token_at)
+            request.finished_at = _nan_to_none(finished_at)
 
-    def _fold_emissions(self, emit_log: EmissionLog) -> None:
+    def fold_emissions(self, emit_log: EmissionLog) -> None:
         """Append the logged emissions to ``token_times``; empty the log.
 
         The log is chronological and is consumed in consecutive chunks

@@ -35,8 +35,10 @@ this cheap without a per-token event heap:
   the entries logged since the previous one into the packed float64
   ``token_times`` arrays, in bounded stable-sorted chunks appended as
   raw bytes (no Python float per token), and then clears the log.  A
-  run with a ``followup_fn`` hands finished requests off mid-run, so it
-  appends to ``token_times`` directly instead.
+  commit that fills the log to ``RequestArrays._SYNC_CHUNK`` rows folds
+  it at once, so the log never holds more than one chunk.  A run with
+  a ``followup_fn`` hands finished requests off mid-run, so it appends
+  to ``token_times`` directly instead.
 * Each executed (stage, batch) pair is 13 numbers appended to an
   :class:`repro.metrics.timeline.IterationLog`: pricing hands back the
   five breakdown terms without building an ``IterationTime``, and
@@ -445,10 +447,14 @@ class VectorizedReplicaEngine:
             for row in decode_rows.tolist() + prefill_emits:
                 A.requests[row].token_times.append(now)
         else:
+            log = self._emit_log
             if len(decode_rows):
-                self._emit_log.append(now, decode_rows)
+                log.append(now, decode_rows)
             if prefill_emits:
-                self._emit_log.append(now, prefill_emits)
+                log.append(now, prefill_emits)
+            if len(log.rows) >= A._SYNC_CHUNK:
+                # Fold a full chunk now, so the log never outgrows one.
+                A.fold_emissions(log)
         if self.tbt_window is not None and len(decode_rows):
             # Prefill-completion emissions are always a request's first
             # token (no predecessor), so only decode rows with ≥ 2

@@ -8,6 +8,7 @@ stall/bubble diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -68,23 +69,12 @@ def summarize(result: "SimulationResult") -> RunMetrics:
     ttfts = [r.ttft for r in finished]
     delays = [r.scheduling_delay for r in finished]
     window_end = max(r.arrival_time for r in result.requests)
-    # One float64 pool for every pooled gap; each request's gaps are
-    # computed from its packed timestamps without a Python float apiece.
-    stamps = [
-        np.frombuffer(r.token_times) for r in finished if len(r.token_times) > 1
-    ]
-    pool = np.empty(sum(len(times) - 1 for times in stamps))
-    filled = 0
-    for times in stamps:
-        later = times[1:]
-        gaps = (later - times[:-1])[later <= window_end]
-        pool[filled : filled + len(gaps)] = gaps
-        filled += len(gaps)
+    # Every finished request emitted at least one token.
+    pool = np.empty(sum(len(r.token_times) - 1 for r in finished))
+    filled = _fill_gaps(pool, finished, window_end)
     if not filled:
         # Closed-loop trace or too-short window: use every sample.
-        for times in stamps:
-            pool[filled : filled + len(times) - 1] = times[1:] - times[:-1]
-            filled += len(times) - 1
+        filled = _fill_gaps(pool, finished, math.inf)
     # Degenerate single-token outputs report zeros rather than fail.
     tbts = pool[:filled] if filled else np.zeros(1)
 
@@ -118,6 +108,23 @@ def summarize(result: "SimulationResult") -> RunMetrics:
         throughput_tokens_per_s=total_tokens / makespan if makespan > 0 else 0.0,
         mean_bubble_fraction=sum(bubble_fracs) / len(bubble_fracs),
     )
+
+
+def _fill_gaps(pool: np.ndarray, requests: list, window_end: float) -> int:
+    """Write the token gaps that end by ``window_end`` into ``pool``.
+
+    One request at a time, from its packed timestamps: no Python float
+    per gap and no view kept per request.  Returns the gaps written.
+    """
+    filled = 0
+    for request in requests:
+        if len(request.token_times) > 1:
+            times = np.frombuffer(request.token_times)
+            later = times[1:]
+            gaps = (later - times[:-1])[later <= window_end]
+            pool[filled : filled + len(gaps)] = gaps
+            filled += len(gaps)
+    return filled
 
 
 def _percentile_in_place(values: np.ndarray, q: float) -> float:

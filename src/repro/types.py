@@ -72,7 +72,7 @@ def next_request_id() -> int:
     return next(_request_ids)
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """A single inference request and its mutable serving state.
 
@@ -89,7 +89,8 @@ class Request:
 
     ``token_times`` holds one emission timestamp per output token as a
     packed float64 ``array('d')`` (8 bytes a token); any other sequence
-    passed in is converted on construction.
+    passed in is converted on construction.  The class is slotted: a
+    request carries no ``__dict__``.
     """
 
     prompt_len: int

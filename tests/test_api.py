@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import (
@@ -111,7 +113,8 @@ class TestCloneRequests:
         clones = clone_requests(original)
         for clone, request in zip(clones, original):
             assert clone is not request
-            assert vars(clone) == vars(request)
+            for f in dataclasses.fields(Request):
+                assert getattr(clone, f.name) == getattr(request, f.name), f.name
             assert clone.token_times is not request.token_times
         clones[1].record_decode(now=2.0)
         assert original[1].token_times.tolist() == [1.0, 1.5]

@@ -2,8 +2,10 @@
 
 The engine logs ``(time, rows)`` per iteration into a packed
 ``EmissionLog`` and folds only the entries logged since the previous
-synchronization point, in bounded chunks.  However often (and wherever) syncs happen, the requests must
-end up exactly as in a run synced once at the end.
+synchronization point, in bounded chunks; a commit that fills the log
+to one chunk folds it at once.  However often (and wherever) syncs
+happen, the requests must end up exactly as in a run synced once at
+the end.
 """
 
 from __future__ import annotations
@@ -45,8 +47,11 @@ def _trace(seed: int = 0, n: int = 60) -> list:
     return requests
 
 
-def _drive(deployment, trace, sync_seed: int | None = None):
-    """Deliver ``trace`` through the stepped API, syncing at random points."""
+def _drive(deployment, trace, sync_seed: int | None = None, on_step=None):
+    """Deliver ``trace`` through the stepped API, syncing at random points.
+
+    ``on_step(engine)`` runs after every delivery and engine step.
+    """
     engine = build_engine(
         deployment, ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=128)
     )
@@ -66,6 +71,8 @@ def _drive(deployment, trace, sync_seed: int | None = None):
             engine.step()
         else:
             break
+        if on_step is not None:
+            on_step(engine)
         if rng is not None and rng.random() < 0.1:
             if rng.random() < 0.5:
                 engine.all_requests
@@ -95,6 +102,24 @@ def test_incremental_sync_matches_single_final_sync(
     for request in requests:
         assert len(request.token_times) == request.output_len
         assert request.token_times.tolist() == sorted(request.token_times)
+
+
+def test_emission_log_never_outgrows_one_chunk(tiny_deployment, monkeypatch):
+    trace = _trace()
+    reference, reference_records, _ = _drive(tiny_deployment, trace)
+    monkeypatch.setattr(RequestArrays, "_SYNC_CHUNK", 7)
+    logged: list[int] = []
+    requests, records, _ = _drive(
+        tiny_deployment,
+        trace,
+        on_step=lambda engine: logged.append(len(engine._emit_log.rows)),
+    )
+    # Far more than one chunk is emitted, yet a full chunk is folded
+    # by the commit that fills it.
+    assert sum(r.output_len for r in trace) > 100 * 7
+    assert max(logged) < 7
+    assert records == reference_records
+    assert requests == reference
 
 
 @pytest.mark.parametrize("chunk", [7, RequestArrays._SYNC_CHUNK])
