@@ -28,53 +28,34 @@ Quickstart::
     print(metrics.p99_tbt, metrics.median_ttft)
 """
 
-from repro.api import (
-    Deployment,
-    ServingConfig,
-    build_engine,
-    clone_requests,
-    simulate,
-)
-from repro.cluster import (
-    AdmissionPolicy,
-    FaultSchedule,
-    FleetConfig,
-    FleetResult,
-    LeastOutstandingTokensRouter,
-    ReplicaFault,
-    SloAwareRouter,
-    simulate_fleet,
-)
-from repro.types import (
-    IterationTime,
-    PreemptionMode,
-    Request,
-    RequestPhase,
-    SchedulerKind,
-    TokenWork,
-)
+from repro._exports import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Deployment",
-    "ServingConfig",
-    "SchedulerKind",
-    "PreemptionMode",
-    "simulate",
-    "simulate_fleet",
-    "FleetConfig",
-    "FleetResult",
-    "FaultSchedule",
-    "ReplicaFault",
-    "AdmissionPolicy",
-    "LeastOutstandingTokensRouter",
-    "SloAwareRouter",
-    "build_engine",
-    "clone_requests",
-    "Request",
-    "RequestPhase",
-    "TokenWork",
-    "IterationTime",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": (
+        "Deployment",
+        "ServingConfig",
+        "simulate",
+        "build_engine",
+        "clone_requests",
+    ),
+    ".cluster.fleet": (
+        "simulate_fleet",
+        "FleetConfig",
+        "FleetResult",
+        "FaultSchedule",
+        "ReplicaFault",
+        "AdmissionPolicy",
+    ),
+    ".cluster.router": ("LeastOutstandingTokensRouter", "SloAwareRouter"),
+    ".types": (
+        "SchedulerKind",
+        "PreemptionMode",
+        "Request",
+        "RequestPhase",
+        "TokenWork",
+        "IterationTime",
+    ),
+})
+__all__.append("__version__")

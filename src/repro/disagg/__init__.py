@@ -1,5 +1,7 @@
 """Disaggregated prefill/decode serving (the §6 comparison point)."""
 
-from repro.disagg.engine import DisaggregatedEngine, DisaggregatedResult
+from repro._exports import lazy_exports
 
-__all__ = ["DisaggregatedEngine", "DisaggregatedResult"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("DisaggregatedEngine", "DisaggregatedResult"),
+})

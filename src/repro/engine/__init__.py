@@ -1,14 +1,10 @@
 """Discrete-event serving engine."""
 
-from repro.engine.arrays import RequestArrays
-from repro.engine.replica import EngineStats, SimulationResult
-from repro.engine.simulator import EventQueue
-from repro.engine.vectorized import VectorizedReplicaEngine
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EngineStats",
-    "EventQueue",
-    "RequestArrays",
-    "SimulationResult",
-    "VectorizedReplicaEngine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".arrays": ("RequestArrays",),
+    ".replica": ("EngineStats", "SimulationResult"),
+    ".simulator": ("EventQueue",),
+    ".vectorized": ("VectorizedReplicaEngine",),
+})

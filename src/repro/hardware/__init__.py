@@ -1,27 +1,18 @@
 """GPU and interconnect specifications."""
 
-from repro.hardware.gpu import GPUSpec
-from repro.hardware.interconnect import LinkSpec
-from repro.hardware.catalog import (
-    A40_48G,
-    A100_80G,
-    ETHERNET_100G,
-    H100_80G,
-    NVLINK,
-    PCIE_4,
-    get_gpu,
-    get_link,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GPUSpec",
-    "LinkSpec",
-    "A100_80G",
-    "A40_48G",
-    "H100_80G",
-    "NVLINK",
-    "PCIE_4",
-    "ETHERNET_100G",
-    "get_gpu",
-    "get_link",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".gpu": ("GPUSpec",),
+    ".interconnect": ("LinkSpec",),
+    ".catalog": (
+        "A100_80G",
+        "A40_48G",
+        "H100_80G",
+        "NVLINK",
+        "PCIE_4",
+        "ETHERNET_100G",
+        "get_gpu",
+        "get_link",
+    ),
+})

@@ -1,26 +1,17 @@
 """Model architecture catalog and static cost accounting."""
 
-from repro.models.config import Activation, ModelConfig
-from repro.models.catalog import (
-    FALCON_180B,
-    LLAMA2_70B,
-    MISTRAL_7B,
-    TINY_1B,
-    YI_34B,
-    get_model,
-    list_models,
-    register_model,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Activation",
-    "ModelConfig",
-    "MISTRAL_7B",
-    "YI_34B",
-    "LLAMA2_70B",
-    "FALCON_180B",
-    "TINY_1B",
-    "get_model",
-    "list_models",
-    "register_model",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("Activation", "ModelConfig"),
+    ".catalog": (
+        "MISTRAL_7B",
+        "YI_34B",
+        "LLAMA2_70B",
+        "FALCON_180B",
+        "TINY_1B",
+        "get_model",
+        "list_models",
+        "register_model",
+    ),
+})

@@ -1,11 +1,8 @@
 """Tensor- and pipeline-parallel sharding and communication models."""
 
-from repro.parallel.config import ParallelConfig
-from repro.parallel.comm import allreduce_bytes_per_layer, pp_send_time, tp_comm_time
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ParallelConfig",
-    "allreduce_bytes_per_layer",
-    "pp_send_time",
-    "tp_comm_time",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("ParallelConfig",),
+    ".comm": ("allreduce_bytes_per_layer", "pp_send_time", "tp_comm_time"),
+})

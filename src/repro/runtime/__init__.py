@@ -7,36 +7,19 @@ contract, and :mod:`repro.runtime.ledger` for the fsynced journal that
 task builds and drops its own execution model.
 """
 
-from repro.runtime.engine import (
-    JOBS_ENV,
-    RESUME_ENV,
-    RUN_DIR_ENV,
-    TaskOutcome,
-    jobs_from_env,
-    map_tasks,
-    resume_from_env,
-    run_dir_from_env,
-    sweep_env,
-)
-from repro.runtime.ledger import (
-    RunLedger,
-    decode_outcome,
-    encode_outcome,
-    sweep_fingerprint,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "JOBS_ENV",
-    "RUN_DIR_ENV",
-    "RESUME_ENV",
-    "RunLedger",
-    "TaskOutcome",
-    "decode_outcome",
-    "encode_outcome",
-    "jobs_from_env",
-    "map_tasks",
-    "resume_from_env",
-    "run_dir_from_env",
-    "sweep_env",
-    "sweep_fingerprint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": (
+        "JOBS_ENV",
+        "RUN_DIR_ENV",
+        "RESUME_ENV",
+        "TaskOutcome",
+        "jobs_from_env",
+        "map_tasks",
+        "resume_from_env",
+        "run_dir_from_env",
+        "sweep_env",
+    ),
+    ".ledger": ("RunLedger", "decode_outcome", "encode_outcome", "sweep_fingerprint"),
+})

@@ -10,57 +10,33 @@ policies enter through the plug-in protocol
 :mod:`repro.scheduling.theory`.
 """
 
-from repro.scheduling.policy import (
-    BatchDirective,
-    MemoryView,
-    PolicyScheduler,
-    PoolView,
-    SchedulingPolicy,
-)
-from repro.scheduling.registry import (
-    SchedulerBuildContext,
-    SchedulerSpec,
-    list_specs,
-    register,
-    register_policy,
-    registered_names,
-    resolve,
-    scheduler_name,
-    unregister,
-)
-from repro.scheduling.theory import (
-    AgingPriorityPolicy,
-    SRPTOraclePolicy,
-    SRPTPredictedPolicy,
-)
-from repro.scheduling.vectorized import (
-    DEFAULT_MAX_BATCH_SIZE,
-    DEFAULT_MAX_BATCHED_TOKENS,
-    VecScheduler,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "VecScheduler",
-    "DEFAULT_MAX_BATCH_SIZE",
-    "DEFAULT_MAX_BATCHED_TOKENS",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".vectorized": (
+        "VecScheduler",
+        "DEFAULT_MAX_BATCH_SIZE",
+        "DEFAULT_MAX_BATCHED_TOKENS",
+    ),
     # plug-in protocol
-    "SchedulingPolicy",
-    "PolicyScheduler",
-    "PoolView",
-    "MemoryView",
-    "BatchDirective",
-    # registry
-    "SchedulerSpec",
-    "SchedulerBuildContext",
-    "register",
-    "register_policy",
-    "registered_names",
-    "resolve",
-    "scheduler_name",
-    "list_specs",
-    "unregister",
+    ".policy": (
+        "SchedulingPolicy",
+        "PolicyScheduler",
+        "PoolView",
+        "MemoryView",
+        "BatchDirective",
+    ),
+    ".registry": (
+        "SchedulerSpec",
+        "SchedulerBuildContext",
+        "register",
+        "register_policy",
+        "registered_names",
+        "resolve",
+        "scheduler_name",
+        "list_specs",
+        "unregister",
+    ),
     # theory-grounded policies
-    "SRPTOraclePolicy",
-    "SRPTPredictedPolicy",
-    "AgingPriorityPolicy",
-]
+    ".theory": ("SRPTOraclePolicy", "SRPTPredictedPolicy", "AgingPriorityPolicy"),
+})

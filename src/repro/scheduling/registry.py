@@ -343,10 +343,41 @@ def _register_builtins() -> None:
         "— whole prompts ride along with decodes (Table 4).",
     ))
 
+    # The theory-grounded policies of repro.scheduling.theory.  Their
+    # factories import it on first build, so listing or resolving names
+    # never loads the plug-in machinery.
+    register_policy(
+        "srpt_oracle",
+        _theory_policy("SRPTOraclePolicy"),
+        description="SRPT with oracle-known output lengths — the "
+        "mean-latency upper bound (Optimal-Scheduling paper).",
+    )
+    register_policy(
+        "srpt_predicted",
+        _theory_policy("SRPTPredictedPolicy"),
+        # ±30% is theory.DEFAULT_PREDICTION_ERROR.
+        description="SRPT under a bucketed output-length predictor with "
+        "±30% deterministic error.",
+    )
+    register_policy(
+        "fcfs_aging",
+        _theory_policy("AgingPriorityPolicy"),
+        description="Tenant-priority FCFS with linear starvation aging "
+        "over client_id priority classes.",
+    )
+
+
+def _theory_policy(
+    class_name: str,
+) -> Callable[[SchedulerBuildContext], "SchedulingPolicy"]:
+    """A factory for one ``repro.scheduling.theory`` policy, with default knobs."""
+
+    def build(ctx: SchedulerBuildContext) -> "SchedulingPolicy":
+        from repro.scheduling import theory
+
+        return getattr(theory, class_name)()
+
+    return build
+
 
 _register_builtins()
-
-# The theory-grounded policies (SRPT oracle/predicted, priority+aging)
-# register themselves on import; pulling them in here makes every
-# registry consumer — CLI, leaderboard, property tests — see them.
-import repro.scheduling.theory  # noqa: E402,F401  (registration side effect)

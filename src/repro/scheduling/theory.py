@@ -19,8 +19,8 @@ Inference: Theory and Practice" (PAPERS.md):
 All three compose batches under the adapter's token budget (so they
 inherit Sarathi-style chunked prefills and bounded iterations) and
 none defines an admission hook — they reorder work, they never shed
-it.  They register themselves as ``srpt_oracle``, ``srpt_predicted``
-and ``fcfs_aging`` on import (the registry imports this module).
+it.  The registry lists them as ``srpt_oracle``, ``srpt_predicted``
+and ``fcfs_aging`` and imports this module on their first build.
 """
 
 from __future__ import annotations
@@ -159,29 +159,3 @@ class AgingPriorityPolicy(SchedulingPolicy):
             for r in sorted((*pool.prefills, *pool.waiting), key=rank)
         )
         return directives
-
-
-def _register() -> None:
-    from repro.scheduling.registry import register_policy
-
-    register_policy(
-        "srpt_oracle",
-        lambda ctx: SRPTOraclePolicy(),
-        description="SRPT with oracle-known output lengths — the "
-        "mean-latency upper bound (Optimal-Scheduling paper).",
-    )
-    register_policy(
-        "srpt_predicted",
-        lambda ctx: SRPTPredictedPolicy(),
-        description="SRPT under a bucketed output-length predictor with "
-        f"±{DEFAULT_PREDICTION_ERROR:.0%} deterministic error.",
-    )
-    register_policy(
-        "fcfs_aging",
-        lambda ctx: AgingPriorityPolicy(),
-        description="Tenant-priority FCFS with linear starvation aging "
-        "over client_id priority classes.",
-    )
-
-
-_register()

@@ -1,67 +1,38 @@
 """Workload synthesis: length distributions, arrivals, and datasets."""
 
-from repro.workload.arrival import (
-    ArrivalProcess,
-    GammaArrivals,
-    PoissonArrivals,
-    StaticArrivals,
-    UniformArrivals,
-)
-from repro.workload.datasets import (
-    ARXIV_SUMMARIZATION,
-    SHAREGPT4,
-    DatasetSpec,
-    generate_requests,
-    get_dataset,
-)
-from repro.workload.conversation import (
-    ConversationSpec,
-    ConversationWorkload,
-    simulate_conversations,
-)
-from repro.workload.production import (
-    DEFAULT_TENANTS,
-    ProductionSpec,
-    TenantClass,
-    generate_production_trace,
-)
-from repro.workload.distributions import (
-    FixedLengths,
-    LengthDistribution,
-    LogNormalLengths,
-    UniformLengths,
-)
-from repro.workload.trace import (
-    TraceStatistics,
-    load_trace,
-    save_trace,
-    trace_statistics,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "GammaArrivals",
-    "UniformArrivals",
-    "StaticArrivals",
-    "DatasetSpec",
-    "SHAREGPT4",
-    "ARXIV_SUMMARIZATION",
-    "get_dataset",
-    "generate_requests",
-    "LengthDistribution",
-    "LogNormalLengths",
-    "FixedLengths",
-    "UniformLengths",
-    "ConversationSpec",
-    "ConversationWorkload",
-    "simulate_conversations",
-    "TenantClass",
-    "ProductionSpec",
-    "DEFAULT_TENANTS",
-    "generate_production_trace",
-    "TraceStatistics",
-    "save_trace",
-    "load_trace",
-    "trace_statistics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".arrival": (
+        "ArrivalProcess",
+        "PoissonArrivals",
+        "GammaArrivals",
+        "UniformArrivals",
+        "StaticArrivals",
+    ),
+    ".datasets": (
+        "DatasetSpec",
+        "SHAREGPT4",
+        "ARXIV_SUMMARIZATION",
+        "get_dataset",
+        "generate_requests",
+    ),
+    ".distributions": (
+        "LengthDistribution",
+        "LogNormalLengths",
+        "FixedLengths",
+        "UniformLengths",
+    ),
+    ".conversation": (
+        "ConversationSpec",
+        "ConversationWorkload",
+        "simulate_conversations",
+    ),
+    ".production": (
+        "TenantClass",
+        "ProductionSpec",
+        "DEFAULT_TENANTS",
+        "generate_production_trace",
+    ),
+    ".trace": ("TraceStatistics", "save_trace", "load_trace", "trace_statistics"),
+})
