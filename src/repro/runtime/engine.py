@@ -34,13 +34,10 @@ import signal
 import threading
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
-
-from repro.runtime.ledger import RunLedger, sweep_fingerprint
 
 # Environment knobs mirrored by the CLI's sweep flags.
 JOBS_ENV = "REPRO_JOBS"
@@ -132,20 +129,30 @@ def _run_one(fn: Callable[[Any], Any], index: int, item: Any) -> TaskOutcome:
 def _sigterm_as_interrupt():
     """Deliver SIGTERM as KeyboardInterrupt so both unwind identically.
 
+    Yields a check that raises ``KeyboardInterrupt`` if a SIGTERM has
+    arrived: an interrupt raised while the main thread runs a finalizer
+    is swallowed, so the sweep also calls the check between tasks.
     Only the main thread may install signal handlers; elsewhere this is
     a no-op and SIGTERM keeps its default disposition.
     """
+    received: list[int] = []
+
+    def check() -> None:
+        if received:
+            raise KeyboardInterrupt
+
     if threading.current_thread() is not threading.main_thread():
-        yield
+        yield check
         return
     previous = signal.getsignal(signal.SIGTERM)
 
     def _handler(signum, frame):
+        received.append(signum)
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _handler)
     try:
-        yield
+        yield check
     finally:
         signal.signal(signal.SIGTERM, previous)
 
@@ -168,6 +175,9 @@ def _run_pool(
     pool's manager thread then sees them die and reaps them; waiting
     for it leaves no worker behind and no second thread reaping them.
     """
+    # Imported here: a serial sweep never loads the pool machinery.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     pool = ProcessPoolExecutor(
         max_workers=min(jobs, len(tasks)), initializer=_default_sigterm
     )
@@ -217,17 +227,22 @@ def map_tasks(
     outcomes: dict[int, TaskOutcome] = {}
     ledger: RunLedger | None = None
     if run_dir is not None:
+        # Imported here: a sweep without a run directory never loads it.
+        from repro.runtime.ledger import RunLedger, sweep_fingerprint
+
         ledger = RunLedger(run_dir, sweep_fingerprint(fn, items))
         outcomes = ledger.start(num_tasks=len(items), resume=resume)
 
-    def finish(outcome: TaskOutcome) -> None:
-        outcomes[outcome.index] = outcome
-        if ledger is not None:
-            ledger.record(outcome)
-
     remaining = [(index, item) for index, item in enumerate(items) if index not in outcomes]
     try:
-        with _sigterm_as_interrupt():
+        with _sigterm_as_interrupt() as check_sigterm:
+
+            def finish(outcome: TaskOutcome) -> None:
+                outcomes[outcome.index] = outcome
+                if ledger is not None:
+                    ledger.record(outcome)
+                check_sigterm()
+
             if jobs == 1 or len(remaining) <= 1:
                 for index, item in remaining:
                     finish(_run_one(fn, index, item))

@@ -92,6 +92,19 @@ def triple_until_interrupted(arg: tuple[int, str]) -> int:
     return triple_and_mark(arg)
 
 
+def triple_swallowing_sigterm(arg: tuple[int, str]) -> int:
+    """``triple_and_mark``, but a ``swallow-<x>`` file makes item ``x``
+    SIGTERM its own process and swallow the interrupt, as code running
+    in a finalizer would."""
+    x, marker_dir = arg
+    if (Path(marker_dir) / f"swallow-{x}").exists():
+        try:
+            signal.raise_signal(signal.SIGTERM)
+        except KeyboardInterrupt:
+            pass
+    return triple_and_mark(arg)
+
+
 def corrupt_file(path: str | Path, seed: int = 0, num_bytes: int = 8) -> int:
     """Deterministically flip bytes of a file in place; bytes flipped.
 
@@ -343,6 +356,18 @@ class TestMapTasksFailure:
         )
         assert [o.value for o in resumed] == [x * 3 for x in range(6)]
         assert {o.index for o in resumed if o.resumed} == journaled
+
+
+def test_swallowed_sigterm_stops_the_sweep_at_the_next_task(tmp_path):
+    run_dir, markers = tmp_path / "run", tmp_path / "markers"
+    markers.mkdir()
+    items = [(i, str(markers)) for i in range(6)]
+    (markers / "swallow-2").touch()
+    with pytest.raises(KeyboardInterrupt):
+        map_tasks(triple_swallowing_sigterm, items, jobs=1, run_dir=run_dir)
+    # Task 2 swallowed the interrupt and finished; task 3 never started.
+    assert computed(markers) == {0, 1, 2}
+    assert ledger_indices(run_dir, triple_swallowing_sigterm, items) == {0, 1, 2}
 
 
 class TestCorruptFile:
