@@ -5,7 +5,7 @@ thousands of near-identical hybrid batches per run, and the analytical
 roofline model re-derives every one of them from scratch.
 ``CachedExecutionModel`` memoizes the component prices of
 :class:`ExecutionModel` — linear time by ``(tokens, logit tokens)``,
-attention time by ``(tokens, past, is_prefill)``, decode attention by
+other attention by ``(tokens, past, is_prefill)``, decode attention by
 context length, the token-count terms and the pipeline send — keyed on
 values that fully determine each result (the model's constants are
 immutable, so entries never need invalidating).  Whole batches are not
@@ -20,8 +20,9 @@ the float a miss computed with the base-class method.
 Decode attention lives in a NaN-filled numpy table indexed by context
 length that doubles when a longer context arrives, so a batch's whole
 decode block is one gather; a decode work priced on its own through
-``attention_time`` (``stage_iteration_time``'s path) uses the
-attention dict instead.  The dict memos are FIFO-bounded at
+``attention_time`` (``stage_iteration_time``'s path) reads and fills
+the same table, so every decode context is priced once, whichever
+path asks first.  The dict memos are FIFO-bounded at
 ``MAX_ENTRIES`` each so long multitenant runs cannot grow them without
 limit; the table is bounded by the longest context.  Hit/miss/eviction
 counters are exposed as :class:`CacheStats` and surfaced through
@@ -138,6 +139,9 @@ class CachedExecutionModel(ExecutionModel):
         return value
 
     def attention_time(self, num_tokens: int, past_len: int, is_prefill: bool) -> float:
+        if num_tokens == 1 and not is_prefill:
+            # A decode work: one store, the context-indexed table.
+            return self.decode_attention_times(np.array([past_len]))[0]
         key = (num_tokens, past_len, is_prefill)
         value = self._attention_cache.get(key)
         if value is None:

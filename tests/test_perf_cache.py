@@ -159,13 +159,13 @@ class TestCacheCounters:
         assert stats.work_misses == 2
         assert stats.work_hits == 4
         assert stats.size == 5
-        # The decode table (the engine's array path) has its own
-        # entries: a repeated context in one gather is computed once.
-        cached.decode_attention_times(np.array([300, 400, 400]))
-        cached.decode_attention_times(np.array([400]))
+        # The engine's array path reads the same decode table: context
+        # 200 hits, and a repeated context in one gather is computed once.
+        cached.decode_attention_times(np.array([200, 300, 300]))
+        cached.decode_attention_times(np.array([300]))
         stats = cached.cache_stats
-        assert (stats.work_misses, stats.work_hits) == (2 + 2, 4 + 2)
-        assert stats.size == 5 + 2
+        assert (stats.work_misses, stats.work_hits) == (2 + 1, 4 + 3)
+        assert stats.size == 5 + 1
 
     def test_stats_row_shape(self):
         row = CacheStats(hits=3, misses=1, size=1).as_row()
