@@ -15,10 +15,11 @@ packed arrays, no Python object per entry) and
 previous sync into each ``Request.token_times``, in chunks of at most
 ``_SYNC_CHUNK`` entries (each stable-sorted by row), then clears the
 log.  The engine also folds the log (without the scalar sync) whenever
-it reaches ``_SYNC_CHUNK`` rows, so the log stays within one chunk.  ``token_times`` is a packed float64 ``array('d')``: each row's
-run is appended as raw bytes of the sorted chunk, so a sync creates no
-Python float per token, and its transient arrays are bounded by one
-chunk, however long the log.
+it reaches ``_SYNC_CHUNK`` rows, so the log stays within one chunk.
+``token_times`` is a packed float64 ``array('d')``: each row's run is
+appended as raw bytes of the sorted chunk, so a sync creates no Python
+float per token, and its transient arrays are bounded by one chunk,
+however long the log.
 """
 
 from __future__ import annotations
