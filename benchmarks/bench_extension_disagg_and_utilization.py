@@ -12,7 +12,7 @@ from repro.api import ServingConfig, build_engine, clone_requests
 from repro.experiments.common import format_table, mistral_deployment
 from repro.experiments.disagg_comparison import run_disagg_comparison
 from repro.metrics.utilization import batch_utilization
-from repro.types import SchedulerKind, TokenWork
+from repro.types import TokenWork
 
 
 def bench_extension_disagg(benchmark, report, bench_scale):

@@ -87,7 +87,6 @@ from repro.reporting import (  # noqa: E402
     render_bench_table,
     write_bench_json,
 )
-from repro.types import SchedulerKind  # noqa: E402
 from repro.workload.conversation import simulate_conversations  # noqa: E402
 from repro.workload.datasets import ARXIV_SUMMARIZATION, SHAREGPT4  # noqa: E402
 
@@ -130,7 +129,7 @@ def _timed_capacity_sweep(
     slo = derived_slo(deployment.execution_model(), strict=True)
     scale = replace(scale, seed=seed)
 
-    config = serving_config_for(deployment, SchedulerKind.SARATHI_DYNAMIC, strict=True)
+    config = serving_config_for(deployment, "sarathi_dynamic", strict=True)
 
     def sweep(memoized: bool):
         exec_model = (
@@ -141,7 +140,7 @@ def _timed_capacity_sweep(
         start = time.perf_counter()
         result = measure_capacity(
             deployment,
-            SchedulerKind.SARATHI_DYNAMIC,
+            "sarathi_dynamic",
             SHAREGPT4,
             slo,
             scale,
@@ -238,7 +237,7 @@ def _timed_parallel_grid(
     scale = replace(scale, seed=seed)
     dataset = ARXIV_SUMMARIZATION
     strict_values = (True,) if quick else (True, False)
-    schedulers = (SchedulerKind.VLLM, SchedulerKind.SARATHI)
+    schedulers = ("vllm", "sarathi")
     specs = [
         CapacityCellSpec(
             deployment=deployment,
@@ -256,7 +255,7 @@ def _timed_parallel_grid(
     specs.append(
         CapacityCellSpec(
             deployment=deployment,
-            scheduler=SchedulerKind.SARATHI_DYNAMIC,
+            scheduler="sarathi_dynamic",
             dataset=dataset,
             scale=scale,
             strict=True,
@@ -356,7 +355,7 @@ def _timed_prefix_cache_conversation(
             arrival_qps=0.5,
         )
         config = ServingConfig(
-            scheduler=SchedulerKind.SARATHI,
+            scheduler="sarathi",
             token_budget=chunk_sizes[0],
             prefix_cache=cache_on,
         )
@@ -495,7 +494,7 @@ def _timed_fleet_resilience(quick: bool, seed: int) -> BenchCase:
         RESILIENCE_QUICK_SCALE if quick else RESILIENCE_SCALE, seed=seed
     )
     config = ServingConfig(
-        scheduler=SchedulerKind.SARATHI, token_budget=SWEEP_TOKEN_BUDGET
+        scheduler="sarathi", token_budget=SWEEP_TOKEN_BUDGET
     )
     slo = derived_slo(execution_model_for(deployment), strict=True)
     specs = [

@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.experiments.capacity_runner import measure_capacity, serving_config_for
 from repro.experiments.common import Scale, yi_deployment
 from repro.metrics.slo import derived_slo
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4
 
 SCALE = Scale(num_requests=96, capacity_rel_tol=0.2, capacity_max_probes=9)
@@ -30,13 +29,13 @@ def main() -> None:
           f"median queueing delay <= {slo.max_median_scheduling_delay:.0f}s\n")
 
     capacities = {}
-    for kind in (SchedulerKind.ORCA, SchedulerKind.VLLM, SchedulerKind.SARATHI):
+    for kind in ("orca", "vllm", "sarathi"):
         config = serving_config_for(deployment, kind, strict=True)
         result = measure_capacity(
             deployment, kind, SHAREGPT4, slo, SCALE, config=config, qps_hint=1.0
         )
-        capacities[kind.value] = result.capacity_qps
-        print(f"{kind.value:10s} capacity: {result.capacity_qps:5.2f} qps "
+        capacities[kind] = result.capacity_qps
+        print(f"{kind:10s} capacity: {result.capacity_qps:5.2f} qps "
               f"({result.num_probes} probes)")
 
     baseline = capacities["vllm"]

@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.api import ServingConfig
 from repro.cluster import FleetConfig, LeastTokensRouter, simulate_fleet
 from repro.experiments.common import mistral_deployment
-from repro.types import SchedulerKind
 from repro.workload.conversation import ConversationSpec, simulate_conversations
 from repro.workload.datasets import generate_requests, SHAREGPT4
 
@@ -35,11 +34,11 @@ def main() -> None:
           f"{spec.mean_think_time:.0f}s think time\n")
 
     print("== single replica, closed-loop conversations ==")
-    for kind in (SchedulerKind.SARATHI, SchedulerKind.VLLM):
+    for kind in ("sarathi", "vllm"):
         config = ServingConfig(scheduler=kind, token_budget=512)
         result, metrics = simulate_conversations(deployment, config, spec, seed=11)
         print(
-            f"  {kind.value:8s} rounds served {metrics.num_requests:4d} | "
+            f"  {kind:8s} rounds served {metrics.num_requests:4d} | "
             f"median TTFT {metrics.median_ttft:6.3f}s | "
             f"P99 TBT {metrics.p99_tbt:6.3f}s | max TBT {metrics.max_tbt:6.3f}s"
         )
@@ -54,7 +53,7 @@ def main() -> None:
     for replicas in (1, 2):
         _, metrics = simulate_fleet(
             deployment,
-            ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=512),
+            ServingConfig(scheduler="sarathi", token_budget=512),
             trace,
             FleetConfig(num_replicas=replicas),
             router=LeastTokensRouter(replicas),

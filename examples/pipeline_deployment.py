@@ -19,7 +19,6 @@ from repro.api import ServingConfig, simulate
 from repro.experiments.common import falcon_deployment, falcon_tp8_cross_node_deployment
 from repro.experiments.fig13_tp_vs_pp import run_decode_latency
 from repro.metrics.timeline import pipeline_bubble_time, stage_utilization
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 
@@ -34,7 +33,7 @@ def main() -> None:
     print("== (b) pipeline bubbles: Orca vs Sarathi-Serve ==")
     deployment = falcon_deployment()
     trace = generate_requests(SHAREGPT4, num_requests=96, qps=1.0, seed=2)
-    for kind in (SchedulerKind.ORCA, SchedulerKind.SARATHI):
+    for kind in ("orca", "sarathi"):
         config = ServingConfig(scheduler=kind, token_budget=512)
         result, metrics = simulate(deployment, config, trace)
         durations = [r.duration for r in result.records if r.stage == 0]
@@ -42,7 +41,7 @@ def main() -> None:
         num_bubbles, bubble_time = pipeline_bubble_time(result.records, 1)
         span = stage_utilization(result.records, 1).span
         print(
-            f"  {kind.value:8s} micro-batch time CV {cv:4.2f} | "
+            f"  {kind:8s} micro-batch time CV {cv:4.2f} | "
             f"stage-2 bubbles {num_bubbles:5d} "
             f"({bubble_time:6.1f}s, {bubble_time / span:5.1%} of span) | "
             f"P99 TBT {metrics.p99_tbt:6.3f}s"

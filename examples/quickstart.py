@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import Deployment, SchedulerKind, ServingConfig, simulate
+from repro import Deployment, ServingConfig, simulate
 from repro.hardware import A100_80G
 from repro.models import MISTRAL_7B
 from repro.workload import SHAREGPT4, generate_requests
@@ -27,11 +27,11 @@ def main() -> None:
     header = f"{'scheduler':10s} {'P99 TBT':>9s} {'max TBT':>9s} {'med TTFT':>9s} {'tok/s':>8s}"
     print(header)
     print("-" * len(header))
-    for kind in (SchedulerKind.SARATHI, SchedulerKind.VLLM):
+    for kind in ("sarathi", "vllm"):
         config = ServingConfig(scheduler=kind, token_budget=512)
         _, metrics = simulate(deployment, config, trace)
         print(
-            f"{kind.value:10s} {metrics.p99_tbt:8.3f}s {metrics.max_tbt:8.3f}s "
+            f"{kind:10s} {metrics.p99_tbt:8.3f}s {metrics.max_tbt:8.3f}s "
             f"{metrics.median_ttft:8.3f}s {metrics.throughput_tokens_per_s:8.0f}"
         )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.api import ServingConfig, simulate
 from repro.experiments.common import yi_deployment
 from repro.metrics.timeline import generation_stalls
-from repro.types import Request, SchedulerKind
+from repro.types import Request
 from repro.workload.datasets import ARXIV_SUMMARIZATION, generate_requests
 
 STALL_THRESHOLD = 0.5  # seconds
@@ -51,7 +51,7 @@ def main() -> None:
     print(f"deployment: {deployment.label}")
     print("workload: arxiv_summarization, 96 requests @ 0.45 qps\n")
 
-    for kind in (SchedulerKind.VLLM, SchedulerKind.SARATHI):
+    for kind in ("vllm", "sarathi"):
         config = ServingConfig(scheduler=kind, token_budget=512)
         result, metrics = simulate(deployment, config, trace)
         stalls = []
@@ -63,7 +63,7 @@ def main() -> None:
             if gaps and max(gaps) > worst_gap:
                 worst_gap = max(gaps)
                 worst_request = request
-        print(f"== {kind.value} ==")
+        print(f"== {kind} ==")
         print(f"  P99 TBT {metrics.p99_tbt:.3f}s | stalls(>{STALL_THRESHOLD}s): "
               f"{len(stalls)} | worst stall {worst_gap:.2f}s")
         if worst_request is not None:

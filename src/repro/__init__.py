@@ -50,7 +50,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".cluster.router": ("LeastOutstandingTokensRouter", "SloAwareRouter"),
     ".types": (
-        "SchedulerKind",
         "PreemptionMode",
         "Request",
         "RequestPhase",

@@ -37,7 +37,7 @@ from repro.scheduling.vectorized import (
     VecReservationMemory,
     VecScheduler,
 )
-from repro.types import PreemptionMode, Request, SchedulerKind
+from repro.types import PreemptionMode, Request
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,11 @@ class Deployment:
 class ServingConfig:
     """Scheduler choice and its knobs."""
 
-    # Any name from the scheduler registry (repro.scheduling.registry);
-    # the SchedulerKind enum keeps working as a shim whose values are
-    # registry names.  The default can be flipped process-wide with the
-    # REPRO_SCHEDULER environment variable; the CLI exposes it as
-    # --scheduler.
-    scheduler: SchedulerKind | str = field(
-        default_factory=lambda: os.environ.get(
-            "REPRO_SCHEDULER", SchedulerKind.SARATHI
-        )
+    # Any name from the scheduler registry (repro.scheduling.registry).
+    # The default can be flipped process-wide with the REPRO_SCHEDULER
+    # environment variable; the CLI exposes it as --scheduler.
+    scheduler: str = field(
+        default_factory=lambda: os.environ.get("REPRO_SCHEDULER", "sarathi")
     )
     token_budget: int = 512
     max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
@@ -88,7 +84,7 @@ class ServingConfig:
     # dataset-appropriate max sequence length).
     reserve_len: int = 8192
     max_inflight_batches: int | None = None
-    # For SARATHI_DYNAMIC: the TBT SLO the per-iteration budget targets
+    # For sarathi_dynamic: the TBT SLO the per-iteration budget targets
     # (None derives the strict SLO from the deployment, §5.1).
     tbt_slo: float | None = None
     # What eviction does under memory pressure (paged schedulers):
@@ -114,6 +110,10 @@ class ServingConfig:
         # Validate at construction time so a bad knob fails where it was
         # written, not several layers down inside scheduler/memory
         # constructors with a stack trace that hides the culprit field.
+        if not isinstance(self.scheduler, str):
+            raise TypeError(
+                f"scheduler must be a registry name, got {self.scheduler!r}"
+            )
         if self.token_budget <= 0:
             raise ValueError(
                 f"token_budget must be positive, got {self.token_budget}"
@@ -140,19 +140,6 @@ class ServingConfig:
         object.__setattr__(
             self, "preemption_mode", PreemptionMode.parse(self.preemption_mode)
         )
-        # Normalize enum-valued scheduler strings to the enum so legacy
-        # `config.scheduler is SchedulerKind.X` comparisons keep
-        # working.  Names beyond the enum (plug-in schedulers) stay as
-        # strings and are validated — with did-you-mean suggestions —
-        # against the registry at build time, after any late
-        # registrations.
-        if isinstance(self.scheduler, str):
-            try:
-                object.__setattr__(
-                    self, "scheduler", SchedulerKind(self.scheduler)
-                )
-            except ValueError:
-                pass
 
     def with_budget(self, token_budget: int) -> "ServingConfig":
         return replace(self, token_budget=token_budget)
@@ -181,9 +168,8 @@ def build_vectorized_scheduler(
     """Construct a fresh scheduler (and its memory manager) over rows.
 
     Dispatch goes through the scheduler registry
-    (:mod:`repro.scheduling.registry`): any registered name — or the
-    :class:`~repro.types.SchedulerKind` shim — builds here; unknown
-    names fail with nearest-name suggestions.  ``exec_model`` serves
+    (:mod:`repro.scheduling.registry`): any registered name builds
+    here; unknown names fail with nearest-name suggestions.  ``exec_model`` serves
     SLO-driven schedulers (``sarathi_dynamic``) that price candidate
     iterations, sharing the engine's warm cache.
     """

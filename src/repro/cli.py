@@ -16,7 +16,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.api import Deployment, ServingConfig, simulate
@@ -59,12 +58,12 @@ def _add_scheduler_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _scheduler_from(args: argparse.Namespace) -> str:
-    """Resolve the --scheduler flag (or REPRO_SCHEDULER, or sarathi)
+    """Resolve the --scheduler flag (or ``ServingConfig``'s default)
     against the registry now, so typos fail with the did-you-mean error
     before any simulation work starts."""
     name = args.scheduler
     if name is None:
-        name = os.environ.get("REPRO_SCHEDULER", "sarathi")
+        name = ServingConfig().scheduler
     resolve(name)
     return name
 
@@ -142,9 +141,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_schedulers(args: argparse.Namespace) -> int:
     print("registered schedulers (repro.scheduling.registry):")
     for spec in list_specs():
-        aliases = f" (aliases: {', '.join(spec.aliases)})" if spec.aliases else ""
-        print(f"  {spec.name:22s} {spec.memory_family:12s} "
-              f"{spec.description}{aliases}")
+        print(f"  {spec.name:22s} {spec.memory_family:12s} {spec.description}")
     return 0
 
 

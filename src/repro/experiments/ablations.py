@@ -34,7 +34,7 @@ from repro.scheduling.vectorized import (
     VecReservationMemory,
     VecSarathiScheduler,
 )
-from repro.types import SchedulerKind, TokenWork
+from repro.types import TokenWork
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 
@@ -64,7 +64,7 @@ def run_budget_sweep(
     )
     points = []
     for budget in budgets:
-        config = ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=budget)
+        config = ServingConfig(scheduler="sarathi", token_budget=budget)
         engine = build_engine(deployment, config)
         result = engine.run(clone_requests(trace))
         metrics = summarize(result)
@@ -212,9 +212,9 @@ def run_dynamic_budget_comparison(
     )
     variants = {
         "static-512": ServingConfig(
-            scheduler=SchedulerKind.SARATHI, token_budget=512
+            scheduler="sarathi", token_budget=512
         ),
-        "dynamic": ServingConfig(scheduler=SchedulerKind.SARATHI_DYNAMIC),
+        "dynamic": ServingConfig(scheduler="sarathi_dynamic"),
     }
     points = []
     for name, config in variants.items():

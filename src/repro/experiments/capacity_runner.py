@@ -36,9 +36,7 @@ from repro.experiments.common import (
 from repro.metrics.capacity import CapacityResult, find_capacity
 from repro.metrics.slo import SLOSpec, derived_slo
 from repro.runtime import map_tasks
-from repro.scheduling.registry import scheduler_name
 from repro.telemetry.sweep import capacity_probe_rows
-from repro.types import SchedulerKind
 from repro.workload.datasets import DatasetSpec, generate_requests
 
 
@@ -66,7 +64,7 @@ def token_budget_for(deployment: Deployment, strict: bool) -> int:
 
 def serving_config_for(
     deployment: Deployment,
-    scheduler: SchedulerKind | str,
+    scheduler: str,
     strict: bool,
     max_batch_size: int = 128,
     token_budget: int | None = None,
@@ -99,7 +97,7 @@ MIN_LOAD_DURATION = 60.0
 
 def measure_capacity(
     deployment: Deployment,
-    scheduler: SchedulerKind | str,
+    scheduler: str,
     dataset: DatasetSpec,
     slo: SLOSpec,
     scale: Scale,
@@ -158,7 +156,7 @@ class CapacityCellSpec:
     """
 
     deployment: Deployment
-    scheduler: SchedulerKind | str
+    scheduler: str
     dataset: DatasetSpec
     scale: Scale
     strict: bool | None = None
@@ -221,7 +219,7 @@ def run_capacity_cell(spec: CapacityCellSpec) -> CellOutcome:
 
     labels = {
         "deployment": deployment.label,
-        "scheduler": scheduler_name(spec.scheduler),
+        "scheduler": spec.scheduler,
         "dataset": spec.dataset.name,
         "slo": slo.name,
         "variant": spec.variant,
@@ -229,7 +227,7 @@ def run_capacity_cell(spec: CapacityCellSpec) -> CellOutcome:
     return CellOutcome(
         cell=CapacityCell(
             deployment=deployment.label,
-            scheduler=scheduler_name(spec.scheduler),
+            scheduler=spec.scheduler,
             dataset=spec.dataset.name,
             slo_name=slo.name,
             slo_p99_tbt=slo.p99_tbt,

@@ -20,7 +20,6 @@ from repro.experiments.common import DEFAULT, Scale, mistral_deployment
 from repro.hardware.catalog import ETHERNET_100G, NVLINK
 from repro.hardware.interconnect import LinkSpec
 from repro.metrics.summary import summarize
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 
@@ -51,7 +50,7 @@ def run_disagg_comparison(
     points = []
     exec_model = execution_model_for(deployment)
 
-    config = ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=token_budget)
+    config = ServingConfig(scheduler="sarathi", token_budget=token_budget)
     _, sarathi_metrics = simulate_fleet(
         deployment, config, trace, FleetConfig(num_replicas=2), exec_model=exec_model
     )

@@ -22,7 +22,6 @@ from repro.experiments.common import (
     yi_deployment,
 )
 from repro.metrics.timeline import generation_stalls
-from repro.types import SchedulerKind
 from repro.workload.datasets import ARXIV_SUMMARIZATION, generate_requests
 
 # Inter-token gaps above this count as stalls for reporting (several ×
@@ -52,7 +51,7 @@ def run_stall_timeline(
         ARXIV_SUMMARIZATION, num_requests=scale.num_requests, qps=qps, seed=scale.seed
     )
     reports = []
-    for kind in (SchedulerKind.VLLM, SchedulerKind.SARATHI):
+    for kind in ("vllm", "sarathi"):
         config = ServingConfig(scheduler=kind, token_budget=STRICT_TOKEN_BUDGET)
         result, metrics = simulate(deployment, config, trace)
         stalls: list[float] = []
@@ -60,7 +59,7 @@ def run_stall_timeline(
             stalls.extend(generation_stalls(request, STALL_THRESHOLD))
         reports.append(
             StallReport(
-                scheduler=kind.value,
+                scheduler=kind,
                 num_stalls=len(stalls),
                 max_stall=max(stalls, default=0.0),
                 p99_tbt=metrics.p99_tbt,
@@ -96,12 +95,12 @@ def run_tbt_vs_load(
             qps=qps,
             seed=scale.seed,
         )
-        for kind in (SchedulerKind.VLLM, SchedulerKind.SARATHI):
+        for kind in ("vllm", "sarathi"):
             config = ServingConfig(scheduler=kind, token_budget=STRICT_TOKEN_BUDGET)
             _, metrics = simulate(deployment, config, trace)
             points.append(
                 LoadPoint(
-                    scheduler=kind.value,
+                    scheduler=kind,
                     qps=qps,
                     p99_tbt=metrics.p99_tbt,
                     max_tbt=metrics.max_tbt,

@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 from repro.api import Deployment, ServingConfig, simulate
 from repro.experiments.common import DEFAULT, STRICT_TOKEN_BUDGET, Scale, mistral_deployment
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
-QUADRANT_SCHEDULERS = (
-    SchedulerKind.FASTER_TRANSFORMER,
-    SchedulerKind.ORCA,
-    SchedulerKind.VLLM,
-    SchedulerKind.SARATHI,
-)
+QUADRANT_SCHEDULERS = ("faster_transformer", "orca", "vllm", "sarathi")
 
 
 @dataclass(frozen=True)
@@ -52,7 +46,7 @@ def run_quadrant(
         _, metrics = simulate(deployment, config, trace)
         points.append(
             QuadrantPoint(
-                scheduler=kind.value,
+                scheduler=kind,
                 throughput_tokens_per_s=metrics.throughput_tokens_per_s,
                 p99_tbt=metrics.p99_tbt,
                 median_ttft=metrics.median_ttft,

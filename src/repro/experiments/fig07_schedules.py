@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 from repro.api import Deployment, ServingConfig, build_engine, clone_requests
 from repro.experiments.common import mistral_deployment
-from repro.types import Request, SchedulerKind
+from repro.types import Request
 
-SCHEDULERS = (
-    SchedulerKind.VLLM,
-    SchedulerKind.ORCA,
-    SchedulerKind.FASTER_TRANSFORMER,
-    SchedulerKind.SARATHI,
-)
+SCHEDULERS = ("vllm", "orca", "faster_transformer", "sarathi")
 
 
 @dataclass(frozen=True)
@@ -94,7 +89,7 @@ def run_schedule_traces(
         )
         traces.append(
             ScheduleTrace(
-                scheduler=kind.value,
+                scheduler=kind,
                 iterations=compositions,
                 worst_decode_gap=worst_gap,
                 first_token_c=c.ttft if c.ttft is not None else float("inf"),

@@ -16,7 +16,6 @@ import numpy as np
 from repro.api import Deployment, ServingConfig, simulate
 from repro.experiments.common import DEFAULT, Scale, falcon_deployment
 from repro.metrics.timeline import pipeline_bubble_time, stage_utilization
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 
@@ -46,7 +45,7 @@ def run_bubble_comparison(
         SHAREGPT4, num_requests=scale.num_requests, qps=qps, seed=scale.seed
     )
     reports = []
-    for kind in (SchedulerKind.ORCA, SchedulerKind.SARATHI):
+    for kind in ("orca", "sarathi"):
         config = ServingConfig(scheduler=kind, token_budget=token_budget)
         result, metrics = simulate(deployment, config, trace)
         last = deployment.parallel.pipeline_parallel - 1
@@ -57,7 +56,7 @@ def run_bubble_comparison(
         span = util.span if util.span > 0 else 1.0
         reports.append(
             BubbleReport(
-                scheduler=kind.value,
+                scheduler=kind,
                 bubble_fraction_last_stage=bubble_time / span,
                 bubble_time=bubble_time,
                 num_bubbles=num_bubbles,

@@ -15,14 +15,9 @@ from repro.experiments.capacity_runner import (
     run_capacity_cells,
 )
 from repro.experiments.common import DEFAULT, Scale, mistral_deployment, yi_deployment
-from repro.types import SchedulerKind
 from repro.workload.datasets import ARXIV_SUMMARIZATION, SHAREGPT4, DatasetSpec
 
-CAPACITY_SCHEDULERS = (
-    SchedulerKind.ORCA,
-    SchedulerKind.VLLM,
-    SchedulerKind.SARATHI,
-)
+CAPACITY_SCHEDULERS = ("orca", "vllm", "sarathi")
 
 # Search hints keep probe counts low; searches expand beyond them.
 _QPS_HINTS = {
@@ -37,7 +32,7 @@ def capacity_grid_specs(
     scale: Scale,
     deployments: tuple[Deployment, ...],
     datasets: tuple[DatasetSpec, ...],
-    schedulers: tuple[SchedulerKind, ...],
+    schedulers: tuple[str, ...],
     strict_values: tuple[bool, ...],
     hints: dict[tuple[str, str], float] | None = None,
     default_hint: float = 0.5,
@@ -67,7 +62,7 @@ def run_capacity_grid(
     scale: Scale = DEFAULT,
     deployments: tuple[Deployment, ...] | None = None,
     datasets: tuple[DatasetSpec, ...] = (SHAREGPT4, ARXIV_SUMMARIZATION),
-    schedulers: tuple[SchedulerKind, ...] = CAPACITY_SCHEDULERS,
+    schedulers: tuple[str, ...] = CAPACITY_SCHEDULERS,
     strict_values: tuple[bool, ...] = (True, False),
 ) -> list[CapacityCell]:
     """The full Fig. 10 grid (or any sub-grid), via the sweep engine.

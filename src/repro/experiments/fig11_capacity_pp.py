@@ -20,7 +20,6 @@ from repro.experiments.fig10_capacity_small import (
     CAPACITY_SCHEDULERS,
     capacity_grid_specs,
 )
-from repro.types import SchedulerKind
 from repro.workload.datasets import ARXIV_SUMMARIZATION, SHAREGPT4, DatasetSpec
 
 _QPS_HINTS = {
@@ -35,7 +34,7 @@ def run_capacity_grid_pp(
     scale: Scale = DEFAULT,
     deployments: tuple[Deployment, ...] | None = None,
     datasets: tuple[DatasetSpec, ...] = (SHAREGPT4, ARXIV_SUMMARIZATION),
-    schedulers: tuple[SchedulerKind, ...] = CAPACITY_SCHEDULERS,
+    schedulers: tuple[str, ...] = CAPACITY_SCHEDULERS,
     strict_values: tuple[bool, ...] = (True, False),
 ) -> list[CapacityCell]:
     """The Fig. 11 grid for pipeline-parallel models."""

@@ -18,7 +18,6 @@ from repro.experiments.capacity_runner import CapacityCellSpec, run_capacity_cel
 from repro.experiments.common import DEFAULT, Scale, mistral_deployment
 from repro.metrics.slo import SLOSpec
 from repro.perf.profiler import reference_decode_time
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, DatasetSpec
 
 VLLM_BATCH_SIZES = (32, 64, 128)
@@ -42,11 +41,11 @@ def sweep_variants(deployment: Deployment) -> dict[str, ServingConfig]:
     variants: dict[str, ServingConfig] = {}
     for bs in VLLM_BATCH_SIZES:
         variants[f"vllm-bs{bs}"] = ServingConfig(
-            scheduler=SchedulerKind.VLLM, max_batch_size=bs
+            scheduler="vllm", max_batch_size=bs
         )
     for budget in SARATHI_BUDGETS:
         variants[f"sarathi-{budget}"] = ServingConfig(
-            scheduler=SchedulerKind.SARATHI, token_budget=budget, max_batch_size=128
+            scheduler="sarathi", token_budget=budget, max_batch_size=128
         )
     return variants
 

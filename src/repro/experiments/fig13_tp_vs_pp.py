@@ -27,7 +27,7 @@ from repro.experiments.common import (
     falcon_tp8_cross_node_deployment,
 )
 from repro.metrics.slo import derived_slo
-from repro.types import SchedulerKind, TokenWork
+from repro.types import TokenWork
 from repro.workload.datasets import SHAREGPT4
 
 
@@ -87,10 +87,10 @@ def run_parallel_capacity(
     """Capacity of vLLM-TP8, vLLM-PP and Sarathi-PP (Fig. 13b)."""
     tp8 = falcon_tp8_cross_node_deployment()
     pp = falcon_deployment()
-    systems: list[tuple[str, Deployment, SchedulerKind]] = [
-        ("vllm-TP8", tp8, SchedulerKind.VLLM),
-        ("vllm-PP", pp, SchedulerKind.VLLM),
-        ("sarathi-PP", pp, SchedulerKind.SARATHI),
+    systems: list[tuple[str, Deployment, str]] = [
+        ("vllm-TP8", tp8, "vllm"),
+        ("vllm-PP", pp, "vllm"),
+        ("sarathi-PP", pp, "sarathi"),
     ]
     specs = []
     for strict in strict_values:

@@ -29,7 +29,6 @@ from repro.metrics.goodput import RequestSLO, fleet_goodput
 from repro.metrics.slo import derived_slo
 from repro.metrics.summary import summarize
 from repro.runtime import map_tasks
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 # Deadline for the first token in the fleet goodput score: generous
@@ -161,7 +160,7 @@ def run_fleet_sweep(
     fleet builds its own execution model, shared by its replicas.
     """
     deployment = mistral_deployment()
-    config = ServingConfig(scheduler=SchedulerKind.SARATHI)
+    config = ServingConfig(scheduler="sarathi")
     slo = derived_slo(execution_model_for(deployment), strict=False)
 
     specs = [

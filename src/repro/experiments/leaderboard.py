@@ -44,7 +44,7 @@ from repro.metrics.goodput import RequestSLO, fleet_goodput, goodput
 from repro.metrics.slo import derived_slo
 from repro.metrics.stats import jain_fairness
 from repro.runtime import map_tasks
-from repro.scheduling.registry import registered_names, scheduler_name
+from repro.scheduling.registry import registered_names
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 # The suite's workloads, in display order.
@@ -183,7 +183,7 @@ def run_leaderboard_cell(spec: LeaderboardCellSpec) -> LeaderboardCell:
         if r.scheduling_delay is not None
     ]
     return LeaderboardCell(
-        scheduler=scheduler_name(spec.config.scheduler),
+        scheduler=spec.config.scheduler,
         workload=spec.workload,
         qps=spec.qps,
         num_offered=num_offered,

@@ -22,7 +22,6 @@ from repro.experiments.common import DEFAULT, Scale, mistral_deployment
 from repro.metrics.capacity import find_capacity
 from repro.metrics.slo import SLOSpec
 from repro.perf.profiler import reference_decode_time
-from repro.types import SchedulerKind
 from repro.workload.conversation import ConversationSpec, simulate_conversations
 
 CHUNK_SIZES = (512, 2048)
@@ -69,7 +68,7 @@ def run_prefix_cache_capacity(
         hint = qps_hint
         for cache_on in (False, True):
             config = ServingConfig(
-                scheduler=SchedulerKind.SARATHI,
+                scheduler="sarathi",
                 token_budget=chunk,
                 prefix_cache=cache_on,
             )

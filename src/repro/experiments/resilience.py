@@ -42,7 +42,6 @@ from repro.metrics.recovery import recovery_report
 from repro.metrics.slo import derived_slo
 from repro.metrics.summary import summarize
 from repro.runtime import map_tasks
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 # Tenant classes cycled over the trace; class 0 is the most important
@@ -243,7 +242,7 @@ def run_resilience_sweep(
     """
     deployment = mistral_deployment()
     config = ServingConfig(
-        scheduler=SchedulerKind.SARATHI, token_budget=SWEEP_TOKEN_BUDGET
+        scheduler="sarathi", token_budget=SWEEP_TOKEN_BUDGET
     )
     slo = derived_slo(execution_model_for(deployment), strict=True)
 

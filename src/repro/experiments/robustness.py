@@ -17,7 +17,6 @@ from repro.api import Deployment, ServingConfig, build_engine, clone_requests
 from repro.experiments.common import DEFAULT, Scale, mistral_deployment, yi_deployment
 from repro.metrics.summary import summarize
 from repro.scheduling.vectorized import VecPagedMemory
-from repro.types import SchedulerKind
 from repro.workload.arrival import GammaArrivals
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
@@ -50,13 +49,13 @@ def run_burstiness_sweep(
             arrivals=GammaArrivals(qps=qps, cv=cv),
             seed=scale.seed,
         )
-        for kind in (SchedulerKind.VLLM, SchedulerKind.SARATHI):
+        for kind in ("vllm", "sarathi"):
             config = ServingConfig(scheduler=kind, token_budget=token_budget)
             engine = build_engine(deployment, config)
             metrics = summarize(engine.run(clone_requests(trace)))
             points.append(
                 BurstinessPoint(
-                    scheduler=kind.value,
+                    scheduler=kind,
                     cv=cv,
                     p99_tbt=metrics.p99_tbt,
                     max_tbt=metrics.max_tbt,
@@ -98,7 +97,7 @@ def run_preemption_policy_comparison(
     )
     points = []
     for policy in ("recompute", "swap"):
-        config = ServingConfig(scheduler=SchedulerKind.VLLM, preemption_mode=policy)
+        config = ServingConfig(scheduler="vllm", preemption_mode=policy)
         engine = build_engine(deployment, config)
         engine.scheduler.memory = VecPagedMemory(
             engine.arrays, kv_capacity_tokens, block_size=16

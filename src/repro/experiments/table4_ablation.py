@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.api import Deployment, ServingConfig, simulate
 from repro.experiments.common import DEFAULT, Scale, yi_deployment
-from repro.types import SchedulerKind
 from repro.workload.datasets import (
     ARXIV_SUMMARIZATION,
     SHAREGPT4,
@@ -23,11 +22,7 @@ from repro.workload.datasets import (
 
 ABLATION_TOKEN_BUDGET = 1024
 
-ABLATION_SCHEDULERS = (
-    SchedulerKind.HYBRID_ONLY,
-    SchedulerKind.CHUNKED_ONLY,
-    SchedulerKind.SARATHI,
-)
+ABLATION_SCHEDULERS = ("hybrid_batching_only", "chunked_prefills_only", "sarathi")
 
 # Load points chosen near (but under) Sarathi's capacity so differences
 # show without the queue blowing up.
@@ -66,7 +61,7 @@ def run_ablation(
             _, metrics = simulate(deployment, config, trace)
             rows.append(
                 AblationRow(
-                    scheduler=kind.value,
+                    scheduler=kind,
                     dataset=dataset.name,
                     p50_ttft=metrics.median_ttft,
                     p99_tbt=metrics.p99_tbt,

@@ -22,14 +22,9 @@ from typing import Any
 
 from repro.api import Deployment, ServingConfig, simulate
 from repro.metrics.timeline import longest_stall
-from repro.types import Request, SchedulerKind
+from repro.types import Request
 
-DEFAULT_COMPARISON = (
-    SchedulerKind.FASTER_TRANSFORMER,
-    SchedulerKind.ORCA,
-    SchedulerKind.VLLM,
-    SchedulerKind.SARATHI,
-)
+DEFAULT_COMPARISON = ("faster_transformer", "orca", "vllm", "sarathi")
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,7 @@ class ComparisonRow:
 def compare_schedulers(
     deployment: Deployment,
     requests: list[Request],
-    schedulers: tuple[SchedulerKind, ...] = DEFAULT_COMPARISON,
+    schedulers: tuple[str, ...] = DEFAULT_COMPARISON,
     token_budget: int = 512,
     max_batch_size: int = 128,
 ) -> list[ComparisonRow]:
@@ -65,7 +60,7 @@ def compare_schedulers(
         result, metrics = simulate(deployment, config, requests)
         rows.append(
             ComparisonRow(
-                scheduler=kind.value,
+                scheduler=kind,
                 median_ttft=metrics.median_ttft,
                 p99_tbt=metrics.p99_tbt,
                 max_tbt=metrics.max_tbt,

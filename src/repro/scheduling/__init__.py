@@ -33,7 +33,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "register_policy",
         "registered_names",
         "resolve",
-        "scheduler_name",
         "list_specs",
         "unregister",
     ),

@@ -3,9 +3,8 @@
 The construction surface for every scheduler in the library.  A
 :class:`SchedulerSpec` bundles a canonical name with a factory and the
 memory family the policy needs.  ``repro.api.build_vectorized_scheduler``
-dispatches through :func:`resolve`; the legacy
-:class:`~repro.types.SchedulerKind` enum survives as a thin
-compatibility shim whose values are registry names.
+dispatches through :func:`resolve`; a scheduler's registry name is the
+only name it has.
 
 Third-party policies register themselves without touching engine
 internals::
@@ -38,8 +37,6 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
-
-from repro.types import SchedulerKind
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.api imports us
     from repro.api import Deployment, ServingConfig
@@ -94,7 +91,6 @@ class SchedulerSpec:
     build: Callable[[SchedulerBuildContext], "VecScheduler"]
     description: str = ""
     memory_family: str = "paged"
-    aliases: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").replace("-", "").isalnum():
@@ -107,49 +103,32 @@ class SchedulerSpec:
 
 
 _REGISTRY: dict[str, SchedulerSpec] = {}
-_ALIASES: dict[str, str] = {}
 
 
 def register(spec: SchedulerSpec, replace: bool = False) -> SchedulerSpec:
     """Add a spec to the registry (``replace=True`` to overwrite)."""
-    if not replace:
-        for name in (spec.name, *spec.aliases):
-            if name in _REGISTRY or name in _ALIASES:
-                raise ValueError(
-                    f"scheduler {name!r} is already registered; "
-                    "pass replace=True to overwrite"
-                )
+    if not replace and spec.name in _REGISTRY:
+        raise ValueError(
+            f"scheduler {spec.name!r} is already registered; "
+            "pass replace=True to overwrite"
+        )
     _REGISTRY[spec.name] = spec
-    for alias in spec.aliases:
-        _ALIASES[alias] = spec.name
     return spec
 
 
 def unregister(name: str) -> None:
     """Remove a spec (tests use this to clean up toy registrations)."""
-    spec = _REGISTRY.pop(name, None)
-    if spec is None:
+    if _REGISTRY.pop(name, None) is None:
         raise KeyError(name)
-    for alias in spec.aliases:
-        _ALIASES.pop(alias, None)
 
 
-def scheduler_name(scheduler: "SchedulerKind | str") -> str:
-    """The canonical registry name for an enum member or string."""
-    if isinstance(scheduler, SchedulerKind):
-        return scheduler.value
-    return str(scheduler)
-
-
-def resolve(scheduler: "SchedulerKind | str") -> SchedulerSpec:
-    """Look up a spec by name (or enum shim), with did-you-mean help."""
-    name = scheduler_name(scheduler)
-    name = _ALIASES.get(name, name)
+def resolve(name: str) -> SchedulerSpec:
+    """Look up a spec by name, with did-you-mean help."""
     spec = _REGISTRY.get(name)
     if spec is not None:
         return spec
     known = registered_names()
-    hints = difflib.get_close_matches(name, known + list(_ALIASES), n=3)
+    hints = difflib.get_close_matches(name, known, n=3)
     suggestion = f" — did you mean {', '.join(repr(h) for h in hints)}?" if hints else ""
     raise ValueError(
         f"unknown scheduler {name!r}{suggestion} "
@@ -172,7 +151,6 @@ def register_policy(
     policy_factory: Callable[[SchedulerBuildContext], "SchedulingPolicy"],
     description: str = "",
     memory_family: str = "paged",
-    aliases: tuple[str, ...] = (),
     replace: bool = False,
 ) -> SchedulerSpec:
     """Register a :class:`~repro.scheduling.policy.SchedulingPolicy`.
@@ -202,7 +180,6 @@ def register_policy(
             build=build,
             description=description,
             memory_family=memory_family,
-            aliases=aliases,
         ),
         replace=replace,
     )
@@ -298,46 +275,46 @@ def _build_hybrid_only(ctx: SchedulerBuildContext):
 
 def _register_builtins() -> None:
     register(SchedulerSpec(
-        name=SchedulerKind.FASTER_TRANSFORMER.value,
+        name="faster_transformer",
         build=_build_faster_transformer,
         memory_family="reservation",
         description="Request-level batching (Algorithm 1): a batch runs "
         "to full completion before the next forms.",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.ORCA.value,
+        name="orca",
         build=_build_orca,
         memory_family="reservation",
         description="Iteration-level batching with eager full prefills "
         "and reservation-style memory (Orca, §2.5).",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.VLLM.value,
+        name="vllm",
         build=_build_vllm,
         description="Prefill-prioritizing segregated batches over paged "
         "KV memory (Algorithm 2).",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.SARATHI.value,
+        name="sarathi",
         build=_build_sarathi,
         description="Stall-free batching with chunked prefills under a "
         "fixed token budget (Algorithm 3, the paper's contribution).",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.SARATHI_DYNAMIC.value,
+        name="sarathi_dynamic",
         build=_build_sarathi_dynamic,
         description="Sarathi with an SLO-driven per-iteration token "
         "budget priced on the execution model (§5.1).",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.CHUNKED_ONLY.value,
+        name="chunked_prefills_only",
         build=_build_chunked_only,
         description="Ablation: chunked prefills without hybrid batching "
         "— decode-only and prefill-only iterations stay segregated "
         "(Table 4).",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.HYBRID_ONLY.value,
+        name="hybrid_batching_only",
         build=_build_hybrid_only,
         description="Ablation: hybrid (mixed) batches without chunking "
         "— whole prompts ride along with decodes (Table 4).",

@@ -256,10 +256,6 @@ class VecPagedMemory:
     def prefix_stats(self) -> PrefixCacheStats | None:
         return self._store.stats if self._store is not None else None
 
-    @property
-    def shared_block_count(self) -> int:
-        return self._store.shared_blocks if self._store is not None else 0
-
     # -- allocator operations -----------------------------------------
     def can_admit(self, row: int) -> bool:
         needed = self._initial_blocks(row) - self._cached_tokens(row) // self.block_size

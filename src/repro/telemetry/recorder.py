@@ -96,19 +96,6 @@ def engine_rows(result: "SimulationResult") -> list[Row]:
     ]
 
 
-def prefix_cache_rows(result: "SimulationResult") -> list[Row]:
-    """One row of KV prefix-cache counters, when the run had a cache.
-
-    Empty when the run used a memory manager without a shared-prefix
-    store (reservation managers, or ``prefix_cache=False``), so sweeps
-    can concatenate tables across mixed configurations.
-    """
-    stats = result.prefix_stats
-    if stats is None:
-        return []
-    return [stats.as_row()]
-
-
 def write_jsonl(path: str | Path, rows: list[Row]) -> Path:
     """Write rows as JSON Lines; returns the resolved path."""
     path = Path(path)

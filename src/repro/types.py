@@ -27,18 +27,6 @@ class RequestPhase(enum.Enum):
     PREEMPTED = "preempted"
 
 
-class SchedulerKind(enum.Enum):
-    """The scheduler families studied by the paper (§2.5, §4)."""
-
-    FASTER_TRANSFORMER = "faster_transformer"
-    ORCA = "orca"
-    VLLM = "vllm"
-    SARATHI = "sarathi"
-    SARATHI_DYNAMIC = "sarathi_dynamic"
-    CHUNKED_ONLY = "chunked_prefills_only"
-    HYBRID_ONLY = "hybrid_batching_only"
-
-
 class PreemptionMode(str, enum.Enum):
     """What eviction does to a preempted request's KV cache.
 

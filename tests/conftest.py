@@ -15,6 +15,39 @@ from repro.models.catalog import TINY_1B
 from repro.parallel.config import ParallelConfig
 from repro.types import Request
 
+# The built-in schedulers' registry names, in registration order.
+BUILTIN_NAMES = (
+    "faster_transformer",
+    "orca",
+    "vllm",
+    "sarathi",
+    "sarathi_dynamic",
+    "chunked_prefills_only",
+    "hybrid_batching_only",
+)
+
+# The ids that parametrized scheduler tests have always carried, from
+# when a scheduler was named by an enum member: keeping them keeps each
+# test's name, and the history recorded under it, the same.
+_PARAM_IDS = dict(zip(BUILTIN_NAMES, (
+    "SchedulerKind.FASTER_TRANSFORMER",
+    "SchedulerKind.ORCA",
+    "SchedulerKind.VLLM",
+    "SchedulerKind.SARATHI",
+    "SchedulerKind.SARATHI_DYNAMIC",
+    "SchedulerKind.CHUNKED_ONLY",
+    "SchedulerKind.HYBRID_ONLY",
+)))
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    """Id a built-in scheduler passed as parameter ``kind`` by its
+    historical id (``test_x[SchedulerKind.SARATHI]``).  A site that
+    passes its own ``ids`` keeps them."""
+    if argname == "kind" and isinstance(val, str):
+        return _PARAM_IDS.get(val)
+    return None
+
 
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(

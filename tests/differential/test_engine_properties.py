@@ -22,18 +22,14 @@ from hypothesis import given, settings, strategies as st
 from repro.api import Deployment, ServingConfig, build_engine
 from repro.hardware.catalog import A100_80G
 from repro.models.catalog import TINY_1B
-from repro.types import Request, SchedulerKind
+from repro.types import Request
 
 from tests.conftest import shrink_kv_memory
 
 pytestmark = [pytest.mark.tier1, pytest.mark.usefixtures("core")]
 
 _DEPLOYMENT = Deployment(model=TINY_1B, gpu=A100_80G)
-_SCHEDULERS = [
-    SchedulerKind.SARATHI,
-    SchedulerKind.VLLM,
-    SchedulerKind.FASTER_TRANSFORMER,
-]
+_SCHEDULERS = ["sarathi", "vllm", "faster_transformer"]
 
 _SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -97,7 +93,7 @@ def test_monotone_completion_times(trace, kind):
 
 @_SETTINGS
 @given(
-    kind=st.sampled_from([SchedulerKind.SARATHI, SchedulerKind.VLLM]),
+    kind=st.sampled_from(["sarathi", "vllm"]),
     num_requests=st.integers(min_value=2, max_value=8),
     output_len=st.integers(min_value=50, max_value=200),
 )

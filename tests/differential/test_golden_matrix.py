@@ -12,25 +12,17 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ServingConfig, build_engine, clone_requests
-from repro.types import SchedulerKind
 
 from tests.differential.conftest import WORKLOADS
-from tests.differential.digests import FLEET_FAULTS, check
+from tests.differential.digests import (
+    ALL_SCHEDULERS,
+    FLEET_FAULTS,
+    PR_SCHEDULERS,
+    SEEDS,
+    check,
+)
 
 pytestmark = pytest.mark.tier1
-
-PR_SCHEDULERS = [
-    SchedulerKind.SARATHI,
-    SchedulerKind.SARATHI_DYNAMIC,
-    SchedulerKind.VLLM,
-    SchedulerKind.FASTER_TRANSFORMER,
-]
-ALL_SCHEDULERS = PR_SCHEDULERS + [
-    SchedulerKind.ORCA,
-    SchedulerKind.CHUNKED_ONLY,
-    SchedulerKind.HYBRID_ONLY,
-]
-SEEDS = [0, 1, 2]
 
 
 # ----------------------------------------------------------------------
@@ -40,7 +32,7 @@ SEEDS = [0, 1, 2]
 @pytest.mark.parametrize("kind", PR_SCHEDULERS)
 def test_single_replica_small(kind, workload):
     """The every-change slice: 4 schedulers × 3 workloads at small N."""
-    check(f"single/{kind.value}/{workload}/n14/s0")
+    check(f"single/{kind}/{workload}/n14/s0")
 
 
 @pytest.mark.slow
@@ -48,14 +40,14 @@ def test_single_replica_small(kind, workload):
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("kind", ALL_SCHEDULERS)
 def test_single_replica_full_matrix(kind, workload, seed):
-    check(f"single/{kind.value}/{workload}/n20/s{seed}")
+    check(f"single/{kind}/{workload}/n20/s{seed}")
 
 
 @pytest.mark.parametrize("mode", ["recompute", "swap"])
-@pytest.mark.parametrize("kind", [SchedulerKind.VLLM, SchedulerKind.SARATHI])
+@pytest.mark.parametrize("kind", ["vllm", "sarathi"])
 def test_preemption_and_swap_pressure(kind, mode):
     """Eviction, restart and swap paths are pinned too."""
-    out = dict(check(f"pressure/{kind.value}/{mode}"))
+    out = dict(check(f"pressure/{kind}/{mode}"))
     # The cell must actually exercise the pressure path, not pass
     # vacuously on an unpressured run.
     assert out["num_preemptions"] > 0
@@ -69,7 +61,7 @@ def test_max_time_cutoff_matches():
 
 def test_engine_stats_agree_on_work_done(tiny_deployment):
     """Event and batch counts describe the simulation that ran."""
-    config = ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=256)
+    config = ServingConfig(scheduler="sarathi", token_budget=256)
     engine = build_engine(tiny_deployment, config)
     result = engine.run(clone_requests(WORKLOADS["sharegpt"](14, 0)))
     stats = result.engine_stats
@@ -85,7 +77,7 @@ def test_engine_stats_agree_on_work_done(tiny_deployment):
 @pytest.mark.parametrize("kind", PR_SCHEDULERS)
 def test_pipeline_small(kind):
     """Every-change pipeline slice: pp=2 stage overlap."""
-    check(f"pp2/{kind.value}/sharegpt/n14/s0")
+    check(f"pp2/{kind}/sharegpt/n14/s0")
 
 
 @pytest.mark.slow
@@ -93,15 +85,15 @@ def test_pipeline_small(kind):
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("kind", ALL_SCHEDULERS)
 def test_pipeline_full_matrix(kind, workload, seed):
-    check(f"pp2/{kind.value}/{workload}/n20/s{seed}")
+    check(f"pp2/{kind}/{workload}/n20/s{seed}")
 
 
 @pytest.mark.parametrize(
-    "kind", [SchedulerKind.SARATHI, SchedulerKind.SARATHI_DYNAMIC]
+    "kind", ["sarathi", "sarathi_dynamic"]
 )
 def test_pipeline_preemption_pressure(kind):
     """In-flight rows must be exempt from eviction."""
-    out = dict(check(f"pp2/pressure/{kind.value}"))
+    out = dict(check(f"pp2/pressure/{kind}"))
     assert out["num_preemptions"] > 0
 
 
@@ -117,15 +109,15 @@ def _fleet_preemptions(out) -> int:
 def test_fleet_small(kind, fault_mode):
     """Every-change fleet slice: routing, failover, restarts and the
     degraded-mode fault kinds (slowdown, capacity_loss)."""
-    check(f"fleet/{kind.value}/sharegpt/{fault_mode}/n16/s0")
+    check(f"fleet/{kind}/sharegpt/{fault_mode}/n16/s0")
 
 
-@pytest.mark.parametrize("kind", [SchedulerKind.SARATHI, SchedulerKind.VLLM])
+@pytest.mark.parametrize("kind", ["sarathi", "vllm"])
 def test_fleet_capacity_pressure(kind):
     """A near-total mid-run KV shrink must force preemptions on the
     degraded replica — the free pool goes negative and the engine
     works the deficit off."""
-    out = dict(check(f"fleet/capacity_pressure/{kind.value}"))
+    out = dict(check(f"fleet/capacity_pressure/{kind}"))
     assert _fleet_preemptions(out) > 0
 
 
@@ -137,4 +129,4 @@ def test_fleet_capacity_pressure(kind):
 def test_fleet_full_matrix(kind, workload, fault_mode, seed):
     """The acceptance matrix: 4 schedulers × 3 workloads ×
     4 fault modes × 3 seeds."""
-    check(f"fleet/{kind.value}/{workload}/{fault_mode}/n16/s{seed}")
+    check(f"fleet/{kind}/{workload}/{fault_mode}/n16/s{seed}")

@@ -8,7 +8,6 @@ from repro.api import Deployment, ServingConfig, build_vectorized_scheduler
 from repro.hardware.catalog import A100_80G
 from repro.models.catalog import TINY_1B
 from repro.scheduling.vectorized import VecChunkedPrefillsOnlyScheduler
-from repro.types import SchedulerKind
 
 from tests.conftest import Harness, harness, make_request
 
@@ -63,7 +62,7 @@ class TestChunkedPrefillsOnly:
 
 def _hybrid_only() -> Harness:
     deployment = Deployment(model=TINY_1B, gpu=A100_80G)
-    config = ServingConfig(scheduler=SchedulerKind.HYBRID_ONLY, token_budget=256)
+    config = ServingConfig(scheduler="hybrid_batching_only", token_budget=256)
     return Harness(build_vectorized_scheduler(deployment, config))
 
 

@@ -25,9 +25,9 @@ from repro.scheduling.vectorized import (
     VecSarathiScheduler,
     VecVLLMScheduler,
 )
-from repro.types import Request, SchedulerKind
+from repro.types import Request
 
-from tests.conftest import make_request
+from tests.conftest import BUILTIN_NAMES, make_request
 
 
 class TestDeployment:
@@ -52,12 +52,12 @@ class TestBuildScheduler:
     @pytest.mark.parametrize(
         "kind,cls",
         [
-            (SchedulerKind.FASTER_TRANSFORMER, VecFasterTransformerScheduler),
-            (SchedulerKind.ORCA, VecOrcaScheduler),
-            (SchedulerKind.VLLM, VecVLLMScheduler),
-            (SchedulerKind.SARATHI, VecSarathiScheduler),
-            (SchedulerKind.CHUNKED_ONLY, VecChunkedPrefillsOnlyScheduler),
-            (SchedulerKind.HYBRID_ONLY, VecSarathiScheduler),
+            ("faster_transformer", VecFasterTransformerScheduler),
+            ("orca", VecOrcaScheduler),
+            ("vllm", VecVLLMScheduler),
+            ("sarathi", VecSarathiScheduler),
+            ("chunked_prefills_only", VecChunkedPrefillsOnlyScheduler),
+            ("hybrid_batching_only", VecSarathiScheduler),
         ],
     )
     def test_all_kinds_buildable(self, tiny_deployment, kind, cls):
@@ -68,17 +68,17 @@ class TestBuildScheduler:
 
     def test_memory_family_matches_scheduler(self, tiny_deployment):
         orca = build_vectorized_scheduler(
-            tiny_deployment, ServingConfig(scheduler=SchedulerKind.ORCA)
+            tiny_deployment, ServingConfig(scheduler="orca")
         )
         vllm = build_vectorized_scheduler(
-            tiny_deployment, ServingConfig(scheduler=SchedulerKind.VLLM)
+            tiny_deployment, ServingConfig(scheduler="vllm")
         )
         assert isinstance(orca.memory, VecReservationMemory)
         assert isinstance(vllm.memory, VecPagedMemory)
 
     def test_hybrid_only_has_chunking_disabled(self, tiny_deployment):
         s = build_vectorized_scheduler(
-            tiny_deployment, ServingConfig(scheduler=SchedulerKind.HYBRID_ONLY)
+            tiny_deployment, ServingConfig(scheduler="hybrid_batching_only")
         )
         assert not s.chunk_prefills
 
@@ -138,7 +138,7 @@ class TestSimulate:
             make_request(prompt_len=64, output_len=3, arrival_time=0.01 * i)
             for i in range(6)
         ]
-        for kind in SchedulerKind:
+        for kind in BUILTIN_NAMES:
             _, metrics = simulate(
                 tiny_deployment, ServingConfig(scheduler=kind), trace
             )

@@ -11,11 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ServingConfig, build_engine
-from repro.types import SchedulerKind
 
-from tests.conftest import make_request
-
-ALL_SCHEDULERS = list(SchedulerKind)
+from tests.conftest import BUILTIN_NAMES, make_request
 
 
 def _mixed_trace(n=18):
@@ -34,7 +31,7 @@ def _mixed_trace(n=18):
     return trace
 
 
-@pytest.mark.parametrize("kind", ALL_SCHEDULERS, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", BUILTIN_NAMES, ids=str)
 class TestEverySchedulerSingleStage:
     def test_completes_and_conserves_tokens(self, tiny_deployment, kind):
         trace = _mixed_trace()
@@ -70,7 +67,7 @@ class TestEverySchedulerSingleStage:
             assert cur.start >= prev.end - 1e-12
 
 
-@pytest.mark.parametrize("kind", ALL_SCHEDULERS, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", BUILTIN_NAMES, ids=str)
 class TestEverySchedulerPipeline:
     def test_completes_under_pp2(self, tiny_pp_deployment, kind):
         trace = _mixed_trace(n=12)
@@ -105,7 +102,7 @@ class TestSarathiStallBoundHolds:
     def test_no_iteration_exceeds_budget(self, tiny_deployment, budget):
         engine = build_engine(
             tiny_deployment,
-            ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=budget),
+            ServingConfig(scheduler="sarathi", token_budget=budget),
         )
         result = engine.run(_mixed_trace())
         for record in result.records:
@@ -113,7 +110,7 @@ class TestSarathiStallBoundHolds:
 
     def test_vllm_iterations_unbounded_by_contrast(self, tiny_deployment):
         engine = build_engine(
-            tiny_deployment, ServingConfig(scheduler=SchedulerKind.VLLM)
+            tiny_deployment, ServingConfig(scheduler="vllm")
         )
         result = engine.run(_mixed_trace())
         assert max(r.num_tokens for r in result.records) > 2048

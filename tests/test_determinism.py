@@ -16,7 +16,6 @@ import dataclasses
 import pytest
 
 from repro.api import ServingConfig, build_engine, clone_requests
-from repro.types import SchedulerKind
 from repro.workload.datasets import ARXIV_SUMMARIZATION, SHAREGPT4, generate_requests
 
 from tests.conftest import make_request, shrink_kv_memory
@@ -66,12 +65,7 @@ def _request_timelines(result):
 @pytest.mark.usefixtures("core")
 @pytest.mark.parametrize(
     "kind",
-    [
-        SchedulerKind.SARATHI,
-        SchedulerKind.VLLM,
-        SchedulerKind.FASTER_TRANSFORMER,
-        SchedulerKind.SARATHI_DYNAMIC,
-    ],
+    ["sarathi", "vllm", "faster_transformer", "sarathi_dynamic"],
 )
 @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
 def test_golden_trace_single_stage(tiny_deployment, kind, cached):
@@ -112,7 +106,7 @@ def test_golden_trace_under_preemption_pressure(tiny_deployment):
         make_request(prompt_len=256, output_len=300, arrival_time=0.005 * i)
         for i in range(10)
     ]
-    config = ServingConfig(scheduler=SchedulerKind.VLLM, preemption_mode="recompute")
+    config = ServingConfig(scheduler="vllm", preemption_mode="recompute")
 
     def run():
         built = build_engine(tiny_deployment, config)

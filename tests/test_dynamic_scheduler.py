@@ -9,7 +9,7 @@ from repro.hardware.catalog import A100_80G
 from repro.models.catalog import TINY_1B
 from repro.perf.profiler import derive_slo
 from repro.scheduling.vectorized import VecDynamicSarathiScheduler
-from repro.types import SchedulerKind, TokenWork
+from repro.types import TokenWork
 
 from tests.conftest import harness, make_request
 
@@ -101,7 +101,7 @@ class TestEndToEnd:
             make_request(prompt_len=500, output_len=20, arrival_time=0.02 * i)
             for i in range(30)
         ]
-        config = ServingConfig(scheduler=SchedulerKind.SARATHI_DYNAMIC)
+        config = ServingConfig(scheduler="sarathi_dynamic")
         result, metrics = simulate(tiny_deployment, config, trace)
         assert all(r.is_finished for r in result.requests)
         slo = derive_slo(tiny_deployment.execution_model(), strict=True)
@@ -109,7 +109,7 @@ class TestEndToEnd:
 
     def test_build_scheduler_wires_oracle(self, tiny_deployment):
         scheduler = build_vectorized_scheduler(
-            tiny_deployment, ServingConfig(scheduler=SchedulerKind.SARATHI_DYNAMIC)
+            tiny_deployment, ServingConfig(scheduler="sarathi_dynamic")
         )
         assert isinstance(scheduler, VecDynamicSarathiScheduler)
         # The pricing oracle charges more tokens more time.
@@ -118,7 +118,7 @@ class TestEndToEnd:
 
     def test_explicit_slo_respected(self, tiny_deployment):
         config = ServingConfig(
-            scheduler=SchedulerKind.SARATHI_DYNAMIC, tbt_slo=0.25
+            scheduler="sarathi_dynamic", tbt_slo=0.25
         )
         scheduler = build_vectorized_scheduler(tiny_deployment, config)
         assert scheduler.tbt_slo == 0.25
@@ -132,9 +132,9 @@ class TestEndToEnd:
         ]
         exec_model = tiny_deployment.execution_model()
         slo = derive_slo(exec_model, strict=True)
-        static = ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=256)
+        static = ServingConfig(scheduler="sarathi", token_budget=256)
         dynamic_cfg = ServingConfig(
-            scheduler=SchedulerKind.SARATHI_DYNAMIC, tbt_slo=slo
+            scheduler="sarathi_dynamic", tbt_slo=slo
         )
         _, static_metrics = simulate(tiny_deployment, static, trace)
         _, dynamic_metrics = simulate(tiny_deployment, dynamic_cfg, trace)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import Deployment, ServingConfig, build_engine, simulate
 from repro.engine.simulator import EventQueue
-from repro.types import Request, SchedulerKind
+from repro.types import Request
 
 from tests.conftest import make_request
 
@@ -77,7 +77,7 @@ class TestEventQueue:
 
 @pytest.mark.usefixtures("core")
 class TestReplicaEngineSingleStage:
-    def _run(self, deployment, requests, scheduler=SchedulerKind.SARATHI, **cfg):
+    def _run(self, deployment, requests, scheduler="sarathi", **cfg):
         config = ServingConfig(scheduler=scheduler, **cfg)
         engine = build_engine(deployment, config)
         return engine.run(requests)
@@ -131,7 +131,7 @@ class TestReplicaEngineSingleStage:
 
     def test_max_time_cutoff_leaves_unfinished(self, tiny_deployment):
         requests = [make_request(prompt_len=2000, output_len=200) for _ in range(4)]
-        config = ServingConfig(scheduler=SchedulerKind.SARATHI)
+        config = ServingConfig(scheduler="sarathi")
         engine = build_engine(tiny_deployment, config)
         result = engine.run(requests, max_time=0.05)
         assert result.unfinished
@@ -164,7 +164,7 @@ class TestReplicaEngineSingleStage:
         assert early.first_token_at < late.first_token_at
 
     def test_vllm_and_ft_also_run_clean(self, tiny_deployment):
-        for kind in (SchedulerKind.VLLM, SchedulerKind.FASTER_TRANSFORMER):
+        for kind in ("vllm", "faster_transformer"):
             requests = [
                 make_request(prompt_len=100, output_len=4, arrival_time=0.01 * i)
                 for i in range(8)
@@ -279,9 +279,8 @@ class TestEngineConfigValidation:
 
     def test_invalid_preemption_mode_via_api(self, tiny_deployment):
         from repro.api import ServingConfig
-        from repro.types import SchedulerKind
 
         # Validation moved to construction time: the typo fails where
         # it was written, not inside the scheduler factory.
         with pytest.raises(ValueError, match="preemption_mode"):
-            ServingConfig(scheduler=SchedulerKind.VLLM, preemption_mode="teleport")
+            ServingConfig(scheduler="vllm", preemption_mode="teleport")

@@ -18,7 +18,6 @@ from repro.experiments import (
     token_budget_for,
     yi_deployment,
 )
-from repro.types import SchedulerKind
 
 TINY = Scale(num_requests=24, capacity_rel_tol=0.5, capacity_max_probes=5)
 
@@ -239,7 +238,7 @@ class TestCapacityRunnerSmoke:
 
         spec = CapacityCellSpec(
             deployment=mistral_deployment(),
-            scheduler=SchedulerKind.SARATHI,
+            scheduler="sarathi",
             dataset=SHAREGPT4,
             scale=TINY,
             strict=True,

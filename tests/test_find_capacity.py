@@ -22,7 +22,6 @@ from repro.metrics.capacity import find_capacity, ladder_qps
 from repro.metrics.slo import SLOSpec, derived_slo
 from repro.models.catalog import YI_34B
 from repro.parallel.config import ParallelConfig
-from repro.types import SchedulerKind
 from repro.workload.datasets import get_dataset
 
 pytestmark = pytest.mark.tier1
@@ -102,20 +101,18 @@ def _small_deployment() -> Deployment:
     )
 
 
-@pytest.mark.parametrize(
-    "scheduler", [SchedulerKind.SARATHI, SchedulerKind.SARATHI_DYNAMIC]
-)
-def test_capacity_is_hint_independent(scheduler):
+@pytest.mark.parametrize("kind", ["sarathi", "sarathi_dynamic"])
+def test_capacity_is_hint_independent(kind):
     deployment = _small_deployment()
     slo = derived_slo(deployment.execution_model(), strict=True)
-    config = ServingConfig(scheduler=scheduler, token_budget=256)
+    config = ServingConfig(scheduler=kind, token_budget=256)
     dataset = get_dataset("openchat_sharegpt4")
 
     def search(hint):
         kwargs = {} if hint is None else {"qps_hint": hint}
         return measure_capacity(
             deployment,
-            scheduler,
+            kind,
             dataset,
             slo,
             _SCALE,

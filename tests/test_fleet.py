@@ -27,7 +27,7 @@ from repro.cluster.router import (
 )
 from repro.metrics.goodput import RequestSLO, fleet_goodput
 from repro.telemetry.fleet import fleet_rows, replica_utilization_rows
-from repro.types import PreemptionMode, SchedulerKind
+from repro.types import PreemptionMode
 
 from tests.conftest import make_request
 
@@ -611,7 +611,7 @@ class TestServingConfigValidation:
 
     def test_valid_config_still_constructs(self):
         config = ServingConfig(
-            scheduler=SchedulerKind.SARATHI, token_budget=256, tbt_slo=0.2
+            scheduler="sarathi", token_budget=256, tbt_slo=0.2
         )
         assert config.token_budget == 256
 

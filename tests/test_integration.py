@@ -14,8 +14,9 @@ from repro.hardware.catalog import A100_80G
 from repro.metrics.timeline import longest_stall, stage_utilization
 from repro.models.catalog import MISTRAL_7B
 from repro.parallel.config import ParallelConfig
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
+
+from tests.conftest import BUILTIN_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ def trace():
 @pytest.fixture(scope="module")
 def results(mistral, trace):
     out = {}
-    for kind in SchedulerKind:
+    for kind in BUILTIN_NAMES:
         config = ServingConfig(scheduler=kind, token_budget=512)
         out[kind] = simulate(mistral, config, trace)
     return out
@@ -40,30 +41,30 @@ def results(mistral, trace):
 class TestGenerationStalls:
     def test_vllm_stalls_sarathi_does_not(self, results):
         """Figure 1a / §3.2."""
-        vllm_worst = longest_stall(results[SchedulerKind.VLLM][0].finished_requests)
+        vllm_worst = longest_stall(results["vllm"][0].finished_requests)
         sarathi_worst = longest_stall(
-            results[SchedulerKind.SARATHI][0].finished_requests
+            results["sarathi"][0].finished_requests
         )
         assert vllm_worst > 3 * sarathi_worst
 
     def test_orca_also_stalls(self, results):
-        orca_worst = longest_stall(results[SchedulerKind.ORCA][0].finished_requests)
+        orca_worst = longest_stall(results["orca"][0].finished_requests)
         sarathi_worst = longest_stall(
-            results[SchedulerKind.SARATHI][0].finished_requests
+            results["sarathi"][0].finished_requests
         )
         assert orca_worst > 2 * sarathi_worst
 
     def test_ft_has_best_tbt_but_terrible_ttft(self, results):
         """Decode-prioritizing optimizes TBT at the cost of queueing (§3.2)."""
-        ft = results[SchedulerKind.FASTER_TRANSFORMER][1]
-        sarathi = results[SchedulerKind.SARATHI][1]
+        ft = results["faster_transformer"][1]
+        sarathi = results["sarathi"][1]
         assert ft.p99_tbt <= sarathi.p99_tbt
         assert ft.median_ttft > 3 * sarathi.median_ttft
 
     def test_sarathi_p99_tbt_best_of_iteration_level(self, results):
-        sarathi = results[SchedulerKind.SARATHI][1].p99_tbt
-        assert sarathi < results[SchedulerKind.VLLM][1].p99_tbt
-        assert sarathi < results[SchedulerKind.ORCA][1].p99_tbt
+        sarathi = results["sarathi"][1].p99_tbt
+        assert sarathi < results["vllm"][1].p99_tbt
+        assert sarathi < results["orca"][1].p99_tbt
 
     def test_sarathi_tbt_bounded_by_budget_iteration(self, mistral, results):
         """Stall-free guarantee: no inter-token gap far above one
@@ -72,42 +73,42 @@ class TestGenerationStalls:
         from repro.perf.profiler import hybrid_iteration_time
 
         bound = hybrid_iteration_time(exec_model, 512 + 128)
-        worst = longest_stall(results[SchedulerKind.SARATHI][0].finished_requests)
+        worst = longest_stall(results["sarathi"][0].finished_requests)
         assert worst < 3 * bound
 
 
 class TestThroughput:
     def test_iteration_level_beats_request_level(self, results):
         """Orca's claim: iteration-level batching wins throughput."""
-        ft = results[SchedulerKind.FASTER_TRANSFORMER][1]
-        for kind in (SchedulerKind.VLLM, SchedulerKind.SARATHI, SchedulerKind.ORCA):
+        ft = results["faster_transformer"][1]
+        for kind in ("vllm", "sarathi", "orca"):
             assert results[kind][1].makespan < ft.makespan
 
     def test_sarathi_throughput_close_to_vllm(self, results):
         """Stall-freedom costs little total throughput."""
-        sarathi = results[SchedulerKind.SARATHI][1]
-        vllm = results[SchedulerKind.VLLM][1]
+        sarathi = results["sarathi"][1]
+        vllm = results["vllm"][1]
         assert sarathi.makespan < 1.3 * vllm.makespan
 
 
 class TestAblations:
     def test_combined_beats_each_alone_on_tbt(self, results):
-        combined = results[SchedulerKind.SARATHI][1].p99_tbt
-        hybrid_only = results[SchedulerKind.HYBRID_ONLY][1].p99_tbt
+        combined = results["sarathi"][1].p99_tbt
+        hybrid_only = results["hybrid_batching_only"][1].p99_tbt
         assert combined < hybrid_only
 
     def test_hybrid_only_still_stalls(self, results):
         """Table 4: full prefills in hybrid batches keep TBT high."""
         hybrid_only = longest_stall(
-            results[SchedulerKind.HYBRID_ONLY][0].finished_requests
+            results["hybrid_batching_only"][0].finished_requests
         )
-        combined = longest_stall(results[SchedulerKind.SARATHI][0].finished_requests)
+        combined = longest_stall(results["sarathi"][0].finished_requests)
         assert hybrid_only > 2 * combined
 
     def test_chunked_only_ttft_worse_than_combined(self, results):
         """Table 4: chunks without coalescing serialize prefill progress."""
-        chunked_only = results[SchedulerKind.CHUNKED_ONLY][1]
-        combined = results[SchedulerKind.SARATHI][1]
+        chunked_only = results["chunked_prefills_only"][1]
+        combined = results["sarathi"][1]
         assert chunked_only.median_ttft > combined.median_ttft
 
 
@@ -124,14 +125,14 @@ class TestPipelineBubbles:
         trace = generate_requests(SHAREGPT4, num_requests=40, qps=2.5, seed=9)
         cvs = {}
         bubbles = {}
-        for kind in (SchedulerKind.ORCA, SchedulerKind.SARATHI):
+        for kind in ("orca", "sarathi"):
             config = ServingConfig(scheduler=kind, token_budget=512)
             result, _ = simulate(deployment, config, trace)
             durations = [r.duration for r in result.records if r.stage == 0]
             cvs[kind] = np.std(durations) / np.mean(durations)
             bubbles[kind] = stage_utilization(result.records, 1).bubble_time
-        assert cvs[SchedulerKind.SARATHI] < cvs[SchedulerKind.ORCA]
-        assert bubbles[SchedulerKind.SARATHI] < bubbles[SchedulerKind.ORCA]
+        assert cvs["sarathi"] < cvs["orca"]
+        assert bubbles["sarathi"] < bubbles["orca"]
 
 
 class TestMemoryPressure:
@@ -141,7 +142,7 @@ class TestMemoryPressure:
         from tests.conftest import shrink_kv_memory
 
         deployment = Deployment(model=MISTRAL_7B, gpu=A100_80G)
-        config = ServingConfig(scheduler=SchedulerKind.VLLM)
+        config = ServingConfig(scheduler="vllm")
         engine = build_engine(deployment, config)
         # Shrink memory drastically to force preemption.
         shrink_kv_memory(engine, capacity_tokens=8192)
@@ -165,6 +166,6 @@ class TestGoodput:
             kind: goodput(result, slo).attainment
             for kind, (result, _metrics) in results.items()
         }
-        assert attainment[SchedulerKind.SARATHI] >= attainment[SchedulerKind.VLLM]
-        assert attainment[SchedulerKind.SARATHI] >= attainment[SchedulerKind.ORCA]
-        assert attainment[SchedulerKind.SARATHI] > 0.8
+        assert attainment["sarathi"] >= attainment["vllm"]
+        assert attainment["sarathi"] >= attainment["orca"]
+        assert attainment["sarathi"] > 0.8

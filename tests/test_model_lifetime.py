@@ -26,7 +26,6 @@ from repro.hardware.catalog import A100_80G
 from repro.models.catalog import YI_34B
 from repro.parallel.config import ParallelConfig
 from repro.perf.cache import CachedExecutionModel
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4
 
 TINY = Scale(num_requests=8, capacity_rel_tol=0.5, capacity_max_probes=3)
@@ -70,7 +69,7 @@ def test_capacity_cells(built_models):
             strict=True,
             qps_hint=1.0,
         )
-        for scheduler in (SchedulerKind.VLLM, SchedulerKind.SARATHI_DYNAMIC)
+        for scheduler in ("vllm", "sarathi_dynamic")
     ]
     outcomes = run_capacity_cells(specs, jobs=1)
     assert len(outcomes) == 2
@@ -82,7 +81,7 @@ def test_capacity_cells(built_models):
 def test_fleet_point(built_models, tiny_deployment):
     spec = FleetPointSpec(
         deployment=tiny_deployment,
-        config=ServingConfig(scheduler=SchedulerKind.SARATHI),
+        config=ServingConfig(scheduler="sarathi"),
         scale=TINY,
         num_replicas=2,
         qps=2.0,
@@ -99,7 +98,7 @@ def test_fleet_point(built_models, tiny_deployment):
 def test_resilience_point(built_models, tiny_deployment):
     spec = ResiliencePointSpec(
         deployment=tiny_deployment,
-        config=ServingConfig(scheduler=SchedulerKind.SARATHI),
+        config=ServingConfig(scheduler="sarathi"),
         scale=TINY,
         num_replicas=2,
         qps=2.0,

@@ -29,7 +29,7 @@ from repro.parallel.config import ParallelConfig
 from repro.perf.attention import AttentionModel
 from repro.perf.cache import CachedExecutionModel, CacheStats
 from repro.telemetry.recorder import iteration_rows, request_rows
-from repro.types import SchedulerKind, TokenWork
+from repro.types import TokenWork
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 
@@ -200,7 +200,7 @@ def _comparable_iteration_rows(result):
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize(
         "kind",
-        [SchedulerKind.SARATHI, SchedulerKind.VLLM, SchedulerKind.SARATHI_DYNAMIC],
+        ["sarathi", "vllm", "sarathi_dynamic"],
     )
     def test_simulation_outputs_bit_identical(self, tiny_deployment, kind):
         trace = generate_requests(SHAREGPT4, num_requests=24, qps=2.0, seed=5)
@@ -248,7 +248,7 @@ class TestThreading:
         # The engine and the dynamic scheduler both price through the
         # shared model, so a replayed trace is served from warm memos.
         config = ServingConfig(
-            scheduler=SchedulerKind.SARATHI_DYNAMIC, token_budget=256
+            scheduler="sarathi_dynamic", token_budget=256
         )
         model = execution_model_for(tiny_deployment)
         trace = generate_requests(SHAREGPT4, num_requests=8, qps=1.0, seed=2)
@@ -262,7 +262,7 @@ class TestThreading:
         assert result.cache_stats == model.cache_stats
 
     @pytest.mark.parametrize(
-        "kind", [SchedulerKind.SARATHI, SchedulerKind.SARATHI_DYNAMIC]
+        "kind", ["sarathi", "sarathi_dynamic"]
     )
     def test_replay_prices_no_attention(self, tiny_deployment, kind, monkeypatch):
         config = ServingConfig(scheduler=kind, token_budget=256)
@@ -282,6 +282,6 @@ class TestThreading:
 
     def test_dynamic_scheduler_shares_engine_model(self, tiny_deployment):
         engine = build_engine(
-            tiny_deployment, ServingConfig(scheduler=SchedulerKind.SARATHI_DYNAMIC)
+            tiny_deployment, ServingConfig(scheduler="sarathi_dynamic")
         )
         assert engine.scheduler.exec_model is engine.exec_model

@@ -15,7 +15,6 @@ from repro.reporting import (
     render_markdown,
     write_bench_json,
 )
-from repro.types import SchedulerKind
 
 from tests.conftest import make_request
 
@@ -34,7 +33,7 @@ def rows(request):
     return compare_schedulers(
         deployment,
         trace,
-        schedulers=(SchedulerKind.VLLM, SchedulerKind.SARATHI),
+        schedulers=("vllm", "sarathi"),
         token_budget=256,
     )
 

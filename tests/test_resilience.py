@@ -37,7 +37,6 @@ from repro.hardware.catalog import A100_80G
 from repro.metrics.recovery import recovery_report
 from repro.metrics.stats import jain_fairness
 from repro.models.catalog import TINY_1B
-from repro.types import SchedulerKind
 
 from tests.conftest import make_request
 
@@ -384,7 +383,7 @@ class TestBrownoutController:
 class TestBudgetOverride:
     @pytest.mark.usefixtures("core")
     @pytest.mark.parametrize(
-        "kind", [SchedulerKind.SARATHI, SchedulerKind.SARATHI_DYNAMIC]
+        "kind", ["sarathi", "sarathi_dynamic"]
     )
     def test_override_clamps_and_restores(self, kind):
         built = build_engine(
@@ -607,7 +606,7 @@ class TestResilienceExperiment:
 
         deployment = mistral_deployment()
         config = ServingConfig(
-            scheduler=SchedulerKind.SARATHI, token_budget=SWEEP_TOKEN_BUDGET
+            scheduler="sarathi", token_budget=SWEEP_TOKEN_BUDGET
         )
         slo = derived_slo(execution_model_for(deployment), strict=True)
         scale = Scale(

@@ -37,7 +37,6 @@ from repro.runtime import (
     sweep_env,
 )
 from repro.telemetry import capacity_probe_rows, sweep_cell_rows
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4
 
 TINY = Scale(num_requests=12, capacity_rel_tol=0.5, capacity_max_probes=3)
@@ -70,7 +69,7 @@ def tiny_grid_specs(scale: Scale = TINY) -> list[CapacityCellSpec]:
             qps_hint=1.0,
         )
         for strict in (True, False)
-        for scheduler in (SchedulerKind.VLLM, SchedulerKind.SARATHI_DYNAMIC)
+        for scheduler in ("vllm", "sarathi_dynamic")
     ]
 
 
@@ -146,14 +145,14 @@ class TestWavePlanning:
         with pytest.raises(ValueError, match="strict"):
             CapacityCellSpec(
                 deployment=deployment,
-                scheduler=SchedulerKind.VLLM,
+                scheduler="vllm",
                 dataset=SHAREGPT4,
                 scale=TINY,
             )
         with pytest.raises(ValueError, match="qps_hint"):
             CapacityCellSpec(
                 deployment=deployment,
-                scheduler=SchedulerKind.VLLM,
+                scheduler="vllm",
                 dataset=SHAREGPT4,
                 scale=TINY,
                 strict=True,
@@ -187,18 +186,18 @@ class TestServingConfigValidation:
         deployment = Deployment(model=TINY_1B, gpu=A100_80G)
         with pytest.raises(ValueError, match="token_budget"):
             serving_config_for(
-                deployment, SchedulerKind.SARATHI, strict=True, token_budget=0
+                deployment, "sarathi", strict=True, token_budget=0
             )
 
     def test_none_budget_uses_regime_default(self):
         deployment = Deployment(model=TINY_1B, gpu=A100_80G)
-        config = serving_config_for(deployment, SchedulerKind.SARATHI, strict=True)
+        config = serving_config_for(deployment, "sarathi", strict=True)
         assert config.token_budget == token_budget_for(deployment, strict=True)
 
     def test_explicit_budget_respected(self):
         deployment = Deployment(model=TINY_1B, gpu=A100_80G)
         config = serving_config_for(
-            deployment, SchedulerKind.SARATHI, strict=True, token_budget=96
+            deployment, "sarathi", strict=True, token_budget=96
         )
         assert config.token_budget == 96
 

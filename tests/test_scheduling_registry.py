@@ -1,38 +1,28 @@
-"""Unit tests for the scheduler registry and the enum compatibility shim.
+"""Unit tests for the scheduler registry.
 
-``SchedulerKind`` is now a thin alias layer over the string-keyed
-registry; these tests pin the resolution rules (names, aliases, enums,
-did-you-mean errors), the registration guard rails, and — the load
-bearing one — that building a scheduler through the enum shim and
-through its registry name produces bit-identical simulations.
+These pin the resolution rules (registry names, did-you-mean errors),
+the registration guard rails, and that a scheduler's registry name is
+the only name it has.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+
 import pytest
 
-from repro.api import ServingConfig, build_vectorized_scheduler, simulate
+from repro.api import ServingConfig
 from repro.scheduling.registry import (
     SchedulerSpec,
     list_specs,
     register,
     registered_names,
     resolve,
-    scheduler_name,
     unregister,
 )
-from repro.types import SchedulerKind
-from tests.conftest import make_request
+from tests.conftest import BUILTIN_NAMES
 
-BUILTIN_NAMES = (
-    "faster_transformer",
-    "orca",
-    "vllm",
-    "sarathi",
-    "sarathi_dynamic",
-    "chunked_prefills_only",
-    "hybrid_batching_only",
-)
 THEORY_NAMES = ("srpt_oracle", "srpt_predicted", "fcfs_aging")
 
 
@@ -43,13 +33,23 @@ class TestResolution:
         for name in THEORY_NAMES:
             assert name in names
 
-    def test_resolve_by_enum_and_by_string_agree(self):
-        for kind in SchedulerKind:
-            assert resolve(kind) is resolve(kind.value)
+    def test_resolve_returns_the_named_spec(self):
+        for name in BUILTIN_NAMES + THEORY_NAMES:
+            assert resolve(name).name == name
 
-    def test_scheduler_name_normalizes(self):
-        assert scheduler_name(SchedulerKind.SARATHI) == "sarathi"
-        assert scheduler_name("srpt_oracle") == "srpt_oracle"
+    def test_registry_name_is_the_only_name(self):
+        # The enum shim, its name normalizer and registry aliases are
+        # gone: a scheduler is named by its registry string alone.
+        for module in ("repro", "repro.types", "repro.scheduling"):
+            loaded = importlib.import_module(module)
+            assert not hasattr(loaded, "SchedulerKind"), module
+            assert not hasattr(loaded, "scheduler_name"), module
+        fields = [f.name for f in dataclasses.fields(SchedulerSpec)]
+        assert fields == ["name", "build", "description", "memory_family"]
+
+    def test_config_rejects_a_scheduler_that_is_not_a_name(self):
+        with pytest.raises(TypeError, match="registry name"):
+            ServingConfig(scheduler=None)
 
     def test_unknown_name_suggests_nearest(self):
         with pytest.raises(ValueError, match="did you mean 'sarathi_dynamic'"):
@@ -76,7 +76,8 @@ class TestRegistrationGuards:
         try:
             with pytest.raises(ValueError, match="already registered"):
                 register(self._spec("guard_test"))
-            register(self._spec("guard_test"), replace=True)
+            replacement = register(self._spec("guard_test"), replace=True)
+            assert resolve("guard_test") is replacement
         finally:
             unregister("guard_test")
         assert "guard_test" not in registered_names()
@@ -96,42 +97,3 @@ class TestRegistrationGuards:
                 build=lambda ctx: None,
                 memory_family="slab",
             )
-
-
-class TestEnumShimDifferential:
-    @pytest.mark.parametrize("kind", list(SchedulerKind))
-    def test_enum_and_string_builds_are_bit_identical(self, tiny_deployment, kind):
-        trace = [
-            make_request(
-                prompt_len=48 + 16 * (i % 5), output_len=6, arrival_time=0.15 * i
-            )
-            for i in range(12)
-        ]
-        by_enum, enum_metrics = simulate(
-            tiny_deployment, ServingConfig(scheduler=kind, token_budget=128), trace
-        )
-        by_name, name_metrics = simulate(
-            tiny_deployment,
-            ServingConfig(scheduler=kind.value, token_budget=128),
-            trace,
-        )
-        assert enum_metrics == name_metrics
-        for a, b in zip(by_enum.requests, by_name.requests, strict=True):
-            assert a.token_times == b.token_times
-            assert a.finished_at == b.finished_at
-
-    def test_enum_valued_string_normalizes_to_enum(self):
-        # ServingConfig keeps `config.scheduler is SchedulerKind.X`
-        # working for enum-valued strings (late-registered plug-in
-        # names stay as strings until build time).
-        config = ServingConfig(scheduler="sarathi")
-        assert config.scheduler is SchedulerKind.SARATHI
-        assert ServingConfig(scheduler="srpt_oracle").scheduler == "srpt_oracle"
-
-    def test_same_class_from_both_paths(self, tiny_deployment):
-        for kind in SchedulerKind:
-            a = build_vectorized_scheduler(tiny_deployment, ServingConfig(scheduler=kind))
-            b = build_vectorized_scheduler(
-                tiny_deployment, ServingConfig(scheduler=kind.value)
-            )
-            assert type(a) is type(b)

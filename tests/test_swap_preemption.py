@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import ServingConfig, build_engine
 from repro.scheduling.vectorized import VecVLLMScheduler
-from repro.types import RequestPhase, SchedulerKind
+from repro.types import RequestPhase
 
 from tests.conftest import harness, make_request, shrink_kv_memory
 
@@ -102,7 +102,7 @@ class TestSwapLifecycle:
 class TestEngineChargesSwapTime:
     def test_swap_traffic_extends_iterations(self, tiny_deployment):
         config = ServingConfig(
-            scheduler=SchedulerKind.VLLM, preemption_mode="swap"
+            scheduler="vllm", preemption_mode="swap"
         )
         engine = build_engine(tiny_deployment, config)
         # Shrink memory to force swapping.
@@ -121,7 +121,7 @@ class TestEngineChargesSwapTime:
         """Every swap-out is matched by a swap-in, and swapping adds no
         re-prefill work: total recorded prefill equals the requests'
         prefill targets (which only self-preemption recomputes grow)."""
-        config = ServingConfig(scheduler=SchedulerKind.VLLM, preemption_mode="swap")
+        config = ServingConfig(scheduler="vllm", preemption_mode="swap")
         engine = build_engine(tiny_deployment, config)
         shrink_kv_memory(engine)
         trace = [

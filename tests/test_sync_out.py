@@ -25,7 +25,6 @@ from repro.cluster.fleet import (
 )
 from repro.cluster.router import RoundRobinRouter
 from repro.engine.arrays import EmissionLog, RequestArrays
-from repro.types import SchedulerKind
 from repro.workload.conversation import ConversationWorkload
 
 from tests.conftest import make_request
@@ -53,7 +52,7 @@ def _drive(deployment, trace, sync_seed: int | None = None, on_step=None):
     ``on_step(engine)`` runs after every delivery and engine step.
     """
     engine = build_engine(
-        deployment, ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=128)
+        deployment, ServingConfig(scheduler="sarathi", token_budget=128)
     )
     arrivals = sorted(clone_requests(trace), key=lambda r: r.arrival_time)
     rng = None if sync_seed is None else random.Random(sync_seed)
@@ -205,7 +204,7 @@ def test_followup_handoff_sees_final_token_times(tiny_deployment):
         return workload.followup(request, now)
 
     engine = build_engine(
-        tiny_deployment, ServingConfig(scheduler=SchedulerKind.SARATHI)
+        tiny_deployment, ServingConfig(scheduler="sarathi")
     )
     result = engine.run(workload.initial_requests(), followup_fn=followup)
     assert len(engine._emit_log) == 0

@@ -16,7 +16,6 @@ from repro.telemetry.recorder import (
     write_csv,
     write_jsonl,
 )
-from repro.types import SchedulerKind
 from repro.workload.trace import load_trace, save_trace, trace_statistics
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
@@ -90,7 +89,7 @@ class TestCounters:
         # dynamic scheduler prices candidate budgets through it, so the
         # run's counters carry real hit/miss numbers.
         trace = [make_request(prompt_len=200, output_len=6) for _ in range(4)]
-        config = ServingConfig(scheduler=SchedulerKind.SARATHI_DYNAMIC, token_budget=128)
+        config = ServingConfig(scheduler="sarathi_dynamic", token_budget=128)
         counters = run_counters(build_engine(tiny_deployment, config).run(trace))
         assert counters["cache_misses"] > 0
         assert counters["cache_size"] > 0
