@@ -32,29 +32,11 @@ from repro._exports import lazy_exports
 
 __version__ = "0.1.0"
 
+# The entry points only; everything else is public in its subpackage
+# (``repro.cluster.FaultSchedule``, ``repro.api.build_engine``, ...).
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".api": (
-        "Deployment",
-        "ServingConfig",
-        "simulate",
-        "build_engine",
-        "clone_requests",
-    ),
-    ".cluster.fleet": (
-        "simulate_fleet",
-        "FleetConfig",
-        "FleetResult",
-        "FaultSchedule",
-        "ReplicaFault",
-        "AdmissionPolicy",
-    ),
-    ".cluster.router": ("LeastOutstandingTokensRouter", "SloAwareRouter"),
-    ".types": (
-        "PreemptionMode",
-        "Request",
-        "RequestPhase",
-        "TokenWork",
-        "IterationTime",
-    ),
+    ".api": ("Deployment", "ServingConfig", "simulate"),
+    ".cluster.fleet": ("FleetConfig", "simulate_fleet"),
+    ".types": ("Request",),
 })
 __all__.append("__version__")

@@ -8,7 +8,6 @@ use.  A ``Deployment`` pins the model/hardware/parallelism triple; a
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass, field, replace
 
@@ -71,19 +70,15 @@ class Deployment:
 class ServingConfig:
     """Scheduler choice and its knobs."""
 
-    # Any name from the scheduler registry (repro.scheduling.registry).
-    # The default can be flipped process-wide with the REPRO_SCHEDULER
-    # environment variable; the CLI exposes it as --scheduler.
-    scheduler: str = field(
-        default_factory=lambda: os.environ.get("REPRO_SCHEDULER", "sarathi")
-    )
+    # Any name from the scheduler registry (repro.scheduling.registry);
+    # the CLI exposes it as --scheduler.
+    scheduler: str = "sarathi"
     token_budget: int = 512
     max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
     block_size: int = DEFAULT_BLOCK_SIZE
     # Reservation length for Orca/FT-style memory (defaults to the
     # dataset-appropriate max sequence length).
     reserve_len: int = 8192
-    max_inflight_batches: int | None = None
     # For sarathi_dynamic: the TBT SLO the per-iteration budget targets
     # (None derives the strict SLO from the deployment, §5.1).
     tbt_slo: float | None = None
@@ -99,12 +94,8 @@ class ServingConfig:
     # default — untagged traces behave identically either way, but the
     # default keeps golden traces byte-stable.  Ignored by the
     # reservation schedulers (Orca/FT), whose worst-case contiguous
-    # slots cannot share blocks.  Flip process-wide with
-    # REPRO_PREFIX_CACHE=1; the CLI exposes it as --prefix-cache.
-    prefix_cache: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_PREFIX_CACHE", "0").lower()
-        in ("1", "true", "on", "yes")
-    )
+    # slots cannot share blocks.  The CLI exposes it as --prefix-cache.
+    prefix_cache: bool = False
 
     def __post_init__(self) -> None:
         # Validate at construction time so a bad knob fails where it was
@@ -126,11 +117,6 @@ class ServingConfig:
             raise ValueError(f"block_size must be positive, got {self.block_size}")
         if self.reserve_len <= 0:
             raise ValueError(f"reserve_len must be positive, got {self.reserve_len}")
-        if self.max_inflight_batches is not None and self.max_inflight_batches < 1:
-            raise ValueError(
-                "max_inflight_batches must be >= 1 or None, "
-                f"got {self.max_inflight_batches}"
-            )
         if self.tbt_slo is not None and self.tbt_slo <= 0:
             raise ValueError(
                 f"tbt_slo must be positive or None, got {self.tbt_slo}"
@@ -217,7 +203,6 @@ def build_engine(
     return VectorizedReplicaEngine(
         exec_model,
         build_vectorized_scheduler(deployment, config, exec_model=exec_model),
-        max_inflight_batches=config.max_inflight_batches,
     )
 
 

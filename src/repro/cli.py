@@ -50,40 +50,28 @@ def _add_deployment_args(parser: argparse.ArgumentParser) -> None:
 def _add_scheduler_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scheduler",
-        default=None,
+        default=ServingConfig.scheduler,
         metavar="NAME",
         help="any registered scheduler name (see `schedulers`; default "
-        "sarathi, or REPRO_SCHEDULER)",
+        "%(default)s)",
     )
 
 
 def _scheduler_from(args: argparse.Namespace) -> str:
-    """Resolve the --scheduler flag (or ``ServingConfig``'s default)
-    against the registry now, so typos fail with the did-you-mean error
-    before any simulation work starts."""
-    name = args.scheduler
-    if name is None:
-        name = ServingConfig().scheduler
-    resolve(name)
-    return name
+    """Resolve the --scheduler flag against the registry now, so typos
+    fail with the did-you-mean error before any simulation work starts."""
+    resolve(args.scheduler)
+    return args.scheduler
 
 
 def _add_prefix_cache_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prefix-cache",
         action=argparse.BooleanOptionalAction,
-        default=None,
+        default=False,
         help="share KV blocks of common prefixes across requests "
-        "(paged memory only; default off, or REPRO_PREFIX_CACHE)",
+        "(paged memory only; default off)",
     )
-
-
-def _prefix_cache_kwargs(args: argparse.Namespace) -> dict:
-    """Only override ServingConfig.prefix_cache when the flag was given,
-    so the REPRO_PREFIX_CACHE environment default keeps working."""
-    if getattr(args, "prefix_cache", None) is None:
-        return {}
-    return {"prefix_cache": args.prefix_cache}
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
@@ -151,7 +139,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = ServingConfig(
         scheduler=scheduler,
         token_budget=args.token_budget,
-        **_prefix_cache_kwargs(args),
+        prefix_cache=args.prefix_cache,
     )
     if args.workload == "conversation":
         from repro.workload.conversation import ConversationSpec, simulate_conversations
@@ -235,7 +223,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     config = ServingConfig(scheduler=scheduler, token_budget=args.token_budget)
     slo = derived_slo(deployment.execution_model(), strict=False)
     horizon = max(r.arrival_time for r in trace) + 30.0
-    domains = None
+    domains = ()
     if args.fault_domains > 0:
         domains = partition_domains(args.replicas, args.fault_domains)
         faults = FaultSchedule.correlated(

@@ -17,7 +17,7 @@ through one shared virtual clock and makes *online* decisions:
   ``Request.num_restarts``) while keeping every token the user already
   saw.
 * **Overload control** — per-replica admission with bounded queues and
-  configurable shed/reject/spill policies plus timeout+backoff retry,
+  configurable shed/reject/spill policies plus jittered backoff retry,
   so goodput degrades gracefully instead of queueing unboundedly.
 
 Determinism: the event loop is driven by min-heaps — global events by
@@ -70,6 +70,20 @@ _ARRIVE = "arrive"          # payload: (request, attempt)
 _FAULT_DOWN = "fault_down"  # payload: ReplicaFault
 _FAULT_UP = "fault_up"      # payload: ReplicaFault
 _CONTROL_TICK = "control_tick"  # payload: None (health/brownout loops)
+
+# A rejected request retries after RETRY_BACKOFF * RETRY_BACKOFF_FACTOR
+# ** attempt seconds, stretched by up to RETRY_JITTER through a seeded
+# draw per (reject rank, attempt): deterministic, but de-synchronized
+# across requests so a crash's failed-over cohort does not hammer the
+# fleet in lockstep (a retry storm).  After MAX_RETRIES retries it is
+# shed.  The longest scheduled wait is 0.25 * 2**3 * 1.25 = 2.5 s.
+RETRY_BACKOFF = 0.25
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_JITTER = 0.25
+MAX_RETRIES = 4
+# Recent TBT samples kept per replica for the SLO-aware router, the
+# control loops and admission-hook snapshots.
+TBT_WINDOW = 128
 
 
 # ----------------------------------------------------------------------
@@ -365,23 +379,6 @@ class FleetConfig:
     # None keeps the old unbounded-queue behaviour.
     max_queue_depth: int | None = None
     admission: AdmissionPolicy = AdmissionPolicy.REJECT
-    # Rejected requests retry after backoff * factor**attempt seconds,
-    # capped at retry_backoff_max and stretched by up to retry_jitter
-    # via a seeded per-(request, attempt) draw — deterministic, but
-    # de-synchronized across requests so a crash's failed-over cohort
-    # doesn't hammer the fleet in lockstep (a retry storm) …
-    retry_backoff: float = 0.25
-    retry_backoff_factor: float = 2.0
-    retry_backoff_max: float = 8.0
-    retry_jitter: float = 0.25
-    retry_seed: int = 0
-    # … up to max_retries times (then shed), or until the total wait
-    # exceeds admission_timeout (then shed), whichever comes first.
-    max_retries: int = 4
-    admission_timeout: float | None = None
-    # Sliding window of recent TBT samples kept per replica for the
-    # SLO-aware router, the control loops and admission-hook snapshots.
-    tbt_window: int = 128
     # Optional control loops: the straggler health monitor
     # (repro.cluster.health) and the SLO-aware brownout controller
     # (repro.cluster.degradation).  None disables each.
@@ -404,19 +401,6 @@ class FleetConfig:
                 f"choose one of {choices}"
             ) from None
         object.__setattr__(self, "admission", admission)
-        if self.retry_backoff <= 0:
-            raise ValueError(f"retry_backoff must be positive, got {self.retry_backoff}")
-        if self.retry_backoff_factor < 1.0:
-            raise ValueError(
-                f"retry_backoff_factor must be >= 1, got {self.retry_backoff_factor}"
-            )
-        if self.retry_backoff_max < self.retry_backoff:
-            raise ValueError(
-                f"retry_backoff_max ({self.retry_backoff_max}) must be >= "
-                f"retry_backoff ({self.retry_backoff})"
-            )
-        if self.retry_jitter < 0:
-            raise ValueError(f"retry_jitter must be >= 0, got {self.retry_jitter}")
         object.__setattr__(self, "domains", tuple(self.domains))
         members: set[int] = set()
         for domain in self.domains:
@@ -433,27 +417,18 @@ class FleetConfig:
                         f"replica {member} appears in two failure domains"
                     )
                 members.add(member)
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.admission_timeout is not None and self.admission_timeout <= 0:
-            raise ValueError(
-                f"admission_timeout must be positive or None, "
-                f"got {self.admission_timeout}"
-            )
-        if self.tbt_window < 1:
-            raise ValueError(f"tbt_window must be >= 1, got {self.tbt_window}")
         # A monitor that needs more samples than the windows hold could
         # never judge anything.
-        if self.health is not None and self.health.min_samples > self.tbt_window:
+        if self.health is not None and self.health.min_samples > TBT_WINDOW:
             raise ValueError(
                 f"health.min_samples ({self.health.min_samples}) exceeds "
-                f"tbt_window ({self.tbt_window}): no replica could be judged"
+                f"TBT_WINDOW ({TBT_WINDOW}): no replica could be judged"
             )
-        pooled = self.num_replicas * self.tbt_window
+        pooled = self.num_replicas * TBT_WINDOW
         if self.brownout is not None and self.brownout.min_samples > pooled:
             raise ValueError(
                 f"brownout.min_samples ({self.brownout.min_samples}) exceeds "
-                f"num_replicas * tbt_window ({pooled}): the controller "
+                f"num_replicas * TBT_WINDOW ({pooled}): the controller "
                 "could never act"
             )
 
@@ -919,6 +894,9 @@ class FleetSimulator:
         self.assignments: dict[int, int] = {}
         self.shed: list[Request] = []
         self.num_rejections = 0
+        # request_id -> rank of its first reject in this run: the key of
+        # its retry-jitter draws, independent of what ran before.
+        self._reject_ranks: dict[int, int] = {}
         self.num_failovers = 0
         # Control loops, both optional and both driven by the shared
         # control-tick event stream.
@@ -945,7 +923,7 @@ class FleetSimulator:
         self.windows: list[TbtWindow] | None = None
         if self._reads_p99 or intervals or hook is not None:
             self.windows = [
-                TbtWindow(fleet.tbt_window, i, self.table.changed)
+                TbtWindow(TBT_WINDOW, i, self.table.changed)
                 for i in range(num)
             ]
             for slot, window in zip(self.replicas, self.windows):
@@ -1313,25 +1291,16 @@ class FleetSimulator:
         reason: str,
     ) -> None:
         self.num_rejections += 1
-        fleet = self.fleet
-        backoff = min(
-            fleet.retry_backoff * (fleet.retry_backoff_factor**attempt),
-            fleet.retry_backoff_max,
+        ranks = self._reject_ranks
+        rank = ranks.setdefault(request.request_id, len(ranks))
+        # Stateless seeded jitter keyed by (rank, attempt): concurrent
+        # rejects de-synchronize without consuming shared RNG state,
+        # which would couple determinism to reject order.
+        draw = random.Random(f"{rank}:{attempt}").random()
+        retry_at = now + (
+            RETRY_BACKOFF * RETRY_BACKOFF_FACTOR**attempt * (1.0 + RETRY_JITTER * draw)
         )
-        if fleet.retry_jitter > 0.0:
-            # Stateless seeded jitter keyed by (seed, request, attempt):
-            # concurrent rejects de-synchronize without consuming shared
-            # RNG state, which would couple determinism to reject order.
-            draw = random.Random(
-                f"{fleet.retry_seed}:{request.request_id}:{attempt}"
-            ).random()
-            backoff *= 1.0 + fleet.retry_jitter * draw
-        retry_at = now + backoff
-        timed_out = (
-            fleet.admission_timeout is not None
-            and retry_at - request.arrival_time > fleet.admission_timeout
-        )
-        if attempt >= fleet.max_retries or timed_out:
+        if attempt >= MAX_RETRIES:
             self.events.append(
                 FleetEvent(
                     time=now,
@@ -1342,13 +1311,7 @@ class FleetSimulator:
                     reason=reason,
                 )
             )
-            self._shed(
-                request,
-                attempt,
-                now,
-                replica,
-                "timeout" if timed_out else "retries_exhausted",
-            )
+            self._shed(request, attempt, now, replica, "retries_exhausted")
             return
         self.events.append(
             FleetEvent(

@@ -79,27 +79,12 @@ class VectorizedReplicaEngine:
     # (PCIe-4.0 x16 class, overlap-corrected).
     DEFAULT_SWAP_BANDWIDTH = 20e9
 
-    def __init__(
-        self,
-        exec_model: ExecutionModel,
-        scheduler: VecScheduler,
-        swap_bandwidth: float = DEFAULT_SWAP_BANDWIDTH,
-        max_inflight_batches: int | None = None,
-    ) -> None:
-        if swap_bandwidth <= 0:
-            raise ValueError("swap_bandwidth must be positive")
+    def __init__(self, exec_model: ExecutionModel, scheduler: VecScheduler) -> None:
         self.exec_model = exec_model
         self.scheduler = scheduler
         self.arrays: RequestArrays = scheduler.A
-        self.swap_bandwidth = swap_bandwidth
+        # A pipeline keeps at most one batch in flight per stage.
         self.num_stages = exec_model.parallel.pipeline_parallel
-        self.max_inflight = (
-            max_inflight_batches
-            if max_inflight_batches is not None
-            else self.num_stages
-        )
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight_batches must be >= 1")
         # TBT sink with a ``push(samples)`` method (the fleet's
         # ``TbtWindow``); None when nothing reads the samples.  The
         # engine never holds a reference to its owner.
@@ -360,7 +345,7 @@ class VectorizedReplicaEngine:
             self._seq = seq + 1
             self._busy = (end, seq, batch)
             return
-        while not self._stage_busy[0] and self._inflight < self.max_inflight:
+        while not self._stage_busy[0] and self._inflight < self.num_stages:
             batch = self.scheduler.schedule(now)
             if batch is None:
                 return
@@ -373,7 +358,7 @@ class VectorizedReplicaEngine:
             batch, stage_idx == 0, stage_idx == self.num_stages - 1
         )
         if stage_idx == 0 and batch.swap_bytes:
-            communication += batch.swap_bytes / self.swap_bandwidth
+            communication += batch.swap_bytes / self.DEFAULT_SWAP_BANDWIDTH
         scale = self.perf_scale
         if scale != 1.0:
             linear *= scale

@@ -19,8 +19,8 @@ internals::
                     description="toy shortest-first policy")
 
 after which ``ServingConfig(scheduler="shortest")`` — and the
-``--scheduler`` CLI flag, the ``REPRO_SCHEDULER`` environment variable
-and the leaderboard experiment — all accept the new name.  See
+``--scheduler`` CLI flag and the leaderboard experiment — all accept
+the new name.  See
 DESIGN.md §12 for the full protocol contract.
 
 Determinism requirement: factories must be pure functions of the build

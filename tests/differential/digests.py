@@ -308,9 +308,7 @@ def run_defer_once_fleet() -> dict:
         return run_fleet(
             "digest_defer_once",
             WORKLOADS["sharegpt"](16, 0),
-            # Retry jitter is keyed on the process-global request id;
-            # off, the digest is independent of what ran before.
-            FleetConfig(num_replicas=2, retry_jitter=0.0),
+            FleetConfig(num_replicas=2),
         )
     finally:
         unregister("digest_defer_once")

@@ -48,6 +48,14 @@ class TestDeployment:
         assert reserved < paged
 
 
+class TestServingConfig:
+    def test_defaults_ignore_the_environment(self, monkeypatch):
+        """``ServingConfig()`` is a pure value: no variable flips it."""
+        monkeypatch.setenv("REPRO_SCHEDULER", "vllm")
+        monkeypatch.setenv("REPRO_PREFIX_CACHE", "1")
+        assert ServingConfig() == ServingConfig(scheduler="sarathi", prefix_cache=False)
+
+
 class TestBuildScheduler:
     @pytest.mark.parametrize(
         "kind,cls",

@@ -15,22 +15,20 @@ class TestParser:
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate"])
         assert args.model == "mistral-7b"
-        assert args.scheduler is None  # resolved later: REPRO_SCHEDULER or sarathi
+        assert args.scheduler == "sarathi"
+        assert args.prefix_cache is False
         assert args.qps == 1.0
 
-    def test_scheduler_resolution(self, monkeypatch):
+    def test_scheduler_resolution(self):
         from repro.cli import _scheduler_from
 
         parse = build_parser().parse_args
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
         assert _scheduler_from(parse(["simulate"])) == "sarathi"
-        # Any registry name is accepted, not just the enum kinds.
+        # Any registry name is accepted, not just the built-in schedulers.
         assert (
             _scheduler_from(parse(["simulate", "--scheduler", "srpt_oracle"]))
             == "srpt_oracle"
         )
-        monkeypatch.setenv("REPRO_SCHEDULER", "vllm")
-        assert _scheduler_from(parse(["simulate"])) == "vllm"
 
     def test_unknown_scheduler_rejected_with_suggestion(self):
         from repro.cli import _scheduler_from
@@ -109,6 +107,19 @@ class TestCommands:
         )
         assert code == 0
         assert "capacity:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "faults",
+        [[], ["--fault-domains", "1", "--fault-rate", "0.1"]],
+        ids=["independent", "domains"],
+    )
+    def test_fleet_small_run(self, capsys, faults):
+        base = ["fleet", "--model", "tiny-1b", "--requests", "8", "--replicas", "2"]
+        assert main(base + faults) == 0
+        out = capsys.readouterr().out
+        assert "× 2 replicas" in out
+        assert "finished / offered" in out
+        assert ("/domain-s" in out) == bool(faults)
 
     def test_unknown_model_errors(self):
         with pytest.raises(KeyError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import ServingConfig, build_engine, clone_requests, simulate
+from repro.cluster import fleet as fleet_module
 from repro.cluster.degradation import BrownoutConfig, DegradationLevel
 from repro.cluster.fleet import (
     AdmissionPolicy,
@@ -173,17 +174,14 @@ class TestFaultInjection:
         assert result.num_restarts >= 1
         assert sum(r.num_restarts for r in result.requests) == result.num_restarts
 
-    def test_all_replicas_down_sheds_after_retries(self, tiny_deployment):
+    def test_all_replicas_down_sheds_after_retries(self, tiny_deployment, monkeypatch):
         from repro.cluster.fleet import FleetSimulator
 
+        monkeypatch.setattr(fleet_module, "MAX_RETRIES", 2)
         simulator = FleetSimulator(
             tiny_deployment,
             ServingConfig(),
-            FleetConfig(
-                num_replicas=1,
-                faults=FaultSchedule.single(0, down_at=0.0),
-                max_retries=2,
-            ),
+            FleetConfig(num_replicas=1, faults=FaultSchedule.single(0, down_at=0.0)),
         )
         result = simulator.run([make_request(arrival_time=0.2)])
         assert result.num_shed == 1
@@ -292,24 +290,6 @@ class TestOverloadControl:
         )
         assert len(result.finished_requests) + result.num_shed == len(trace)
 
-    def test_admission_timeout_sheds(self, tiny_deployment):
-        trace = _trace(n=12, gap=0.0)
-        result, _ = simulate_fleet(
-            tiny_deployment,
-            ServingConfig(),
-            trace,
-            FleetConfig(
-                num_replicas=1,
-                max_queue_depth=1,
-                admission=AdmissionPolicy.REJECT,
-                max_retries=50,
-                admission_timeout=0.01,
-            ),
-        )
-        timeouts = [e for e in result.events if e.reason == "timeout"]
-        assert timeouts
-        assert len(result.finished_requests) + result.num_shed == len(trace)
-
     def test_fleet_config_validation(self):
         with pytest.raises(ValueError, match="num_replicas"):
             FleetConfig(num_replicas=0)
@@ -317,29 +297,26 @@ class TestOverloadControl:
             FleetConfig(max_queue_depth=0)
         with pytest.raises(ValueError, match="admission policy"):
             FleetConfig(admission="teleport")
-        with pytest.raises(ValueError, match="retry_backoff"):
-            FleetConfig(retry_backoff=0)
         # Strings coerce to the enum.
         assert FleetConfig(admission="shed").admission is AdmissionPolicy.SHED
 
-    def test_monitor_sample_floors_must_fit_the_windows(self):
+    def test_monitor_sample_floors_must_fit_the_windows(self, monkeypatch):
         """A monitor needing more samples than the windows hold could
         never judge a replica; such configs are rejected by name."""
-        with pytest.raises(ValueError, match=r"min_samples \(64\).*tbt_window \(32\)"):
-            FleetConfig(tbt_window=32, health=HealthConfig(min_samples=64))
-        FleetConfig(tbt_window=32, health=HealthConfig(min_samples=32))
+        monkeypatch.setattr(fleet_module, "TBT_WINDOW", 32)
+        with pytest.raises(ValueError, match=r"min_samples \(64\).*TBT_WINDOW \(32\)"):
+            FleetConfig(health=HealthConfig(min_samples=64))
+        FleetConfig(health=HealthConfig(min_samples=32))
         ladder = (DegradationLevel(token_budget=128),)
         with pytest.raises(
-            ValueError, match=r"min_samples \(65\).*num_replicas \* tbt_window \(64\)"
+            ValueError, match=r"min_samples \(65\).*num_replicas \* TBT_WINDOW \(64\)"
         ):
             FleetConfig(
                 num_replicas=2,
-                tbt_window=32,
                 brownout=BrownoutConfig(levels=ladder, min_samples=65),
             )
         FleetConfig(
             num_replicas=2,
-            tbt_window=32,
             brownout=BrownoutConfig(levels=ladder, min_samples=64),
         )
 
@@ -591,7 +568,6 @@ class TestServingConfigValidation:
             ("max_batch_size", 0),
             ("block_size", -1),
             ("reserve_len", 0),
-            ("max_inflight_batches", 0),
             ("tbt_slo", 0.0),
             ("tbt_slo", -1.0),
         ],

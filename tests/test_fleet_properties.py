@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Deployment, ServingConfig
+from repro.cluster import fleet as fleet_module
 from repro.cluster.degradation import BrownoutConfig, DegradationLevel
 from repro.cluster.fleet import (
     AdmissionPolicy,
@@ -31,6 +32,14 @@ from tests.conftest import make_request
 pytestmark = pytest.mark.tier1
 
 _DEPLOYMENT = Deployment(model=TINY_1B, gpu=A100_80G)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _two_retries():
+    """Two retries keep the rejected requests' runs short."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fleet_module, "MAX_RETRIES", 2)
+        yield
 
 
 def _quantize(value: float) -> float:
@@ -76,7 +85,6 @@ def fleet_scenarios(draw):
             faults=schedule,
             max_queue_depth=max_queue_depth,
             admission=admission,
-            max_retries=2,
         ),
         round_robin,
         num_requests,
@@ -174,7 +182,6 @@ def test_conservation_under_correlated_faults_and_degradation(
         domains=domains,
         max_queue_depth=3,
         admission=AdmissionPolicy.SHED,
-        max_retries=2,
         health=HealthConfig(check_interval=0.1, min_samples=4, inflation_factor=1.5),
         brownout=brownout_config if brownout else None,
     )

@@ -1,7 +1,7 @@
 """The fleet's array-native state: TBT windows and the replica table.
 
 Each replica's TBT window is a numpy ring buffer the engine writes one
-array per commit; it must keep exactly the last ``tbt_window`` samples
+array per commit; it must keep exactly the last ``TBT_WINDOW`` samples
 in batch item order, empty on every crash and drain-recycle, and exist
 only when something reads it.  The replica state table must agree with
 the on-demand snapshots at every routing decision.
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import Deployment, ServingConfig
+from repro.cluster import fleet as fleet_module
 from repro.cluster.degradation import BrownoutConfig, DegradationLevel
 from repro.cluster.fleet import FaultSchedule, FleetConfig, FleetSimulator, ReplicaFault
 from repro.cluster.health import HealthConfig
@@ -178,7 +179,7 @@ class _CheckingRouter(FleetRouter):
 
     def route(self, request, now, view):
         simulator = self.recorder.simulator
-        size = simulator.fleet.tbt_window
+        size = fleet_module.TBT_WINDOW
         # Every view array is read-only, also the routable mask the
         # fleet builds while a replica drains.
         for name in ("alive", *self.columns):
@@ -219,10 +220,11 @@ def _audited_run(fleet_config: FleetConfig, trace):
 
 
 class TestWindowsInTheFleet:
-    def test_engine_pushes_every_decode_tbt(self):
+    def test_engine_pushes_every_decode_tbt(self, monkeypatch):
+        monkeypatch.setattr(fleet_module, "TBT_WINDOW", 16)
         trace = _decode_trace(n=8)
         simulator, recorder, router, result = _audited_run(
-            FleetConfig(num_replicas=1, tbt_window=16), trace
+            FleetConfig(num_replicas=1), trace
         )
         assert router.checks == len(trace)
         pushed = sorted(t for _, _, tbts in recorder.pushes for t in tbts)
@@ -236,11 +238,11 @@ class TestWindowsInTheFleet:
         assert len(pushed) > 16
         assert simulator.windows[0].samples().tolist() == recorder.reference(0)[-16:]
 
-    def test_crash_and_drain_recycle_clear_the_window(self):
+    def test_crash_and_drain_recycle_clear_the_window(self, monkeypatch):
+        monkeypatch.setattr(fleet_module, "TBT_WINDOW", 24)
         trace = _decode_trace(n=24, output=200)
         fleet_config = FleetConfig(
             num_replicas=3,
-            tbt_window=24,
             faults=FaultSchedule(
                 (
                     ReplicaFault(0, down_at=0.3, up_at=0.6),

@@ -11,10 +11,13 @@ beats brownout-off on fleet goodput.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.api import Deployment, ServingConfig, build_engine, clone_requests
+from repro.cluster import fleet as fleet_module
 from repro.cluster.degradation import (
     BrownoutConfig,
     BrownoutController,
@@ -424,26 +427,24 @@ class TestBudgetOverride:
 # Retry-storm jitter (satellite regression)
 # ----------------------------------------------------------------------
 class TestRetryJitter:
-    def _run(self, trace=None, **fleet_overrides):
-        # Jitter is keyed by (seed, request_id, attempt), so the
-        # determinism test must replay the *same* request ids.
-        if trace is None:
-            trace = [
-                make_request(prompt_len=64, output_len=40, arrival_time=0.0)
-                for _ in range(6)
-            ]
-        fleet_config = FleetConfig(
-            num_replicas=1,
-            max_queue_depth=1,
-            max_retries=4,
-            **fleet_overrides,
-        )
-        result, _ = simulate_fleet(
+    @staticmethod
+    def _cohort():
+        """Six requests arriving together at a one-slot queue."""
+        return [
+            make_request(prompt_len=64, output_len=40, arrival_time=0.0)
+            for _ in range(6)
+        ]
+
+    def _run(self, trace):
+        return simulate_fleet(
             _DEPLOYMENT,
             ServingConfig(token_budget=256),
             clone_requests(trace),
-            fleet_config,
+            FleetConfig(num_replicas=1, max_queue_depth=1),
         )
+
+    def _retries(self):
+        result, _ = self._run(self._cohort())
         return [
             e for e in result.events if e.kind == "reject" and e.retry_at is not None
         ]
@@ -451,38 +452,51 @@ class TestRetryJitter:
     def test_concurrent_rejects_desynchronize(self):
         """The regression: a cohort bounced at the same instant must not
         retry at the same instant (the retry storm)."""
-        rejects = self._run()
+        rejects = self._retries()
         same_attempt = [e for e in rejects if e.attempt == 0]
         assert len(same_attempt) >= 2
         retry_ats = [e.retry_at for e in same_attempt]
         assert len(set(retry_ats)) == len(retry_ats)
 
-    def test_jitter_zero_restores_lockstep(self):
-        rejects = self._run(retry_jitter=0.0)
+    def test_jitter_zero_restores_lockstep(self, monkeypatch):
+        monkeypatch.setattr(fleet_module, "RETRY_JITTER", 0.0)
+        rejects = self._retries()
         same_attempt = [e for e in rejects if e.attempt == 0]
         assert len(same_attempt) >= 2
         assert len({e.retry_at for e in same_attempt}) == 1
 
     def test_backoff_capped(self):
-        rejects = self._run(
-            retry_backoff=1.0,
-            retry_backoff_factor=10.0,
-            retry_backoff_max=2.0,
-            retry_jitter=0.0,
-        )
+        """Every wait lies in the jittered band of its attempt, so the
+        longest scheduled wait is 0.25 * 2**3 * 1.25 = 2.5 s."""
+        rejects = self._retries()
+        assert {e.attempt for e in rejects} >= {0, 1}
+        jitter = 1.0 + fleet_module.RETRY_JITTER
         for event in rejects:
-            assert event.retry_at - event.time <= 2.0 + 1e-9
+            base = fleet_module.RETRY_BACKOFF * (
+                fleet_module.RETRY_BACKOFF_FACTOR**event.attempt
+            )
+            wait = event.retry_at - event.time
+            assert base - 1e-12 <= wait <= base * jitter + 1e-12
+            assert wait <= 2.5 + 1e-12
 
-    def test_jitter_deterministic_per_seed(self):
-        trace = [
-            make_request(prompt_len=64, output_len=40, arrival_time=0.0)
-            for _ in range(6)
-        ]
-        a = self._run(trace=trace, retry_seed=5)
-        b = self._run(trace=trace, retry_seed=5)
-        c = self._run(trace=trace, retry_seed=6)
-        assert [e.retry_at for e in a] == [e.retry_at for e in b]
-        assert [e.retry_at for e in a] != [e.retry_at for e in c]
+    def test_repeat_in_one_process_is_identical(self):
+        """Jitter draws are keyed per run, not by the process-global
+        request ids: a second run on a freshly generated (so freshly
+        numbered) trace repeats the first exactly."""
+
+        def run():
+            trace = self._cohort()
+            rank = {r.request_id: i for i, r in enumerate(trace)}
+            result, metrics = self._run(trace)
+            events = [
+                dataclasses.replace(e, request_id=rank.get(e.request_id))
+                for e in result.events
+            ]
+            return events, metrics
+
+        first, second = run(), run()
+        assert any(e.kind == "reject" for e in first[0])
+        assert first == second
 
 
 # ----------------------------------------------------------------------
