@@ -1,26 +1,16 @@
 """Benchmark-suite plumbing.
 
-Benches time one full experiment run via pytest-benchmark and register
-their paper-vs-measured tables with the ``report`` fixture; the tables
-are printed in the terminal summary (after the timing table), so they
-survive pytest's output capture.
-
-Scale is controlled with ``REPRO_SCALE`` (smoke | default | full).
+Benches time their runs via pytest-benchmark; a bench may register a
+table with the ``report`` fixture, which prints it in the terminal
+summary (after the timing table), so it survives pytest's output
+capture.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import Scale, scale_from_env
-
 _REPORTS: list[tuple[str, str]] = []
-
-# Capacity searches dominate bench wall-clock; trimmed relative to the
-# library default so the whole suite stays in the tens of minutes.
-BENCH_SCALE = scale_from_env(
-    Scale(num_requests=96, capacity_rel_tol=0.2, capacity_max_probes=9)
-)
 
 
 @pytest.fixture
@@ -31,11 +21,6 @@ def report():
         _REPORTS.append((title, text))
 
     return _add
-
-
-@pytest.fixture
-def bench_scale() -> Scale:
-    return BENCH_SCALE
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

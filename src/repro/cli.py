@@ -211,8 +211,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         from repro.experiments.common import scale_from_env
         from repro.experiments.registry import reproduce_figure
 
-        print(reproduce_figure("fleet", scale_from_env(), **_sweep_kwargs(args)))
-        return 0
+        text, ok = reproduce_figure("fleet", scale_from_env(), **_sweep_kwargs(args))
+        print(text)
+        return 0 if ok else 1
 
     deployment = _deployment_from(args)
     scheduler = _scheduler_from(args)
@@ -417,8 +418,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             print(f"  {entry.figure_id:8s} {entry.title}{tag}")
         return 0
     scale = {"smoke": SMOKE, "default": DEFAULT, "full": FULL}[args.scale]
-    print(reproduce_figure(args.figure, scale, **_sweep_kwargs(args)))
-    return 0
+    text, ok = reproduce_figure(args.figure, scale, **_sweep_kwargs(args))
+    print(text)
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,7 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=_cmd_compare)
 
     reproduce = sub.add_parser(
-        "reproduce", help="re-run a paper figure/table and print its rows"
+        "reproduce",
+        help="re-run a paper figure/table, print its rows and check its claims "
+        "(exit 1 if one fails)",
     )
     reproduce.add_argument(
         "figure",

@@ -1,8 +1,9 @@
 """Per-figure experiment runners reproducing the paper's evaluation.
 
-Each module reproduces one figure or table; benchmarks under
-``benchmarks/`` call these and print the paper-vs-measured rows
-recorded in ``EXPERIMENTS.md``.
+Each module reproduces one figure or table, or one extra ablation.
+``registry`` gives each experiment an id, renders its rows as the table
+recorded in ``EXPERIMENTS.md`` and checks the paper's shape claims
+against them (``python -m repro reproduce <id>``).
 """
 
 from repro._exports import lazy_exports

@@ -58,9 +58,10 @@ def run_linear_runtime(
     return points
 
 
-def compute_bound_knee(tp: int, token_counts: tuple[int, ...] = TOKEN_COUNTS) -> int:
-    """Smallest probed token count at which the layer is compute-bound."""
-    for point in run_linear_runtime(token_counts, (tp,)):
+def compute_bound_knee(points: list[LinearRuntimePoint], tp: int) -> int:
+    """Smallest probed token count at which the layer is compute-bound at TP ``tp``."""
+    probes = [p for p in points if p.tensor_parallel == tp]
+    for point in probes:
         if not point.is_memory_bound:
             return point.num_tokens
-    return token_counts[-1]
+    return probes[-1].num_tokens

@@ -17,6 +17,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "profile_token_budgets",
         "reference_decode_time",
     ),
-    ".table": ("ProfiledIterationTable",),
     ".validation": ("AnchorCheck", "validate_calibration", "assert_calibrated"),
 })

@@ -121,9 +121,13 @@ class TestFig05:
 
 class TestFig06:
     def test_higher_tp_has_later_knee(self):
-        from repro.experiments.fig06_linear_runtime import compute_bound_knee
+        from repro.experiments.fig06_linear_runtime import (
+            compute_bound_knee,
+            run_linear_runtime,
+        )
 
-        assert compute_bound_knee(8) >= compute_bound_knee(1)
+        points = run_linear_runtime()
+        assert compute_bound_knee(points, 8) >= compute_bound_knee(points, 1)
 
     def test_layer_time_shrinks_with_tp(self):
         from repro.experiments.fig06_linear_runtime import run_linear_runtime
