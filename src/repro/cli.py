@@ -98,7 +98,7 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _sweep_kwargs(args: argparse.Namespace) -> dict:
-    """The sweep knobs shared by capacity/fleet/leaderboard/reproduce."""
+    """The sweep knobs shared by capacity/leaderboard/reproduce."""
     run_dir = args.resume if args.resume is not None else args.run_dir
     return {
         "jobs": args.jobs,
@@ -206,14 +206,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.metrics.goodput import RequestSLO, fleet_goodput
     from repro.metrics.recovery import recovery_report
     from repro.metrics.slo import derived_slo
-
-    if args.sweep:
-        from repro.experiments.common import scale_from_env
-        from repro.experiments.registry import reproduce_figure
-
-        text, ok = reproduce_figure("fleet", scale_from_env(), **_sweep_kwargs(args))
-        print(text)
-        return 0 if ok else 1
 
     deployment = _deployment_from(args)
     scheduler = _scheduler_from(args)
@@ -500,9 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--admission", default="reject",
                        choices=["reject", "shed", "spill"],
                        help="what happens when the routed replica's queue is full")
-    fleet.add_argument("--sweep", action="store_true",
-                       help="run the replicas × faults × load sweep instead")
-    _add_sweep_args(fleet)
     fleet.set_defaults(func=_cmd_fleet)
 
     cap = sub.add_parser("capacity", help="search the max sustainable QPS under an SLO")

@@ -32,6 +32,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.metrics.stats import percentile_in_place
+
 if TYPE_CHECKING:
     from repro.cluster.router import ReplicaTable, TbtWindow
     from repro.types import Request
@@ -176,7 +178,7 @@ class BrownoutController:
                 return BrownoutChange(-1, self.level, None)
             return None
         pooled = np.concatenate([windows[index].samples() for index in alive])
-        p99 = float(np.percentile(pooled, 99))
+        p99 = percentile_in_place(pooled, 99)
         enter = cfg.tbt_slo * (1.0 + cfg.enter_margin)
         exit_ = cfg.tbt_slo * (1.0 + cfg.exit_margin)
         if p99 > enter and self.level < len(cfg.levels):

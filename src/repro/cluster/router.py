@@ -21,11 +21,11 @@ state-blind router picks a crashed replica).
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.metrics.stats import percentile_in_place
 from repro.types import Request
 
 
@@ -131,24 +131,12 @@ class TbtWindow:
         """The window's ``q``-th percentile, or None while it is empty.
 
         The float ``numpy.percentile`` (linear method) returns for the
-        samples, computed on the sorted buffer without that function's
-        per-call overhead, which is many times the sort's.
+        samples, without that function's per-call overhead, which is
+        many times the partition's.
         """
-        n = self.count
-        if n == 0:
+        if self.count == 0:
             return None
-        ordered = self._buf[:n].copy()
-        ordered.sort()
-        index = (n - 1) * (q / 100)
-        lo = math.floor(index)
-        if lo >= n - 1:
-            return float(ordered[-1])
-        a, b = float(ordered[lo]), float(ordered[lo + 1])
-        gamma = index - lo
-        # numpy's lerp: from the nearer end, so the result stays in [a, b].
-        if gamma >= 0.5:
-            return b - (b - a) * (1 - gamma)
-        return a + (b - a) * gamma
+        return percentile_in_place(self._buf[: self.count].copy(), q)
 
 
 class ReplicaTable:

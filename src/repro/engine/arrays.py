@@ -13,13 +13,15 @@ each iteration's ``(time, rows)`` into an :class:`EmissionLog` (three
 packed arrays, no Python object per entry) and
 :meth:`RequestArrays.sync_out` folds only the entries logged since the
 previous sync into each ``Request.token_times``, in chunks of at most
-``_SYNC_CHUNK`` entries (each stable-sorted by row), then clears the
-log.  The engine also folds the log (without the scalar sync) whenever
-it reaches ``_SYNC_CHUNK`` rows, so the log stays within one chunk.
-``token_times`` is a packed float64 ``array('d')``: each row's run is
-appended as raw bytes of the sorted chunk, so a sync creates no Python
-float per token, and its transient arrays are bounded by one chunk,
-however long the log.
+``_SYNC_CHUNK`` (16,384) entries (each stable-sorted by row), then
+clears the log.  The engine also folds the log (without the scalar
+sync) whenever it reaches ``_SYNC_CHUNK`` rows, so the log stays within
+one chunk.  ``token_times`` is a packed float64 ``array('d')``: each
+row's run is appended as raw bytes of the sorted chunk, so a sync
+creates no Python float per token, and its transient arrays are
+bounded by one chunk, however long the log.  A fold holds about five
+chunk-sized temporaries; at 16,384 entries that is about 0.5 MB, where
+65,536 made the fold a short run's largest memory spike.
 """
 
 from __future__ import annotations
@@ -112,8 +114,9 @@ class RequestArrays:
     """Flat per-request state; rows are assigned in delivery order."""
 
     _INITIAL_CAPACITY = 64
-    # Token entries of the emission log folded per sort in ``sync_out``.
-    _SYNC_CHUNK = 1 << 16
+    # Token entries of the emission log folded per sort in ``sync_out``,
+    # and the log length at which the engine folds (see the module doc).
+    _SYNC_CHUNK = 1 << 14
 
     def __init__(self) -> None:
         self.n = 0

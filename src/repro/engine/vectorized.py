@@ -35,8 +35,10 @@ this cheap without a per-token event heap:
   the entries logged since the previous one into the packed float64
   ``token_times`` arrays, in bounded stable-sorted chunks appended as
   raw bytes (no Python float per token), and then clears the log.  A
-  commit that fills the log to ``RequestArrays._SYNC_CHUNK`` rows folds
-  it at once, so the log never holds more than one chunk.  A run with
+  commit that fills the log to ``RequestArrays._SYNC_CHUNK`` (16,384)
+  rows folds it at once, so the log never holds more than one chunk,
+  and a fold's temporaries (about five chunk-sized arrays, ~0.5 MB)
+  stay below a run's outputs.  A run with
   a ``followup_fn`` hands finished requests off mid-run, so it appends
   to ``token_times`` directly instead.
 * Each executed (stage, batch) pair is 13 numbers appended to an

@@ -248,6 +248,50 @@ def _prefix_table(points) -> Table:
     return (["chunk", "variant", "capacity qps", "hit rate", "COW", "gain"], rows)
 
 
+def _prefix_cache_never_hurts(points) -> bool:
+    caps = _by(points, "chunk_size", "variant")
+    return all(
+        caps[(p.chunk_size, "cache-on")].capacity_qps >= p.capacity_qps
+        for p in points
+        if p.variant == "cache-off"
+    )
+
+
+def _fleet_scales_without_faults(points) -> bool:
+    """Fault-free goodput at each fleet size's highest load rises with size."""
+    peak = {}
+    for p in points:
+        if p.fault_rate == 0 and p.qps >= peak.get(p.num_replicas, p).qps:
+            peak[p.num_replicas] = p
+    goodputs = [peak[n].goodput_rps for n in sorted(peak)]
+    return all(a < b for a, b in zip(goodputs, goodputs[1:]))
+
+
+def _fleet_fault_pairs(points) -> list[tuple]:
+    """``(fault-free, faulted)`` points at the same fleet size and load."""
+    healthy = {(p.num_replicas, p.qps): p for p in points if p.fault_rate == 0}
+    return [(healthy[(p.num_replicas, p.qps)], p) for p in points if p.fault_rate > 0]
+
+
+def _brownout_pairs(points) -> list[tuple]:
+    """``(brownout-off, brownout-on)`` points under the same faults."""
+    on = {(p.fault_rate, p.correlated): p for p in points if p.brownout}
+    return [
+        (p, on[(p.fault_rate, p.correlated)])
+        for p in points
+        if not p.brownout and p.fault_rate > 0
+    ]
+
+
+def _brownout_wins_at_highest_rate(points) -> bool:
+    top = max(p.fault_rate for p in points)
+    return all(
+        on.goodput_rps > off.goodput_rps
+        for off, on in _brownout_pairs(points)
+        if off.fault_rate == top
+    )
+
+
 def _recovery(value) -> str:
     return f"{value:.2f}" if value is not None else "-"
 
@@ -685,6 +729,12 @@ REGISTRY: dict[str, FigureEntry] = {
         FigureEntry(
             "prefix", "Prefix-cache capacity: hit rate × chunk × SLO", True,
             _runner("prefix_cache:run_prefix_cache_capacity"), _prefix_table,
+            (
+                Claim("cache-on capacity >= cache-off's at every chunk size",
+                      _prefix_cache_never_hurts),
+                Claim("follow-up rounds hit the cache: every cache-on hit rate > 0",
+                      lambda ps: all(p.hit_rate > 0 for p in ps if p.variant == "cache-on")),
+            ),
         ),
         FigureEntry(
             "fleet", "Fleet goodput: replicas × faults × load", True,
@@ -694,6 +744,16 @@ REGISTRY: dict[str, FigureEntry] = {
                   lambda p: [str(p.num_replicas), f"{p.qps:.2f}", f"{p.fault_rate:.2f}",
                              f"{p.attainment:.0%}", f"{p.goodput_rps:.2f}",
                              str(p.num_shed), str(p.num_failovers), str(p.num_restarts)]),
+            (
+                Claim("without faults, goodput at full load rises with the replica count",
+                      _fleet_scales_without_faults),
+                Claim("crashes cost goodput at every fleet size and load",
+                      lambda ps: all(f.goodput_rps < h.goodput_rps
+                                     for h, f in _fleet_fault_pairs(ps))),
+                Claim("requests fail over under crashes and never without",
+                      lambda ps: all((p.num_failovers > 0) == (p.fault_rate > 0)
+                                     for p in ps)),
+            ),
         ),
         FigureEntry(
             "resilience",
@@ -709,6 +769,13 @@ REGISTRY: dict[str, FigureEntry] = {
                              f"{p.p99_tbt:.3f}", f"{p.shed_fraction:.0%}",
                              str(p.num_disruptions), _recovery(p.mean_recovery_s),
                              _recovery(p.max_recovery_s)]),
+            (
+                Claim("at the highest fault rate, brownout-on goodput > brownout-off's",
+                      _brownout_wins_at_highest_rate),
+                Claim("under slowdown faults, brownout-on P99 TBT < brownout-off's",
+                      lambda ps: all(on.p99_tbt < off.p99_tbt
+                                     for off, on in _brownout_pairs(ps))),
+            ),
         ),
         FigureEntry(
             "leaderboard",

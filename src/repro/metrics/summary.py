@@ -8,14 +8,14 @@ stall/bubble diagnostics.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.metrics.slo import SLOSpec
-from repro.metrics.stats import percentile
+from repro.metrics.stats import percentile, percentile_in_place
 from repro.metrics.timeline import stage_utilization
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.engine.replica
@@ -69,14 +69,16 @@ def summarize(result: "SimulationResult") -> RunMetrics:
     ttfts = [r.ttft for r in finished]
     delays = [r.scheduling_delay for r in finished]
     window_end = max(r.arrival_time for r in result.requests)
-    # Every finished request emitted at least one token.
-    pool = np.empty(sum(len(r.token_times) - 1 for r in finished))
-    filled = _fill_gaps(pool, finished, window_end)
-    if not filled:
+    # Token times never decrease, so a request's windowed gaps are a
+    # prefix of its gaps: those between its first ``k`` timestamps.
+    ends = [bisect_right(r.token_times, window_end) for r in finished]
+    if all(k < 2 for k in ends):
         # Closed-loop trace or too-short window: use every sample.
-        filled = _fill_gaps(pool, finished, math.inf)
-    # Degenerate single-token outputs report zeros rather than fail.
-    tbts = pool[:filled] if filled else np.zeros(1)
+        ends = [len(r.token_times) for r in finished]
+    tbts = _gap_pool(finished, ends)
+    if not len(tbts):
+        # Degenerate single-token outputs report zeros rather than fail.
+        tbts = np.zeros(1)
 
     output_tokens = sum(r.num_emitted for r in finished)
     total_tokens = sum(r.prompt_len + r.num_emitted for r in finished)
@@ -96,8 +98,8 @@ def summarize(result: "SimulationResult") -> RunMetrics:
         median_ttft=percentile(ttfts, 50),
         p90_ttft=percentile(ttfts, 90),
         p99_ttft=percentile(ttfts, 99),
-        median_tbt=_percentile_in_place(tbts, 50),
-        p99_tbt=_percentile_in_place(tbts, 99),
+        median_tbt=percentile_in_place(tbts, 50),
+        p99_tbt=percentile_in_place(tbts, 99),
         max_tbt=float(tbts.max()),
         median_scheduling_delay=percentile(delays, 50),
         p99_scheduling_delay=percentile(delays, 99),
@@ -110,23 +112,18 @@ def summarize(result: "SimulationResult") -> RunMetrics:
     )
 
 
-def _fill_gaps(pool: np.ndarray, requests: list, window_end: float) -> int:
-    """Write the token gaps that end by ``window_end`` into ``pool``.
+def _gap_pool(requests: list, ends: list[int]) -> np.ndarray:
+    """The gaps between each request's first ``ends[i]`` token times.
 
-    One request at a time, from its packed timestamps: no Python float
-    per gap and no view kept per request.  Returns the gaps written.
+    Each request's gaps are written straight into one pool from its
+    packed timestamps: no Python float per gap and no temporary array
+    per request.
     """
+    pool = np.empty(sum(k - 1 for k in ends if k > 1))
     filled = 0
-    for request in requests:
-        if len(request.token_times) > 1:
+    for request, k in zip(requests, ends):
+        if k > 1:
             times = np.frombuffer(request.token_times)
-            later = times[1:]
-            gaps = (later - times[:-1])[later <= window_end]
-            pool[filled : filled + len(gaps)] = gaps
-            filled += len(gaps)
-    return filled
-
-
-def _percentile_in_place(values: np.ndarray, q: float) -> float:
-    """``percentile(values, q)``, reordering ``values`` instead of copying."""
-    return float(np.percentile(values, q, overwrite_input=True))
+            np.subtract(times[1:k], times[: k - 1], out=pool[filled : filled + k - 1])
+            filled += k - 1
+    return pool

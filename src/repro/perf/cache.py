@@ -165,7 +165,10 @@ class CachedExecutionModel(ExecutionModel):
         missing = np.isnan(values)
         computed = 0
         if missing.any():
-            fresh = np.unique(ctx[missing])
+            # np.unique, without the numpy.ma import it costs on first use.
+            fresh = ctx[missing]
+            fresh.sort()
+            fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
             table[fresh] = super().decode_attention_times(fresh)
             computed = len(fresh)
             self._work_misses += computed

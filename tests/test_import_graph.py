@@ -116,6 +116,9 @@ print(json.dumps({
     loaded = set(report["loaded"])
     assert [m for m in UNUSED_BY_SIMULATE if m in loaded] == []
     assert [m for m in loaded if m.startswith("repro.telemetry")] == []
+    # np.unique, np.percentile and np.median import numpy.ma (about
+    # 1.25 MB) on first use; the run path calls none of them.
+    assert "numpy.ma" not in loaded
 
 
 def test_theory_policies_are_listed_before_their_module_loads():

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import Deployment, ServingConfig, simulate
 from repro.metrics.capacity import find_capacity
 from repro.metrics.slo import PAPER_SLOS, SLOSpec, derived_slo, paper_slo
-from repro.metrics.stats import jain_fairness, mean, median, p90, p99, percentile
+from repro.metrics.stats import (
+    jain_fairness,
+    mean,
+    median,
+    p90,
+    p99,
+    percentile,
+    percentile_in_place,
+)
 from repro.metrics.summary import RunMetrics
 from repro.metrics.timeline import (
     IterationRecord,
@@ -64,6 +77,43 @@ class TestStats:
             mean(np.array([]))
         with pytest.raises(ValueError):
             jain_fairness(np.array([]))
+
+
+# A float64 sample that may hold infinities, ties, zeros of both signs
+# (equal, so where they land is up to the partition) and one NaN.
+_SAMPLES = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(allow_nan=False),
+    min_size=1,
+    max_size=40,
+)
+_QUANTILES = st.one_of(st.sampled_from([0, 50, 99, 100]), st.floats(0, 100))
+
+
+@settings(max_examples=600, deadline=None)
+@given(values=_SAMPLES, q=_QUANTILES, ties=st.booleans(), nan_at=st.none() | st.integers(0, 80))
+@example(values=[2.5], q=99, ties=False, nan_at=None)
+@example(values=[-0.0], q=0, ties=False, nan_at=None)
+@example(values=[0.0, -0.0], q=100, ties=False, nan_at=None)
+@example(values=[-0.0, 0.0, 0.0, -0.0, -0.0], q=99, ties=False, nan_at=None)
+@example(values=[1.0, 1.0, 1.0, 2.0], q=50, ties=False, nan_at=None)
+@example(values=[3.0, 1.0, 2.0], q=50, ties=False, nan_at=1)
+@example(values=[1.0, math.inf], q=0, ties=False, nan_at=None)
+def test_in_place_percentile_is_numpys_to_the_bit(values, q, ties, nan_at):
+    """``percentile_in_place`` returns ``np.percentile``'s float exactly.
+
+    Checked on the bits, NaN included: perfbench compares the program's
+    percentiles with the same function, so only this test sees a drift.
+    """
+    if ties:
+        values = values + values[: len(values) // 2 + 1]
+    if nan_at is not None:
+        values[nan_at % len(values)] = math.nan
+    sample = np.array(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = float(np.percentile(sample, q))
+    got = percentile_in_place(sample.copy(), q)
+    assert struct.pack("<d", got) == struct.pack("<d", expected)
+    assert percentile(values, q) == expected or math.isnan(expected)
 
 
 class TestSLO:
