@@ -22,6 +22,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "AdmissionPolicy",
         "FleetConfig",
         "FleetEvent",
+        "FleetEventLog",
         "FleetResult",
         "FleetSimulator",
         "simulate_fleet",

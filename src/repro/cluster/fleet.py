@@ -34,7 +34,8 @@ from __future__ import annotations
 import enum
 import heapq
 import random
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -462,6 +463,150 @@ class FleetEvent:
     retry_at: float | None = None
 
 
+# The documented event kinds; a kind's index is its code in the log.
+EVENT_KINDS = (
+    "route",
+    "reject",
+    "shed",
+    "failover",
+    "fault_down",
+    "fault_up",
+    "fault_degrade",
+    "fault_recover",
+    "drain_start",
+    "health_restart",
+    "brownout_enter",
+    "brownout_exit",
+)
+_KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+_NAN = float("nan")
+
+
+class FleetEventLog(Sequence):
+    """Fleet events as packed columns: a read-only sequence.
+
+    :meth:`add` stores one decision without building an object: the
+    time and ``retry_at`` (NaN for ``None``) as float64, the kind as a
+    uint8 code into :data:`EVENT_KINDS`, ``request_id``, ``replica``,
+    ``queue_depth`` and ``outstanding_tokens`` as four int64 per row
+    (-1 for ``None``, so they must not be negative), ``attempt`` as
+    int32, and the rare ``reason`` in a dict keyed by position.
+    Indexing and iteration build :class:`FleetEvent` records on demand.
+    """
+
+    __slots__ = ("_times", "_kinds", "_ints", "_attempts", "_retry_at", "_reasons")
+
+    def __init__(self) -> None:
+        self._times = array("d")
+        self._kinds = array("B")
+        # request_id, replica, queue_depth, outstanding_tokens per row.
+        self._ints = array("q")
+        self._attempts = array("i")
+        self._retry_at = array("d")
+        self._reasons: dict[int, str] = {}
+
+    def add(
+        self,
+        time: float,
+        kind: str,
+        request_id: int | None = None,
+        replica: int | None = None,
+        attempt: int = 0,
+        reason: str | None = None,
+        queue_depth: int | None = None,
+        outstanding_tokens: int | None = None,
+        retry_at: float | None = None,
+    ) -> None:
+        """Append one event; the arguments are :class:`FleetEvent`'s fields."""
+        code = _KIND_CODES.get(kind)
+        if code is None:
+            raise ValueError(f"unknown fleet event kind {kind!r}")
+        ints = (
+            -1 if request_id is None else request_id,
+            -1 if replica is None else replica,
+            -1 if queue_depth is None else queue_depth,
+            -1 if outstanding_tokens is None else outstanding_tokens,
+        )
+        if min(ints) < 0 and any(
+            v is not None and v < 0
+            for v in (request_id, replica, queue_depth, outstanding_tokens)
+        ):
+            raise ValueError(f"negative id or count in a {kind!r} event")
+        try:
+            self._times.append(time)
+            self._ints.extend(ints)
+            self._attempts.append(attempt)
+            self._retry_at.append(_NAN if retry_at is None else retry_at)
+        except (TypeError, OverflowError):
+            # A value that does not fit its column leaves no partial row
+            # (the kinds, appended last, count the complete rows).
+            n = len(self._kinds)
+            del self._times[n:], self._ints[4 * n :], self._attempts[n:], self._retry_at[n:]
+            raise
+        if reason is not None:
+            self._reasons[len(self._kinds)] = reason
+        self._kinds.append(code)
+
+    # -- sequence protocol ---------------------------------------------
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self._kinds)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("FleetEventLog index out of range")
+        q = 4 * index
+        return _event(
+            self._times[index], self._kinds[index], self._ints[q : q + 4],
+            self._attempts[index], self._reasons.get(index), self._retry_at[index],
+        )
+
+    def __iter__(self) -> Iterator[FleetEvent]:
+        reasons = self._reasons
+        rows = zip(
+            self._times, self._kinds, zip(*[iter(self._ints)] * 4),
+            self._attempts, self._retry_at,
+        )
+        for index, (time, code, ints, attempt, retry_at) in enumerate(rows):
+            yield _event(time, code, ints, attempt, reasons.get(index), retry_at)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (FleetEventLog, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"FleetEventLog({len(self)} events)"
+
+
+def _event(
+    time: float,
+    code: int,
+    ints: Sequence[int],
+    attempt: int,
+    reason: str | None,
+    retry_at: float,
+) -> FleetEvent:
+    request_id, replica, queue_depth, outstanding = ints
+    return FleetEvent(
+        time=time,
+        kind=EVENT_KINDS[code],
+        request_id=None if request_id < 0 else request_id,
+        replica=None if replica < 0 else replica,
+        attempt=attempt,
+        reason=reason,
+        queue_depth=None if queue_depth < 0 else queue_depth,
+        outstanding_tokens=None if outstanding < 0 else outstanding,
+        retry_at=None if retry_at != retry_at else retry_at,
+    )
+
+
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
@@ -495,7 +640,7 @@ class FleetResult:
     # ``requests``/``merged()`` for fleet-wide accounting.
     replica_results: list[SimulationResult]
     # Every routing/rejection/failover decision, in decision order.
-    events: list[FleetEvent]
+    events: FleetEventLog
     # request_id -> replica of the *first* delivery.
     assignments: dict[int, int]
     makespan: float
@@ -890,7 +1035,7 @@ class FleetSimulator:
         self._view = ReplicaView(self.table, self.router.columns)
         self._alive_view = self._view.alive
         self._reads_p99 = "recent_p99_tbt" in self.router.columns
-        self.events: list[FleetEvent] = []
+        self.events = FleetEventLog()
         self.assignments: dict[int, int] = {}
         self.shed: list[Request] = []
         self.num_rejections = 0
@@ -998,12 +1143,13 @@ class FleetSimulator:
         cache_stats = getattr(self.exec_model, "cache_stats", None)
         result = FleetResult(
             requests=cloned,
-            shed=list(self.shed),
+            # A simulator runs once: the result takes its logs as they are.
+            shed=self.shed,
             replica_results=[
                 slot.finalize(now, cache_stats) for slot in self.replicas
             ],
-            events=list(self.events),
-            assignments=dict(self.assignments),
+            events=self.events,
+            assignments=self.assignments,
             makespan=now,
             num_replicas=self.fleet.num_replicas,
             num_rejections=self.num_rejections,
@@ -1082,20 +1228,18 @@ class FleetSimulator:
             return
         failed = slot.crash(now)
         self._touch(index, now)
-        self.events.append(
-            FleetEvent(time=now, kind="fault_down", replica=index, reason=f"{len(failed)} failed over")
+        self.events.add(
+            time=now, kind="fault_down", replica=index, reason=f"{len(failed)} failed over"
         )
         # Fail over in arrival order so re-routing is deterministic and
         # FCFS-fair regardless of the engine's internal pool order.
         for request in sorted(failed, key=lambda r: (r.arrival_time, r.request_id)):
             self.num_failovers += 1
-            self.events.append(
-                FleetEvent(
-                    time=now,
-                    kind="failover",
-                    request_id=request.request_id,
-                    replica=index,
-                )
+            self.events.add(
+                time=now,
+                kind="failover",
+                request_id=request.request_id,
+                replica=index,
             )
             queue.push(now, _ARRIVE, (request, 0))
 
@@ -1105,7 +1249,7 @@ class FleetSimulator:
             return
         slot.restore(now)
         self._touch(index, now)
-        self.events.append(FleetEvent(time=now, kind="fault_up", replica=index))
+        self.events.add(time=now, kind="fault_up", replica=index)
 
     def _degrade_replica(self, fault: ReplicaFault, now: float) -> None:
         slot = self.replicas[fault.replica]
@@ -1116,13 +1260,11 @@ class FleetSimulator:
         else:
             slot.lose_capacity(fault.severity)
             self._touch(fault.replica, now)
-        self.events.append(
-            FleetEvent(
-                time=now,
-                kind="fault_degrade",
-                replica=fault.replica,
-                reason=f"{fault.kind.value}:{fault.severity:g}",
-            )
+        self.events.add(
+            time=now,
+            kind="fault_degrade",
+            replica=fault.replica,
+            reason=f"{fault.kind.value}:{fault.severity:g}",
         )
 
     def _recover_replica(self, fault: ReplicaFault, now: float) -> None:
@@ -1137,13 +1279,11 @@ class FleetSimulator:
                 # restoring capacity must nudge the scheduler.
                 slot.engine.kick(now)
             self._touch(fault.replica, now)
-        self.events.append(
-            FleetEvent(
-                time=now,
-                kind="fault_recover",
-                replica=fault.replica,
-                reason=fault.kind.value,
-            )
+        self.events.add(
+            time=now,
+            kind="fault_recover",
+            replica=fault.replica,
+            reason=fault.kind.value,
         )
 
     # -- control loops -------------------------------------------------
@@ -1162,13 +1302,11 @@ class FleetSimulator:
         for index, ratio in self.health.flag_stragglers(table, self.windows):
             slot = self.replicas[index]
             slot.draining = True
-            self.events.append(
-                FleetEvent(
-                    time=now,
-                    kind="drain_start",
-                    replica=index,
-                    reason=f"tbt_inflation={ratio:.2f}",
-                )
+            self.events.add(
+                time=now,
+                kind="drain_start",
+                replica=index,
+                reason=f"tbt_inflation={ratio:.2f}",
             )
         idle = table.draining & table.alive & (table.num_pending == 0)
         for index in np.flatnonzero(idle).tolist():
@@ -1176,9 +1314,7 @@ class FleetSimulator:
             slot.draining = False
             slot.recycle(now)
             self._touch(index, now)
-            self.events.append(
-                FleetEvent(time=now, kind="health_restart", replica=index)
-            )
+            self.events.add(time=now, kind="health_restart", replica=index)
 
     def _run_brownout(self, now: float) -> None:
         change = self.brownout.evaluate(now, self.table, self.windows)
@@ -1189,16 +1325,14 @@ class FleetSimulator:
         budget = self.brownout.active_budget()
         for slot in self.replicas:
             slot.apply_budget_override(budget)
-        self.events.append(
-            FleetEvent(
-                time=now,
-                kind="brownout_enter" if change.direction > 0 else "brownout_exit",
-                reason=(
-                    f"level={change.level}"
-                    if change.p99_tbt is None
-                    else f"level={change.level} p99_tbt={change.p99_tbt:.3f}"
-                ),
-            )
+        self.events.add(
+            time=now,
+            kind="brownout_enter" if change.direction > 0 else "brownout_exit",
+            reason=(
+                f"level={change.level}"
+                if change.p99_tbt is None
+                else f"level={change.level} p99_tbt={change.p99_tbt:.3f}"
+            ),
         )
 
     def _route(
@@ -1269,16 +1403,14 @@ class FleetSimulator:
         slot.engine.deliver(request, now)
         self._touch(choice, now)
         self.assignments.setdefault(request.request_id, choice)
-        self.events.append(
-            FleetEvent(
-                time=now,
-                kind="route",
-                request_id=request.request_id,
-                replica=choice,
-                attempt=attempt,
-                queue_depth=queue_depth,
-                outstanding_tokens=outstanding,
-            )
+        self.events.add(
+            time=now,
+            kind="route",
+            request_id=request.request_id,
+            replica=choice,
+            attempt=attempt,
+            queue_depth=queue_depth,
+            outstanding_tokens=outstanding,
         )
 
     def _reject(
@@ -1301,28 +1433,24 @@ class FleetSimulator:
             RETRY_BACKOFF * RETRY_BACKOFF_FACTOR**attempt * (1.0 + RETRY_JITTER * draw)
         )
         if attempt >= MAX_RETRIES:
-            self.events.append(
-                FleetEvent(
-                    time=now,
-                    kind="reject",
-                    request_id=request.request_id,
-                    replica=replica,
-                    attempt=attempt,
-                    reason=reason,
-                )
-            )
-            self._shed(request, attempt, now, replica, "retries_exhausted")
-            return
-        self.events.append(
-            FleetEvent(
+            self.events.add(
                 time=now,
                 kind="reject",
                 request_id=request.request_id,
                 replica=replica,
                 attempt=attempt,
                 reason=reason,
-                retry_at=retry_at,
             )
+            self._shed(request, attempt, now, replica, "retries_exhausted")
+            return
+        self.events.add(
+            time=now,
+            kind="reject",
+            request_id=request.request_id,
+            replica=replica,
+            attempt=attempt,
+            reason=reason,
+            retry_at=retry_at,
         )
         queue.push(retry_at, _ARRIVE, (request, attempt + 1))
 
@@ -1335,15 +1463,13 @@ class FleetSimulator:
         reason: str,
     ) -> None:
         self.shed.append(request)
-        self.events.append(
-            FleetEvent(
-                time=now,
-                kind="shed",
-                request_id=request.request_id,
-                replica=replica,
-                attempt=attempt,
-                reason=reason,
-            )
+        self.events.add(
+            time=now,
+            kind="shed",
+            request_id=request.request_id,
+            replica=replica,
+            attempt=attempt,
+            reason=reason,
         )
 
 

@@ -10,13 +10,14 @@ objects while the engine iterates over arrays.
 
 Token emission timestamps are not appended per token; the engine logs
 each iteration's ``(time, rows)`` into an :class:`EmissionLog` (three
-packed arrays, no Python object per entry) and
+packed arrays, int32 row ids, no Python object per entry) and
 :meth:`RequestArrays.sync_out` folds only the entries logged since the
 previous sync into each ``Request.token_times``, in chunks of at most
-``_SYNC_CHUNK`` (16,384) entries (each stable-sorted by row), then
-clears the log.  The engine also folds the log (without the scalar
-sync) whenever it reaches ``_SYNC_CHUNK`` rows, so the log stays within
-one chunk.  ``token_times`` is a packed float64 ``array('d')``: each
+``_SYNC_CHUNK`` (16,384) entries (each stable-sorted by row).  A fold
+first detaches the log's arrays, so the log is empty whatever happens
+to the fold.  The engine also folds the log (without the scalar sync)
+whenever it reaches ``_SYNC_CHUNK`` rows, so the log stays within one
+chunk.  ``token_times`` is a packed float64 ``array('d')``: each
 row's run is appended as raw bytes of the sorted chunk, so a sync
 creates no Python float per token, and its transient arrays are
 bounded by one chunk, however long the log.  A fold holds about five
@@ -87,27 +88,31 @@ class EmissionLog:
 
     Entry ``i`` says that the ``counts[i]`` rows starting at
     ``sum(counts[:i])`` of ``rows`` emitted a token at ``stamps[i]``.
-    Entries are appended in time order.
+    Entries are appended in time order.  Counts and row ids are int32
+    (:meth:`RequestArrays._grow` keeps row ids below 2**31).
     """
 
     __slots__ = ("stamps", "counts", "rows")
 
     def __init__(self) -> None:
         self.stamps = array("d")
-        self.counts = array("q")
-        self.rows = array("q")
+        self.counts = array("i")
+        self.rows = array("i")
 
     def append(self, now: float, rows: "np.ndarray | list[int]") -> None:
         """Log that each of ``rows`` emitted a token at ``now``."""
         self.stamps.append(now)
         self.counts.append(len(rows))
-        self.rows.frombytes(np.asarray(rows, dtype=np.int64).tobytes())
+        self.rows.frombytes(np.asarray(rows, dtype=np.int32).tobytes())
 
     def __len__(self) -> int:
         return len(self.stamps)
 
-    def clear(self) -> None:
-        del self.stamps[:], self.counts[:], self.rows[:]
+    def detach(self) -> tuple[array, array, array]:
+        """The logged ``(stamps, counts, rows)``; the log starts empty."""
+        taken = (self.stamps, self.counts, self.rows)
+        self.stamps, self.counts, self.rows = array("d"), array("i"), array("i")
+        return taken
 
 
 class RequestArrays:
@@ -117,6 +122,8 @@ class RequestArrays:
     # Token entries of the emission log folded per sort in ``sync_out``,
     # and the log length at which the engine folds (see the module doc).
     _SYNC_CHUNK = 1 << 14
+    # Row ids are int32 in the emission log.
+    _MAX_ROWS = 2**31 - 1
 
     def __init__(self) -> None:
         self.n = 0
@@ -128,6 +135,12 @@ class RequestArrays:
 
     # -- storage -------------------------------------------------------
     def _grow(self, min_capacity: int) -> None:
+        # Checked before allocating: a row id past int32 would wrap
+        # silently in the emission log.
+        if min_capacity > self._MAX_ROWS:
+            raise OverflowError(
+                f"{min_capacity} rows exceed the {self._MAX_ROWS} that int32 row ids hold"
+            )
         new_cap = max(self._capacity * 2, self._INITIAL_CAPACITY)
         while new_cap < min_capacity:
             new_cap *= 2
@@ -292,14 +305,12 @@ class RequestArrays:
         each chunk keeps every row's timestamps chronological.
         """
         if len(emit_log):
+            stamps, counts, rows = emit_log.detach()
             self._fold_packed(
-                np.frombuffer(emit_log.stamps, dtype=np.float64),
-                np.frombuffer(emit_log.counts, dtype=np.int64),
-                np.frombuffer(emit_log.rows, dtype=np.int64),
+                np.frombuffer(stamps, dtype=np.float64),
+                np.frombuffer(counts, dtype=np.int32),
+                np.frombuffer(rows, dtype=np.int32),
             )
-            # Cleared only once the views above are gone: an array
-            # cannot shrink while a view of it exists.
-            emit_log.clear()
 
     def _fold_packed(
         self, stamps: np.ndarray, counts: np.ndarray, rows: np.ndarray

@@ -34,7 +34,7 @@ this cheap without a per-token event heap:
   synchronization point (end of run, fleet crash or drain) folds only
   the entries logged since the previous one into the packed float64
   ``token_times`` arrays, in bounded stable-sorted chunks appended as
-  raw bytes (no Python float per token), and then clears the log.  A
+  raw bytes (no Python float per token), detaching the log first.  A
   commit that fills the log to ``RequestArrays._SYNC_CHUNK`` (16,384)
   rows folds it at once, so the log never holds more than one chunk,
   and a fold's temporaries (about five chunk-sized arrays, ~0.5 MB)

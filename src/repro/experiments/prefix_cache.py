@@ -38,6 +38,8 @@ class PrefixCachePoint:
     hit_rate: float         # prefix lookups served from the store
     hit_tokens: int         # prefill tokens skipped via reuse
     cow_copies: int         # partial-block divergences
+    bounded: bool = True    # False: the search found no infeasible rate,
+                            # so capacity_qps is only a lower bound
 
 
 def conversation_spec_for(scale: Scale, prefix_mode: str = "conversation") -> ConversationSpec:
@@ -105,6 +107,7 @@ def run_prefix_cache_capacity(
                     hit_rate=stats.hit_rate if stats is not None else 0.0,
                     hit_tokens=stats.hit_tokens if stats is not None else 0,
                     cow_copies=stats.cow_copies if stats is not None else 0,
+                    bounded=search.bounded,
                 )
             )
     return points

@@ -239,10 +239,19 @@ def _prefix_table(points) -> Table:
     from repro.experiments.prefix_cache import capacity_gain
 
     gains = capacity_gain(points)
+    # A search that never failed a probe gives a lower bound, and a
+    # ratio with a lower bound in it is no measured gain.
+    unbounded = {p.chunk_size for p in points if not p.bounded}
+
+    def gain(p) -> str:
+        if p.variant != "cache-on":
+            return "-"
+        return "n/a" if p.chunk_size in unbounded else f"{gains[p.chunk_size]:.2f}x"
+
     rows = [
-        [str(p.chunk_size), p.variant, f"{p.capacity_qps:.2f}",
-         f"{p.hit_rate:.0%}", str(p.cow_copies),
-         f"{gains[p.chunk_size]:.2f}x" if p.variant == "cache-on" else "-"]
+        [str(p.chunk_size), p.variant,
+         f"{p.capacity_qps:.2f}" if p.bounded else f">= {p.capacity_qps:.2f}",
+         f"{p.hit_rate:.0%}", str(p.cow_copies), gain(p)]
         for p in points
     ]
     return (["chunk", "variant", "capacity qps", "hit rate", "COW", "gain"], rows)

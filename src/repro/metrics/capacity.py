@@ -54,7 +54,8 @@ class CapacityResult:
     it.  ``qps_hint`` is the starting-rung seed (None when the search
     cold-started from ``qps_hi``) — comparing it with
     ``num_bracket_probes`` across a sweep shows what a hint costs or
-    saves.
+    saves.  ``bounded`` is False when every probe passed and the probe
+    budget ran out first: ``capacity_qps`` is then only a lower bound.
     """
 
     capacity_qps: float
@@ -63,6 +64,7 @@ class CapacityResult:
     qps_hint: float | None = None
     num_bracket_probes: int = 0
     num_bisect_probes: int = 0
+    bounded: bool = True
 
     @property
     def num_probes(self) -> int:
@@ -147,6 +149,7 @@ def find_capacity(
                 break
         if hi is None:  # budget exhausted while still feasible
             result.num_bracket_probes = result.num_probes
+            result.bounded = False
             return finish(ladder_qps(lo, rel_tol))
     else:
         hi = start

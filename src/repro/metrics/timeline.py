@@ -75,15 +75,15 @@ class IterationLog(Sequence):
     """Iteration records as packed numbers: a read-only sequence.
 
     :meth:`append` stores one iteration as six integers in an
-    ``array('q')`` and seven floats in an ``array('d')``.  ``len``,
-    indexing and iteration build :class:`IterationRecord` objects on
-    demand; numeric readers use :meth:`column` instead.  :meth:`chain`
-    joins logs by sharing their arrays, so a fleet's merged view copies
-    no record.
+    ``array('i')`` (a value outside int32 raises ``OverflowError``) and
+    seven floats in an ``array('d')``.  ``len``, indexing and iteration
+    build :class:`IterationRecord` objects on demand; numeric readers
+    use :meth:`column` instead.  :meth:`chain` joins logs by sharing
+    their arrays, so a fleet's merged view copies no record.
 
-    A column of a log with one non-empty part is a view of the live
-    array, and an ``array`` cannot grow while a view of it exists: drop
-    column views before appending again.
+    A float column of a log with one non-empty part is a view of the
+    live array, and an ``array`` cannot grow while a view of it exists:
+    drop column views before appending again.
     """
 
     __slots__ = ("_parts", "_ints", "_floats")
@@ -92,7 +92,7 @@ class IterationLog(Sequence):
         # Shared (ints, floats) pairs of chained logs, read before the
         # log's own arrays.
         self._parts: tuple[tuple[array, array], ...] = ()
-        self._ints = array("q")
+        self._ints = array("i")
         self._floats = array("d")
 
     @classmethod
@@ -136,13 +136,20 @@ class IterationLog(Sequence):
         communication: float,
         overhead: float,
     ) -> None:
-        self._ints.extend((
-            stage, batch_id, num_prefill_tokens, num_decode_tokens,
-            num_prefill_seqs, num_decode_seqs,
-        ))
-        self._floats.extend(
-            (start, end, linear, attention, others, communication, overhead)
-        )
+        try:
+            self._ints.extend((
+                stage, batch_id, num_prefill_tokens, num_decode_tokens,
+                num_prefill_seqs, num_decode_seqs,
+            ))
+            self._floats.extend(
+                (start, end, linear, attention, others, communication, overhead)
+            )
+        except (TypeError, OverflowError):
+            # A value that does not fit its column leaves no partial row
+            # (the floats, extended last, are short of the new row).
+            rows = len(self._floats) // _NF
+            del self._ints[rows * _NI :], self._floats[rows * _NF :]
+            raise
 
     def select(self, keep: np.ndarray) -> "IterationLog":
         """A new log of the rows where the boolean mask ``keep`` is true."""
@@ -152,10 +159,14 @@ class IterationLog(Sequence):
         return kept
 
     def column(self, name: str) -> np.ndarray:
-        """One field of every row, in log order, as a numpy array."""
+        """One field of every row, in log order, as a numpy array.
+
+        Int fields come back as int64 copies: products such as
+        ``tokens * kv_bytes_per_token`` would wrap silently in int32.
+        """
         if name in _FLOAT_FIELDS:
             return self._matrix(_FLOAT_FIELDS)[:, _FLOAT_FIELDS.index(name)]
-        return self._matrix(_INT_FIELDS)[:, _INT_FIELDS.index(name)]
+        return self._matrix(_INT_FIELDS)[:, _INT_FIELDS.index(name)].astype(np.int64)
 
     # -- sequence protocol ---------------------------------------------
     def __len__(self) -> int:
@@ -200,7 +211,7 @@ class IterationLog(Sequence):
 
     def _matrix(self, fields: tuple[str, ...]) -> np.ndarray:
         """The int or float fields of every row as a ``(rows, fields)`` array."""
-        slot, dtype = (1, np.float64) if fields is _FLOAT_FIELDS else (0, np.int64)
+        slot, dtype = (1, np.float64) if fields is _FLOAT_FIELDS else (0, np.int32)
         blocks = [
             np.frombuffer(part[slot], dtype=dtype).reshape(-1, len(fields))
             for part in self._all_parts()

@@ -166,7 +166,7 @@ def fleet_canon(fleet_result, metrics) -> dict:
                 [records(r.records), r.num_preemptions, r.makespan]
                 for r in fleet_result.replica_results
             ],
-            "events": fleet_result.events,
+            "events": list(fleet_result.events),
             "assignments": sorted(
                 (ids[rid], replica) for rid, replica in fleet_result.assignments.items()
             ),

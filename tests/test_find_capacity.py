@@ -88,6 +88,24 @@ def test_hint_cannot_conjure_capacity_from_nothing(hint, rel_tol):
 
     result = find_capacity(run, SLO, rel_tol=rel_tol, max_probes=200, qps_hint=hint)
     assert result.capacity_qps == 0.0
+    assert result.bounded
+
+
+@pytest.mark.parametrize("max_probes", [1, 5, 12])
+def test_a_search_that_never_fails_is_only_a_lower_bound(max_probes):
+    result = find_capacity(
+        lambda qps: _StubMetrics(True), SLO, max_probes=max_probes, qps_hint=1.0
+    )
+    assert not result.bounded
+    assert result.num_probes == max_probes
+    assert all(ok for _, _, ok in result.probes)
+    assert result.capacity_qps == max(qps for qps, _, _ in result.probes)
+
+
+def test_a_bracketed_search_is_bounded():
+    result = find_capacity(lambda qps: _StubMetrics(qps <= 3.0), SLO, qps_hint=1.0)
+    assert result.bounded
+    assert 0 < result.capacity_qps <= 3.0
 
 
 _SCALE = Scale(num_requests=16, capacity_rel_tol=0.3, capacity_max_probes=30, seed=3)

@@ -90,8 +90,8 @@ _GRID = 0.125
 _grid = st.integers(0, 8).map(lambda k: k * _GRID)
 _floats = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 _terms = st.floats(allow_nan=False, allow_infinity=False)
-# Beyond 2**53, so a float column would round them.
-_big_ints = st.integers(-(2**62), 2**62)
+# The int fields are int32: the extremes must come back exactly.
+_big_ints = st.integers(-(2**31), 2**31 - 1)
 
 
 @st.composite
@@ -185,6 +185,43 @@ def test_log_bounds_and_chain_append():
     joined.append(0, 2.0, 3.0, 8, 0, 1, 0, 1, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert [r.batch_id for r in joined] == [7, 7, 8]
     assert len(log) == 1  # chaining shares rows but never writes to them
+
+
+_INT_NAMES = (
+    "stage", "batch_id", "num_prefill_tokens", "num_decode_tokens",
+    "num_prefill_seqs", "num_decode_seqs",
+)
+
+
+def test_int_columns_are_int64_for_one_part_and_chained_parts():
+    log = IterationLog()
+    log.append(1, 0.5, 1.5, 2**31 - 1, 2**31 - 1, 2, 1, 2, 0.1, 0.2, 0.3, 0.4, 0.5)
+    tail = IterationLog()
+    tail.append(0, 2.0, 3.0, -(2**31), 3, 4, 5, 6, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for view in (log, IterationLog.chain([log, tail]), IterationLog.chain([log, [tail[0]]])):
+        for name in _INT_NAMES:
+            assert view.column(name).dtype == np.int64
+        assert view.column("batch_id").tolist() == [r.batch_id for r in view]
+        # int32 columns would wrap this product instead of widening it.
+        assert (view.column("num_prefill_tokens") * 2**20)[0] == (2**31 - 1) * 2**20
+    assert IterationLog().column("stage").dtype == np.int64
+
+
+@pytest.mark.parametrize("value", [2**31, -(2**31) - 1])
+@pytest.mark.parametrize("field", range(len(_INT_NAMES)))
+def test_out_of_range_int_raises_instead_of_wrapping(field, value):
+    ints = [0] * len(_INT_NAMES)
+    ints[field] = value
+    stage, batch_id, prefill_tokens, decode_tokens, prefill_seqs, decode_seqs = ints
+    log = IterationLog()
+    with pytest.raises(OverflowError):
+        log.append(
+            stage, 0.0, 1.0, batch_id, prefill_tokens, decode_tokens,
+            prefill_seqs, decode_seqs, 0.0, 0.0, 0.0, 0.0, 0.0,
+        )
+    # No partial row is left behind.
+    log.append(1, 0.5, 1.5, 7, 10, 2, 1, 2, 0.1, 0.2, 0.3, 0.4, 0.5)
+    assert [r.batch_id for r in log] == [7]
 
 
 # ----------------------------------------------------------------------

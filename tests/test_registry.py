@@ -55,6 +55,23 @@ class TestRegistry:
         text, _ = reproduce_figure("FIG03", TINY)
         assert text.startswith("fig03")
 
+    def test_prefix_table_marks_unbracketed_capacities(self):
+        from repro.experiments.prefix_cache import PrefixCachePoint
+
+        def point(variant, chunk, qps, bounded):
+            return PrefixCachePoint(variant, chunk, qps, 0.5, 10, 1, bounded)
+
+        headers, rows = REGISTRY["prefix"].table([
+            point("cache-off", 512, 2.0, True),
+            point("cache-on", 512, 3.0, True),
+            point("cache-off", 2048, 2.5, True),
+            point("cache-on", 2048, 1.6e8, False),
+        ])
+        assert headers[2] == "capacity qps" and headers[5] == "gain"
+        assert [(r[2], r[5]) for r in rows] == [
+            ("2.00", "-"), ("3.00", "1.50x"), ("2.50", "-"), (">= 160000000.00", "n/a"),
+        ]
+
 
 class TestReproduceCLI:
     def test_list_mode(self, capsys):

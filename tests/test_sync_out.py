@@ -214,3 +214,28 @@ def test_followup_handoff_sees_final_token_times(tiny_deployment):
     assert handed_off == {r.request_id: r.token_times.tolist() for r in result.requests}
     for request in result.requests:
         assert len(request.token_times) == request.output_len
+
+
+@pytest.mark.tier1
+def test_a_view_of_the_log_held_across_a_fold_changes_nothing():
+    arrays = RequestArrays()
+    arrays.ingest(make_request(prompt_len=8, output_len=8))
+    log = EmissionLog()
+    log.append(1.0, [0])
+    held = np.frombuffer(log.rows, dtype=np.int32)
+    arrays.fold_emissions(log)
+    assert len(log) == 0
+    arrays.fold_emissions(log)
+    assert arrays.requests[0].token_times.tolist() == [1.0]
+    assert held.tolist() == [0]
+    log.append(2.0, np.array([0]))
+    arrays.sync_out(log)
+    assert arrays.requests[0].token_times.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.tier1
+def test_rows_past_int32_are_refused_before_allocating():
+    arrays = RequestArrays()
+    with pytest.raises(OverflowError):
+        arrays._grow(2**31)
+    assert arrays._capacity == RequestArrays._INITIAL_CAPACITY
