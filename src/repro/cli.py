@@ -166,8 +166,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if result.engine_stats is not None:
         stats = result.engine_stats
         print(
-            f"engine:     {stats.kind} ({stats.num_events} events, "
-            f"{stats.num_batches} batches, {stats.wall_time_s:.2f}s wall)"
+            f"engine:     {stats.num_events} events, "
+            f"{stats.num_batches} batches, {stats.wall_time_s:.2f}s wall"
         )
     print(f"workload:   {workload_line}")
     if result.cache_stats is not None:

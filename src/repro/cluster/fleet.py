@@ -689,7 +689,6 @@ class FleetResult:
                     stats
                     if engine_stats is None
                     else EngineStats(
-                        kind=stats.kind,
                         num_events=engine_stats.num_events + stats.num_events,
                         num_batches=engine_stats.num_batches + stats.num_batches,
                         wall_time_s=engine_stats.wall_time_s + stats.wall_time_s,
@@ -957,7 +956,6 @@ class _ReplicaSlot:
         batches = self._past_batches
         wall_s = self._past_wall_s
         prefix_stats = self._past_prefix
-        kind = VectorizedReplicaEngine.kind
         if self.engine is not None:
             logs.append(self.engine.records)
             preemptions += self.engine.scheduler.num_preemptions
@@ -966,7 +964,6 @@ class _ReplicaSlot:
             events += stats.num_events
             batches += stats.num_batches
             wall_s += stats.wall_time_s
-            kind = stats.kind
             prefix_stats = _add_prefix_stats(
                 prefix_stats,
                 getattr(self.engine.scheduler.memory, "prefix_stats", None),
@@ -980,7 +977,6 @@ class _ReplicaSlot:
             unfinished=[r for r in requests if not r.is_finished],
             cache_stats=cache_stats,
             engine_stats=EngineStats(
-                kind=kind,
                 num_events=events,
                 num_batches=batches,
                 wall_time_s=wall_s,

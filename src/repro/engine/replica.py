@@ -25,7 +25,6 @@ FollowupFn = Callable[[Request, float], list[Request]]
 class EngineStats:
     """How the engine itself performed (not the simulated system)."""
 
-    kind: str
     num_events: int
     num_batches: int
     wall_time_s: float

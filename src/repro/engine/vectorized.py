@@ -76,7 +76,6 @@ class VectorizedReplicaEngine:
     Construction is normally via :func:`repro.api.build_engine`.
     """
 
-    kind = "vectorized"
     # Effective host<->device copy bandwidth for KV swap traffic
     # (PCIe-4.0 x16 class, overlap-corrected).
     DEFAULT_SWAP_BANDWIDTH = 20e9
@@ -309,7 +308,6 @@ class VectorizedReplicaEngine:
     def engine_stats(self) -> EngineStats:
         """Counters so far — valid mid-run (the fleet polls these)."""
         return EngineStats(
-            kind=self.kind,
             num_events=self._num_events,
             num_batches=self.scheduler.num_scheduled_batches,
             wall_time_s=self._wall_time_s,

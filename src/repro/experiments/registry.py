@@ -698,10 +698,10 @@ REGISTRY: dict[str, FigureEntry] = {
             "disagg", "Extension: Sarathi vs disaggregated 1P+1D", False,
             _runner("disagg_comparison:run_disagg_comparison"),
             _rows(["system", "med TTFT (s)", "P99 TBT (s)", "makespan (s)", "migrations",
-                   "migration time (s)"],
+                   "migration time (s)", "preemptions"],
                   lambda p: [p.system, f"{p.median_ttft:.3f}", f"{p.p99_tbt:.3f}",
                              f"{p.makespan:.1f}", str(p.num_migrations),
-                             f"{p.total_migration_time:.2f}"]),
+                             f"{p.total_migration_time:.2f}", str(p.num_preemptions)]),
             (
                 Claim("the NVLink 1P+1D P99 TBT < 2 Sarathi replicas'",
                       lambda ps: _by(ps, "system")["disagg-1P1D-NVLink"].p99_tbt

@@ -55,7 +55,8 @@ class CapacityResult:
     cold-started from ``qps_hi``) — comparing it with
     ``num_bracket_probes`` across a sweep shows what a hint costs or
     saves.  ``bounded`` is False when every probe passed and the probe
-    budget ran out first: ``capacity_qps`` is then only a lower bound.
+    budget, or the float range of the ladder, ran out first:
+    ``capacity_qps`` is then only a lower bound.
     """
 
     capacity_qps: float
@@ -141,13 +142,19 @@ def find_capacity(
         step = 1
         while result.num_probes < max_probes:
             candidate = lo + step
+            try:
+                ladder_qps(candidate, rel_tol)
+            except OverflowError:
+                # The walk doubles its step, so a search whose every
+                # probe passes can outrun the float range first.
+                break
             if probe(candidate):
                 lo = candidate
                 step *= 2
             else:
                 hi = candidate
                 break
-        if hi is None:  # budget exhausted while still feasible
+        if hi is None:  # budget (or float range) exhausted while still feasible
             result.num_bracket_probes = result.num_probes
             result.bounded = False
             return finish(ladder_qps(lo, rel_tol))

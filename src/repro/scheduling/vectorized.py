@@ -616,6 +616,8 @@ class VecScheduler:
         self.waiting: deque[int] = deque()
         self.running: list[int] = []
         self._running_set: set[int] = set()
+        # Rows whose KV cache lives outside the pool until it has room:
+        # swapped out, or arrived prefilled (see ``add_row``).
         self.swapped: list[int] = []
         self._claimed: set[int] = set()
         # Rows scheduled into a batch that has not completed yet; only
@@ -645,7 +647,12 @@ class VecScheduler:
                 f"request {A.requests[row].request_id} arrives at {arrival}, "
                 f"but now is {now}"
             )
-        self.waiting.append(row)
+        if A.prefill_done[row] < A.prefill_target[row]:
+            self.waiting.append(row)
+        else:
+            # Arrived prefilled (its KV cache migrated in): it waits
+            # with the swapped-out rows for room, then decodes.
+            self.swapped.append(row)
 
     def note_ingested(self, row: int) -> None:
         """Account a freshly mirrored row into the workload gauges."""
@@ -893,6 +900,11 @@ class VecScheduler:
         self.num_swap_outs += 1
 
     def _try_swap_in(self) -> None:
+        """Admit every held row whose context now fits.
+
+        A swapped-out row pays its swap-in transfer; a row that arrived
+        prefilled brought its KV cache along and pays nothing here.
+        """
         if not self.swapped:
             return
         A = self.A
@@ -900,15 +912,16 @@ class VecScheduler:
         for row in self.swapped:
             if self.memory.can_admit(row):
                 self.memory.admit(row)
-                context = int(A.prefill_done[row] + A.decode_steps[row])
-                self._pending_swap_bytes += self.kv_bytes_per_token * context
+                if A.phase[row] == PH_PREEMPTED:
+                    context = int(A.prefill_done[row] + A.decode_steps[row])
+                    self._pending_swap_bytes += self.kv_bytes_per_token * context
+                    self.num_swap_ins += 1
                 A.phase[row] = (
                     PH_DECODE
                     if A.prefill_done[row] >= A.prefill_target[row]
                     else PH_PREFILL
                 )
                 self._run_add(row)
-                self.num_swap_ins += 1
             else:
                 still_out.append(row)
         self.swapped = still_out
@@ -969,6 +982,28 @@ class _ArrivalSortedMixin(VecScheduler):
                 self._cached_partials = _EMPTY_ROWS
             self._cache_version = self._run_version
         return self._cached_decodes_sorted, self._cached_partials
+
+    def _sorted_all_running(self) -> np.ndarray:
+        """Every schedulable running row, stably sorted by arrival."""
+        sorted_decodes, partials = self._partition()
+        if not len(partials):
+            return sorted_decodes
+        # Rare (swap re-admission): the schedulable pool, stably
+        # sorted by arrival.
+        run_arr = np.array(self._schedulable_rows(), dtype=np.int64)
+        order = np.argsort(self.A.arrival_time[run_arr], kind="stable")
+        return run_arr[order]
+
+    def _add_prefill(self, prefills: tuple, row: int, chunk: int) -> None:
+        """Append ``row``'s next ``chunk`` prompt tokens to the batch's
+        ``(p_rows, p_chunk, p_past, p_is_last)`` lists."""
+        A = self.A
+        remaining = int(A.prefill_target[row] - A.prefill_done[row])
+        p_rows, p_chunk, p_past, p_is_last = prefills
+        p_rows.append(row)
+        p_chunk.append(chunk)
+        p_past.append(int(A.prefill_done[row]))
+        p_is_last.append(chunk >= remaining)
 
     def _decode_block(
         self, sorted_rows: np.ndarray, check_complete: bool = False
@@ -1051,23 +1086,12 @@ class VecSarathiScheduler(_ArrivalSortedMixin):
         self.chunk_prefills = chunk_prefills
 
     def _build_batch(self, now: float) -> VecBatch | None:
-        A = self.A
         sorted_decodes, partials = self._partition()
         decode_rows, decode_ctx = self._decode_block(sorted_decodes)
         tokens_used = len(decode_rows)
         size = tokens_used
 
-        p_rows: list[int] = []
-        p_chunk: list[int] = []
-        p_past: list[int] = []
-        p_is_last: list[bool] = []
-
-        def add_prefill(row: int, chunk: int) -> None:
-            remaining = int(A.prefill_target[row] - A.prefill_done[row])
-            p_rows.append(row)
-            p_chunk.append(chunk)
-            p_past.append(int(A.prefill_done[row]))
-            p_is_last.append(chunk >= remaining)
+        prefills = p_rows, p_chunk, p_past, p_is_last = [], [], [], []
 
         # Continue partially completed prefills before admitting new
         # work (lines 9-12).
@@ -1080,7 +1104,7 @@ class VecSarathiScheduler(_ArrivalSortedMixin):
             chunk = self._chunk_for(row, tokens_used)
             if chunk <= 0:
                 break
-            add_prefill(row, chunk)
+            self._add_prefill(prefills, row, chunk)
             tokens_used += chunk
             size += 1
 
@@ -1100,7 +1124,7 @@ class VecSarathiScheduler(_ArrivalSortedMixin):
             # recompute so the chunk never overruns (still >= 1: the
             # cache always leaves at least one token to prefill).
             chunk = self._chunk_for(admitted, tokens_used)
-            add_prefill(admitted, chunk)
+            self._add_prefill(prefills, admitted, chunk)
             tokens_used += chunk
             size += 1
 
@@ -1291,16 +1315,6 @@ class VecVLLMScheduler(_ArrivalSortedMixin):
             return None
         return VecBatch(decode_rows, decode_ctx, [], [], [], [])
 
-    def _sorted_all_running(self) -> np.ndarray:
-        sorted_decodes, partials = self._partition()
-        if not len(partials):
-            return sorted_decodes
-        # Rare (swap re-admission): the schedulable pool, stably
-        # sorted by arrival.
-        run_arr = np.array(self._schedulable_rows(), dtype=np.int64)
-        order = np.argsort(self.A.arrival_time[run_arr], kind="stable")
-        return run_arr[order]
-
 
 class VecOrcaScheduler(VecScheduler):
     """Orca: iteration-level batching with eager full prefills riding
@@ -1450,28 +1464,10 @@ class VecChunkedPrefillsOnlyScheduler(_ArrivalSortedMixin):
             return None
         return VecBatch(decode_rows, decode_ctx, [], [], [], [])
 
-    def _sorted_all_running(self) -> np.ndarray:
-        sorted_decodes, partials = self._partition()
-        if not len(partials):
-            return sorted_decodes
-        run_arr = np.array(self._schedulable_rows(), dtype=np.int64)
-        order = np.argsort(self.A.arrival_time[run_arr], kind="stable")
-        return run_arr[order]
-
     def _prefill_batch(self) -> VecBatch | None:
         A = self.A
-        p_rows: list[int] = []
-        p_chunk: list[int] = []
-        p_past: list[int] = []
-        p_is_last: list[bool] = []
+        prefills = p_rows, p_chunk, p_past, p_is_last = [], [], [], []
         tokens_used = 0
-
-        def add_prefill(row: int, chunk: int) -> None:
-            remaining = int(A.prefill_target[row] - A.prefill_done[row])
-            p_rows.append(row)
-            p_chunk.append(chunk)
-            p_past.append(int(A.prefill_done[row]))
-            p_is_last.append(chunk >= remaining)
 
         # Ongoing partial prefills first (running order), then admit.
         for row in self._schedulable_rows():
@@ -1480,7 +1476,7 @@ class VecChunkedPrefillsOnlyScheduler(_ArrivalSortedMixin):
             chunk = self._next_chunk(row, tokens_used)
             if chunk <= 0:
                 break
-            add_prefill(row, chunk)
+            self._add_prefill(prefills, row, chunk)
             tokens_used += chunk
         while len(p_rows) < self.max_batch_size and tokens_used < self.token_budget:
             if not self.waiting:
@@ -1495,7 +1491,7 @@ class VecChunkedPrefillsOnlyScheduler(_ArrivalSortedMixin):
             # Recompute after admission: a prefix-cache hit shrinks the
             # remaining prefill (see VecSarathiScheduler._build_batch).
             chunk = self._next_chunk(admitted, tokens_used)
-            add_prefill(admitted, chunk)
+            self._add_prefill(prefills, admitted, chunk)
             tokens_used += chunk
         if not p_rows:
             return None

@@ -4,7 +4,6 @@ from repro._exports import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".recorder": (
-        "engine_rows",
         "iteration_rows",
         "request_rows",
         "run_counters",

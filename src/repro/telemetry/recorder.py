@@ -72,30 +72,6 @@ def request_rows(result: "SimulationResult") -> list[Row]:
     return rows
 
 
-def engine_rows(result: "SimulationResult") -> list[Row]:
-    """One row describing the engine that produced ``result``.
-
-    Tracks the simulator itself (which core ran, how many events and
-    batches it processed, the wall-clock it burned) rather than the
-    simulated system — the table sweeps use to compare the object and
-    vectorized cores.  Empty for results assembled outside ``run()``
-    (fleet crash snapshots, merged fleet results), which carry no
-    engine stats.
-    """
-    stats = result.engine_stats
-    if stats is None:
-        return []
-    return [
-        {
-            "engine": stats.kind,
-            "num_events": stats.num_events,
-            "num_batches": stats.num_batches,
-            "events_per_batch": stats.events_per_batch,
-            "wall_time_s": stats.wall_time_s,
-        }
-    ]
-
-
 def write_jsonl(path: str | Path, rows: list[Row]) -> Path:
     """Write rows as JSON Lines; returns the resolved path."""
     path = Path(path)

@@ -142,7 +142,7 @@ def records(recs) -> list:
 
 
 def result_canon(result) -> dict:
-    """A ``SimulationResult`` (or disaggregated result) in canonical form."""
+    """A ``SimulationResult`` in canonical form."""
     ids = relabel(result.requests)
     return canon(
         {
@@ -343,20 +343,20 @@ def run_sarathi_reservation() -> dict:
     return result_canon(engine.run(clone_requests(trace)))
 
 
-def run_disagg(decode_kv_capacity: int = 16384) -> dict:
-    from repro.disagg.engine import DisaggregatedEngine
+def run_disagg() -> dict:
+    from repro.experiments.disagg_comparison import simulate_disaggregated
 
-    engine = DisaggregatedEngine(
-        TINY.execution_model(),
-        num_prefill_replicas=1,
-        num_decode_replicas=2,
-        migration_link=NVLINK,
-        decode_kv_capacity=decode_kv_capacity,
+    result, num_migrations, migration_time = simulate_disaggregated(
+        TINY,
+        clone_requests(WORKLOADS["sharegpt"](24, 0)),
+        prefill_replicas=1,
+        decode_replicas=2,
+        link=NVLINK,
     )
-    result = engine.run(clone_requests(WORKLOADS["sharegpt"](24, 0)))
     return {
         "result": result_canon(result),
-        "migrations": [engine.num_migrations, canon(engine.total_migration_time)],
+        "replica_logs": [records(log) for log in result.replica_logs],
+        "migrations": [num_migrations, canon(migration_time)],
     }
 
 

@@ -65,7 +65,7 @@ def test_engine_stats_agree_on_work_done(tiny_deployment):
     engine = build_engine(tiny_deployment, config)
     result = engine.run(clone_requests(WORKLOADS["sharegpt"](14, 0)))
     stats = result.engine_stats
-    assert stats is not None and stats.kind == "vectorized"
+    assert stats is not None
     # One stage: every batch leaves exactly one iteration record.
     assert stats.num_batches == len(result.records)
     assert stats.num_events >= stats.num_batches

@@ -102,6 +102,18 @@ def test_a_search_that_never_fails_is_only_a_lower_bound(max_probes):
     assert result.capacity_qps == max(qps for qps, _, _ in result.probes)
 
 
+def test_a_never_failing_search_stops_at_the_float_range():
+    # 18 probes would walk to rung 2**17 - 1, but at rel_tol 0.08 the
+    # float range ends near rung 9,200.
+    result = find_capacity(
+        lambda qps: _StubMetrics(True), SLO, rel_tol=0.08, max_probes=18, qps_hint=1.0
+    )
+    assert not result.bounded
+    assert result.num_probes < 18
+    assert result.capacity_qps == max(qps for qps, _, _ in result.probes)
+    assert result.capacity_qps < float("inf")
+
+
 def test_a_bracketed_search_is_bounded():
     result = find_capacity(lambda qps: _StubMetrics(qps <= 3.0), SLO, qps_hint=1.0)
     assert result.bounded

@@ -2,7 +2,7 @@
 
 Complements ``test_properties.py`` (which covers Sarathi): the same
 conservation and safety laws must hold for every baseline policy,
-for the fairness variant, and for the disaggregated engine.
+for the fairness variant, and for disaggregated serving.
 """
 
 from __future__ import annotations
@@ -162,20 +162,19 @@ def test_every_registered_scheduler_conserves_tokens(name, specs):
 @settings(max_examples=15, deadline=None)
 def test_disaggregated_engine_random_workloads_complete(specs):
     from repro.api import Deployment
-    from repro.disagg.engine import DisaggregatedEngine
+    from repro.experiments.disagg_comparison import simulate_disaggregated
     from repro.hardware.catalog import A100_80G, NVLINK
     from repro.models.catalog import TINY_1B
 
     deployment = Deployment(model=TINY_1B, gpu=A100_80G)
-    engine = DisaggregatedEngine(
-        deployment.execution_model(),
-        num_prefill_replicas=1,
-        num_decode_replicas=1,
-        migration_link=NVLINK,
-        decode_kv_capacity=deployment.kv_capacity_tokens(),
-    )
     requests = [Request(prompt_len=p, output_len=o) for p, o, _ in specs]
-    result = engine.run(requests)
+    result, num_migrations, _ = simulate_disaggregated(
+        deployment,
+        requests,
+        prefill_replicas=1,
+        decode_replicas=1,
+        link=NVLINK,
+    )
     for r in requests:
         assert r.is_finished
         assert r.num_emitted == r.output_len
@@ -183,5 +182,5 @@ def test_disaggregated_engine_random_workloads_complete(specs):
         assert r.token_times.tolist() == sorted(r.token_times)
     # One migration per request that decodes at least once.
     expected = sum(1 for r in requests if r.output_len > 1)
-    assert engine.num_migrations == expected
+    assert num_migrations == expected
     assert not result.unfinished
