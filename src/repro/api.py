@@ -229,15 +229,13 @@ def simulate(
     deployment: Deployment,
     config: ServingConfig,
     requests: list[Request],
-    max_time: float | None = None,
     exec_model: ExecutionModel | None = None,
 ) -> tuple[SimulationResult, RunMetrics]:
     """Run a trace through a fresh engine and summarize it.
 
     This is the 1-replica special case of the fleet simulator
     (:func:`repro.cluster.fleet.simulate_fleet`): one replica, no
-    faults, unbounded admission — which reduces, event for event, to
-    ``run`` on a fresh engine.  The input requests are
+    faults, unbounded admission.  The input requests are
     cloned first, so the same trace can be replayed across schedulers
     and loads.  ``exec_model`` (see ``execution_model_for``) shares
     one — typically cached — model across calls.
@@ -247,7 +245,6 @@ def simulate(
         config,
         requests,
         FleetConfig(num_replicas=1),
-        max_time=max_time,
         exec_model=exec_model,
     )
     return fleet_result.merged(), metrics

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.api import Deployment, ServingConfig, simulate
 from repro.experiments.capacity_runner import serving_config_for
@@ -147,9 +148,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spec = ConversationSpec(
             num_conversations=args.requests, arrival_qps=args.qps
         )
+        started = time.perf_counter()
         result, metrics = simulate_conversations(
             deployment, config, spec, seed=args.seed
         )
+        wall_s = time.perf_counter() - started
         workload_line = (
             f"conversations, {args.requests} conversations @ {args.qps} qps "
             f"({len(result.requests)} rounds)"
@@ -159,7 +162,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trace = generate_requests(
             dataset, num_requests=args.requests, qps=args.qps, seed=args.seed
         )
+        started = time.perf_counter()
         result, metrics = simulate(deployment, config, trace)
+        wall_s = time.perf_counter() - started
         workload_line = f"{dataset.name}, {args.requests} requests @ {args.qps} qps"
     print(f"deployment: {deployment.label}")
     print(f"scheduler:  {scheduler} (budget {args.token_budget})")
@@ -167,7 +172,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         stats = result.engine_stats
         print(
             f"engine:     {stats.num_events} events, "
-            f"{stats.num_batches} batches, {stats.wall_time_s:.2f}s wall"
+            f"{stats.num_batches} batches, {wall_s:.2f}s wall"
         )
     print(f"workload:   {workload_line}")
     if result.cache_stats is not None:

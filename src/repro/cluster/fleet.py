@@ -664,8 +664,8 @@ class FleetResult:
     def lost_requests(self) -> list[Request]:
         """Requests neither finished nor explicitly shed.
 
-        Empty for every run that drains its queues (the conservation
-        invariant); non-empty only when ``max_time`` cut the run short.
+        Empty for every finished run (the conservation invariant): a
+        run that drains its queues with any left raises instead.
         """
         shed_ids = {r.request_id for r in self.shed}
         return [
@@ -691,7 +691,6 @@ class FleetResult:
                     else EngineStats(
                         num_events=engine_stats.num_events + stats.num_events,
                         num_batches=engine_stats.num_batches + stats.num_batches,
-                        wall_time_s=engine_stats.wall_time_s + stats.wall_time_s,
                     )
                 )
             # Per-replica prefix stores are independent; the fleet view
@@ -751,7 +750,6 @@ class _ReplicaSlot:
         self._finished_past: list[Request] = []
         self._past_events = 0
         self._past_batches = 0
-        self._past_wall_s = 0.0
         self._past_prefix: PrefixCacheStats | None = None
         # Active degraded-mode fault state, persisted across reboots so
         # a restart inside a slowdown/capacity window stays degraded.
@@ -883,7 +881,6 @@ class _ReplicaSlot:
         stats = self.engine.engine_stats()
         self._past_events += stats.num_events
         self._past_batches += stats.num_batches
-        self._past_wall_s += stats.wall_time_s
         self._past_prefix = _add_prefix_stats(
             self._past_prefix,
             getattr(self.engine.scheduler.memory, "prefix_stats", None),
@@ -954,7 +951,6 @@ class _ReplicaSlot:
         requests = list(self._finished_past)
         events = self._past_events
         batches = self._past_batches
-        wall_s = self._past_wall_s
         prefix_stats = self._past_prefix
         if self.engine is not None:
             logs.append(self.engine.records)
@@ -963,7 +959,6 @@ class _ReplicaSlot:
             stats = self.engine.engine_stats()
             events += stats.num_events
             batches += stats.num_batches
-            wall_s += stats.wall_time_s
             prefix_stats = _add_prefix_stats(
                 prefix_stats,
                 getattr(self.engine.scheduler.memory, "prefix_stats", None),
@@ -976,11 +971,7 @@ class _ReplicaSlot:
             num_preemptions=preemptions,
             unfinished=[r for r in requests if not r.is_finished],
             cache_stats=cache_stats,
-            engine_stats=EngineStats(
-                num_events=events,
-                num_batches=batches,
-                wall_time_s=wall_s,
-            ),
+            engine_stats=EngineStats(num_events=events, num_batches=batches),
             prefix_stats=prefix_stats,
         )
 
@@ -1080,9 +1071,7 @@ class FleetSimulator:
         self._event_heap: list[tuple[float, int]] = [(0.0, i) for i in range(num)]
 
     # -- main loop -----------------------------------------------------
-    def run(
-        self, requests: list[Request], max_time: float | None = None
-    ) -> FleetResult:
+    def run(self, requests: list[Request]) -> FleetResult:
         from repro.api import clone_requests
 
         if not requests:
@@ -1110,16 +1099,11 @@ class FleetSimulator:
             replica_time, replica_idx = self._next_replica_event(global_time)
             if global_time is None and replica_time is None:
                 break
-            # Global events win ties: in the single-engine loop every
-            # arrival is pushed before any stage event, so arrivals pop
-            # first at equal timestamps — the fleet preserves that.
+            # Global events win ties, as arrivals do in the replica
+            # engine's own loop (``VectorizedReplicaEngine.run``).
             take_global = replica_time is None or (
                 global_time is not None and global_time <= replica_time
             )
-            chosen_time = global_time if take_global else replica_time
-            if max_time is not None and chosen_time > max_time:
-                now = chosen_time
-                break
             if take_global:
                 now, kind, payload = queue.pop()
                 self._handle(kind, payload, now, queue)
@@ -1153,7 +1137,7 @@ class FleetSimulator:
             cache_stats=cache_stats,
         )
         lost = result.lost_requests()
-        if lost and max_time is None:
+        if lost:
             raise RuntimeError(
                 f"fleet simulation drained its event queue with {len(lost)} "
                 "unfinished requests — scheduler/memory deadlock "
@@ -1479,7 +1463,6 @@ def simulate_fleet(
     fleet: FleetConfig | None = None,
     *,
     router: FleetRouter | Router | None = None,
-    max_time: float | None = None,
     exec_model: "ExecutionModel | None" = None,
 ) -> tuple[FleetResult, RunMetrics]:
     """Run a trace through an online fleet and summarize it.
@@ -1497,7 +1480,7 @@ def simulate_fleet(
         router=router,
         exec_model=exec_model,
     )
-    result = simulator.run(requests, max_time=max_time)
+    result = simulator.run(requests)
     # Free the engines, their request arrays and pricing memos before
     # summarizing: the result holds everything summarize reads.
     del simulator

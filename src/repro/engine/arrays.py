@@ -190,57 +190,12 @@ class RequestArrays:
                 self.prev_emit[row] = times[-2]
         return row
 
-    def ingest_many(self, requests: list[Request]) -> int:
-        """Bulk-mirror a trace; returns the first row index assigned.
-
-        Field-wise list comprehensions keep the per-request Python cost
-        to a handful of attribute reads — this is what makes a
-        10⁶-request ingest a sub-second affair.
-        """
-        first = self.n
-        n_new = len(requests)
-        if first + n_new > self._capacity:
-            self._grow(first + n_new)
-        self.n = first + n_new
-        self.requests.extend(requests)
-        sl = slice(first, first + n_new)
-        self.prompt_len[sl] = [r.prompt_len for r in requests]
-        self.output_len[sl] = [r.output_len for r in requests]
-        self.prefill_target[sl] = [r.prefill_target for r in requests]
-        self.prefill_done[sl] = [r.prefill_done for r in requests]
-        self.decode_steps[sl] = [r.decode_steps for r in requests]
-        self.num_emitted[sl] = [r.num_emitted for r in requests]
-        self.num_restarts[sl] = [r.num_restarts for r in requests]
-        self.phase[sl] = [_PHASE_TO_CODE[r.phase] for r in requests]
-        self.prefix_id[sl] = [
-            -1 if r.prefix_id is None else r.prefix_id for r in requests
-        ]
-        self.prefix_len[sl] = [r.prefix_len for r in requests]
-        self.prefix_publish_len[sl] = [
-            -1 if r.prefix_publish_len is None else r.prefix_publish_len
-            for r in requests
-        ]
-        self.arrival_time[sl] = [r.arrival_time for r in requests]
-        self.first_scheduled_at[sl] = [
-            _none_to_nan(r.first_scheduled_at) for r in requests
-        ]
-        self.first_token_at[sl] = [_none_to_nan(r.first_token_at) for r in requests]
-        self.finished_at[sl] = [_none_to_nan(r.finished_at) for r in requests]
-        for offset, request in enumerate(requests):
-            times = request.token_times
-            if times:
-                row = first + offset
-                self.last_emit[row] = times[-1]
-                if len(times) >= 2:
-                    self.prev_emit[row] = times[-2]
-        return first
-
     # -- sync back to objects ------------------------------------------
     def sync_row(self, row: int) -> Request:
         """Write one row's scalar state back to its Request.
 
         ``token_times`` is left alone: emissions reach it through
-        :meth:`sync_out` (or directly from the engine).
+        :meth:`fold_emissions`.
         """
         request = self.requests[row]
         request.prefill_target = int(self.prefill_target[row])

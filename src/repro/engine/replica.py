@@ -27,13 +27,6 @@ class EngineStats:
 
     num_events: int
     num_batches: int
-    wall_time_s: float
-
-    @property
-    def events_per_batch(self) -> float:
-        if self.num_batches == 0:
-            return 0.0
-        return self.num_events / self.num_batches
 
 
 @dataclass

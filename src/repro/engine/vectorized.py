@@ -10,17 +10,19 @@ like a real iteration-level serving system (§2.5, §3.3).
 
 Per-request state lives in numpy struct-of-arrays
 (:mod:`repro.engine.arrays`), and a whole iteration's token progress
-commits with a handful of vector operations.  Three observations keep
+commits with a handful of vector operations.  Four observations keep
 this cheap without a per-token event heap:
 
-* With one pipeline stage at most one batch is ever in flight, so the
-  event structure collapses to three sources — the sorted initial
-  arrival array (a cursor), a tiny heap of follow-up arrivals, and the
-  single pending batch-completion — merged by ``(time, insertion
-  seq)``, arrivals first on ties.  Multi-stage pipelines add a fourth
-  source, a small heap of stage-done/stage-enqueue events, so pipeline
-  bubbles (stage idle waiting on its upstream send) fall out of the
-  same event order rather than a separate bubble model.
+* There is one event merge, ``_next_internal``: the single pending
+  batch-completion (one pipeline stage keeps at most one batch in
+  flight), a tiny heap of follow-up arrivals and, for multi-stage
+  pipelines, a small heap of stage-done/stage-enqueue events, ordered
+  by ``(time, insertion seq)``.  Pipeline bubbles (a stage idle
+  waiting on its upstream send) fall out of that order rather than a
+  separate bubble model.  Arrivals come from outside the merge
+  (``deliver``); ``run`` is a loop that feeds a trace's arrivals in
+  time order, each before any internal event due at the same time,
+  and ``step``s otherwise — the loop the fleet runs over many engines.
 * Iteration pricing calls the execution model's component prices
   (linear by token counts, decode attention over the batch's context
   array, prefill attention per chunk, token-count terms) and assembles
@@ -38,9 +40,9 @@ this cheap without a per-token event heap:
   commit that fills the log to ``RequestArrays._SYNC_CHUNK`` (16,384)
   rows folds it at once, so the log never holds more than one chunk,
   and a fold's temporaries (about five chunk-sized arrays, ~0.5 MB)
-  stay below a run's outputs.  A run with
-  a ``followup_fn`` hands finished requests off mid-run, so it appends
-  to ``token_times`` directly instead.
+  stay below a run's outputs.  A commit that finishes a request of a
+  run with a ``followup_fn`` folds the log before the handoff, so the
+  callback sees final token times.
 * Each executed (stage, batch) pair is 13 numbers appended to an
   :class:`repro.metrics.timeline.IterationLog`: pricing hands back the
   five breakdown terms without building an ``IterationTime``, and
@@ -54,8 +56,7 @@ for bit.
 from __future__ import annotations
 
 import heapq
-import math
-import time
+from collections import deque
 
 import numpy as np
 
@@ -107,7 +108,6 @@ class VectorizedReplicaEngine:
         self._inflight = 0
         self._seq = 0
         self._num_events = 0
-        self._wall_time_s = 0.0
         # Multiplier on every iteration's wall time — 1.0 is nominal;
         # the fleet raises it to model straggler/throttled replicas.
         # Applied after pricing so the model's memos stay unscaled.
@@ -130,101 +130,56 @@ class VectorizedReplicaEngine:
     def run(
         self,
         requests: list[Request],
-        max_time: float | None = None,
         followup_fn: "FollowupFn | None" = None,
     ) -> SimulationResult:
-        """Simulate until all requests finish (or ``max_time`` elapses)."""
+        """Simulate until every request (and follow-up) finishes.
+
+        A loop over the stepped interface: the next arrival is taken
+        when it is due no later than the next internal event (arrivals
+        win ties), otherwise the engine steps.  Rows keep input order.
+        """
         if not requests:
             raise ValueError("run() needs at least one request")
-        wall_start = time.perf_counter()
         self._followup_fn = followup_fn
         A = self.arrays
-        core = self.scheduler
-        first = A.ingest_many(requests)
-        core.note_ingested_bulk(first)
-        n = A.n - first
-
-        # Initial arrivals sorted by time, stably: input position
-        # doubles as the tie-break seq (seqs 0..n-1).
-        order = np.argsort(A.arrival_time[first : A.n], kind="stable")
-        arr_rows = (order + first).tolist()
-        arr_times = A.arrival_time[order + first].tolist()
-        arr_seqs = order.tolist()
-        self._seq = n
-
-        heap = self._followup_heap
-        pipe = self._pipe_heap
-        cursor = 0
+        first = A.n
+        for request in requests:
+            self._ingest(request)
+        # Arrivals in time order, stably: input order breaks ties.
+        rows = np.argsort(A.arrival_time[first : A.n], kind="stable") + first
+        arrivals = deque(zip(A.arrival_time[rows].tolist(), rows.tolist()))
         now = 0.0
         while True:
-            # Next event = min over (arrival cursor, followup heap,
-            # in-flight batch, pipeline stage heap) by (time,
-            # insertion seq).
-            source = 0
-            best_t = math.inf
-            best_s = -1
-            if cursor < n:
-                best_t = arr_times[cursor]
-                best_s = arr_seqs[cursor]
-                source = 1
-            if heap:
-                f_t, f_s, _ = heap[0]
-                if f_t < best_t or (f_t == best_t and f_s < best_s):
-                    best_t, best_s, source = f_t, f_s, 2
-            if self._busy is not None:
-                b_t, b_s, _ = self._busy
-                if b_t < best_t or (b_t == best_t and b_s < best_s):
-                    best_t, best_s, source = b_t, b_s, 3
-            if pipe:
-                p_t, p_s = pipe[0][0], pipe[0][1]
-                if p_t < best_t or (p_t == best_t and p_s < best_s):
-                    best_t, best_s, source = p_t, p_s, 4
-            if source == 0:
-                break
-            if max_time is not None and best_t > max_time:
-                now = best_t
-                break
-            now = best_t
-            self._num_events += 1
-            if source == 1:
-                row = arr_rows[cursor]
-                cursor += 1
-                core.add_row(row, now)
-                self._try_schedule(now)
-            elif source == 2:
-                _, _, row = heapq.heappop(heap)
-                core.add_row(row, now)
-                self._try_schedule(now)
-            elif source == 3:
-                batch = self._busy[2]
-                self._busy = None
-                self._on_batch_done(batch, now)
+            internal = self.next_event_time()
+            if arrivals and (internal is None or arrivals[0][0] <= internal):
+                now, row = arrivals.popleft()
+                self._arrive(row, now)
+            elif internal is not None:
+                now = self.step()
             else:
-                _, _, kind, stage_idx, batch = heapq.heappop(pipe)
-                if kind == 0:
-                    self._on_stage_done(stage_idx, batch, now)
-                else:
-                    self._on_stage_enqueue(stage_idx, batch, now)
-
-        self._wall_time_s += time.perf_counter() - wall_start
-        if max_time is None:
-            unfinished = np.nonzero(A.phase[: A.n] != PH_FINISHED)[0]
-            if len(unfinished):
-                first_stuck = A.requests[int(unfinished[0])]
-                raise RuntimeError(
-                    f"simulation drained its event queue with {len(unfinished)} "
-                    "unfinished requests — scheduler/memory deadlock "
-                    f"(first stuck: request {first_stuck.request_id})"
-                )
-        return self.result(makespan=now)
+                break
+        result = self.result(makespan=now)
+        if result.unfinished:
+            raise RuntimeError(
+                f"simulation drained its event queue with {len(result.unfinished)} "
+                "unfinished requests — scheduler/memory deadlock "
+                f"(first stuck: request {result.unfinished[0].request_id})"
+            )
+        return result
 
     # ------------------------------------------------------------------
-    # Stepped interface (driven by the fleet simulator)
+    # Stepped interface (used by ``run`` and the fleet simulator)
     # ------------------------------------------------------------------
     def deliver(self, request: Request, now: float) -> None:
-        """Inject an arriving request at time ``now`` (stepped mode)."""
+        """Inject an arriving request at time ``now``."""
+        self._arrive(self._ingest(request), now)
+
+    def _ingest(self, request: Request) -> int:
         row = self.arrays.ingest(request)
         self.scheduler.note_ingested(row)
+        return row
+
+    def _arrive(self, row: int, now: float) -> None:
         self.scheduler.add_row(row, now)
         self._try_schedule(now)
 
@@ -252,8 +207,7 @@ class VectorizedReplicaEngine:
         self._num_events += 1
         if source == 2:
             _, _, row = heapq.heappop(self._followup_heap)
-            self.scheduler.add_row(row, now)
-            self._try_schedule(now)
+            self._arrive(row, now)
         elif source == 3:
             batch = self._busy[2]
             self._busy = None
@@ -310,7 +264,6 @@ class VectorizedReplicaEngine:
         return EngineStats(
             num_events=self._num_events,
             num_batches=self.scheduler.num_scheduled_batches,
-            wall_time_s=self._wall_time_s,
         )
 
     def result(self, makespan: float) -> SimulationResult:
@@ -424,22 +377,17 @@ class VectorizedReplicaEngine:
 
     def _commit_batch(self, batch: VecBatch, now: float) -> None:
         A = self.arrays
-        core = self.scheduler
-        finished, prefill_emits = core.on_batch_complete(batch, now)
+        finished, prefill_emits = self.scheduler.on_batch_complete(batch, now)
         decode_rows = batch.decode_rows
-        if self._followup_fn is not None:
-            # Finished requests are handed off below, fully synced.
-            for row in decode_rows.tolist() + prefill_emits:
-                A.requests[row].token_times.append(now)
-        else:
-            log = self._emit_log
-            if len(decode_rows):
-                log.append(now, decode_rows)
-            if prefill_emits:
-                log.append(now, prefill_emits)
-            if len(log.rows) >= A._SYNC_CHUNK:
-                # Fold a full chunk now, so the log never outgrows one.
-                A.fold_emissions(log)
+        log = self._emit_log
+        if len(decode_rows):
+            log.append(now, decode_rows)
+        if prefill_emits:
+            log.append(now, prefill_emits)
+        if len(log.rows) >= A._SYNC_CHUNK or (finished and self._followup_fn):
+            # Fold a full chunk now, so the log never outgrows one, and
+            # before a handoff, so follow-ups see final token times.
+            A.fold_emissions(log)
         if self.tbt_window is not None and len(decode_rows):
             # Prefill-completion emissions are always a request's first
             # token (no predecessor), so only decode rows with ≥ 2
@@ -456,11 +404,9 @@ class VectorizedReplicaEngine:
                             "followup_fn returned a request arriving in "
                             f"the past ({followup.arrival_time} < {now})"
                         )
-                    new_row = A.ingest(followup)
-                    core.note_ingested(new_row)
                     heapq.heappush(
                         self._followup_heap,
-                        (followup.arrival_time, self._seq, new_row),
+                        (followup.arrival_time, self._seq, self._ingest(followup)),
                     )
                     self._seq += 1
 

@@ -663,15 +663,6 @@ class VecScheduler:
             + (A.output_len[row] - A.num_emitted[row])
         )
 
-    def note_ingested_bulk(self, first: int) -> None:
-        A = self.A
-        sl = slice(first, A.n)
-        self.num_pending += A.n - first
-        self.outstanding_tokens += int(
-            np.sum(A.prefill_target[sl] - A.prefill_done[sl])
-            + np.sum(A.output_len[sl] - A.num_emitted[sl])
-        )
-
     def schedule(self, now: float) -> VecBatch | None:
         self._claimed.clear()
         self._try_swap_in()
@@ -1384,29 +1375,13 @@ class VecFasterTransformerScheduler(VecScheduler):
 
     name = "faster-transformer"
 
-    def __init__(
-        self,
-        arrays: RequestArrays,
-        memory: VecReservationMemory,
-        max_batch_size: int,
-    ) -> None:
-        super().__init__(arrays, memory, max_batch_size)
-        self._members: list[int] = []
-
     def _build_batch(self, now: float) -> VecBatch | None:
         A = self.A
-        members = [r for r in self._members if A.phase[r] != PH_FINISHED]
-        self._members = members
-        if not members:
-            while len(self._members) < self.max_batch_size:
-                admitted = self._admit_waiting_head()
-                if admitted is None:
+        if not self.running:
+            while len(self.running) < self.max_batch_size:
+                if self._admit_waiting_head() is None:
                     break
-                self._members.append(admitted)
-            members = self._members
-        in_flight = self._in_flight
-        if in_flight:
-            members = [r for r in members if r not in in_flight]
+        members = self._schedulable_rows()
         if not members:
             return None
 

@@ -204,7 +204,6 @@ def run_single(
     trace: list[Request],
     deployment: Deployment = TINY,
     shrink: bool = False,
-    max_time: float | None = None,
     **extra,
 ) -> dict:
     engine = build_engine(deployment, _config(kind, **extra))
@@ -212,7 +211,7 @@ def run_single(
         shrink_kv_memory(engine)
     requests = clone_requests(trace)
     try:
-        result = engine.run(requests, max_time=max_time)
+        result = engine.run(requests)
     except ValueError as err:
         # A contract violation is an output too: freeze its message,
         # with request ids relabelled like everywhere else.
@@ -435,10 +434,6 @@ def cells() -> dict[str, tuple[bool, object]]:
                     k, _pressure_trace(), shrink=True, preemption_mode=m
                 ),
             )
-    add(
-        "single/sarathi/decode_heavy/n30/s1/max_time2",
-        lambda: run_single("sarathi", WORKLOADS["decode_heavy"](30, 1), max_time=2.0),
-    )
 
     # -- golden matrix: pipeline parallelism ---------------------------
     for kind in PR_SCHEDULERS:

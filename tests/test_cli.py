@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _wall_s(out: str) -> float:
+    """The wall time on ``simulate``'s ``engine:`` line."""
+    match = re.search(r"^engine: .* batches, ([\d.]+)s wall$", out, re.MULTILINE)
+    assert match, out
+    return float(match.group(1))
 
 
 class TestParser:
@@ -80,6 +89,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "P99 TBT" in out
         assert "throughput" in out
+        assert _wall_s(out) > 0.0
+
+    def test_simulate_conversation_workload(self, capsys):
+        # Follow-up rounds arrive mid-run through the engine's handoff.
+        code = main(
+            [
+                "simulate",
+                "--model", "tiny-1b",
+                "--workload", "conversation",
+                "--requests", "8",
+                "--qps", "2",
+                "--prefix-cache",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        rounds = re.search(r"8 conversations @ 2\.0 qps \((\d+) rounds\)", out)
+        assert rounds and int(rounds.group(1)) > 8
+        hits = re.search(r"prefix cache: (\d+)/\d+ lookups hit", out)
+        assert hits and int(hits.group(1)) > 0
+        assert _wall_s(out) > 0.0
 
     def test_simulate_with_parallelism(self, capsys):
         code = main(

@@ -21,7 +21,7 @@ from repro.metrics.summary import summarize
 from repro.metrics.timeline import stage_utilization
 from repro.types import Request, RequestPhase
 
-from tests.conftest import make_request, shrink_kv_memory
+from tests.conftest import BUILTIN_NAMES, make_request, shrink_kv_memory
 
 VLLM = ServingConfig(scheduler="vllm")
 
@@ -70,7 +70,7 @@ def prefilled(prompt_len: int, output_len: int, first_token_at: float, arrival_t
 
 
 class TestPrefilledArrival:
-    @pytest.mark.parametrize("kind", ["sarathi", "vllm"])
+    @pytest.mark.parametrize("kind", BUILTIN_NAMES)
     def test_decodes_without_prefill(self, tiny_deployment, kind):
         engine = build_engine(tiny_deployment, ServingConfig(scheduler=kind))
         request = prefilled(300, 6, first_token_at=0.2, arrival_time=0.5)

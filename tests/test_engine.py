@@ -129,13 +129,6 @@ class TestReplicaEngineSingleStage:
         for prev, cur in zip(records, records[1:]):
             assert cur.start >= prev.end - 1e-12
 
-    def test_max_time_cutoff_leaves_unfinished(self, tiny_deployment):
-        requests = [make_request(prompt_len=2000, output_len=200) for _ in range(4)]
-        config = ServingConfig(scheduler="sarathi")
-        engine = build_engine(tiny_deployment, config)
-        result = engine.run(requests, max_time=0.05)
-        assert result.unfinished
-
     def test_deterministic_replay(self, tiny_deployment):
         def run_once():
             trace = [

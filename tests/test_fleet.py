@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.api import ServingConfig, build_engine, clone_requests, simulate
+from repro.api import Deployment, ServingConfig, build_engine, clone_requests, simulate
 from repro.cluster import fleet as fleet_module
 from repro.cluster.degradation import BrownoutConfig, DegradationLevel
 from repro.cluster.fleet import (
@@ -26,7 +27,10 @@ from repro.cluster.router import (
     SloAwareRouter,
     as_fleet_router,
 )
+from repro.hardware.catalog import A100_80G, ETHERNET_100G
 from repro.metrics.goodput import RequestSLO, fleet_goodput
+from repro.models.catalog import TINY_1B
+from repro.parallel.config import ParallelConfig
 from repro.telemetry.fleet import fleet_rows, replica_utilization_rows
 from repro.types import PreemptionMode
 
@@ -69,18 +73,52 @@ class TestSingleReplicaEquivalence:
             assert ours.finished_at == theirs.finished_at
             assert ours.first_scheduled_at == theirs.first_scheduled_at
 
-    def test_simulate_max_time_matches_engine(self, tiny_deployment):
-        trace = _trace()
-        full = build_engine(tiny_deployment, ServingConfig()).run(clone_requests(trace))
-        cutoff = full.makespan / 2
-        mono = build_engine(tiny_deployment, ServingConfig()).run(
-            clone_requests(trace), max_time=cutoff
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["sarathi", "vllm", "orca"]),
+        pipeline_parallel=st.sampled_from([1, 2]),
+        shape=st.lists(
+            st.tuples(
+                # Few distinct instants, so arrivals tie often.
+                st.integers(min_value=0, max_value=4),
+                st.sampled_from([64, 300, 1500]),
+                st.integers(min_value=1, max_value=12),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_run_matches_simulate_on_shuffled_tied_traces(
+        self, kind, pipeline_parallel, shape
+    ):
+        deployment = Deployment(
+            model=TINY_1B,
+            gpu=A100_80G,
+            parallel=ParallelConfig(
+                pipeline_parallel=pipeline_parallel, pp_link=ETHERNET_100G
+            ),
         )
-        assert mono.unfinished  # the cutoff actually bites
-        result, _ = simulate(tiny_deployment, ServingConfig(), trace, max_time=cutoff)
+        config = ServingConfig(scheduler=kind)
+        trace = [
+            make_request(
+                prompt_len=prompt_len, output_len=output_len, arrival_time=0.05 * slot
+            )
+            for slot, prompt_len, output_len in shape
+        ]
+        mono = build_engine(deployment, config).run(clone_requests(trace))
+        result, _ = simulate(deployment, config, trace)
+
         assert result.makespan == mono.makespan
-        assert len(result.finished_requests) == len(mono.finished_requests)
-        assert len(result.unfinished) == len(mono.unfinished)
+        assert result.engine_stats == mono.engine_stats
+        assert [_record_key(r) for r in result.records] == [
+            _record_key(r) for r in mono.records
+        ]
+        for ours, theirs in zip(result.requests, mono.requests, strict=True):
+            assert ours.request_id == theirs.request_id
+            assert ours.token_times.tolist() == theirs.token_times.tolist()
+            assert ours.first_scheduled_at == theirs.first_scheduled_at
+            assert ours.first_token_at == theirs.first_token_at
+            assert ours.finished_at == theirs.finished_at
 
 
 class TestStaticPartitionGolden:

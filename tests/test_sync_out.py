@@ -130,9 +130,8 @@ def test_sync_out_matches_per_token_append(monkeypatch, chunk, num_rows):
     monkeypatch.setattr(RequestArrays, "_SYNC_CHUNK", chunk)
     rng = np.random.default_rng(num_rows)
     arrays = RequestArrays()
-    arrays.ingest_many(
-        [make_request(prompt_len=8, output_len=8) for _ in range(num_rows)]
-    )
+    for _ in range(num_rows):
+        arrays.ingest(make_request(prompt_len=8, output_len=8))
     failed_over = arrays.requests[-1].token_times
     failed_over.extend([0.25, 0.5])
     expected = [list(r.token_times) for r in arrays.requests]
