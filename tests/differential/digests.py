@@ -461,7 +461,7 @@ def cells() -> dict[str, tuple[bool, object]]:
         )
 
     # -- golden matrix: fleet ------------------------------------------
-    for kind in PR_SCHEDULERS:
+    for kind in ALL_SCHEDULERS:
         for mode in sorted(FLEET_FAULTS):
             add(
                 f"fleet/{kind}/sharegpt/{mode}/n16/s0",
@@ -484,7 +484,7 @@ def cells() -> dict[str, tuple[bool, object]]:
                 ),
             ),
         )
-    for kind in PR_SCHEDULERS:
+    for kind in ALL_SCHEDULERS:
         for workload in sorted(WORKLOADS):
             for mode in sorted(FLEET_FAULTS):
                 for seed in SEEDS:

@@ -13,16 +13,32 @@ import pytest
 
 from repro.api import ServingConfig, build_engine, clone_requests
 
+from tests.conftest import BUILTIN_NAMES
 from tests.differential.conftest import WORKLOADS
 from tests.differential.digests import (
     ALL_SCHEDULERS,
     FLEET_FAULTS,
     PR_SCHEDULERS,
     SEEDS,
+    catalogue,
     check,
 )
 
 pytestmark = pytest.mark.tier1
+
+
+def test_every_builtin_has_single_pp2_and_fleet_cells():
+    """Each built-in scheduler is pinned on one replica, under pp=2 and
+    in a fleet (failover and re-delivery), over the whole grid."""
+    assert sorted(ALL_SCHEDULERS) == sorted(BUILTIN_NAMES)
+    names = catalogue()
+    for kind in BUILTIN_NAMES:
+        for workload in sorted(WORKLOADS):
+            for seed in SEEDS:
+                assert f"single/{kind}/{workload}/n20/s{seed}" in names
+                assert f"pp2/{kind}/{workload}/n20/s{seed}" in names
+                for mode in sorted(FLEET_FAULTS):
+                    assert f"fleet/{kind}/{workload}/{mode}/n16/s{seed}" in names
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +115,7 @@ def _fleet_preemptions(out) -> int:
 
 
 @pytest.mark.parametrize("fault_mode", sorted(FLEET_FAULTS))
-@pytest.mark.parametrize("kind", PR_SCHEDULERS)
+@pytest.mark.parametrize("kind", ALL_SCHEDULERS)
 def test_fleet_small(kind, fault_mode):
     """Every-change fleet slice: routing, failover, restarts and the
     degraded-mode fault kinds (slowdown, capacity_loss)."""
@@ -119,8 +135,8 @@ def test_fleet_capacity_pressure(kind):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("fault_mode", sorted(FLEET_FAULTS))
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-@pytest.mark.parametrize("kind", PR_SCHEDULERS)
+@pytest.mark.parametrize("kind", ALL_SCHEDULERS)
 def test_fleet_full_matrix(kind, workload, fault_mode, seed):
-    """The acceptance matrix: 4 schedulers × 3 workloads ×
+    """The acceptance matrix: 7 schedulers × 3 workloads ×
     4 fault modes × 3 seeds."""
     check(f"fleet/{kind}/{workload}/{fault_mode}/n16/s{seed}")
