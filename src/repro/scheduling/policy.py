@@ -116,7 +116,7 @@ class SchedulingPolicy:
 
     Subclasses must override :meth:`compose_batch`; they may override
     :meth:`admit` (leave it ``None`` to accept all traffic).  ``name``
-    labels telemetry and repr output.
+    labels repr output and contract-violation errors.
     """
 
     name: str = "policy"
@@ -164,7 +164,6 @@ class PolicyScheduler(VecScheduler):
         if token_budget <= 0:
             raise ValueError("token_budget must be positive")
         self.policy = policy
-        self.name = policy.name
         self.token_budget = token_budget
         hook = getattr(policy, "admit", None)
         self.admission_hook = hook if callable(hook) else None

@@ -243,6 +243,8 @@ def _build_sarathi_dynamic(ctx: SchedulerBuildContext):
         exec_model=exec_model,
         tbt_slo=slo,
         max_batch_size=ctx.config.max_batch_size,
+        preemption_mode=ctx.config.preemption_mode,
+        kv_bytes_per_token=ctx.kv_bytes_per_token,
     )
 
 
@@ -254,13 +256,15 @@ def _build_chunked_only(ctx: SchedulerBuildContext):
         ctx.memory,
         token_budget=ctx.config.token_budget,
         max_batch_size=ctx.config.max_batch_size,
+        preemption_mode=ctx.config.preemption_mode,
+        kv_bytes_per_token=ctx.kv_bytes_per_token,
     )
 
 
 def _build_hybrid_only(ctx: SchedulerBuildContext):
     from repro.scheduling.vectorized import VecSarathiScheduler
 
-    core = VecSarathiScheduler(
+    return VecSarathiScheduler(
         ctx.arrays,
         ctx.memory,
         token_budget=ctx.config.token_budget,
@@ -269,8 +273,6 @@ def _build_hybrid_only(ctx: SchedulerBuildContext):
         preemption_mode=ctx.config.preemption_mode,
         kv_bytes_per_token=ctx.kv_bytes_per_token,
     )
-    core.name = "hybrid-batching-only"
-    return core
 
 
 def _register_builtins() -> None:

@@ -546,9 +546,10 @@ class VecScheduler:
     back when space frees up — the engine charges the transfer volume
     (``kv_bytes_per_token`` × context) to the surrounding iterations.
     A request that must evict *itself* always recomputes.
-    """
 
-    name = "abstract"
+    Built-in policies compose their batches from the blocks under
+    "batch-building blocks" below, each in its algorithm's order.
+    """
 
     # Optional fleet-level admission hook (the plug-in protocol's second
     # hook, see repro.scheduling.policy): a callable
@@ -633,10 +634,12 @@ class VecScheduler:
         # incrementally so snapshots stay O(1) instead of O(requests).
         self.num_pending = 0
         self.outstanding_tokens = 0
-        # Bumped whenever the running set or any member's prefill
-        # status changes; policies key their sorted/partitioned row
-        # caches on it.
+        # Bumped whenever the running set, the in-flight set or any
+        # member's prefill status changes; ``_partition`` keys its cache
+        # on it.
         self._run_version = 0
+        self._partition_version = -1
+        self._partitioned = (_EMPTY_ROWS, _EMPTY_ROWS, _EMPTY_ROWS)
 
     # -- engine-facing -------------------------------------------------
     def add_row(self, row: int, now: float) -> None:
@@ -917,6 +920,124 @@ class VecScheduler:
                 still_out.append(row)
         self.swapped = still_out
 
+    # -- batch-building blocks -------------------------------------------
+    # A prefill block appends to ``prefills``, the batch's
+    # ``(p_rows, p_chunk, p_past, p_is_last)`` lists, and returns the
+    # batch's new ``(tokens used, size)``.  ``sizing(row, used)`` is the
+    # policy's rule for the prompt tokens ``row`` may prefill when the
+    # batch already holds ``used`` tokens; 0 stops the block.
+    def _partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(running, decodes, partials)`` over the schedulable rows.
+
+        ``running`` is in running (admission) order; ``decodes`` are
+        its prefill-complete rows stably sorted by arrival (the FCFS
+        decode order) and ``partials`` the rest, in running order.
+        Cached per ``_run_version``, so the steady decode loop pays
+        O(1) per iteration instead of O(B log B).
+        """
+        if self._partition_version != self._run_version:
+            A = self.A
+            running = np.array(self._schedulable_rows(), dtype=np.int64)
+            complete = A.prefill_done[running] >= A.prefill_target[running]
+            decodes = running[complete]
+            order = np.argsort(A.arrival_time[decodes], kind="stable")
+            self._partitioned = (running, decodes[order], running[~complete])
+            self._partition_version = self._run_version
+        return self._partitioned
+
+    def _decode_block(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decode rows and their contexts: ``rows`` in order, up to the
+        batch-size cap.
+
+        One bulk KV reservation in the common case.  Under memory
+        pressure, an exact scalar walk that preempts as it goes; an
+        evicted row is skipped and does not count toward the cap.
+        """
+        A = self.A
+        cand = rows[: self.max_batch_size]
+        if not len(cand):
+            return _EMPTY_ROWS, _EMPTY_ROWS
+        ctx = A.prefill_done[cand] + A.decode_steps[cand]
+        if self.memory.try_bulk_decode(cand, ctx):
+            return cand, ctx
+        kept: list[int] = []
+        ctxs: list[int] = []
+        running_set = self._running_set
+        for row in rows.tolist():
+            if len(kept) >= self.max_batch_size:
+                break
+            if row not in running_set:
+                continue  # evicted by an earlier preemption
+            if not self._prepare_decode(row):
+                continue
+            kept.append(row)
+            ctxs.append(int(A.prefill_done[row] + A.decode_steps[row]))
+        return np.array(kept, dtype=np.int64), np.array(ctxs, dtype=np.int64)
+
+    def _remaining(self, row: int) -> int:
+        """Prompt tokens ``row`` has left to prefill."""
+        return int(self.A.prefill_target[row] - self.A.prefill_done[row])
+
+    def _whole_prompt(self, row: int, used: int) -> int:
+        """Sizing rule with no token budget: the whole remaining prompt."""
+        return self._remaining(row)
+
+    def _add_prefill(self, prefills: tuple, row: int, chunk: int) -> None:
+        """Append ``row``'s next ``chunk`` prompt tokens to ``prefills``."""
+        p_rows, p_chunk, p_past, p_is_last = prefills
+        p_rows.append(row)
+        p_chunk.append(chunk)
+        p_past.append(int(self.A.prefill_done[row]))
+        p_is_last.append(chunk >= self._remaining(row))
+
+    def _continue_prefills(
+        self, prefills: tuple, partials: np.ndarray, used: int, size: int, sizing
+    ) -> tuple[int, int]:
+        """Advance mid-prefill running rows, in order (Algorithm 3,
+        lines 9-12)."""
+        running_set = self._running_set
+        for row in partials.tolist():
+            if size >= self.max_batch_size:
+                break
+            if row not in running_set:
+                continue  # evicted by a preemption in the decode block
+            chunk = sizing(row, used)
+            if chunk <= 0:
+                break
+            self._add_prefill(prefills, row, chunk)
+            used += chunk
+            size += 1
+        return used, size
+
+    def _admit_prefills(
+        self, prefills: tuple, used: int, size: int, sizing
+    ) -> tuple[int, int]:
+        """Admit the FCFS waiting head while the batch has room, its
+        memory fits and ``sizing`` grants it tokens (Algorithm 3,
+        lines 13-20)."""
+        waiting = self.waiting
+        while waiting and size < self.max_batch_size:
+            head = waiting[0]
+            if sizing(head, used) <= 0 or self._admit_waiting_head() is None:
+                break
+            # Admission may have claimed a cached prefix, shrinking the
+            # remaining prefill below the pre-admission estimate; size
+            # again so the chunk never overruns (still >= 1: the cache
+            # always leaves at least one token to prefill).
+            chunk = sizing(head, used)
+            self._add_prefill(prefills, head, chunk)
+            used += chunk
+            size += 1
+        return used, size
+
+    @staticmethod
+    def _batch(decode_rows, decode_ctx, prefills=None) -> VecBatch | None:
+        """The composed iteration, or None when it holds no work."""
+        prefills = prefills or ([], [], [], [])
+        if not len(decode_rows) and not prefills[0]:
+            return None
+        return VecBatch(decode_rows, decode_ctx, *prefills)
+
     # -- introspection (fleet snapshot parity) -------------------------
     @property
     def num_waiting(self) -> int:
@@ -937,113 +1058,9 @@ class VecScheduler:
 
 
 # ----------------------------------------------------------------------
-# Sorted/partitioned running-set cache shared by arrival-FCFS policies
-# ----------------------------------------------------------------------
-class _ArrivalSortedMixin(VecScheduler):
-    """Caches the running set partitioned and arrival-sorted.
-
-    ``sorted(decodes, key=arrival_time)`` with a stable sort over the
-    running-order partition is the FCFS decode ordering; the cache makes
-    the steady decode loop O(1) per iteration instead of O(B log B).
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._cache_version = -1
-        self._cached_decodes_sorted = _EMPTY_ROWS
-        self._cached_partials = _EMPTY_ROWS
-
-    def _partition(self) -> tuple[np.ndarray, np.ndarray]:
-        """(decodes sorted by arrival — stable, partials in running order).
-
-        Partitions the *schedulable* running rows; in-flight mutations
-        bump ``_run_version`` so the cache never serves stale rows.
-        """
-        if self._cache_version != self._run_version:
-            A = self.A
-            run_arr = np.array(self._schedulable_rows(), dtype=np.int64)
-            if run_arr.size:
-                complete = A.prefill_done[run_arr] >= A.prefill_target[run_arr]
-                decodes = run_arr[complete]
-                self._cached_partials = run_arr[~complete]
-                order = np.argsort(A.arrival_time[decodes], kind="stable")
-                self._cached_decodes_sorted = decodes[order]
-            else:
-                self._cached_decodes_sorted = _EMPTY_ROWS
-                self._cached_partials = _EMPTY_ROWS
-            self._cache_version = self._run_version
-        return self._cached_decodes_sorted, self._cached_partials
-
-    def _sorted_all_running(self) -> np.ndarray:
-        """Every schedulable running row, stably sorted by arrival."""
-        sorted_decodes, partials = self._partition()
-        if not len(partials):
-            return sorted_decodes
-        # Rare (swap re-admission): the schedulable pool, stably
-        # sorted by arrival.
-        run_arr = np.array(self._schedulable_rows(), dtype=np.int64)
-        order = np.argsort(self.A.arrival_time[run_arr], kind="stable")
-        return run_arr[order]
-
-    def _add_prefill(self, prefills: tuple, row: int, chunk: int) -> None:
-        """Append ``row``'s next ``chunk`` prompt tokens to the batch's
-        ``(p_rows, p_chunk, p_past, p_is_last)`` lists."""
-        A = self.A
-        remaining = int(A.prefill_target[row] - A.prefill_done[row])
-        p_rows, p_chunk, p_past, p_is_last = prefills
-        p_rows.append(row)
-        p_chunk.append(chunk)
-        p_past.append(int(A.prefill_done[row]))
-        p_is_last.append(chunk >= remaining)
-
-    def _decode_block(
-        self, sorted_rows: np.ndarray, check_complete: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The decode block: bulk fast path or exact scalar fallback.
-
-        ``check_complete`` ports the vLLM/chunked-only guard that skips
-        prefill-incomplete rows inside the candidate walk; sarathi
-        pre-partitions instead so it passes False.  Filtering before
-        the max-batch-size slice is exact: skipped rows don't count
-        toward the batch size, and nothing turns a
-        running row incomplete without also removing it from running.
-        """
-        A = self.A
-        if check_complete and len(sorted_rows):
-            sorted_rows = sorted_rows[
-                A.prefill_done[sorted_rows] >= A.prefill_target[sorted_rows]
-            ]
-        cand = sorted_rows[: self.max_batch_size]
-        if len(cand):
-            ctx = A.prefill_done[cand] + A.decode_steps[cand]
-            if self.memory.try_bulk_decode(cand, ctx):
-                return cand, ctx
-        # Memory pressure: walk the rows one by one with preemption
-        # (evictions may drop later candidates).
-        rows: list[int] = []
-        ctxs: list[int] = []
-        running_set = self._running_set
-        for row in sorted_rows.tolist():
-            if len(rows) >= self.max_batch_size:
-                break
-            if check_complete and A.prefill_done[row] < A.prefill_target[row]:
-                continue
-            if row not in running_set:
-                continue  # evicted by an earlier preemption
-            if not self._prepare_decode(row):
-                continue
-            rows.append(row)
-            ctxs.append(int(A.prefill_done[row] + A.decode_steps[row]))
-        return (
-            np.array(rows, dtype=np.int64),
-            np.array(ctxs, dtype=np.int64),
-        )
-
-
-# ----------------------------------------------------------------------
 # Policies
 # ----------------------------------------------------------------------
-class VecSarathiScheduler(_ArrivalSortedMixin):
+class VecSarathiScheduler(VecScheduler):
     """Stall-free batching with chunked prefills (Algorithm 3).
 
     Every running decode joins the batch first; partially completed
@@ -1051,8 +1068,6 @@ class VecSarathiScheduler(_ArrivalSortedMixin):
     whatever token budget is left, chunked to fit.  ``chunk_prefills=False``
     is the hybrid-batching-only ablation: whole prompts ride along.
     """
-
-    name = "sarathi"
 
     def __init__(
         self,
@@ -1064,68 +1079,31 @@ class VecSarathiScheduler(_ArrivalSortedMixin):
         preemption_mode: str = "recompute",
         kv_bytes_per_token: int = 0,
     ) -> None:
-        super().__init__(
-            arrays,
-            memory,
-            max_batch_size,
-            preemption_mode=preemption_mode,
-            kv_bytes_per_token=kv_bytes_per_token,
-        )
+        super().__init__(arrays, memory, max_batch_size, preemption_mode, kv_bytes_per_token)
         if token_budget <= 0:
             raise ValueError("token_budget must be positive")
         self.token_budget = token_budget
         self.chunk_prefills = chunk_prefills
 
     def _build_batch(self, now: float) -> VecBatch | None:
-        sorted_decodes, partials = self._partition()
-        decode_rows, decode_ctx = self._decode_block(sorted_decodes)
-        tokens_used = len(decode_rows)
-        size = tokens_used
-
-        prefills = p_rows, p_chunk, p_past, p_is_last = [], [], [], []
-
-        # Continue partially completed prefills before admitting new
-        # work (lines 9-12).
-        running_set = self._running_set
-        for row in partials.tolist():
-            if size >= self.max_batch_size:
-                break
-            if row not in running_set:
-                continue  # evicted by a preemption above
-            chunk = self._chunk_for(row, tokens_used)
-            if chunk <= 0:
-                break
-            self._add_prefill(prefills, row, chunk)
-            tokens_used += chunk
-            size += 1
-
-        # Admit new requests within the leftover budget (lines 13-20).
-        while size < self.max_batch_size and tokens_used < self.token_budget:
-            if not self.waiting:
-                break
-            head = self.waiting[0]
-            chunk = self._chunk_for(head, tokens_used)
-            if chunk <= 0:
-                break
-            admitted = self._admit_waiting_head()
-            if admitted is None:
-                break  # memory full
-            # Admission may have claimed a cached prefix, shrinking the
-            # remaining prefill below the pre-admission estimate;
-            # recompute so the chunk never overruns (still >= 1: the
-            # cache always leaves at least one token to prefill).
-            chunk = self._chunk_for(admitted, tokens_used)
-            self._add_prefill(prefills, admitted, chunk)
-            tokens_used += chunk
-            size += 1
-
-        if size == 0:
-            return None
-        return VecBatch(decode_rows, decode_ctx, p_rows, p_chunk, p_past, p_is_last)
+        _, decodes, partials = self._partition()
+        decode_rows, decode_ctx = self._decode_block(decodes)
+        prefills = [], [], [], []
+        used = size = len(decode_rows)
+        # Most iterations repeat a decode-only batch; the guards skip
+        # two empty block calls on that path.
+        if len(partials):
+            used, size = self._continue_prefills(
+                prefills, partials, used, size, self._chunk_for
+            )
+        if self.waiting:
+            self._admit_prefills(prefills, used, size, self._chunk_for)
+        return self._batch(decode_rows, decode_ctx, prefills)
 
     def _chunk_for(self, row: int, tokens_used: int) -> int:
-        A = self.A
-        remaining = int(A.prefill_target[row] - A.prefill_done[row])
+        """The chunk rule: what is left of the token budget (lines
+        11/15), or the whole prompt while any budget is left."""
+        remaining = self._remaining(row)
         if not self.chunk_prefills:
             # Hybrid-batching-only ablation: whole prompts; budget only
             # gates whether more requests join.
@@ -1150,8 +1128,6 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
     same prefix, so the shared sum equals a per-probe ``sum(...)``.
     """
 
-    name = "sarathi-dynamic"
-
     def __init__(
         self,
         arrays: RequestArrays,
@@ -1162,6 +1138,8 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
         max_budget: int = 8192,
         budget_step: int = 128,
         max_batch_size: int = 128,
+        preemption_mode: str = "recompute",
+        kv_bytes_per_token: int = 0,
     ) -> None:
         if tbt_slo <= 0:
             raise ValueError("tbt_slo must be positive")
@@ -1174,6 +1152,8 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
             memory,
             token_budget=min_budget,
             max_batch_size=max_batch_size,
+            preemption_mode=preemption_mode,
+            kv_bytes_per_token=kv_bytes_per_token,
         )
         self.exec_model = exec_model
         self.tbt_slo = tbt_slo
@@ -1193,7 +1173,7 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
     def _pick_budget(self) -> int:
         """Largest budget whose predicted iteration fits the SLO."""
         A = self.A
-        rows = np.asarray(self._schedulable_rows(), dtype=np.int64)
+        rows = self._partition()[0]
         rows = rows[A.prefill_done[rows] >= A.prefill_target[rows]]
         decode_attn = 0
         for value in self.exec_model.decode_attention_times(
@@ -1239,11 +1219,9 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
         return cost <= self.tbt_slo
 
 
-class VecVLLMScheduler(_ArrivalSortedMixin):
+class VecVLLMScheduler(VecScheduler):
     """vLLM (Algorithm 2): eager prefill-only batches whenever requests
     wait and memory allows, otherwise a decode-only batch."""
-
-    name = "vllm"
 
     def __init__(
         self,
@@ -1254,228 +1232,94 @@ class VecVLLMScheduler(_ArrivalSortedMixin):
         preemption_mode: str = "recompute",
         kv_bytes_per_token: int = 0,
     ) -> None:
-        super().__init__(
-            arrays,
-            memory,
-            max_batch_size,
-            preemption_mode=preemption_mode,
-            kv_bytes_per_token=kv_bytes_per_token,
-        )
+        super().__init__(arrays, memory, max_batch_size, preemption_mode, kv_bytes_per_token)
         if max_batched_tokens <= 0:
             raise ValueError("max_batched_tokens must be positive")
         self.max_batched_tokens = max_batched_tokens
 
     def _build_batch(self, now: float) -> VecBatch | None:
-        A = self.A
-        # Eager prefills first (lines 5-9).
-        p_rows: list[int] = []
-        p_chunk: list[int] = []
-        p_past: list[int] = []
-        p_is_last: list[bool] = []
-        num_tokens = 0
-        while (
-            len(self.running) < self.max_batch_size
-            and len(p_rows) < self.max_batch_size
-        ):
-            if not self.waiting:
-                break
-            head = self.waiting[0]
-            if (
-                p_rows
-                and num_tokens + int(A.prefill_target[head]) > self.max_batched_tokens
-            ):
-                break
-            admitted = self._admit_waiting_head()
-            if admitted is None:
-                break
-            remaining = int(A.prefill_target[admitted] - A.prefill_done[admitted])
-            p_rows.append(admitted)
-            p_chunk.append(remaining)
-            p_past.append(int(A.prefill_done[admitted]))
-            p_is_last.append(True)
-            num_tokens += remaining
-        if p_rows:
-            return VecBatch(_EMPTY_ROWS, _EMPTY_ROWS, p_rows, p_chunk, p_past, p_is_last)
+        # Eager prefills first (lines 5-9), while the running set has
+        # room; otherwise a decode-only batch (line 12).
+        prefills = [], [], [], []
+        self._admit_prefills(prefills, 0, len(self.running), self._capped_prompt)
+        if prefills[0]:
+            return VecBatch(_EMPTY_ROWS, _EMPTY_ROWS, *prefills)
+        return self._batch(*self._decode_block(self._partition()[1]))
 
-        # Otherwise a decode-only batch (line 12).  vLLM sorts the whole
-        # running pool and skips prefill-incomplete rows inside the
-        # loop, so the sorted cache covers every runner here.
-        sorted_rows = self._sorted_all_running()
-        decode_rows, decode_ctx = self._decode_block(sorted_rows, check_complete=True)
-        if not len(decode_rows):
-            return None
-        return VecBatch(decode_rows, decode_ctx, [], [], [], [])
+    def _capped_prompt(self, row: int, used: int) -> int:
+        """The whole prompt, unless it would take a non-empty batch
+        past ``max_batched_tokens``."""
+        if used and used + int(self.A.prefill_target[row]) > self.max_batched_tokens:
+            return 0
+        return self._remaining(row)
 
 
 class VecOrcaScheduler(VecScheduler):
     """Orca: iteration-level batching with eager full prefills riding
-    along with every running decode, over reservation memory."""
+    along with every running decode, over reservation memory.
 
-    name = "orca"
-
-    def __init__(
-        self,
-        arrays: RequestArrays,
-        memory: VecReservationMemory,
-        max_batch_size: int,
-    ) -> None:
-        super().__init__(arrays, memory, max_batch_size)
-        self._cache_version = -1
-        self._cached_running = _EMPTY_ROWS
+    Decodes run in running (admission) order, not arrival order: a
+    failed-over request re-arrives with its original arrival time.
+    """
 
     def _build_batch(self, now: float) -> VecBatch | None:
-        A = self.A
-        if self._cache_version != self._run_version:
-            self._cached_running = np.array(
-                self._schedulable_rows(), dtype=np.int64
-            )
-            self._cache_version = self._run_version
-        run_arr = self._cached_running
-        decode_rows = run_arr[: self.max_batch_size]
-        if len(decode_rows) and not bool(
-            np.all(
-                A.prefill_done[decode_rows] >= A.prefill_target[decode_rows]
-            )
-        ):
+        running, _, partials = self._partition()
+        if len(partials):
             # A running request's full prefill always commits with the
             # batch that admitted it (in-flight rows are excluded), so
             # a partial schedulable runner is a scheduler bug.
             raise RuntimeError(
-                "vectorized orca core saw a partially prefilled running request"
+                f"{type(self).__name__} saw a partially prefilled running request"
             )
-        decode_ctx = (
-            A.prefill_done[decode_rows] + A.decode_steps[decode_rows]
-            if len(decode_rows)
-            else _EMPTY_ROWS
-        )
-        size = len(decode_rows)
+        decode_rows, decode_ctx = self._decode_block(running)
+        prefills = [], [], [], []
+        if self._admission_open():
+            self._admit_prefills(prefills, 0, len(decode_rows), self._whole_prompt)
+        return self._batch(decode_rows, decode_ctx, prefills)
 
-        p_rows: list[int] = []
-        p_chunk: list[int] = []
-        p_past: list[int] = []
-        p_is_last: list[bool] = []
-        while size < self.max_batch_size:
-            admitted = self._admit_waiting_head()
-            if admitted is None:
-                break
-            remaining = int(A.prefill_target[admitted] - A.prefill_done[admitted])
-            p_rows.append(admitted)
-            p_chunk.append(remaining)
-            p_past.append(int(A.prefill_done[admitted]))
-            p_is_last.append(True)
-            size += 1
-        if size == 0:
-            return None
-        return VecBatch(decode_rows, decode_ctx, p_rows, p_chunk, p_past, p_is_last)
+    def _admission_open(self) -> bool:
+        """Whether this iteration may admit waiting requests."""
+        return True
 
 
-class VecFasterTransformerScheduler(VecScheduler):
+class VecFasterTransformerScheduler(VecOrcaScheduler):
     """FasterTransformer (Algorithm 1): request-level batching — a
-    batch runs to full completion before the next one forms."""
+    batch runs to full completion before the next one forms.
 
-    name = "faster-transformer"
+    Orca with admission open only while the running set is empty: the
+    admitting iteration prefills the whole batch (line 8), and the batch
+    then decodes until it drains (line 10).
+    """
 
-    def _build_batch(self, now: float) -> VecBatch | None:
-        A = self.A
-        if not self.running:
-            while len(self.running) < self.max_batch_size:
-                if self._admit_waiting_head() is None:
-                    break
-        members = self._schedulable_rows()
-        if not members:
-            return None
-
-        member_arr = np.array(members, dtype=np.int64)
-        incomplete = A.prefill_done[member_arr] < A.prefill_target[member_arr]
-        if bool(incomplete.any()):
-            # Line 8 of Algorithm 1: prefill the whole batch at once.
-            p_rows: list[int] = []
-            p_chunk: list[int] = []
-            p_past: list[int] = []
-            for row in member_arr[incomplete].tolist():
-                p_rows.append(row)
-                p_chunk.append(int(A.prefill_target[row] - A.prefill_done[row]))
-                p_past.append(int(A.prefill_done[row]))
-            return VecBatch(
-                _EMPTY_ROWS, _EMPTY_ROWS, p_rows, p_chunk, p_past, [True] * len(p_rows)
-            )
-        # Line 10: decode-only until the batch drains.
-        decode_ctx = A.prefill_done[member_arr] + A.decode_steps[member_arr]
-        return VecBatch(member_arr, decode_ctx, [], [], [], [])
+    def _admission_open(self) -> bool:
+        return not self.running
 
 
-class VecChunkedPrefillsOnlyScheduler(_ArrivalSortedMixin):
+class VecChunkedPrefillsOnlyScheduler(VecSarathiScheduler):
     """Table 4 ablation: chunked prefills without hybrid batching —
     prefill-only and decode-only iterations alternate."""
 
-    name = "chunked-prefills-only"
-
-    def __init__(
-        self,
-        arrays: RequestArrays,
-        memory: VecPagedMemory,
-        token_budget: int,
-        max_batch_size: int,
-    ) -> None:
-        super().__init__(arrays, memory, max_batch_size)
-        if token_budget <= 0:
-            raise ValueError("token_budget must be positive")
-        self.token_budget = token_budget
-        self._last_was_prefill = False
+    _last_was_prefill = False
 
     def _build_batch(self, now: float) -> VecBatch | None:
         if self._last_was_prefill:
-            batch = self._decode_batch() or self._prefill_batch()
+            batch = self._decode_only() or self._prefill_only()
         else:
-            batch = self._prefill_batch() or self._decode_batch()
+            batch = self._prefill_only() or self._decode_only()
         if batch is not None:
             self._last_was_prefill = bool(batch.p_rows)
         return batch
 
-    def _decode_batch(self) -> VecBatch | None:
-        sorted_rows = self._sorted_all_running()
-        decode_rows, decode_ctx = self._decode_block(sorted_rows, check_complete=True)
-        if not len(decode_rows):
-            return None
-        return VecBatch(decode_rows, decode_ctx, [], [], [], [])
+    def _decode_only(self) -> VecBatch | None:
+        return self._batch(*self._decode_block(self._partition()[1]))
 
-    def _prefill_batch(self) -> VecBatch | None:
-        A = self.A
-        prefills = p_rows, p_chunk, p_past, p_is_last = [], [], [], []
-        tokens_used = 0
-
-        # Ongoing partial prefills first (running order), then admit.
-        for row in self._schedulable_rows():
-            if A.prefill_done[row] >= A.prefill_target[row]:
-                continue
-            chunk = self._next_chunk(row, tokens_used)
-            if chunk <= 0:
-                break
-            self._add_prefill(prefills, row, chunk)
-            tokens_used += chunk
-        while len(p_rows) < self.max_batch_size and tokens_used < self.token_budget:
-            if not self.waiting:
-                break
-            head = self.waiting[0]
-            chunk = self._next_chunk(head, tokens_used)
-            if chunk <= 0:
-                break
-            admitted = self._admit_waiting_head()
-            if admitted is None:
-                break
-            # Recompute after admission: a prefix-cache hit shrinks the
-            # remaining prefill (see VecSarathiScheduler._build_batch).
-            chunk = self._next_chunk(admitted, tokens_used)
-            self._add_prefill(prefills, admitted, chunk)
-            tokens_used += chunk
-        if not p_rows:
-            return None
-        return VecBatch(_EMPTY_ROWS, _EMPTY_ROWS, p_rows, p_chunk, p_past, p_is_last)
-
-    def _next_chunk(self, row: int, tokens_used: int) -> int:
-        A = self.A
-        remaining = int(A.prefill_target[row] - A.prefill_done[row])
-        return next_chunk_size(remaining, self.token_budget, tokens_used)
+    def _prefill_only(self) -> VecBatch | None:
+        prefills = [], [], [], []
+        used, size = self._continue_prefills(
+            prefills, self._partition()[2], 0, 0, self._chunk_for
+        )
+        self._admit_prefills(prefills, used, size, self._chunk_for)
+        return self._batch(_EMPTY_ROWS, _EMPTY_ROWS, prefills)
 
 
 class VecFairSarathiScheduler(VecSarathiScheduler):
@@ -1490,8 +1334,6 @@ class VecFairSarathiScheduler(VecSarathiScheduler):
     scheduling stays stall-free; fairness is enforced where the
     contention is — admission of new prefill work into the budget.
     """
-
-    name = "sarathi-fair"
 
     def __init__(
         self,

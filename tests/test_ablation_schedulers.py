@@ -7,6 +7,7 @@ import pytest
 from repro.api import Deployment, ServingConfig, build_vectorized_scheduler
 from repro.hardware.catalog import A100_80G
 from repro.models.catalog import TINY_1B
+from repro.scheduling.registry import resolve
 from repro.scheduling.vectorized import VecChunkedPrefillsOnlyScheduler
 
 from tests.conftest import Harness, harness, make_request
@@ -69,7 +70,7 @@ def _hybrid_only() -> Harness:
 class TestHybridBatchingOnlyFactory:
     def test_factory_disables_chunking(self):
         s = _hybrid_only().scheduler
-        assert s.name == "hybrid-batching-only"
+        assert resolve("hybrid_batching_only").name == "hybrid_batching_only"
         assert not s.chunk_prefills
 
     def test_behaves_like_unchunked_sarathi(self):

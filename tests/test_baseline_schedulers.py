@@ -185,3 +185,31 @@ class TestVLLM:
         ]
         s.drain()
         assert all(s.finished(r) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "cls", [VecOrcaScheduler, VecFasterTransformerScheduler], ids=lambda c: c.__name__
+)
+class TestReservationBatching:
+    """Orca and FasterTransformer share one batch composition."""
+
+    def _scheduler(self, cls):
+        return harness(cls, 16384, memory="reservation", reserve_len=512, max_batch_size=4)
+
+    def test_partial_running_row_raises(self, cls):
+        """A whole prompt commits with the batch that admitted it, so a
+        mid-prefill row in the running set is a scheduler bug."""
+        s = self._scheduler(cls)
+        s.add(make_request(prompt_len=64, output_len=4), now=0.0)
+        assert s.scheduler._admit_waiting_head() is not None
+        with pytest.raises(RuntimeError, match="partially prefilled"):
+            s.schedule(now=0.0)
+
+    def test_decodes_in_running_order(self, cls):
+        """Not arrival order: a failed-over request re-arrives with its
+        original arrival time, behind requests that arrived after it."""
+        s = self._scheduler(cls)
+        late = s.add(make_request(prompt_len=32, output_len=4, arrival_time=0.2), now=0.3)
+        early = s.add(make_request(prompt_len=32, output_len=4, arrival_time=0.1), now=0.3)
+        s.complete(s.schedule(now=0.3), now=0.4)
+        assert s.schedule(now=0.4).decode_rows.tolist() == [late, early]

@@ -15,8 +15,6 @@ from tests.conftest import Harness, make_request
 class SingleDecodeScheduler(VecScheduler):
     """Minimal concrete policy: run everything runnable, admit one."""
 
-    name = "test-policy"
-
     def _build_batch(self, now):
         A = self.A
         decodes, p_rows, p_chunk, p_past = [], [], [], []

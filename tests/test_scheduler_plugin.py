@@ -98,7 +98,7 @@ class TestToyPolicySimulate:
         scheduler = build_vectorized_scheduler(
             tiny_deployment, ServingConfig(scheduler=toy_registered, token_budget=64)
         )
-        assert scheduler.name == "toy-shortest-prompt"
+        assert scheduler.policy.name == "toy-shortest-prompt"
         harness = Harness(scheduler)
         long = harness.add(make_request(prompt_len=512, output_len=4), now=0.0)
         short = harness.add(make_request(prompt_len=32, output_len=4), now=0.0)

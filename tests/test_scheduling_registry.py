@@ -12,7 +12,12 @@ import importlib
 
 import pytest
 
-from repro.api import ServingConfig
+from repro.api import (
+    ServingConfig,
+    build_engine,
+    build_vectorized_scheduler,
+    clone_requests,
+)
 from repro.scheduling.registry import (
     SchedulerSpec,
     list_specs,
@@ -21,7 +26,9 @@ from repro.scheduling.registry import (
     resolve,
     unregister,
 )
-from tests.conftest import BUILTIN_NAMES
+from repro.types import PreemptionMode
+from tests.conftest import BUILTIN_NAMES, shrink_kv_memory
+from tests.differential.digests import _pressure_trace
 
 THEORY_NAMES = ("srpt_oracle", "srpt_predicted", "fcfs_aging")
 
@@ -47,6 +54,13 @@ class TestResolution:
         fields = [f.name for f in dataclasses.fields(SchedulerSpec)]
         assert fields == ["name", "build", "description", "memory_family"]
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + THEORY_NAMES)
+    def test_built_scheduler_has_no_second_name(self, tiny_deployment, name):
+        scheduler = build_vectorized_scheduler(
+            tiny_deployment, ServingConfig(scheduler=name)
+        )
+        assert not hasattr(scheduler, "name")
+
     def test_config_rejects_a_scheduler_that_is_not_a_name(self):
         with pytest.raises(TypeError, match="registry name"):
             ServingConfig(scheduler=None)
@@ -61,6 +75,31 @@ class TestResolution:
 
     def test_list_specs_matches_names(self):
         assert [spec.name for spec in list_specs()] == registered_names()
+
+
+PAGED_BUILTINS = [n for n in BUILTIN_NAMES if resolve(n).memory_family == "paged"]
+
+
+class TestPreemptionModePassThrough:
+    """Every paged built-in honours ``ServingConfig.preemption_mode``."""
+
+    @pytest.mark.parametrize("name", PAGED_BUILTINS, ids=str)
+    def test_swap_mode_and_kv_bytes_reach_the_scheduler(self, tiny_deployment, name):
+        scheduler = build_vectorized_scheduler(
+            tiny_deployment, ServingConfig(scheduler=name, preemption_mode="swap")
+        )
+        assert scheduler.preemption_mode is PreemptionMode.SWAP
+        assert scheduler.kv_bytes_per_token == tiny_deployment.model.kv_bytes_per_token > 0
+
+    @pytest.mark.parametrize("name", ["sarathi_dynamic", "chunked_prefills_only"])
+    def test_swap_mode_swaps_under_pressure(self, tiny_deployment, name):
+        engine = build_engine(
+            tiny_deployment,
+            ServingConfig(scheduler=name, token_budget=256, preemption_mode="swap"),
+        )
+        shrink_kv_memory(engine)
+        engine.run(clone_requests(_pressure_trace()))
+        assert engine.scheduler.num_swap_outs > 0
 
 
 class TestRegistrationGuards:
